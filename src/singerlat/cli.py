@@ -3,8 +3,7 @@
 Subcommands cover the whole pipeline: generate and verify difference
 sets, export planes, certify difference matrices, run the equivalence
 census, print the counting bounds, and build glued balls.  All output is
-deterministic; identical invocations produce byte-identical bytes
-regardless of thread count.
+deterministic; identical invocations produce byte-identical bytes.
 
 Exit codes: 0 success, 1 certified-exotic verdict where a Moufang
 candidate was requested, 2 invalid input, 3 cap exceeded.
@@ -192,7 +191,8 @@ def _build_parser():
     p.add_argument("--extra-moves", action="store_true",
                    help="also quotient by rotation and duality")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; output bytes do not depend on this")
+                   help="kept for compatibility: the census runs in one "
+                        "thread and its bytes never depend on this")
     p.add_argument("--outdir", default=".",
                    help="directory for census and summary files")
 

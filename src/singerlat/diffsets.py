@@ -42,11 +42,15 @@ def _check_residues(elements, m: int) -> tuple[int, ...]:
 def is_difference_set(elements, q: int) -> bool:
     """True iff every nonzero residue mod q^2+q+1 occurs exactly once as a
     difference of two elements.  Malformed input (repeats, out of range)
-    is an error, not a False."""
+    is an error, not a False.  A perfect difference set has exactly q+1
+    elements, so any other size is False before the count table of size
+    q^2+q+1 is allocated."""
     if q < 2:
         raise InvalidInput(f"order must be at least 2, got {q}")
     m = q * q + q + 1
     elems = _check_residues(elements, m)
+    if len(elems) != q + 1:
+        return False
     counts = [0] * m
     for d in elems:
         for d2 in elems:

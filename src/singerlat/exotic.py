@@ -13,19 +13,19 @@ permutations alpha1, alpha2 of the labels with column t reading
 D[alpha_t[i]].  In that shape G_0 is the pencil group of the canonical
 plane and G_t = alpha_t^-1 G_0 alpha_t.
 
-The census enumerates all (alpha1, alpha2) pairs, groups them into
-orbits of the coarse moves (per-column set-stabilizer maps followed by
-the row re-sort), and reports one canonical representative, orbit size
-and verdict per class.
+The census groups all (alpha1, alpha2) pairs into orbits of the coarse
+moves (per-column set-stabilizer maps followed by the row re-sort) and
+reports one canonical representative, orbit size and verdict per class.
+It walks pairs of stabilizer cosets, not the pairs themselves.
 """
 
 import itertools
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .arith import make_field, prime_power
@@ -372,74 +372,127 @@ def enumerate_normalized(q, D=None) -> Iterator[NormalizedMatrix]:
 
 
 # -- the census --
+#
+# A coarse move (p0, p1, p2) sends alpha_t to p_t . alpha_t . p0^-1 with
+# every p in the stabilizer index perms S.  The free left factors p1, p2
+# fill out the right cosets S.alpha_t, so a coarse class is a p0-orbit
+# of coset pairs (S.alpha1, S.alpha2): its size is |S|^2 times the orbit
+# length, and its least member pairs the least elements of the orbit's
+# least coset pair.
 
 
-def _coarse_tables(q):
-    """Index machinery for the orbit walk.
-
-    perms is the lexicographic list of all label permutations; a move
-    (p0, p1, p2) of stabilizer index perms sends alpha_t to
-    p_t . alpha_t . p0^-1, tabulated as one int array per (p0, p_t).
-    """
-    n = q + 1
-    perms = list(itertools.permutations(range(n)))
-    index = {a: i for i, a in enumerate(perms)}
+def _census_stabilizer(q, norm) -> list[tuple[int, ...]]:
+    """S, checked to have order 3*eta and to lie in the normalizer of
+    G_0; the latter makes the verdict constant on every coarse class."""
     stab = stabilizer_index_perms(canonical_difference_set(q))
-    tables = {}
-    for p0 in stab:
-        p0inv = inverse(p0)
-        right = [index[compose(a, p0inv)] for a in perms]
-        for pt in stab:
-            left = [index[compose(pt, a)] for a in perms]
-            tables[(p0, pt)] = [left[i] for i in right]
-    moves = [
-        (tables[(p0, p1)], tables[(p0, p2)])
-        for p0 in stab for p1 in stab for p2 in stab
-    ]
-    return perms, index, stab, moves
+    eta = prime_power(q)[1]
+    if len(stab) != 3 * eta:
+        raise AssertionError(
+            f"stabilizer of order {len(stab)}, expected {3 * eta}")
+    if not all(s in norm.elements for s in stab):
+        raise AssertionError(
+            "a stabilizer perm does not normalize the pencil group")
+    return stab
 
 
-def _extra_move_tables(q, perms, index):
-    """Rotation shifts the three vertex types cyclically; duality
-    reverses them through the negation map nu of the canonical set."""
-    inv_t = [index[inverse(a)] for a in perms]
-    rot = [[index[compose(b, inverse(a))] for a in perms] for b in perms]
+def _right_cosets(members, stab):
+    """(least, coset_of) for the right cosets S.a among the members,
+    which come in ascending order and are closed under S on the left:
+    least[c] is the least element of coset c, and coset_of maps each
+    member to its coset number."""
+    least = []
+    coset_of = {}
+    for a in members:
+        if a not in coset_of:
+            for s in stab:
+                coset_of[compose(s, a)] = len(least)
+            least.append(a)
+    return least, coset_of
+
+
+def _coset_pair_orbits(least, coset_of, stab):
+    """The p0-orbits on coset pairs, pair (c1, c2) coded as
+    c1 * len(least) + c2.  Returns the orbit number of every code and,
+    per orbit in ascending order, its least pair and its length."""
+    n = len(least)
+    moved = [[coset_of[compose(a, inverse(p0))] for a in least]
+             for p0 in stab]
+    orbit_of = [-1] * (n * n)
+    orbits = []
+    for code in range(n * n):
+        if orbit_of[code] < 0:
+            c1, c2 = divmod(code, n)
+            orbit = {m[c1] * n + m[c2] for m in moved}
+            for other in orbit:
+                orbit_of[other] = len(orbits)
+            orbits.append(((c1, c2), len(orbit)))
+    return orbit_of, orbits
+
+
+def _duality_perm(q) -> tuple[int, ...]:
+    """nu, the negation map carried back onto the canonical set by an
+    affine map; duality sends (alpha1, alpha2) to
+    (nu alpha2 nu^-1, nu alpha1 nu^-1)."""
     D = canonical_difference_set(q)
     neg = tuple(sorted((-d) % D.modulus for d in D.elements))
     g = find_agl_map(neg, D.elements, D.modulus)
-    assert g is not None
+    if g is None:
+        raise AssertionError("the negated canonical set is not in its orbit")
     pos = {d: i for i, d in enumerate(D.elements)}
-    nu = tuple(pos[g((-d) % D.modulus)] for d in D.elements)
+    return tuple(pos[g((-d) % D.modulus)] for d in D.elements)
+
+
+def _extra_move_roots(q, least, coset_of, stab, orbit_of) -> list[int]:
+    """For each coarse class, the least coarse class that rotation and
+    duality join it to, by union-find.
+
+    Rotation (alpha1, alpha2) -> (alpha2 alpha1, alpha1^-1) does not
+    normalize the coarse moves, so one image per class is not enough.
+    On (s.b1, s'.b2) a p1 move absorbs s', so the images of (s.b1, b2)
+    over s in S, with b1, b2 least in their cosets, reach every class
+    a coset pair rotates into.  Duality maps coset pairs onto coset
+    pairs once nu S nu^-1 = S, so one image per pair suffices.
+    """
+    nu = _duality_perm(q)
     nu_inv = inverse(nu)
-    conj_nu = [index[compose(nu, compose(a, nu_inv))] for a in perms]
-    return inv_t, rot, conj_nu
+    if {compose(nu, compose(s, nu_inv)) for s in stab} != set(stab):
+        raise AssertionError("duality does not normalize the stabilizer")
+    n = len(least)
+    parent = list(range(max(orbit_of) + 1))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    def join(k1, k2):
+        r1, r2 = find(k1), find(k2)
+        if r1 != r2:  # the root stays the least class of its component
+            parent[max(r1, r2)] = min(r1, r2)
+
+    dual = [coset_of[compose(nu, compose(b, nu_inv))] for b in least]
+    for c1, b1 in enumerate(least):
+        row = orbit_of[c1 * n:(c1 + 1) * n]
+        for s in stab:
+            sb1 = compose(s, b1)
+            after_sb1 = itemgetter(*sb1)  # b2 -> compose(b2, sb1)
+            tail = coset_of[inverse(sb1)]
+            for k, b2 in zip(row, least):
+                join(k, orbit_of[coset_of[after_sb1(b2)] * n + tail])
+        for c2, k in enumerate(row):
+            join(k, orbit_of[dual[c2] * n + dual[c1]])
+    return [find(k) for k in range(len(parent))]
 
 
-def _class_witness(q, g0, a1, a2, conj_fix) -> ExoticWitness:
-    """Lightweight witness for a certified class: the smallest element
-    of the first mismatched edge's group missing from its neighbor."""
-    g0_sorted = sorted(g0.elements)
-    g0_set = g0.elements
-    inv1, inv2 = inverse(a1), inverse(a2)
-    checks = (
-        ((0, 1), lambda: not conj_fix(a1)),
-        ((1, 2), lambda: not conj_fix(compose(a1, inv2))),
-        ((2, 0), lambda: not conj_fix(a2)),
-    )
-    for (s, t), differs in checks:
-        if not differs():
-            continue
-        if (s, t) == (0, 1):
-            beta = min(g for g in g0_sorted
-                       if conj_by(g, inv1) not in g0_set)
-        elif (s, t) == (1, 2):
-            beta = min(x for x in (conj_by(h, a1) for h in g0_sorted)
-                       if conj_by(x, inv2) not in g0_set)
-        else:
-            beta = min(x for x in (conj_by(h, a2) for h in g0_sorted)
-                       if x not in g0_set)
-        return ExoticWitness(kind="pencil_mismatch", edge=(s, t), perm=beta)
-    raise AssertionError("witness requested for an inconclusive pair")
+def _least_moved(g0_sorted, g0_set, a) -> tuple[int, ...]:
+    """The least g in G_0 with a g a^-1 outside G_0, for a outside the
+    normalizer of G_0."""
+    a_inv = inverse(a)
+    for g in g0_sorted:
+        if conj_by(g, a_inv) not in g0_set:
+            return g
+    raise AssertionError(f"{perm_to_str(a)} normalizes the pencil group")
 
 
 def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
@@ -447,111 +500,77 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     (plus rotation and duality when extra_moves is set), sorted by
     canonical representative.
 
-    Every orbit is walked exactly once; each class records its
-    lexicographically least (alpha1, alpha2), its size and a verdict,
-    and the verdict is re-checked on a spread of orbit members.
+    Each class records its lexicographically least (alpha1, alpha2), its
+    size and a verdict.  The census runs in one thread; threads is kept
+    for compatibility and never changes the output.
+
+    The witness is for the first mismatched edge.  With alpha1 outside
+    the normalizer N of G_0 that is edge (0, 1), and its witness depends
+    on alpha1 alone.  Otherwise G_1 = G_0, so edge (1, 2) mismatches
+    exactly when alpha2 lies outside N, with the same witness scan
+    applied to alpha2, and edge (2, 0) never comes first.  So witnesses
+    are scanned once per permutation, not once per class.
     """
     if q > CLASSIFY_Q_CAP:
         raise CapExceeded(
             f"classification capped at q <= {CLASSIFY_Q_CAP}, got {q}")
-    perms, index, stab, moves = _coarse_tables(q)
-    nfact = len(perms)
-    eta = prime_power(q)[1]
-    assert len(stab) == 3 * eta
-    if extra_moves:
-        inv_t, rot, conj_nu = _extra_move_tables(q, perms, index)
-
     g0 = pencil_group(q)
     norm = pencil_normalizer(q)
-    fix = [a in norm.elements for a in perms]
+    stab = _census_stabilizer(q, norm)
+    least, coset_of = _right_cosets(
+        itertools.permutations(range(q + 1)), stab)
+    orbit_of, orbits = _coset_pair_orbits(least, coset_of, stab)
+    sizes = [len(stab) ** 2 * length for _, length in orbits]
+    if sum(sizes) != math.factorial(q + 1) ** 2:
+        raise AssertionError("coarse orbit sizes do not add up to all pairs")
+    if any(len(stab) ** 3 % size for size in sizes):
+        raise AssertionError("a coarse orbit size does not divide |S|^3")
+    fixes = [b in norm.elements for b in least]
+    inconclusive = [fixes[c1] and fixes[c2] for (c1, c2), _ in orbits]
+    kept = range(len(orbits))
+    if extra_moves:
+        roots = _extra_move_roots(q, least, coset_of, stab, orbit_of)
+        merged = [0] * len(orbits)
+        for k, root in enumerate(roots):
+            if inconclusive[k] != inconclusive[root]:
+                raise AssertionError("rotation or duality changed a verdict")
+            merged[root] += sizes[k]
+        kept = [k for k, root in enumerate(roots) if root == k]
+        sizes = merged
 
-    def conj_fix(a):
-        return a in norm.elements
-
-    total = nfact * nfact
-    visited = bytearray(total)
-
-    def orbit_of(seed):
-        stack = [seed]
-        seen = {seed}
-        while stack:
-            code = stack.pop()
-            i1, i2 = divmod(code, nfact)
-            for t1, t2 in moves:
-                nxt = t1[i1] * nfact + t2[i2]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-            if extra_moves:
-                j = inv_t[i1]
-                nxt = rot[i2][j] * nfact + j
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-                nxt = conj_nu[i2] * nfact + conj_nu[i1]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    def handle_range(lo, hi):
-        found = {}
-        for seed in range(lo, hi):
-            if visited[seed]:
-                continue
-            orbit = orbit_of(seed)
-            for code in orbit:
-                visited[code] = 1
-            canon = min(orbit)
-            i1, i2 = divmod(canon, nfact)
-            conclusive = not (fix[i1] and fix[i2])
-            # verdicts must agree across the orbit; spot-check a spread
-            members = sorted(orbit)
-            step = max(1, len(members) // 10)
-            for code in members[::step]:
-                j1, j2 = divmod(code, nfact)
-                assert (not (fix[j1] and fix[j2])) == conclusive
-            found[canon] = len(orbit)
-        return found
-
-    if threads <= 1:
-        merged = handle_range(0, total)
-    else:
-        chunk = -(-total // threads)
-        ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-        merged = {}
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(lambda r: handle_range(*r), ranges):
-                for canon, size in part.items():
-                    if canon in merged:
-                        assert merged[canon] == size
-                    else:
-                        merged[canon] = size
-
-    assert sum(merged.values()) == total
-    group_order = len(stab) ** 3
     D = canonical_difference_set(q)
+    g0_sorted = sorted(g0.elements)
+    witness_perm = {}  # coset -> _least_moved of its least element
     out = []
-    for canon in sorted(merged):
-        i1, i2 = divmod(canon, nfact)
-        a1, a2 = perms[i1], perms[i2]
-        if not extra_moves:
-            assert group_order % merged[canon] == 0
-        if fix[i1] and fix[i2]:
+    for k in kept:
+        (c1, c2), _ = orbits[k]
+        if inconclusive[k]:
             verdict = ExoticityVerdict(INCONCLUSIVE)
         else:
-            verdict = ExoticityVerdict(
-                CERTIFIED_EXOTIC, _class_witness(q, g0, a1, a2, conj_fix))
-        out.append(EquivClass(NormalizedMatrix(q, D, a1, a2),
-                              merged[canon], verdict))
+            edge, c = ((1, 2), c2) if fixes[c1] else ((0, 1), c1)
+            if c not in witness_perm:
+                witness_perm[c] = _least_moved(
+                    g0_sorted, g0.elements, least[c])
+            verdict = ExoticityVerdict(CERTIFIED_EXOTIC, ExoticWitness(
+                kind="pencil_mismatch", edge=edge, perm=witness_perm[c]))
+        out.append(EquivClass(NormalizedMatrix(q, D, least[c1], least[c2]),
+                              sizes[k], verdict))
     return out
 
 
 def candidate_count(q) -> int:
-    """Number of inconclusive classes; never exceeds the counting bound."""
-    classes = classify(q)
-    count = sum(1 for c in classes if c.verdict.outcome == INCONCLUSIVE)
-    assert count <= bound_B(q)
+    """Number of inconclusive census classes, counted without the
+    census: both alphas lie in the normalizer, so these are the p0-orbits
+    on pairs of S-cosets inside it.  Never exceeds the counting bound."""
+    if q > MODEL_ROUTE_Q_CAP:
+        raise CapExceeded(
+            f"candidate count capped at q <= {MODEL_ROUTE_Q_CAP}, got {q}")
+    norm = pencil_normalizer(q)
+    stab = _census_stabilizer(q, norm)
+    least, coset_of = _right_cosets(sorted(norm.elements), stab)
+    count = len(_coset_pair_orbits(least, coset_of, stab)[1])
+    if count > bound_B(q):
+        raise AssertionError(f"{count} candidates exceed the bound B")
     return count
 
 
@@ -564,7 +583,8 @@ def bound_B(q) -> int:
     if q < 2:
         raise InvalidInput(f"order must be at least 2, got {q}")
     n = q * (q * q - 1)
-    assert n % 3 == 0
+    if n % 3:
+        raise AssertionError(f"q(q^2-1) = {n} is not divisible by 3")
     return (n // 3) ** 2
 
 

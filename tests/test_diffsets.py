@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import pytest
@@ -6,8 +7,8 @@ from singerlat.diffsets import (
     AffineMap, DifferenceMatrix, DifferenceSet, DifferenceVector,
     agl_apply, agl_orbit_of_set, all_difference_sets, canonical_difference_set,
     find_agl_map, is_difference_set, matrix_from_text, matrix_to_text,
-    normalize_matrix, set_stabilizer_in_agl, singer_difference_set,
-    stabilizer_index_perms,
+    normalize_matrix, set_from_text, set_stabilizer_in_agl,
+    singer_difference_set, stabilizer_index_perms,
 )
 from singerlat.errors import CapExceeded, InvalidInput
 
@@ -38,6 +39,16 @@ def test_malformed_input_is_an_error():
         is_difference_set([0, 1, 9], 2)
     with pytest.raises(InvalidInput):
         is_difference_set([0, 1, 3], 1)
+
+
+def test_wrong_size_is_false_before_the_count_table():
+    # a perfect difference set has q+1 elements; two elements claiming a
+    # huge order must not size a table of q^2+q+1 counts
+    q = 10 ** 9
+    assert not is_difference_set((0, 1), q)
+    text = json.dumps({"q": q, "modulus": q * q + q + 1, "elements": [0, 1]})
+    with pytest.raises(InvalidInput):
+        set_from_text(text)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

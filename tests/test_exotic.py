@@ -1,11 +1,12 @@
 import functools
+import hashlib
 import itertools
 
 import pytest
 
 from singerlat.diffsets import (
     DifferenceMatrix, DifferenceVector, canonical_difference_set,
-    stabilizer_index_perms,
+    find_agl_map, stabilizer_index_perms,
 )
 from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.exotic import (
@@ -16,7 +17,9 @@ from singerlat.exotic import (
     fast_necessary_condition, lower_A, local_pencil_groups, pencil_group,
     pencil_normalizer, ratio_table,
 )
-from singerlat.permgrp import compose, groups_equal, identity, inverse
+from singerlat.permgrp import (
+    PermGroup, compose, conj_by, groups_equal, identity, inverse,
+)
 from fractions import Fraction
 
 
@@ -27,6 +30,70 @@ def classes_of(q, extra_moves=False):
 
 def normalized(q, a1, a2):
     return NormalizedMatrix(q, canonical_difference_set(q), a1, a2)
+
+
+# sha256 of census_to_text(classify(q, extra_moves)), pinned from the
+# code-level census walk that the coset-pair walk replaced
+CENSUS_SHA256 = {
+    (2, False): "b406522284028e80b3e9ec9f54b13b5970e32fcf645cbee17b780f635f79ca8d",
+    (2, True): "2a389c1f048955fd7ed2f7e6d82aceffcbdf0b087345221d6352140ece0bdbdc",
+    (3, False): "c6938898f769e698d400c5acb63bdbd01f8a8f2a8a12b7e114aa17ae76cc818c",
+    (3, True): "e8fa0527c356b54de18b1b23433adfa941d4820b5180ad4cc874153d6459d9c0",
+    (4, False): "5469717af3327f93002d8fa6a4157ad0313c4cc26859df743afebda3bf632659",
+    (4, True): "4428110ab6ed4dd78ec0eac7d621dc5b80cf033bf199428c9dcad28bc8bdc2a2",
+    (5, False): "1c31b119349786b8d45fc1a03a368ceaf652aaac7941cefe85e164d8e2190a5f",
+    (5, True): "516bd8294c169f1417d99af6cdf8b4d40a32e499eaa21c6238a1316ceaec7a07",
+}
+
+
+def brute_force_census(q, extra_moves=False):
+    """(alpha1, alpha2, orbit size) per class, least pair first, by a
+    walk over every matrix code under every move: the reference for the
+    coset-pair walk in classify."""
+    perms = list(itertools.permutations(range(q + 1)))
+    index = {a: i for i, a in enumerate(perms)}
+    stab = stabilizer_index_perms(canonical_difference_set(q))
+
+    def table(f):
+        return [index[f(a)] for a in perms]
+
+    steps = []
+    for p0 in stab:
+        p0inv = inverse(p0)
+        left = {pt: table(lambda a, pt=pt: compose(pt, compose(a, p0inv)))
+                for pt in stab}
+        steps += [lambda i1, i2, t1=left[p1], t2=left[p2]: (t1[i1], t2[i2])
+                  for p1 in stab for p2 in stab]
+    if extra_moves:
+        D = canonical_difference_set(q)
+        neg = [(-d) % D.modulus for d in D.elements]
+        g = find_agl_map(neg, D.elements, D.modulus)
+        pos = {d: i for i, d in enumerate(D.elements)}
+        nu = tuple(pos[g(x)] for x in neg)
+        nu_inv = inverse(nu)
+        inv = table(inverse)
+        dual = table(lambda a: compose(nu, compose(a, nu_inv)))
+        steps.append(lambda i1, i2: (
+            index[compose(perms[i2], perms[i1])], inv[i1]))
+        steps.append(lambda i1, i2: (dual[i2], dual[i1]))
+
+    seen = set()
+    out = []
+    for seed in itertools.product(range(len(perms)), repeat=2):
+        if seed in seen:
+            continue
+        orbit = {seed}
+        stack = [seed]
+        while stack:
+            here = stack.pop()
+            for step in steps:
+                there = step(*here)
+                if there not in orbit:
+                    orbit.add(there)
+                    stack.append(there)
+        seen |= orbit
+        out.append((perms[seed[0]], perms[seed[1]], len(orbit)))
+    return out
 
 
 def burnside_class_count(q, members):
@@ -256,6 +323,56 @@ def test_classify_q5_candidate_count_under_bound():
     assert candidate_count(5) <= bound_B(5)
 
 
+@pytest.mark.parametrize("q,count", [
+    (2, 4), (3, 24), (4, 70), (5, 544), (7, 4192), (8, 3150), (9, 9624)])
+def test_candidate_count_matches_burnside(q, count):
+    # beyond the census cap too: an independent orbit count over the
+    # normalizer, which is G_0 itself
+    assert candidate_count(q) == count
+    assert burnside_class_count(q, pencil_normalizer(q).elements) == count
+    assert count <= bound_B(q)
+
+
+def test_candidate_count_cap():
+    with pytest.raises(CapExceeded):
+        candidate_count(11)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("extra_moves", [False, True])
+def test_census_bytes_are_pinned(q, extra_moves):
+    text = census_to_text(classes_of(q, extra_moves))
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == CENSUS_SHA256[(q, extra_moves)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("extra_moves", [False, True])
+def test_classify_matches_brute_force_walk(q, extra_moves):
+    got = [(c.representative.alpha1, c.representative.alpha2, c.orbit_size)
+           for c in classes_of(q, extra_moves)]
+    assert got == brute_force_census(q, extra_moves)
+
+
+def test_classify_checks_stabilizer_inside_normalizer(monkeypatch):
+    # the verdict is a class invariant only when S normalizes G_0; a
+    # normalizer missing S must stop the census, also under python -O
+    trivial = PermGroup(4, (), {identity(4)})
+    monkeypatch.setattr("singerlat.exotic.pencil_normalizer",
+                        lambda q: trivial)
+    with pytest.raises(AssertionError, match="normalize"):
+        classify(3)
+    with pytest.raises(AssertionError, match="normalize"):
+        candidate_count(3)
+
+
+def test_classify_checks_duality_normalizes_stabilizer(monkeypatch):
+    monkeypatch.setattr("singerlat.exotic._duality_perm",
+                        lambda q: (1, 0, 2, 3))
+    with pytest.raises(AssertionError, match="duality"):
+        classify(3, extra_moves=True)
+
+
 def test_classify_orbit_sizes_divide_group_order():
     for q in (2, 3, 4):
         eta = {2: 1, 3: 1, 4: 2}[q]
@@ -280,22 +397,30 @@ def test_classify_representative_is_orbit_minimum():
 
 
 def test_classify_exotic_witnesses_check_out():
+    # G_t is alpha_t^-1 G_0 alpha_t, so x lies in G_t exactly when
+    # alpha_t x alpha_t^-1 lies in G_0; no conjugate group is built
     g0 = pencil_group(5)
     exotic = [c for c in classes_of(5)
               if c.verdict.outcome == CERTIFIED_EXOTIC]
     assert len(exotic) == 18752
-    for c in exotic[:40]:
+
+    def in_column_group(x, alpha):
+        return conj_by(x, inverse(alpha)) in g0.elements
+
+    for c in exotic:
         w = c.verdict.witness
         assert w.kind == "pencil_mismatch"
-        groups = (g0, g0.conjugate_by(c.representative.alpha1),
-                  g0.conjugate_by(c.representative.alpha2))
+        alphas = (identity(6), c.representative.alpha1,
+                  c.representative.alpha2)
         s, t = w.edge
-        assert w.perm in groups[s].elements
-        assert w.perm not in groups[t].elements
+        assert in_column_group(w.perm, alphas[s])
+        assert not in_column_group(w.perm, alphas[t])
         for u, v in ((0, 1), (1, 2), (2, 0)):
             if (u, v) == (s, t):
                 break
-            assert groups[u] == groups[v]
+            # equal orders, so G_u inside G_v means equal
+            assert all(in_column_group(conj_by(g, alphas[u]), alphas[v])
+                       for g in g0.generators)
 
 
 def test_classify_thread_counts_agree():
