@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .ball import build_ball, complex_to_text, verify_ball
@@ -154,7 +155,9 @@ _DISPATCH = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     ap = argparse.ArgumentParser(
         prog="singerlat",
         description="Cyclic projective planes, difference matrices, "

@@ -183,11 +183,14 @@ def singer_difference_set(q: int) -> DifferenceSet:
     field = make_field(p, 3 * eta)
     # subfield GF(q) = fixed points of x -> x^q
     subfield = [x for x in field.iter_elements() if field.power(x, q) == x]
-    assert len(subfield) == q
+    if len(subfield) != q:
+        raise AssertionError(
+            f"GF({q}) inside GF({q}^3) has {len(subfield)} elements")
     w = field.omega_coeffs
     span = {field.add(a, field.mul(b, w)) for a in subfield for b in subfield}
     span.discard(field.zero)
-    assert len(span) == q * q - 1
+    if len(span) != q * q - 1:
+        raise AssertionError(f"span{{1, w}} has {len(span)} nonzero vectors")
     m = q * q + q + 1
     exponents = set()
     acc = field.one
@@ -195,7 +198,9 @@ def singer_difference_set(q: int) -> DifferenceSet:
         if acc in span:
             exponents.add(i % m)
         acc = field.mul(acc, w)
-    assert len(exponents) == q + 1
+    if len(exponents) != q + 1:
+        raise AssertionError(
+            f"Singer set of order {q} has {len(exponents)} elements")
     return DifferenceSet(q, m, tuple(sorted(exponents)))
 
 
@@ -218,14 +223,26 @@ def canonical_difference_set(q: int) -> DifferenceSet:
 
 
 def find_agl_map(src: tuple[int, ...], dst: tuple[int, ...], m: int) -> Optional[AffineMap]:
-    """First affine map (ascending in (a, b)) carrying set src onto set dst."""
+    """First affine map (ascending in (a, b)) carrying set src onto set dst.
+
+    A map x -> a*x + b onto dst sends min(src) into dst, so for each unit
+    a only the offsets b = d - a*min(src), d in dst, can work; the least
+    one that does is the answer for that a.
+    """
     src_sorted = tuple(sorted(x % m for x in src))
     dst_sorted = tuple(sorted(x % m for x in dst))
-    if src_sorted == dst_sorted:
+    if len(src_sorted) != len(dst_sorted):
+        return None
+    if not src_sorted:
         return AffineMap(1, 0, m)
-    for g in agl_maps(m):
-        if tuple(sorted(g(x) for x in src_sorted)) == dst_sorted:
-            return g
+    dst_set = set(dst_sorted)
+    x0 = src_sorted[0]
+    for a in zmod_units(m):
+        for b in sorted({(d - a * x0) % m for d in dst_set}):
+            if all((a * x + b) % m in dst_set for x in src_sorted):
+                image = tuple(sorted((a * x + b) % m for x in src_sorted))
+                if image == dst_sorted:  # differs only on repeated entries
+                    return AffineMap(a, b, m)
     return None
 
 
@@ -279,7 +296,8 @@ def normalize_matrix(M: DifferenceMatrix, D: DifferenceSet) -> DifferenceMatrix:
     cols = tuple(
         DifferenceVector(M.q, D.modulus, tuple(v.entries[i] for i in order))
         for v in mapped)
-    assert cols[0].entries == D.elements
+    if cols[0].entries != D.elements:
+        raise AssertionError("the row sort did not put column 0 in order")
     return DifferenceMatrix(M.q, cols)
 
 

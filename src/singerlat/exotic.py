@@ -36,7 +36,7 @@ from .diffsets import (
 )
 from .errors import CapExceeded, InvalidInput
 from .permgrp import (
-    PermGroup, closure, compose, conj_by, identity, inverse,
+    PermGroup, closure, compose, conjugator, identity, inverse,
     normalizer_in_sym, perm_from_str, perm_to_str,
 )
 from .plane import LabelledPlane, canonical_plane, is_desarguesian, pencil_action
@@ -99,15 +99,13 @@ class ExoticWitness:
     """Machine-checkable reason for a CertifiedExotic outcome.
 
     kind "pencil_mismatch": perm lies in the pencil group of edge[0]
-    but not in that of edge[1]; groups carries the two groups when the
-    verdict came from a single-matrix run (omitted in bulk census).
+    but not in that of edge[1].
     kind "non_desarguesian_column": column is the failing index.
     """
 
     kind: str
     edge: Optional[tuple[int, int]] = None
     perm: Optional[tuple[int, ...]] = None
-    groups: Optional[tuple[PermGroup, PermGroup]] = None
     column: Optional[int] = None
 
     def summary(self) -> str:
@@ -175,7 +173,8 @@ def _model_pencil_group(q) -> PermGroup:
             for c in K:
                 z = field.add(field.add(a, field.mul(b, w)), field.mul(c, w2))
                 coords[z] = (a, b, c)
-    assert len(coords) == field.order
+    if len(coords) != field.order:
+        raise AssertionError("(1, w, w^2) is not a basis over the subfield")
 
     def proj_point(u, v):
         # canonical representative of the K-span of (u, v), nonzero
@@ -197,10 +196,12 @@ def _model_pencil_group(q) -> PermGroup:
         z1 = field.power(w, -d)
         z2 = field.mul(z1, w)
         pt = subspace_point(z1, z2)
-        assert pt not in labels
+        if pt in labels:
+            raise AssertionError(f"two lines through 1*K share label {pt}")
         labels[pt] = j
         basis_vectors.append((z1, z2))
-    assert len(labels) == q + 1
+    if len(labels) != q + 1:
+        raise AssertionError(f"{len(labels)} labels, expected {q + 1}")
 
     def matrix_perm(g00, g01, g10, g11):
         img = [0] * (q + 1)
@@ -228,13 +229,17 @@ def _model_pencil_group(q) -> PermGroup:
 
     elements = closure(gens, q + 1)
     eta = pk[1]
-    assert len(elements) == q * (q * q - 1) * eta
+    if len(elements) != q * (q * q - 1) * eta:
+        raise AssertionError(
+            f"model pencil group of order {len(elements)}, "
+            f"expected {q * (q * q - 1) * eta}")
     group = PermGroup(q + 1, tuple(gens), elements)
 
     # relabel from the Singer set to the canonical one
     D = canonical_difference_set(q)
     g = find_agl_map(S.elements, D.elements, D.modulus)
-    assert g is not None
+    if g is None:
+        raise AssertionError("the Singer set is not in the canonical orbit")
     pos = {d: i for i, d in enumerate(D.elements)}
     rho = tuple(pos[g(d)] for d in S.elements)
     return group.conjugate_by(inverse(rho))
@@ -244,12 +249,12 @@ def _model_pencil_group(q) -> PermGroup:
 def pencil_group(q, route="auto") -> PermGroup:
     """The pencil group G_0 of the canonical plane on its q+1 labels.
 
-    route "search" enumerates the point stabilizer (q <= 5); route
-    "model" uses the field construction (prime powers q <= 9); "auto"
-    picks search when available.
+    route "model" uses the field construction (prime powers q <= 9) and
+    is what "auto" takes; route "search" enumerates the point stabilizer
+    of the plane (q <= 5) and serves as the independent check.
     """
     if route == "auto":
-        route = "search" if q <= SEARCH_ROUTE_Q_CAP else "model"
+        return pencil_group(q, "model")
     if route == "search":
         if q > SEARCH_ROUTE_Q_CAP:
             raise CapExceeded(
@@ -289,6 +294,13 @@ def _column_label_twist(v: DifferenceVector) -> tuple[int, ...]:
     return compose(pi, inverse(r))
 
 
+def _check_canonical_plane(q):
+    """The Moufang test of the canonical plane, which the field model
+    takes for granted; the search route runs its own."""
+    if q <= SEARCH_ROUTE_Q_CAP and not _canonical_plane_desarguesian(q):
+        raise NonDesarguesianColumn(0)
+
+
 def local_pencil_groups(M: DifferenceMatrix, route="auto"):
     """The three pencil groups (G_0, G_1, G_2) of a difference matrix,
     each on the labels of its own column.
@@ -306,48 +318,85 @@ def local_pencil_groups(M: DifferenceMatrix, route="auto"):
             out.append(pencil_action(plane, 0))
         return tuple(out)
     g0 = pencil_group(M.q, route)
-    if M.q <= SEARCH_ROUTE_Q_CAP and not _canonical_plane_desarguesian(M.q):
-        raise NonDesarguesianColumn(0)
+    _check_canonical_plane(M.q)
     return tuple(
         g0.conjugate_by(_column_label_twist(col)) for col in M.columns)
 
 
-def _mismatch_witness(groups, light=False) -> Optional[ExoticWitness]:
+def _least_moved(members_sorted, g0_set, a) -> tuple[int, ...]:
+    """The least member h with a h a^-1 outside G_0, that is the least
+    member outside a^-1 G_0 a; the members must not all lie in it."""
+    conj = conjugator(inverse(a))
+    for h in members_sorted:
+        if conj(h) not in g0_set:
+            return h
+    raise AssertionError(f"{perm_to_str(a)} normalizes the pencil group")
+
+
+def _pencil_witness(g0: PermGroup, twists) -> Optional[ExoticWitness]:
+    """The witness for the first edge whose pencil groups differ, when
+    G_t = twists[t]^-1 G_0 twists[t]; None when all three agree.
+
+    G_s = G_t exactly when twists[s] twists[t]^-1 normalizes G_0, which
+    its generators decide.  The witness is the least element of G_s
+    outside G_t, so only a mismatched edge lists G_s.
+    """
     for s, t in EDGES:
-        gs, gt = groups[s], groups[t]
-        if gs == gt:
+        conj = conjugator(compose(twists[s], inverse(twists[t])))
+        if all(conj(g) in g0.elements for g in g0.generators):
             continue
-        beta = min(gs.elements - gt.elements)
+        members = sorted(map(conjugator(twists[s]), g0.elements))
         return ExoticWitness(
-            kind="pencil_mismatch", edge=(s, t), perm=beta,
-            groups=None if light else (gs, gt))
+            kind="pencil_mismatch", edge=(s, t),
+            perm=_least_moved(members, g0.elements, twists[t]))
     return None
+
+
+def _verdict(witness) -> ExoticityVerdict:
+    if witness is None:
+        return ExoticityVerdict(INCONCLUSIVE)
+    return ExoticityVerdict(CERTIFIED_EXOTIC, witness)
 
 
 def certify_exotic(M: DifferenceMatrix, route="auto") -> ExoticityVerdict:
     """CertifiedExotic when a column is non-Desarguesian or two adjacent
     pencil groups differ; otherwise Inconclusive.  Never claims the
-    structure is classical."""
+    structure is classical.
+
+    Route "search" compares three plane-search groups element by
+    element, as an independent check; the other routes test membership
+    in G_0 through the columns' label twists and build no group.
+    """
     try:
-        groups = local_pencil_groups(M, route)
+        if route == "search":
+            witness = _mismatch_witness(local_pencil_groups(M, route))
+        else:
+            g0 = pencil_group(M.q, route)
+            _check_canonical_plane(M.q)
+            witness = _pencil_witness(
+                g0, [_column_label_twist(col) for col in M.columns])
     except NonDesarguesianColumn as e:
-        return ExoticityVerdict(CERTIFIED_EXOTIC, ExoticWitness(
-            kind="non_desarguesian_column", column=e.column))
-    witness = _mismatch_witness(groups)
-    if witness is not None:
-        return ExoticityVerdict(CERTIFIED_EXOTIC, witness)
-    return ExoticityVerdict(INCONCLUSIVE)
+        witness = ExoticWitness(kind="non_desarguesian_column",
+                                column=e.column)
+    return _verdict(witness)
+
+
+def _mismatch_witness(groups) -> Optional[ExoticWitness]:
+    # the plane-search oracle: groups built independently per column
+    for s, t in EDGES:
+        gs, gt = groups[s], groups[t]
+        if gs != gt:
+            return ExoticWitness(kind="pencil_mismatch", edge=(s, t),
+                                 perm=min(gs.elements - gt.elements))
+    return None
 
 
 def certify_normalized(Mn: NormalizedMatrix, route="auto") -> ExoticityVerdict:
-    """certify_exotic specialized to the normalized encoding: G_t is the
-    alpha_t conjugate of G_0, no re-normalization needed."""
+    """certify_exotic specialized to the normalized encoding: the label
+    twists are e, alpha1 and alpha2, no re-normalization needed."""
     g0 = pencil_group(Mn.q, route)
-    groups = (g0, g0.conjugate_by(Mn.alpha1), g0.conjugate_by(Mn.alpha2))
-    witness = _mismatch_witness(groups)
-    if witness is not None:
-        return ExoticityVerdict(CERTIFIED_EXOTIC, witness)
-    return ExoticityVerdict(INCONCLUSIVE)
+    return _verdict(_pencil_witness(
+        g0, (identity(Mn.q + 1), Mn.alpha1, Mn.alpha2)))
 
 
 def fast_necessary_condition(Mn: NormalizedMatrix, g0=None) -> bool:
@@ -483,16 +532,6 @@ def _extra_move_roots(q, least, coset_of, stab, orbit_of) -> list[int]:
         for c2, k in enumerate(row):
             join(k, orbit_of[dual[c2] * n + dual[c1]])
     return [find(k) for k in range(len(parent))]
-
-
-def _least_moved(g0_sorted, g0_set, a) -> tuple[int, ...]:
-    """The least g in G_0 with a g a^-1 outside G_0, for a outside the
-    normalizer of G_0."""
-    a_inv = inverse(a)
-    for g in g0_sorted:
-        if conj_by(g, a_inv) not in g0_set:
-            return g
-    raise AssertionError(f"{perm_to_str(a)} normalizes the pencil group")
 
 
 def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
@@ -638,14 +677,14 @@ _EDGE_WITNESS_RE = re.compile(r"edge\((\d+), (\d+)\) perm=(\[[0-9 ]*\])$")
 _COLUMN_WITNESS_RE = re.compile(r"column\((\d+)\)$")
 
 
-def _witness_from_summary(text):
+def _witness_from_summary(text, parse_perm):
     if text == "-":
         return None
     if m := _EDGE_WITNESS_RE.match(text):
         return ExoticWitness(
             kind="pencil_mismatch",
             edge=(int(m.group(1)), int(m.group(2))),
-            perm=perm_from_str(m.group(3)))
+            perm=parse_perm(m.group(3)))
     if m := _COLUMN_WITNESS_RE.match(text):
         return ExoticWitness(kind="non_desarguesian_column",
                              column=int(m.group(1)))
@@ -653,23 +692,41 @@ def _witness_from_summary(text):
 
 
 def census_from_text(text: str) -> tuple:
-    """Inverse of census_to_text.  Group witnesses are not part of the
-    record format, so parsed verdicts carry edge and permutation only."""
+    """Inverse of census_to_text.  Each distinct permutation or witness
+    text is parsed and validated once per call: the q = 5 census repeats
+    a few hundred of them over 19,296 lines."""
+    perms = {}
+    verdicts = {}
+
+    def perm(token, degree=None):
+        p = perms.get(token)
+        if p is None:
+            p = perms[token] = perm_from_str(token)
+        if degree is not None and len(p) != degree:
+            raise InvalidInput(f"expected degree {degree}, got {len(p)}")
+        return p
+
+    def verdict(outcome, summary):
+        key = (outcome, summary)
+        if key not in verdicts:
+            verdicts[key] = ExoticityVerdict(
+                outcome, _witness_from_summary(summary, perm))
+        return verdicts[key]
+
     classes = []
     for i, line in enumerate(text.splitlines(), start=1):
         m = _CENSUS_RE.match(line)
         if m is None:
             raise InvalidInput(f"census line {i}: unrecognized record")
         try:
-            a1 = perm_from_str(m.group(1))
-            a2 = perm_from_str(m.group(2), degree=len(a1))
+            a1 = perm(m.group(1))
+            a2 = perm(m.group(2), degree=len(a1))
             q = len(a1) - 1
             rep = NormalizedMatrix(q, canonical_difference_set(q), a1, a2)
-            verdict = ExoticityVerdict(m.group(4),
-                                       _witness_from_summary(m.group(5)))
+            v = verdict(m.group(4), m.group(5))
         except InvalidInput as e:
             raise InvalidInput(f"census line {i}: {e}") from None
-        classes.append(EquivClass(rep, int(m.group(3)), verdict))
+        classes.append(EquivClass(rep, int(m.group(3)), v))
     if not classes:
         raise InvalidInput("empty census")
     return tuple(classes)

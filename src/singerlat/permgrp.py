@@ -12,6 +12,7 @@ for the point sets of whole planes.
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 from .arith import make_field, prime_power
 from .errors import CapExceeded, InvalidInput
@@ -50,10 +51,18 @@ def inverse(p):
     return tuple(out)
 
 
+def conjugator(s):
+    """The map g -> s^-1 * g * s, with s^-1 worked out once for all g."""
+    inv = inverse(s).__getitem__
+    if len(s) < 2:  # itemgetter returns a tuple only for two or more keys
+        return lambda g: tuple(inv(g[i]) for i in s)
+    pick = itemgetter(*s)  # g -> (g[s[0]], ..., g[s[n-1]])
+    return lambda g: tuple(map(inv, pick(g)))
+
+
 def conj_by(g, s):
     """s^-1 * g * s, a permutation acting like g read through s."""
-    inv = inverse(s)
-    return tuple(inv[g[s[i]]] for i in range(len(g)))
+    return conjugator(s)(g)
 
 
 def cycle_type(p):
@@ -182,10 +191,11 @@ class PermGroup:
 
     def conjugate_by(self, s):
         validate_perm(s, self.degree)
+        conj = conjugator(s)
         return PermGroup(
             self.degree,
-            tuple(conj_by(g, s) for g in self.generators),
-            frozenset(conj_by(g, s) for g in self.elements),
+            tuple(map(conj, self.generators)),
+            frozenset(map(conj, self.elements)),
         )
 
     def is_subgroup_of(self, other):
@@ -343,7 +353,8 @@ def is_conjugate_in_sym(ga, gb):
         return identity(n)
 
     def maps_onto(s):
-        return all(conj_by(g, s) in gb.elements for g in ga.generators)
+        conj = conjugator(s)
+        return all(conj(g) in gb.elements for g in ga.generators)
 
     if n <= EXHAUSTIVE_DEGREE_CAP:
         for s in itertools.permutations(range(n)):
@@ -368,7 +379,8 @@ def normalizer_in_sym(group):
     n = group.degree
 
     def normalizes(s):
-        return all(conj_by(g, s) in group.elements for g in group.generators)
+        conj = conjugator(s)
+        return all(conj(g) in group.elements for g in group.generators)
 
     if n <= EXHAUSTIVE_DEGREE_CAP:
         found = [s for s in itertools.permutations(range(n)) if normalizes(s)]

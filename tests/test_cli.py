@@ -249,3 +249,24 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == '{"elements": [0, 1, 3], "modulus": 7, "q": 2}\n'
+
+
+def test_repeated_main_calls_match_fresh_processes(twisted_q5_file, tmp_path,
+                                                   capsys):
+    # the parser is built once per process; no flag of one call may
+    # carry over into the next
+    calls = [
+        ["certify", twisted_q5_file, "--moufang-candidate"],
+        ["certify", twisted_q5_file],
+        ["classify", "2", "--extra-moves", "--outdir", tmp_path],
+        ["classify", "2", "--outdir", tmp_path],
+        ["bounds", "2", "3"],
+        ["gen-singer", "3"],
+    ]
+    for args in calls:
+        args = [str(a) for a in args]
+        code, out, _ = run(capsys, *args)
+        proc = subprocess.run(
+            [sys.executable, "-m", "singerlat.cli", *args],
+            capture_output=True, text=True)
+        assert (code, out) == (proc.returncode, proc.stdout), args

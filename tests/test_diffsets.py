@@ -1,15 +1,17 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
 
 from singerlat.diffsets import (
     AffineMap, DifferenceMatrix, DifferenceSet, DifferenceVector,
-    agl_apply, agl_orbit_of_set, all_difference_sets, canonical_difference_set,
-    find_agl_map, is_difference_set, matrix_from_text, matrix_to_text,
-    normalize_matrix, set_from_text, set_stabilizer_in_agl,
-    singer_difference_set, stabilizer_index_perms,
+    agl_apply, agl_maps, agl_orbit_of_set, all_difference_sets,
+    canonical_difference_set, find_agl_map, is_difference_set,
+    matrix_from_text, matrix_to_text, normalize_matrix, set_from_text,
+    set_stabilizer_in_agl, singer_difference_set, stabilizer_index_perms,
 )
+from singerlat.arith import zmod_units
 from singerlat.errors import CapExceeded, InvalidInput
 
 
@@ -222,6 +224,57 @@ def test_find_agl_map_deterministic_and_complete():
     assert tuple(sorted(g(x) for x in (1, 2, 4))) == D.elements
     # no map between sets of different sizes
     assert find_agl_map((0, 1), (0, 1, 3), 7) is None
+
+
+def ascending_agl_scan(src, dst, m):
+    """The first affine map in ascending (a, b) carrying src onto dst,
+    found by trying every map: the reference for find_agl_map."""
+    src_sorted = tuple(sorted(x % m for x in src))
+    dst_sorted = tuple(sorted(x % m for x in dst))
+    for g in agl_maps(m):
+        if tuple(sorted(g(x) for x in src_sorted)) == dst_sorted:
+            return g
+    return None
+
+
+def agl_map_cases(q, rng):
+    m = q * q + q + 1
+    units = zmod_units(m)
+
+    def image(src):
+        a, b = rng.choice(units), rng.randrange(m)
+        return [(a * x + b) % m for x in src]
+
+    D = canonical_difference_set(q).elements
+    cases = [(image(D), D), (D, image(D)), (D, D)]
+    for _ in range(3):
+        src = rng.sample(range(m), q + 1)
+        cases += [(src, image(src)), (src, rng.sample(range(m), q + 1))]
+    cases += [
+        (rng.sample(range(m), q + 1), rng.sample(range(m), q)),  # sizes
+        ([x + m for x in D], image(D)),  # entries beyond the modulus
+        ([0, 0, 1], [0, 1, 1]),  # repeated entries
+        ([0, 0, 1], [0, 1, 2]),
+        ((), ()),
+    ]
+    # unions of cosets of a subgroup of Z/m: several offsets per unit work
+    for k in (k for k in range(2, m) if m % k == 0):
+        src = [x for x in range(m) if x % k in (0, 1)]
+        cases += [(src, image(src)), (src, src)]
+    return cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_find_agl_map_matches_ascending_scan(q):
+    m = q * q + q + 1
+    rng = random.Random(q)
+    cases = agl_map_cases(q, rng)
+    found = 0
+    for src, dst in cases:
+        expected = ascending_agl_scan(src, dst, m)
+        assert find_agl_map(src, dst, m) == expected, (src, dst)
+        found += expected is not None
+    assert 0 < found < len(cases)
 
 
 def test_difference_set_count_q2():

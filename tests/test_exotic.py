@@ -1,16 +1,22 @@
 import functools
 import hashlib
 import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from singerlat.arith import zmod_units
 from singerlat.diffsets import (
     DifferenceMatrix, DifferenceVector, canonical_difference_set,
     find_agl_map, stabilizer_index_perms,
 )
 from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.exotic import (
-    CERTIFIED_EXOTIC, INCONCLUSIVE, EquivClass, ExoticityVerdict,
+    CERTIFIED_EXOTIC, EDGES, INCONCLUSIVE, EquivClass, ExoticityVerdict,
     ExoticWitness, NonDesarguesianColumn, NormalizedMatrix, bound_B,
     candidate_count, census_from_text, census_summary, census_to_text,
     certify_exotic, certify_normalized, classify, enumerate_normalized,
@@ -235,9 +241,9 @@ def test_certify_transposition_exotic_at_q5():
     w = verdict.witness
     assert w.kind == "pencil_mismatch"
     assert w.edge == (1, 2)
-    gs, gt = w.groups
-    assert w.perm in gs.elements
-    assert w.perm not in gt.elements
+    groups = local_pencil_groups(normalized(5, identity(6), a2).decode())
+    assert w.perm in groups[1].elements
+    assert w.perm not in groups[2].elements
 
 
 def test_certify_transposition_inconclusive_at_q4():
@@ -256,6 +262,63 @@ def test_certify_normalized_agrees_with_full_certifier():
     ]:
         m = normalized(5, a1, a2)
         assert certify_normalized(m).outcome == certify_exotic(m.decode()).outcome
+
+
+def three_group_witness(M):
+    """(edge, perm) of the first mismatched edge, or None, by building
+    the three conjugate groups and comparing their element sets: the
+    reference for certify_exotic's membership tests."""
+    groups = local_pencil_groups(M, "model")
+    for s, t in EDGES:
+        if groups[s] != groups[t]:
+            return (s, t), min(groups[s].elements - groups[t].elements)
+    return None
+
+
+def scrambled(q, a1, a2, rng):
+    # one random affine map per column and one shared row order: the
+    # pencil groups move by a common relabelling
+    M = normalized(q, a1, a2).decode()
+    m = M.modulus
+    rows = rng.sample(range(q + 1), q + 1)
+    cols = []
+    for col in M.columns:
+        a, b = rng.choice(zmod_units(m)), rng.randrange(m)
+        cols.append([(a * col.entries[r] + b) % m for r in rows])
+    return DifferenceMatrix.make(q, cols)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_certify_exotic_matches_three_group_comparison(q):
+    # alphas in G_0 give Inconclusive; alpha1 outside it mismatches edge
+    # (0, 1) first; alpha1 inside and alpha2 outside mismatch (1, 2).
+    # Edge (2, 0) is never first: equal G_0, G_1 and G_1, G_2 force
+    # equal G_2, G_0.  At q <= 4, G_0 is all of Sym(q+1).
+    rng = random.Random(q)
+    g0 = sorted(pencil_group(q).elements)
+    labels = range(q + 1)
+
+    def outside():
+        return tuple(rng.sample(labels, q + 1))
+
+    pairs = []
+    for _ in range(4):
+        pairs += [(rng.choice(g0), rng.choice(g0)),
+                  (outside(), rng.choice(g0)),
+                  (outside(), outside()),
+                  (rng.choice(g0), outside())]
+    edges = set()
+    for a1, a2 in pairs:
+        M = scrambled(q, a1, a2, rng)
+        verdict = certify_exotic(M)
+        expected = three_group_witness(M)
+        if expected is None:
+            assert verdict == ExoticityVerdict(INCONCLUSIVE)
+        else:
+            assert verdict.outcome == CERTIFIED_EXOTIC
+            assert (verdict.witness.edge, verdict.witness.perm) == expected
+            edges.add(expected[0])
+    assert edges == (set() if q <= 4 else {(0, 1), (1, 2)})
 
 
 def test_fast_condition_matches_certificate_on_samples():
@@ -352,6 +415,14 @@ def test_classify_matches_brute_force_walk(q, extra_moves):
     got = [(c.representative.alpha1, c.representative.alpha2, c.orbit_size)
            for c in classes_of(q, extra_moves)]
     assert got == brute_force_census(q, extra_moves)
+
+
+def test_classify_q5_extra_matches_brute_force_walk():
+    # at q <= 4 the walk cannot tell a dropped rotation or duality join
+    # from a correct one; at q = 5 it can
+    got = [(c.representative.alpha1, c.representative.alpha2, c.orbit_size)
+           for c in classify(5, extra_moves=True)]
+    assert got == brute_force_census(5, extra_moves=True)
 
 
 def test_classify_checks_stabilizer_inside_normalizer(monkeypatch):
@@ -513,3 +584,38 @@ def test_census_parser_rejects_garbage():
             "alpha1=[0 1 2] alpha2=[0 1 2] orbit=9 verdict=Maybe witness=-\n")
     with pytest.raises(InvalidInput):
         census_from_text("")
+
+
+def test_census_parser_checks_degree_of_repeated_text():
+    # "[0 1 2]" is parsed on line 1; on line 2 it must still be refused
+    # as alpha2 of a degree-4 record
+    text = (
+        "alpha1=[0 1 2] alpha2=[0 1 2] orbit=9 verdict=Inconclusive witness=-\n"
+        "alpha1=[0 1 2 3] alpha2=[0 1 2] orbit=9 verdict=Inconclusive "
+        "witness=-\n")
+    with pytest.raises(InvalidInput, match="census line 2: expected degree 4"):
+        census_from_text(text)
+    with pytest.raises(InvalidInput, match="census line 2: not a perm"):
+        census_from_text(text.replace("[0 1 2 3]", "[0 1 1 3]"))
+
+
+def test_model_route_checks_survive_python_O():
+    script = textwrap.dedent("""
+        import sys
+        import singerlat.exotic as exotic
+        assert False, "asserts are on"  # skipped under -O
+        exotic.find_agl_map = lambda *args: None
+        try:
+            exotic.pencil_group(3, "model")
+        except AssertionError as e:
+            print("raised:", e)
+        """)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == \
+        "raised: the Singer set is not in the canonical orbit\n"

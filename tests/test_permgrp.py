@@ -4,10 +4,11 @@ import pytest
 
 from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.permgrp import (
-    PermGroup, closure, compose, conj_by, cycle_type, frobenius_perm,
-    groups_equal, identity, inverse, is_conjugate_in_sym, normalizer_in_sym,
-    perm_from_str, perm_order, perm_to_str, pgammal2_model, pgl2_model,
-    reduce_generators, symmetric_group, validate_perm,
+    PermGroup, closure, compose, conj_by, conjugator, cycle_type,
+    frobenius_perm, groups_equal, identity, inverse, is_conjugate_in_sym,
+    normalizer_in_sym, perm_from_str, perm_order, perm_to_str,
+    pgammal2_model, pgl2_model, reduce_generators, symmetric_group,
+    validate_perm,
 )
 
 
@@ -30,6 +31,13 @@ def test_conj_by_matches_triple_product():
     assert conj_by(g, s) == compose(inverse(s), compose(g, s))
     assert conj_by(g, identity(4)) == g
     assert conj_by(s, s) == s
+    # every pair up to degree 4, the one- and zero-point cases included
+    for n in range(5):
+        for s in itertools.permutations(range(n)):
+            conj = conjugator(s)
+            for g in itertools.permutations(range(n)):
+                assert conj(g) == conj_by(g, s) \
+                    == compose(inverse(s), compose(g, s))
 
 
 def test_cycle_type_and_order():
