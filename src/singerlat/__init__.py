@@ -22,7 +22,7 @@ from .exotic import (
 )
 from .plane import (
     LabelledPlane, canonical_plane, elations_with, is_desarguesian,
-    pencil_action, plane_from_text, plane_to_text, verify_plane_axioms,
+    plane_from_text, plane_to_text, verify_plane_axioms,
 )
 
 __version__ = "0.1.0"

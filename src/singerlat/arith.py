@@ -1,4 +1,4 @@
-"""Exact arithmetic: residues mod m and small finite fields GF(p^k).
+"""Exact arithmetic: primes, units mod m and small finite fields GF(p^k).
 
 Everything is integer exact.  A field element is a coefficient tuple
 over GF(p), index i holding the coefficient of x^i.  The reduction
@@ -11,7 +11,6 @@ so building the same field twice gives identical data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -69,50 +68,6 @@ def zmod_units(m: int) -> list[int]:
     if m < 2:
         raise InvalidInput(f"modulus must be at least 2, got {m}")
     return [a for a in range(1, m) if math.gcd(a, m) == 1]
-
-
-@dataclass(frozen=True)
-class ZMod:
-    """A residue mod m, always stored reduced."""
-
-    modulus: int
-    value: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise InvalidInput(f"modulus must be positive, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _check(self, other: "ZMod") -> None:
-        if self.modulus != other.modulus:
-            raise InvalidInput(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "ZMod") -> "ZMod":
-        self._check(other)
-        return ZMod(self.modulus, self.value + other.value)
-
-    def __sub__(self, other: "ZMod") -> "ZMod":
-        self._check(other)
-        return ZMod(self.modulus, self.value - other.value)
-
-    def __mul__(self, other: "ZMod") -> "ZMod":
-        self._check(other)
-        return ZMod(self.modulus, self.value * other.value)
-
-    def __neg__(self) -> "ZMod":
-        return ZMod(self.modulus, -self.value)
-
-    def __pow__(self, e: int) -> "ZMod":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return ZMod(self.modulus, pow(self.value, e, self.modulus))
-
-    def inverse(self) -> "ZMod":
-        if math.gcd(self.value, self.modulus) != 1:
-            raise InvalidInput(
-                f"{self.value} is not a unit mod {self.modulus}")
-        return ZMod(self.modulus, pow(self.value, -1, self.modulus))
 
 
 # -- polynomials over GF(p), as coefficient tuples, index = degree --
@@ -214,9 +169,6 @@ class Field:
         rem = _poly_mod(tuple(v % p for v in prod), self.modulus_poly, p)
         return rem + (0,) * (k - len(rem))
 
-    def scalar_mul(self, c: int, a):
-        return tuple((c * x) % self.p for x in a)
-
     def power(self, a, e: int):
         if e < 0:
             return self.power(self.inv(a), -e)
@@ -278,59 +230,8 @@ class Field:
             idx //= self.p
         return tuple(reversed(digits))
 
-    # -- wrapped elements --
-
-    def element(self, coeffs) -> "FieldElem":
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.k:
-            raise InvalidInput(
-                f"expected {self.k} coefficients, got {len(coeffs)}")
-        return FieldElem(self, coeffs)
-
-    @property
-    def omega(self) -> "FieldElem":
-        return FieldElem(self, self.omega_coeffs)
-
     def __repr__(self):
         return f"Field(p={self.p}, k={self.k})"
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    field: Field
-    coeffs: tuple[int, ...]
-
-    def _check(self, other: "FieldElem") -> None:
-        if self.field is not other.field:
-            raise InvalidInput("elements belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.sub(self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.mul(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field.neg(self.coeffs))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.field, self.field.power(self.coeffs, e))
-
-    def inverse(self):
-        return FieldElem(self.field, self.field.inv(self.coeffs))
-
-    def order(self) -> int:
-        return self.field.multiplicative_order(self.coeffs)
-
-    @property
-    def index(self) -> int:
-        return self.field.index(self.coeffs)
 
 
 @lru_cache(maxsize=None)

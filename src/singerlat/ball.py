@@ -54,7 +54,6 @@ class BallReport:
     ok: bool
     failures: tuple[str, ...]
     residue_status: tuple[tuple[int, bool], ...]
-    panel_counts: tuple[tuple[tuple[int, int], int], ...]
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,14 @@ class H2GroupSummary:
 def _column_planes(M: DifferenceMatrix):
     return tuple(
         LabelledPlane(c.q, c.modulus, c.entries) for c in M.columns)
+
+
+def _check_source(ball: BallComplex, what: str) -> None:
+    # a parsed export carries neither the matrix nor the vertex names
+    if ball.matrix is None:
+        raise InvalidInput(
+            f"{what} needs the source matrix, which a parsed ball "
+            f"export does not carry")
 
 
 def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
@@ -232,14 +239,6 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
         edges=edges, chambers=chambers)
 
 
-def _chambers_by_vertex(ball: BallComplex):
-    by_vertex = {}
-    for ch in ball.chambers:
-        for v in ch[:3]:
-            by_vertex.setdefault(v, []).append(ch)
-    return by_vertex
-
-
 def _residue_flags(ball: BallComplex, x: int):
     """Flags (line vertex, point vertex, label) of the plane at x: the
     type t+1 neighbors are its points, the type t+2 neighbors its lines."""
@@ -322,7 +321,9 @@ def verify_ball(ball: BallComplex) -> BallReport:
     """Check every structural invariant and collect failures instead of
     raising: chamber typing, panel membership, interior panel thickness
     with per-panel label bijections, and labelled residue isomorphism
-    at every interior vertex."""
+    at every interior vertex.  The residues are compared with the
+    source matrix, so a parsed export, which has none, is refused."""
+    _check_source(ball, "the residue check")
     failures = []
     q = ball.q
     for ch in ball.chambers:
@@ -341,9 +342,6 @@ def verify_ball(ball: BallComplex) -> BallReport:
     for e in ball.edges:
         if e not in panel_labels:
             failures.append(f"panel {e} lies in no chamber")
-    panel_counts = tuple(sorted(
-        (e, len(panel_labels.get(e, ())))
-        for e in ball.edges))
     for e in ball.edges:
         if min(ball.dists[e[0]], ball.dists[e[1]]) >= ball.radius:
             continue
@@ -368,7 +366,7 @@ def verify_ball(ball: BallComplex) -> BallReport:
 
     return BallReport(
         ok=not failures, failures=tuple(failures),
-        residue_status=tuple(residue_status), panel_counts=panel_counts)
+        residue_status=tuple(residue_status))
 
 
 def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
@@ -421,7 +419,10 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
                 continue
             res_pts = [u for u in adj[z] if (z, p1, u) in triples]
             for u, v in itertools.combinations(sorted(res_pts), 2):
-                assert (p1, u, v) not in join
+                if (p1, u, v) in join:
+                    raise AssertionError(
+                        f"points {u}, {v} of the residue of {p1} span "
+                        f"two lines")
                 join[(p1, u, v)] = z
 
     incidence = set()
@@ -474,7 +475,9 @@ def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane):
         pmap = tuple(pt_index[(vmap[p[0]], vmap[p[1]])] for p in H.points)
         lmap = tuple(ln_index[(vmap[l[0]], vmap[l[1]])] for l in H.lines)
         for i in range(len(H.points)):
-            assert pt_lines[pmap[i]] == frozenset(lmap[j] for j in pt_lines[i])
+            if pt_lines[pmap[i]] != frozenset(lmap[j] for j in pt_lines[i]):
+                raise AssertionError(
+                    f"the shift by {t} does not preserve incidence")
         maps.append((pmap, lmap))
     return maps
 
@@ -490,7 +493,9 @@ def _h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):
     for li, pts in enumerate(ln_points):
         for a, b in itertools.combinations(sorted(pts), 2):
             if H.points[a][0] != H.points[b][0]:
-                assert (a, b) not in common
+                if (a, b) in common:
+                    raise AssertionError(
+                        f"non-neighboring points {a}, {b} share two lines")
                 common[(a, b)] = li
 
     fiber_keys = sorted(pt_fibers)
@@ -569,6 +574,7 @@ def h2_collineations(ball: BallComplex, labels_only=False):
         raise CapExceeded(
             f"level-2 group search capped at q <= {H2_GROUP_Q_CAP}, "
             f"got {ball.q}")
+    _check_source(ball, "the level-2 group search")
     H = extract_hjelmslev(ball, 2)
     if labels_only:
         return sorted(_h2_singer_maps(ball, H))
@@ -598,13 +604,16 @@ def h2_collineations_fixing_center(ball: BallComplex,
     _, _, pt_lines, ln_points, pt_fibers, ln_fibers = _h2_tables(H)
     npts, nlns = len(H.points), len(H.lines)
     identity = (tuple(range(npts)), tuple(range(nlns)))
-    assert identity in maps
+    if identity not in maps:
+        raise AssertionError("the identity is not among the collineations")
 
     map_set = set(maps)
     for pmap, lmap in maps:
         inv_p = tuple(sorted(range(npts), key=lambda i: pmap[i]))
         inv_l = tuple(sorted(range(nlns), key=lambda i: lmap[i]))
-        assert (inv_p, inv_l) in map_set
+        if (inv_p, inv_l) not in map_set:
+            raise AssertionError("the collineations are not closed under "
+                                 "inverses")
 
     base_images = {tuple(H.points[pmap[pt_fibers[f][0]]][0]
                          for f in sorted(pt_fibers))
@@ -669,8 +678,9 @@ _CHAMBER_RE = re.compile(r"chamber (\d+) (\d+) (\d+) label=(\d+)$")
 def complex_from_text(text: str) -> BallComplex:
     """Inverse of complex_to_text up to what the export carries: the
     source matrix and the vertex names are not exported and come back as
-    None."""
+    None.  Every edge and chamber must name listed vertices."""
     types, dists, edges, chambers = [], [], [], []
+    edge_rows, chamber_rows = [], []  # line numbers, for the range checks
     for i, line in enumerate(text.splitlines(), start=1):
         if m := _VERTEX_RE.match(line):
             v, t, d = map(int, m.groups())
@@ -680,16 +690,21 @@ def complex_from_text(text: str) -> BallComplex:
             dists.append(d)
         elif m := _EDGE_RE.match(line):
             edges.append((int(m.group(1)), int(m.group(2))))
+            edge_rows.append(i)
         elif m := _CHAMBER_RE.match(line):
             chambers.append(tuple(map(int, m.groups())))
+            chamber_rows.append(i)
         else:
             raise InvalidInput(f"line {i}: unrecognized row {line!r}")
     if not chambers:
         raise InvalidInput("complex export has no chambers")
     n = len(types)
-    for i, (a, b) in enumerate(edges, start=len(types) + 1):
+    for i, (a, b) in zip(edge_rows, edges):
         if not (0 <= a < n and 0 <= b < n):
             raise InvalidInput(f"line {i}: edge endpoint out of range")
+    for i, (a, b, c, _) in zip(chamber_rows, chambers):
+        if max(a, b, c) >= n:  # the row pattern admits no negative id
+            raise InvalidInput(f"line {i}: chamber vertex out of range")
     centers = [v for v in range(n) if dists[v] == 0]
     if len(centers) != 1:
         raise InvalidInput("complex export must have exactly one center")

@@ -86,6 +86,7 @@ def cmd_build_plane(cfg):
 
 def cmd_certify(cfg):
     M = matrix_from_text(_read(cfg.input_path))
+    # both calls read the same cached column twists of M
     Mn = NormalizedMatrix.from_matrix(M)
     verdict = certify_exotic(M)
     print(f"q={M.q} modulus={M.modulus}")

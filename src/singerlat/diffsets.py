@@ -96,9 +96,6 @@ class DifferenceVector:
     def make(cls, q: int, entries) -> "DifferenceVector":
         return cls(q, q * q + q + 1, tuple(entries))
 
-    def as_set(self) -> DifferenceSet:
-        return DifferenceSet(self.q, self.modulus, self.entries)
-
 
 @dataclass(frozen=True)
 class DifferenceMatrix:
@@ -152,15 +149,8 @@ class AffineMap:
         ainv = pow(self.a, -1, self.modulus)
         return AffineMap(ainv, -ainv * self.b, self.modulus)
 
-    def apply_set(self, D: DifferenceSet) -> DifferenceSet:
-        return DifferenceSet(D.q, D.modulus, tuple(self(x) for x in D.elements))
-
     def apply_vector(self, v: DifferenceVector) -> DifferenceVector:
         return DifferenceVector(v.q, v.modulus, tuple(self(x) for x in v.entries))
-
-
-def agl_apply(g: AffineMap, v: DifferenceVector) -> DifferenceVector:
-    return g.apply_vector(v)
 
 
 def agl_maps(m: int) -> Iterator[AffineMap]:

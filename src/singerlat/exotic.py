@@ -31,18 +31,17 @@ from typing import Iterator, Optional
 from .arith import make_field, prime_power
 from .diffsets import (
     DifferenceMatrix, DifferenceSet, DifferenceVector,
-    canonical_difference_set, find_agl_map, normalize_matrix,
-    singer_difference_set, stabilizer_index_perms,
+    canonical_difference_set, find_agl_map, singer_difference_set,
+    stabilizer_index_perms,
 )
 from .errors import CapExceeded, InvalidInput
 from .permgrp import (
     PermGroup, closure, compose, conjugator, identity, inverse,
     normalizer_in_sym, perm_from_str, perm_to_str,
 )
-from .plane import LabelledPlane, canonical_plane, is_desarguesian, pencil_action
+from .plane import SEARCH_Q_CAP, canonical_plane, is_desarguesian
 
 CLASSIFY_Q_CAP = 5
-SEARCH_ROUTE_Q_CAP = 5
 MODEL_ROUTE_Q_CAP = 9
 
 CERTIFIED_EXOTIC = "CertifiedExotic"
@@ -76,12 +75,13 @@ class NormalizedMatrix:
 
     @classmethod
     def from_matrix(cls, M: DifferenceMatrix) -> "NormalizedMatrix":
-        D = canonical_difference_set(M.q)
-        norm = normalize_matrix(M, D)
-        pos = {d: i for i, d in enumerate(D.elements)}
-        a1 = tuple(pos[x] for x in norm.columns[1].entries)
-        a2 = tuple(pos[x] for x in norm.columns[2].entries)
-        return cls(M.q, D, a1, a2)
+        """The normalized encoding of M, alpha_t = tau_t tau_0^-1 for the
+        column label twists tau_t: the row sort of normalize_matrix is
+        tau_0^-1, and tau_t then reads each row's canonical position."""
+        t0, t1, t2 = _label_twists(M)
+        back = inverse(t0)
+        return cls(M.q, canonical_difference_set(M.q),
+                   compose(t1, back), compose(t2, back))
 
     def decode(self) -> DifferenceMatrix:
         d = self.D.elements
@@ -133,7 +133,7 @@ class EquivClass:
     verdict: ExoticityVerdict
 
 
-# -- pencil group of the canonical plane, two independent routes --
+# -- pencil group of the canonical plane --
 
 
 @lru_cache(maxsize=None)
@@ -145,6 +145,7 @@ def _subfield_elements(field, q):
     return [x for x in field.iter_elements() if field.power(x, q) == x]
 
 
+@lru_cache(maxsize=None)
 def _model_pencil_group(q) -> PermGroup:
     """Pencil group at a point of the canonical plane, built from the
     field model instead of a plane search.
@@ -245,29 +246,19 @@ def _model_pencil_group(q) -> PermGroup:
     return group.conjugate_by(inverse(rho))
 
 
-@lru_cache(maxsize=None)
-def pencil_group(q, route="auto") -> PermGroup:
-    """The pencil group G_0 of the canonical plane on its q+1 labels.
+def pencil_group(q, route="model") -> PermGroup:
+    """The pencil group G_0 of the canonical plane on its q+1 labels,
+    from the field model (prime powers q <= 9).
 
-    route "model" uses the field construction (prime powers q <= 9) and
-    is what "auto" takes; route "search" enumerates the point stabilizer
-    of the plane (q <= 5) and serves as the independent check.
+    "model" is the only route; any other raises InvalidInput.  The
+    plane search that checks the model lives with the tests.
     """
-    if route == "auto":
-        return pencil_group(q, "model")
-    if route == "search":
-        if q > SEARCH_ROUTE_Q_CAP:
-            raise CapExceeded(
-                f"search route capped at q <= {SEARCH_ROUTE_Q_CAP}, got {q}")
-        if not _canonical_plane_desarguesian(q):
-            raise NonDesarguesianColumn(0)
-        return pencil_action(canonical_plane(q), 0)
-    if route == "model":
-        if q > MODEL_ROUTE_Q_CAP:
-            raise CapExceeded(
-                f"model route capped at q <= {MODEL_ROUTE_Q_CAP}, got {q}")
-        return _model_pencil_group(q)
-    raise InvalidInput(f"unknown route {route!r}")
+    if route != "model":
+        raise InvalidInput(f"unknown route {route!r}")
+    if q > MODEL_ROUTE_Q_CAP:
+        raise CapExceeded(
+            f"model route capped at q <= {MODEL_ROUTE_Q_CAP}, got {q}")
+    return _model_pencil_group(q)
 
 
 @lru_cache(maxsize=None)
@@ -277,50 +268,32 @@ def pencil_normalizer(q) -> PermGroup:
     return normalizer_in_sym(pencil_group(q))
 
 
-def _column_label_twist(v: DifferenceVector) -> tuple[int, ...]:
-    """Permutation s with G_column = s^-1 G_0 s on the column's labels.
+@lru_cache(maxsize=1)
+def _label_twists(M: DifferenceMatrix) -> tuple[tuple[int, ...], ...]:
+    """The label twists tau_t with G_t = tau_t^-1 G_0 tau_t on the labels
+    of column t: tau_t[i] is the canonical position of entry i under the
+    affine map of column t onto the canonical set.
 
-    Sorting the entries is a relabelling r; the affine map onto the
-    canonical set relabels once more through sorted positions.
+    One cached matrix is enough for certify, which normalizes and then
+    certifies the same matrix.
     """
-    D = canonical_difference_set(v.q)
-    r = tuple(sorted(range(v.q + 1), key=lambda i: v.entries[i]))
-    sorted_entries = tuple(v.entries[i] for i in r)
-    g = find_agl_map(sorted_entries, D.elements, D.modulus)
-    if g is None:
-        raise InvalidInput("column is not AGL-equivalent to the canonical set")
+    D = canonical_difference_set(M.q)
     pos = {d: i for i, d in enumerate(D.elements)}
-    pi = tuple(pos[g(e)] for e in sorted_entries)
-    return compose(pi, inverse(r))
+    twists = []
+    for t, col in enumerate(M.columns):
+        g = find_agl_map(col.entries, D.elements, D.modulus)
+        if g is None:
+            raise InvalidInput(
+                f"column {t} is not AGL-equivalent to the canonical set")
+        twists.append(tuple(pos[g(e)] for e in col.entries))
+    return tuple(twists)
 
 
 def _check_canonical_plane(q):
     """The Moufang test of the canonical plane, which the field model
-    takes for granted; the search route runs its own."""
-    if q <= SEARCH_ROUTE_Q_CAP and not _canonical_plane_desarguesian(q):
+    takes for granted; it runs where the plane search can."""
+    if q <= SEARCH_Q_CAP and not _canonical_plane_desarguesian(q):
         raise NonDesarguesianColumn(0)
-
-
-def local_pencil_groups(M: DifferenceMatrix, route="auto"):
-    """The three pencil groups (G_0, G_1, G_2) of a difference matrix,
-    each on the labels of its own column.
-
-    route "search" runs a plane search per column; the other routes
-    compute the canonical group once and move it by the label twist.
-    Raises NonDesarguesianColumn when a column fails the Moufang test.
-    """
-    if route == "search":
-        out = []
-        for t, col in enumerate(M.columns):
-            plane = LabelledPlane(col.q, col.modulus, col.entries)
-            if not is_desarguesian(plane):
-                raise NonDesarguesianColumn(t)
-            out.append(pencil_action(plane, 0))
-        return tuple(out)
-    g0 = pencil_group(M.q, route)
-    _check_canonical_plane(M.q)
-    return tuple(
-        g0.conjugate_by(_column_label_twist(col)) for col in M.columns)
 
 
 def _least_moved(members_sorted, g0_set, a) -> tuple[int, ...]:
@@ -358,43 +331,26 @@ def _verdict(witness) -> ExoticityVerdict:
     return ExoticityVerdict(CERTIFIED_EXOTIC, witness)
 
 
-def certify_exotic(M: DifferenceMatrix, route="auto") -> ExoticityVerdict:
+def certify_exotic(M: DifferenceMatrix) -> ExoticityVerdict:
     """CertifiedExotic when a column is non-Desarguesian or two adjacent
     pencil groups differ; otherwise Inconclusive.  Never claims the
-    structure is classical.
-
-    Route "search" compares three plane-search groups element by
-    element, as an independent check; the other routes test membership
-    in G_0 through the columns' label twists and build no group.
+    structure is classical.  Membership tests in G_0 through the
+    columns' label twists decide it; no group is built.
     """
     try:
-        if route == "search":
-            witness = _mismatch_witness(local_pencil_groups(M, route))
-        else:
-            g0 = pencil_group(M.q, route)
-            _check_canonical_plane(M.q)
-            witness = _pencil_witness(
-                g0, [_column_label_twist(col) for col in M.columns])
+        g0 = pencil_group(M.q)
+        _check_canonical_plane(M.q)
+        witness = _pencil_witness(g0, _label_twists(M))
     except NonDesarguesianColumn as e:
         witness = ExoticWitness(kind="non_desarguesian_column",
                                 column=e.column)
     return _verdict(witness)
 
 
-def _mismatch_witness(groups) -> Optional[ExoticWitness]:
-    # the plane-search oracle: groups built independently per column
-    for s, t in EDGES:
-        gs, gt = groups[s], groups[t]
-        if gs != gt:
-            return ExoticWitness(kind="pencil_mismatch", edge=(s, t),
-                                 perm=min(gs.elements - gt.elements))
-    return None
-
-
-def certify_normalized(Mn: NormalizedMatrix, route="auto") -> ExoticityVerdict:
+def certify_normalized(Mn: NormalizedMatrix) -> ExoticityVerdict:
     """certify_exotic specialized to the normalized encoding: the label
     twists are e, alpha1 and alpha2, no re-normalization needed."""
-    g0 = pencil_group(Mn.q, route)
+    g0 = pencil_group(Mn.q)
     return _verdict(_pencil_witness(
         g0, (identity(Mn.q + 1), Mn.alpha1, Mn.alpha2)))
 

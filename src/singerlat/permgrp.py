@@ -2,7 +2,7 @@
 
 A permutation is a tuple p of length n whose i-th entry is the image
 of i.  compose(a, b) applies b first, so compose(a, b)[i] == a[b[i]],
-and conj_by(g, s) is s^-1 * g * s in that convention.
+and conjugator(s)(g) is s^-1 * g * s in that convention.
 
 PermGroup stores the full element set, so everything here is meant for
 small degrees (labels of a pencil, points of a projective line), not
@@ -58,11 +58,6 @@ def conjugator(s):
         return lambda g: tuple(inv(g[i]) for i in s)
     pick = itemgetter(*s)  # g -> (g[s[0]], ..., g[s[n-1]])
     return lambda g: tuple(map(inv, pick(g)))
-
-
-def conj_by(g, s):
-    """s^-1 * g * s, a permutation acting like g read through s."""
-    return conjugator(s)(g)
 
 
 def cycle_type(p):
@@ -198,15 +193,8 @@ class PermGroup:
             frozenset(map(conj, self.elements)),
         )
 
-    def is_subgroup_of(self, other):
-        return self.degree == other.degree and self.elements <= other.elements
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
-
-
-def groups_equal(a, b):
-    return a.degree == b.degree and a.elements == b.elements
 
 
 def symmetric_group(n):
@@ -265,7 +253,9 @@ def pgl2_model(q):
         if det == field.zero:
             continue
         perms.add(_moebius_perm(field, a, b, c, d, elems, index_of))
-    assert len(perms) == q * (q * q - 1)
+    if len(perms) != q * (q * q - 1):
+        raise AssertionError(
+            f"PGL(2, {q}) has {len(perms)} elements, expected {q * (q * q - 1)}")
     one = field.one
     zero = field.zero
     w = field.omega_coeffs
@@ -275,7 +265,8 @@ def pgl2_model(q):
         _moebius_perm(field, zero, one, one, zero, elems, index_of),  # 1 / x
     )
     gens = tuple(dict.fromkeys(gens))  # w = 1 when q = 2
-    assert closure(gens, q + 1) == frozenset(perms)
+    if closure(gens, q + 1) != frozenset(perms):
+        raise AssertionError(f"the generators do not generate PGL(2, {q})")
     return PermGroup(q + 1, gens, frozenset(perms))
 
 
@@ -304,9 +295,13 @@ def pgammal2_model(q):
         powers.append(compose(frob, powers[-1]))
     elements = frozenset(
         compose(g, f) for g in base.elements for f in powers)
-    assert len(elements) == base.order * k
+    if len(elements) != base.order * k:
+        raise AssertionError(
+            f"PGammaL(2, {q}) has {len(elements)} elements, "
+            f"expected {base.order * k}")
     gens = base.generators if k == 1 else base.generators + (frob,)
-    assert closure(gens, q + 1) == elements
+    if closure(gens, q + 1) != elements:
+        raise AssertionError(f"the generators do not generate PGammaL(2, {q})")
     return PermGroup(q + 1, gens, elements)
 
 

@@ -16,9 +16,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .diffsets import DifferenceVector, canonical_difference_set, is_difference_set
+from .diffsets import canonical_difference_set, is_difference_set
 from .errors import CapExceeded, InvalidInput
-from .permgrp import PermGroup
 from .permgrp import compose as perm_compose
 from .permgrp import inverse as perm_inverse
 from .permgrp import validate_perm
@@ -73,19 +72,6 @@ class LabelledPlane:
     @cached_property
     def _entry_set(self):
         return frozenset(self.entries)
-
-    def vector(self):
-        return DifferenceVector(self.q, self.modulus, self.entries)
-
-
-def plane_from_vector(v):
-    return LabelledPlane(v.q, v.modulus, v.entries)
-
-
-def incidence_plane(q, entries):
-    """The labelled structure of an arbitrary entry tuple, difference
-    property not required."""
-    return LabelledPlane(q, q * q + q + 1, tuple(entries))
 
 
 @lru_cache(maxsize=None)
@@ -423,7 +409,8 @@ class _Search:
 
     def run(self):
         if self.n_points == self.m:
-            assert all(w != -1 for w in self.limg)
+            if -1 in self.limg:
+                raise AssertionError("every point is mapped but a line is not")
             self.results.append(Collineation(
                 self.plane, tuple(self.pimg), tuple(self.limg)))
             return
@@ -456,36 +443,6 @@ def all_collineations(plane):
 def collineations_fixing(plane, x0, labels_only=False):
     """All collineations fixing the point x0, label-preserving if asked."""
     return search_collineations(plane, point_seed={x0: x0}, labels_only=labels_only)
-
-
-@lru_cache(maxsize=None)
-def pencil_action(plane, x0):
-    """Permutations of the q+1 flag labels at x0 induced by the stabilizer
-    of x0, as a subgroup of Sym(q+1)."""
-    m = plane.modulus
-    entry_index = {d: j for j, d in enumerate(plane.entries)}
-    perms = set()
-    for c in collineations_fixing(plane, x0):
-        lines = plane.point_lines(x0)
-        perms.add(tuple(
-            entry_index[(x0 - c.line_map[lines[j]]) % m]
-            for j in range(plane.q + 1)))
-    return PermGroup.from_elements(perms)
-
-
-@lru_cache(maxsize=None)
-def line_pencil_action(plane, y0):
-    """Permutations of the q+1 flag labels on line y0 induced by its
-    setwise stabilizer."""
-    m = plane.modulus
-    entry_index = {d: j for j, d in enumerate(plane.entries)}
-    perms = set()
-    for c in search_collineations(plane, line_seed={y0: y0}):
-        pts = plane.line_points(y0)
-        perms.add(tuple(
-            entry_index[(c.point_map[pts[j]] - y0) % m]
-            for j in range(plane.q + 1)))
-    return PermGroup.from_elements(perms)
 
 
 def elations_with(plane, center, axis):
@@ -523,10 +480,13 @@ def elation_cycle_profile(e, line):
             x = coll.point_map[x]
             n += 1
         lengths.append(n)
-    assert sum(lengths) == plane.q
+    if sum(lengths) != plane.q:
+        raise AssertionError(
+            f"the cycles cover {sum(lengths)} points, expected {plane.q}")
     k = len(lengths)
     c = lengths[0]
-    assert all(length == c for length in lengths)
+    if any(length != c for length in lengths):
+        raise AssertionError(f"cycles of unequal lengths {lengths}")
     return (k, c)
 
 

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import identity_matrix
+from oracles import pencil_action
 from singerlat.ball import build_ball, extract_hjelmslev, verify_ball
 from singerlat.diffsets import (
     agl_orbit_of_set, all_difference_sets, canonical_difference_set,
@@ -21,12 +22,12 @@ from singerlat.exotic import (
     ratio_table,
 )
 from singerlat.permgrp import (
-    compose, groups_equal, inverse, is_conjugate_in_sym, normalizer_in_sym,
+    compose, inverse, is_conjugate_in_sym, normalizer_in_sym,
     pgammal2_model, pgl2_model,
 )
 from singerlat.plane import (
     LabelledPlane, canonical_plane, elation_cycle_profile, elations_with,
-    pencil_action, verify_plane_axioms,
+    verify_plane_axioms,
 )
 
 
@@ -100,15 +101,15 @@ def test_criterion_04_pencil_groups():
             plane = canonical_plane(q)
             g0 = pencil_action(plane, 0)
             for p in range(plane.modulus):
-                assert groups_equal(pencil_action(plane, p), g0)
+                assert pencil_action(plane, p) == g0
 
 
 def test_criterion_05_self_normalization():
     with criterion(5, budget=600):
         for q in (4, 5):
             pgammal = pgammal2_model(q)
-            assert groups_equal(normalizer_in_sym(pgammal), pgammal)
-            assert groups_equal(normalizer_in_sym(pgl2_model(q)), pgammal)
+            assert normalizer_in_sym(pgammal) == pgammal
+            assert normalizer_in_sym(pgl2_model(q)) == pgammal
 
 
 def test_criterion_06_candidate_bound_table():

@@ -253,3 +253,21 @@ def test_complex_parser_rejects_garbage():
                           "chamber 0 0 0 label=0\n")
     with pytest.raises(InvalidInput):
         complex_from_text("vortex 0\n")
+
+
+def test_complex_parser_rejects_chamber_outside_vertex_list():
+    text = complex_to_text(build_ball(identity_matrix(2), 1))
+    lines = text.splitlines()
+    row = lines.index("chamber 0 1 8 label=0")
+    lines[row] = "chamber 0 999 8 label=0"
+    with pytest.raises(InvalidInput,
+                       match=f"line {row + 1}: chamber vertex out of range"):
+        complex_from_text("\n".join(lines) + "\n")
+
+
+def test_parsed_export_is_refused_where_the_matrix_is_needed(q2_ball_r2):
+    parsed = complex_from_text(complex_to_text(q2_ball_r2))
+    with pytest.raises(InvalidInput, match="residue check needs the source"):
+        verify_ball(parsed)
+    with pytest.raises(InvalidInput, match="needs the source matrix"):
+        h2_collineations(parsed, labels_only=True)

@@ -4,10 +4,11 @@ import sys
 import pytest
 
 from conftest import identity_matrix
+from singerlat import exotic
 from singerlat.ball import complex_from_text
 from singerlat.cli import main
-from singerlat.diffsets import canonical_difference_set, matrix_to_text, \
-    set_from_text
+from singerlat.diffsets import canonical_difference_set, find_agl_map, \
+    matrix_to_text, set_from_text
 from singerlat.exotic import NormalizedMatrix, census_from_text
 from singerlat.permgrp import identity
 from singerlat.plane import canonical_plane, plane_from_text, plane_to_text
@@ -129,6 +130,22 @@ def test_certify_moufang_candidate_exit_code(twisted_q5_file, capsys):
                        "--moufang-candidate")
     assert code == 1
     assert "witness=edge" in out
+
+
+def test_certify_finds_each_column_map_once(twisted_q5_file, capsys,
+                                            monkeypatch):
+    # normalization and verdict share the three column twists
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return find_agl_map(*args)
+
+    exotic.pencil_group(5)  # built first: its own map search is not the command's
+    exotic._label_twists.cache_clear()
+    monkeypatch.setattr(exotic, "find_agl_map", counted)
+    assert run(capsys, "certify", twisted_q5_file)[0] == 0
+    assert len(calls) == 3
 
 
 def test_certify_inconclusive_moufang_candidate_ok(q2_file, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from singerlat.diffsets import (
     AffineMap, DifferenceMatrix, DifferenceSet, DifferenceVector,
-    agl_apply, agl_maps, agl_orbit_of_set, all_difference_sets,
+    agl_maps, agl_orbit_of_set, all_difference_sets,
     canonical_difference_set, find_agl_map, is_difference_set,
     matrix_from_text, matrix_to_text, normalize_matrix, set_from_text,
     set_stabilizer_in_agl, singer_difference_set, stabilizer_index_perms,
@@ -101,8 +101,8 @@ def test_canonical_set_is_orbit_minimum():
 
 def test_agl_apply_examples():
     v = DifferenceVector.make(2, (1, 2, 4))
-    assert agl_apply(AffineMap(2, 0, 7), v).entries == (2, 4, 1)
-    assert agl_apply(AffineMap(1, 3, 7), v).entries == (4, 5, 0)
+    assert AffineMap(2, 0, 7).apply_vector(v).entries == (2, 4, 1)
+    assert AffineMap(1, 3, 7).apply_vector(v).entries == (4, 5, 0)
 
 
 def test_agl_apply_preserves_difference_property_exhaustively():

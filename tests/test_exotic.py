@@ -9,23 +9,24 @@ import textwrap
 
 import pytest
 
+import oracles
+from oracles import local_pencil_groups, mismatch_witness
+from singerlat import exotic
 from singerlat.arith import zmod_units
 from singerlat.diffsets import (
     DifferenceMatrix, DifferenceVector, canonical_difference_set,
-    find_agl_map, stabilizer_index_perms,
+    find_agl_map, normalize_matrix, stabilizer_index_perms,
 )
 from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.exotic import (
-    CERTIFIED_EXOTIC, EDGES, INCONCLUSIVE, EquivClass, ExoticityVerdict,
+    CERTIFIED_EXOTIC, INCONCLUSIVE, EquivClass, ExoticityVerdict,
     ExoticWitness, NonDesarguesianColumn, NormalizedMatrix, bound_B,
     candidate_count, census_from_text, census_summary, census_to_text,
     certify_exotic, certify_normalized, classify, enumerate_normalized,
-    fast_necessary_condition, lower_A, local_pencil_groups, pencil_group,
-    pencil_normalizer, ratio_table,
+    fast_necessary_condition, lower_A, pencil_group, pencil_normalizer,
+    ratio_table,
 )
-from singerlat.permgrp import (
-    PermGroup, compose, conj_by, groups_equal, identity, inverse,
-)
+from singerlat.permgrp import PermGroup, compose, conjugator, identity, inverse
 from fractions import Fraction
 
 
@@ -150,10 +151,10 @@ def test_simultaneous_row_shuffle_normalizes_away():
 
 @pytest.mark.parametrize("q,order", [(2, 6), (3, 24), (4, 120), (5, 120)])
 def test_pencil_group_routes_agree(q, order):
-    search = pencil_group(q, "search")
+    search = oracles.pencil_group(q, "search")
     model = pencil_group(q, "model")
     assert search.order == order
-    assert groups_equal(search, model)
+    assert search == model
 
 
 @pytest.mark.parametrize("q,order", [(7, 336), (8, 1512), (9, 1440)])
@@ -163,16 +164,24 @@ def test_model_route_beyond_search_cap(q, order):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_pencil_group_self_normalizing(q):
-    assert groups_equal(pencil_normalizer(q), pencil_group(q))
+    assert pencil_normalizer(q) == pencil_group(q)
 
 
 def test_pencil_group_route_caps():
+    # the plane search is a test oracle; the library has the model only
     with pytest.raises(CapExceeded):
-        pencil_group(7, "search")
+        oracles.pencil_group(7, "search")
+    for route in ("search", "auto"):
+        with pytest.raises(InvalidInput, match="unknown route"):
+            pencil_group(3, route)
     with pytest.raises(CapExceeded):
         pencil_group(11, "model")
     with pytest.raises(InvalidInput):
         pencil_group(6, "model")
+
+
+def test_pencil_group_is_built_once_per_q():
+    assert pencil_group(7) is pencil_group(7, "model")
 
 
 def test_stabilizer_perms_sit_inside_pencil_group():
@@ -197,28 +206,38 @@ def test_local_pencil_groups_search_matches_bookkeeping(q):
     ))
     by_search = local_pencil_groups(scrambled, "search")
     by_model = local_pencil_groups(scrambled, "model")
-    for a, b in zip(by_search, by_model):
-        assert groups_equal(a, b)
+    assert by_search == by_model
 
 
 def test_local_pencil_groups_on_normalized_matrix():
     a1, a2 = (0, 2, 1, 3), (1, 3, 2, 0)
     g0, g1, g2 = local_pencil_groups(normalized(3, a1, a2).decode())
-    assert groups_equal(g0, pencil_group(3))
-    assert groups_equal(g1, g0.conjugate_by(a1))
-    assert groups_equal(g2, g0.conjugate_by(a2))
+    assert g0 == pencil_group(3)
+    assert g1 == g0.conjugate_by(a1)
+    assert g2 == g0.conjugate_by(a2)
 
 
-def test_non_desarguesian_column_short_circuits(monkeypatch):
+@pytest.fixture
+def fresh_moufang_cache():
+    # the canonical plane's Moufang verdict is cached per q; a stubbed
+    # test must neither read nor leave behind a cached verdict
+    exotic._canonical_plane_desarguesian.cache_clear()
+    yield
+    exotic._canonical_plane_desarguesian.cache_clear()
+
+
+def test_non_desarguesian_column_short_circuits(monkeypatch,
+                                                fresh_moufang_cache):
     # no such column can arise from a real cyclic plane of order <= 9,
-    # so force the branch by stubbing out the Moufang test
-    monkeypatch.setattr("singerlat.exotic.is_desarguesian",
-                        lambda plane: False)
+    # so force the branch by stubbing out the Moufang test, in the
+    # library and in the plane-search oracle
+    for module in (exotic, oracles):
+        monkeypatch.setattr(module, "is_desarguesian", lambda plane: False)
     M = normalized(2, identity(3), identity(3)).decode()
     with pytest.raises(NonDesarguesianColumn) as e:
         local_pencil_groups(M, route="search")
     assert e.value.column == 0
-    verdict = certify_exotic(M, route="search")
+    verdict = certify_exotic(M)
     assert verdict.outcome == CERTIFIED_EXOTIC
     assert verdict.witness.kind == "non_desarguesian_column"
     assert verdict.witness.summary() == "column(0)"
@@ -268,11 +287,8 @@ def three_group_witness(M):
     """(edge, perm) of the first mismatched edge, or None, by building
     the three conjugate groups and comparing their element sets: the
     reference for certify_exotic's membership tests."""
-    groups = local_pencil_groups(M, "model")
-    for s, t in EDGES:
-        if groups[s] != groups[t]:
-            return (s, t), min(groups[s].elements - groups[t].elements)
-    return None
+    w = mismatch_witness(local_pencil_groups(M, "model"))
+    return None if w is None else (w.edge, w.perm)
 
 
 def scrambled(q, a1, a2, rng):
@@ -319,6 +335,20 @@ def test_certify_exotic_matches_three_group_comparison(q):
             assert (verdict.witness.edge, verdict.witness.perm) == expected
             edges.add(expected[0])
     assert edges == (set() if q <= 4 else {(0, 1), (1, 2)})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_from_matrix_matches_normalize_matrix(q):
+    # from_matrix reads the alphas off the column twists; normalize_matrix
+    # (affine map per column, then the row sort) stays the reference
+    rng = random.Random(100 + q)
+    D = canonical_difference_set(q)
+    for _ in range(12):
+        a1 = tuple(rng.sample(range(q + 1), q + 1))
+        a2 = tuple(rng.sample(range(q + 1), q + 1))
+        M = scrambled(q, a1, a2, rng)
+        assert NormalizedMatrix.from_matrix(M).decode() \
+            == normalize_matrix(M, D)
 
 
 def test_fast_condition_matches_certificate_on_samples():
@@ -476,7 +506,7 @@ def test_classify_exotic_witnesses_check_out():
     assert len(exotic) == 18752
 
     def in_column_group(x, alpha):
-        return conj_by(x, inverse(alpha)) in g0.elements
+        return conjugator(inverse(alpha))(x) in g0.elements
 
     for c in exotic:
         w = c.verdict.witness
@@ -490,7 +520,7 @@ def test_classify_exotic_witnesses_check_out():
             if (u, v) == (s, t):
                 break
             # equal orders, so G_u inside G_v means equal
-            assert all(in_column_group(conj_by(g, alphas[u]), alphas[v])
+            assert all(in_column_group(conjugator(alphas[u])(g), alphas[v])
                        for g in g0.generators)
 
 
@@ -599,17 +629,11 @@ def test_census_parser_checks_degree_of_repeated_text():
         census_from_text(text.replace("[0 1 2 3]", "[0 1 1 3]"))
 
 
-def test_model_route_checks_survive_python_O():
-    script = textwrap.dedent("""
-        import sys
-        import singerlat.exotic as exotic
-        assert False, "asserts are on"  # skipped under -O
-        exotic.find_agl_map = lambda *args: None
-        try:
-            exotic.pencil_group(3, "model")
-        except AssertionError as e:
-            print("raised:", e)
-        """)
+def run_python_O(body):
+    """stdout of a python -O subprocess running body on this checkout's
+    sources; the script first checks that asserts are really off."""
+    script = 'assert False, "asserts are on"  # skipped under -O\n' \
+        + textwrap.dedent(body)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -617,5 +641,42 @@ def test_model_route_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == \
-        "raised: the Singer set is not in the canonical orbit\n"
+    return proc.stdout
+
+
+def test_model_route_checks_survive_python_O():
+    out = run_python_O("""
+        import singerlat.exotic as exotic
+        exotic.find_agl_map = lambda *args: None
+        try:
+            exotic.pencil_group(3, "model")
+        except AssertionError as e:
+            print("raised:", e)
+        """)
+    assert out == "raised: the Singer set is not in the canonical orbit\n"
+
+
+def test_ball_and_plane_checks_survive_python_O():
+    # a search whose every point is mapped but no line, and a level-2
+    # group without the identity: both must still stop the run
+    out = run_python_O("""
+        import singerlat.ball as ball
+        from singerlat.plane import _Search, canonical_plane
+        from singerlat.diffsets import canonical_difference_set
+        from singerlat.exotic import NormalizedMatrix
+        search = _Search(canonical_plane(2))
+        search.n_points = search.m
+        try:
+            search.run()
+        except AssertionError as e:
+            print("raised:", e)
+        e = (0, 1, 2)
+        M = NormalizedMatrix(2, canonical_difference_set(2), e, e).decode()
+        ball.h2_collineations = lambda b, labels_only: []
+        try:
+            ball.h2_collineations_fixing_center(ball.build_ball(M, 2), True)
+        except AssertionError as e:
+            print("raised:", e)
+        """)
+    assert out == ("raised: every point is mapped but a line is not\n"
+                   "raised: the identity is not among the collineations\n")

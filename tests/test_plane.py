@@ -4,14 +4,17 @@ import pytest
 
 from singerlat.diffsets import DifferenceVector
 from singerlat.errors import CapExceeded, InvalidInput
-from singerlat.permgrp import groups_equal, is_conjugate_in_sym, pgammal2_model, symmetric_group
+from oracles import line_pencil_action, pencil_action
+from singerlat.permgrp import is_conjugate_in_sym, pgammal2_model, symmetric_group
 from singerlat.plane import (
-    Collineation, Duality, all_collineations, canonical_plane,
+    Collineation, Duality, LabelledPlane, all_collineations, canonical_plane,
     collineations_fixing, dual_map, elation_cycle_profile, elations_with,
-    identity_collineation, incidence_plane, is_desarguesian,
-    line_pencil_action, pencil_action, plane_from_text, plane_from_vector,
-    plane_to_text, search_collineations, singer_shift, verify_plane_axioms,
+    identity_collineation, is_desarguesian, plane_from_text, plane_to_text,
+    search_collineations, singer_shift, verify_plane_axioms,
 )
+
+# entries without the difference property, on the seven residues mod 7
+NOT_A_PLANE = LabelledPlane(2, 7, (0, 1, 2))
 
 
 def count_flags(plane):
@@ -21,14 +24,16 @@ def count_flags(plane):
 
 
 def test_fano_from_vector():
-    plane = plane_from_vector(DifferenceVector.make(2, (1, 2, 4)))
+    v = DifferenceVector.make(2, (1, 2, 4))
+    plane = LabelledPlane(v.q, v.modulus, v.entries)
     assert count_flags(plane) == 21
     assert plane.point_lines(0) == tuple((-d) % 7 for d in (1, 2, 4))
     assert plane.line_points(3) == (4, 5, 0)
 
 
 def test_order_three_plane_flag_count():
-    plane = plane_from_vector(DifferenceVector.make(3, (0, 1, 3, 9)))
+    v = DifferenceVector.make(3, (0, 1, 3, 9))
+    plane = LabelledPlane(v.q, v.modulus, v.entries)
     assert count_flags(plane) == 52
 
 
@@ -56,7 +61,7 @@ def test_axioms_hold_for_difference_set_planes(q):
 
 
 def test_axioms_fail_without_difference_property():
-    assert not verify_plane_axioms(incidence_plane(2, (0, 1, 2)))
+    assert not verify_plane_axioms(NOT_A_PLANE)
 
 
 def test_singer_shift_order_and_labels():
@@ -139,7 +144,7 @@ def test_search_caps_and_bad_inputs():
     with pytest.raises(CapExceeded):
         collineations_fixing(canonical_plane(7), 0)
     with pytest.raises(InvalidInput):
-        search_collineations(incidence_plane(2, (0, 1, 2)))
+        search_collineations(NOT_A_PLANE)
 
 
 def test_collineation_rejects_non_incidence_map():
@@ -151,8 +156,8 @@ def test_collineation_rejects_non_incidence_map():
 
 
 def test_pencil_action_small_orders():
-    assert groups_equal(pencil_action(canonical_plane(2), 0), symmetric_group(3))
-    assert groups_equal(pencil_action(canonical_plane(3), 0), symmetric_group(4))
+    assert pencil_action(canonical_plane(2), 0) == symmetric_group(3)
+    assert pencil_action(canonical_plane(3), 0) == symmetric_group(4)
 
 
 def test_pencil_action_base_point_free():
@@ -163,13 +168,13 @@ def test_pencil_action_base_point_free():
 def test_line_pencil_matches_point_pencil():
     for q in (2, 3):
         plane = canonical_plane(q)
-        assert groups_equal(line_pencil_action(plane, 0), pencil_action(plane, 0))
+        assert line_pencil_action(plane, 0) == pencil_action(plane, 0)
 
 
 def test_pencil_action_q4_is_all_of_sym5():
     p = pencil_action(canonical_plane(4), 0)
     assert p.order == 120
-    assert groups_equal(p, symmetric_group(5))
+    assert p == symmetric_group(5)
     assert is_conjugate_in_sym(p, pgammal2_model(4)) is not None
 
 
@@ -253,7 +258,7 @@ def test_difference_set_planes_are_desarguesian(q):
 
 def test_desarguesian_rejects_broken_and_big_inputs():
     with pytest.raises(InvalidInput):
-        is_desarguesian(incidence_plane(2, (0, 1, 2)))
+        is_desarguesian(NOT_A_PLANE)
     with pytest.raises(CapExceeded):
         is_desarguesian(canonical_plane(7))
 
