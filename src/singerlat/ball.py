@@ -17,15 +17,24 @@ ball by a short gallery of chambers.
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from .diffsets import DifferenceMatrix
 from .errors import CapExceeded, GluingError, InvalidInput
 from .plane import LabelledPlane, all_collineations
 
 BALL_R1_Q_CAP = 9
-BALL_R2_Q_CAP = 3
+BALL_R2_Q_CAP = 9
 H2_GROUP_Q_CAP = 2
+
+
+class ChamberIndex(NamedTuple):
+    """The chambers of a ball keyed two ways, each list in chamber order:
+    panel (u, v) with u <= v -> labels of the chambers on it, and vertex
+    -> the chambers through it."""
+    panel_labels: dict
+    by_vertex: list
 
 
 @dataclass(frozen=True)
@@ -45,8 +54,27 @@ class BallComplex:
     def vertex_count(self) -> int:
         return len(self.types)
 
-    def chamber_triples(self) -> frozenset:
-        return frozenset((a, b, c) for a, b, c, _ in self.chambers)
+    @cached_property
+    def _index(self) -> ChamberIndex:
+        # built on first use, in one pass; it lives and dies with the ball
+        panel_labels = {}
+        by_vertex = [[] for _ in range(self.vertex_count)]
+        for ch in self.chambers:
+            a, b, c, label = ch
+            for pair in ((a, b) if a < b else (b, a),
+                         (a, c) if a < c else (c, a),
+                         (b, c) if b < c else (c, b)):
+                labels = panel_labels.get(pair)
+                if labels is None:
+                    panel_labels[pair] = [label]
+                else:
+                    labels.append(label)
+            by_vertex[a].append(ch)
+            if b != a:
+                by_vertex[b].append(ch)
+            if c != a and c != b:
+                by_vertex[c].append(ch)
+        return ChamberIndex(panel_labels, by_vertex)
 
 
 @dataclass(frozen=True)
@@ -191,9 +219,12 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
                     union(("ptres", p, "L", (v1[j] - v1[k]) % m),
                           ("lnres", l, "P", (v2[k] - v2[j]) % m))
 
+    # only the fresh type-0 vertices of sphere 2 are glued, and they sit
+    # in the first slot; resolve each class to its root once
+    alias = {a: find(a) for a in list(parent)}
     resolved = {}
     for n0, n1, n2, label in raw:
-        key = (find(n0), find(n1), find(n2))
+        key = (alias.get(n0, n0), n1, n2)
         old = resolved.get(key)
         if old is not None and old != label:
             raise GluingError(
@@ -220,8 +251,9 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
             return 0 if name[2] == "P" else 1
         return 0 if name[2] == "L" else 2
 
-    roots = sorted({v for key in resolved for v in key},
-                   key=lambda n: (name_dist(n), name_type(n), n))
+    dists, types, roots = zip(*sorted(
+        (name_dist(n), name_type(n), n)
+        for n in {v for key in resolved for v in key}))
     vid = {n: i for i, n in enumerate(roots)}
     chambers = tuple(sorted(
         (vid[a], vid[b], vid[c], label)
@@ -233,48 +265,30 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
                      (b, c) if b < c else (c, b))}))
     return BallComplex(
         q=q, radius=radius, matrix=M, center=vid[center], center_type=0,
-        names=tuple(roots),
-        types=tuple(name_type(n) for n in roots),
-        dists=tuple(name_dist(n) for n in roots),
-        edges=edges, chambers=chambers)
-
-
-def _residue_flags(ball: BallComplex, x: int):
-    """Flags (line vertex, point vertex, label) of the plane at x: the
-    type t+1 neighbors are its points, the type t+2 neighbors its lines."""
-    t = ball.types[x]
-    pt_slot = (t + 1) % 3
-    ln_slot = (t + 2) % 3
-    flags = []
-    for ch in ball.chambers:
-        if ch[t] == x:
-            flags.append((ch[ln_slot], ch[pt_slot], ch[3]))
-    return flags
+        names=roots, types=types, dists=dists, edges=edges, chambers=chambers)
 
 
 def _labelled_plane_isomorphic(flags, plane: LabelledPlane) -> bool:
     """Whether the flag list is a labelled plane isomorphic to plane,
     by anchoring one line and propagating the forced label-matching."""
-    m = plane.modulus
-    lines = sorted({f[0] for f in flags})
-    points = sorted({f[1] for f in flags})
-    if len(lines) != m or len(points) != m:
-        return False
-    if len(flags) != len(set((f[0], f[1]) for f in flags)):
-        return False
-    line_flags = {l: [] for l in lines}
-    point_flags = {p: [] for p in points}
+    m, q = plane.modulus, plane.q
+    line_flags, point_flags = {}, {}
     for l, p, k in flags:
-        line_flags[l].append((p, k))
-        point_flags[p].append((l, k))
-    if any(sorted(k for _, k in fl) != list(range(plane.q + 1))
-           for fl in line_flags.values()):
+        line_flags.setdefault(l, []).append((p, k))
+        point_flags.setdefault(p, []).append((l, k))
+    # m lines and m points, each on one flag of every label 0..q: with
+    # m(q+1) flags in all, that is distinct (line, point), (line, label)
+    # and (point, label) pairs with every label in 0..q
+    n = len(flags)
+    if len(line_flags) != m or len(point_flags) != m or n != m * (q + 1):
         return False
-    if any(sorted(k for _, k in fl) != list(range(plane.q + 1))
-           for fl in point_flags.values()):
+    if (len({(l, p) for l, p, _ in flags}) != n
+            or len({(l, k) for l, _, k in flags}) != n
+            or len({(p, k) for _, p, k in flags}) != n
+            or not set(range(q + 1)).issuperset(k for _, _, k in flags)):
         return False
 
-    anchor = lines[0]
+    anchor = min(line_flags)
     for y0 in range(m):
         line_img = {anchor: y0}
         point_img = {}
@@ -333,20 +347,17 @@ def verify_ball(ball: BallComplex) -> BallReport:
         if not 0 <= label <= q:
             failures.append(f"chamber {ch} label out of range")
 
-    panel_labels = {}
-    for a, b, c, label in ball.chambers:
-        for pair in ((a, b) if a < b else (b, a),
-                     (a, c) if a < c else (c, a),
-                     (b, c) if b < c else (c, b)):
-            panel_labels.setdefault(pair, []).append(label)
+    panel_labels, by_vertex = ball._index
     for e in ball.edges:
         if e not in panel_labels:
             failures.append(f"panel {e} lies in no chamber")
+    every_label = list(range(q + 1))
+    dists, radius = ball.dists, ball.radius
     for e in ball.edges:
-        if min(ball.dists[e[0]], ball.dists[e[1]]) >= ball.radius:
+        if dists[e[0]] >= radius and dists[e[1]] >= radius:
             continue
         labels = sorted(panel_labels.get(e, ()))
-        if labels != list(range(q + 1)):
+        if labels != every_label:
             failures.append(
                 f"interior panel {e} carries labels {labels} "
                 f"instead of one chamber per label")
@@ -356,7 +367,12 @@ def verify_ball(ball: BallComplex) -> BallReport:
     for x in range(ball.vertex_count):
         if ball.dists[x] >= ball.radius:
             continue
-        flags = _residue_flags(ball, x)
+        # the flags (line, point, label) of the plane at x: its type t+1
+        # neighbors are the points, its type t+2 neighbors the lines
+        t = ball.types[x]
+        pt_slot, ln_slot = (t + 1) % 3, (t + 2) % 3
+        flags = [(ch[ln_slot], ch[pt_slot], ch[3])
+                 for ch in by_vertex[x] if ch[t] == x]
         good = _labelled_plane_isomorphic(flags, planes[ball.types[x]])
         residue_status.append((x, good))
         if not good:
@@ -378,46 +394,43 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
     if ball.radius < n:
         raise InvalidInput(f"radius {ball.radius} ball has no level {n}")
     O = ball.center
-    triples = ball.chamber_triples()
-    sphere1_pts = sorted(
-        v for v in range(ball.vertex_count)
-        if ball.dists[v] == 1 and ball.types[v] == 1)
-    sphere1_lns = sorted(
-        v for v in range(ball.vertex_count)
-        if ball.dists[v] == 1 and ball.types[v] == 2)
+    by_vertex = ball._index.by_vertex
+    types, dists = ball.types, ball.dists
+    sphere1_pts = [v for v in range(ball.vertex_count)
+                   if dists[v] == 1 and types[v] == 1]
+    sphere1_lns = [v for v in range(ball.vertex_count)
+                   if dists[v] == 1 and types[v] == 2]
+    # the lines l through each point p of the center's residue, by the
+    # chambers (O, p, l)
+    pt_set, ln_set = set(sphere1_pts), set(sphere1_lns)
+    center_lines = {p: [] for p in sphere1_pts}
+    for o, p, l, _ in by_vertex[O]:
+        if o == O and p in pt_set and l in ln_set:
+            center_lines[p].append(l)
     if n == 1:
         points = tuple((p,) for p in sphere1_pts)
         lines = tuple((l,) for l in sphere1_lns)
         incidence = frozenset(
-            ((p,), (l,)) for p in sphere1_pts for l in sphere1_lns
-            if (O, p, l) in triples)
+            ((p,), (l,)) for p in sphere1_pts for l in center_lines[p])
         return HjelmslevPlane(1, points, lines, incidence)
 
-    adj = {}
-    for a, b, c in triples:
-        for u, v in ((a, b), (a, c), (b, c)):
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+    def neighbors(v):
+        return sorted({u for ch in by_vertex[v] for u in ch[:3]})
 
-    points = []
-    for p1 in sphere1_pts:
-        for p2 in sorted(adj[p1]):
-            if ball.types[p2] == 2 and ball.dists[p2] == 2:
-                points.append((p1, p2))
-    lines = []
-    for l1 in sphere1_lns:
-        for l2 in sorted(adj[l1]):
-            if ball.types[l2] == 1 and ball.dists[l2] == 2:
-                lines.append((l1, l2))
+    points = [(p1, p2) for p1 in sphere1_pts for p2 in neighbors(p1)
+              if types[p2] == 2 and dists[p2] == 2]
+    lines = [(l1, l2) for l1 in sphere1_lns for l2 in neighbors(l1)
+             if types[l2] == 1 and dists[l2] == 2]
 
     # in the residue of p1, type-0 neighbors are lines; any two points
     # of that plane span a unique such line
     join = {}
     for p1 in sphere1_pts:
-        for z in adj[p1]:
-            if ball.types[z] != 0 or z == O:
-                continue
-            res_pts = [u for u in adj[z] if (z, p1, u) in triples]
+        res_lines = {}
+        for z, p, u, _ in by_vertex[p1]:
+            if p == p1 and z != O and types[z] == 0:
+                res_lines.setdefault(z, set()).add(u)
+        for z, res_pts in res_lines.items():
             for u, v in itertools.combinations(sorted(res_pts), 2):
                 if (p1, u, v) in join:
                     raise AssertionError(
@@ -425,15 +438,26 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
                         f"two lines")
                 join[(p1, u, v)] = z
 
+    # the lines (l1, l2) on each line z of the residue of l1, by the
+    # chambers (z, l2, l1)
+    line_set = set(lines)
+    on_line = {}
+    for l1 in sphere1_lns:
+        for z, l2, l, _ in by_vertex[l1]:
+            if l == l1 and (l1, l2) in line_set:
+                on_line.setdefault((z, l1), set()).add((l1, l2))
+
+    # (p1, p2) lies on (l1, l2) when l1 passes through p1, and the line
+    # z joining p2 and l1 in the residue of p1 carries a chamber
+    # (z, l2, l1)
     incidence = set()
-    for p1, p2 in points:
-        for l1, l2 in lines:
-            if (O, p1, l1) not in triples:
-                continue
-            key = (p1, p2, l1) if p2 < l1 else (p1, l1, p2)
-            z = join.get(key)
-            if z is not None and (z, l2, l1) in triples:
-                incidence.add(((p1, p2), (l1, l2)))
+    for P in points:
+        p1, p2 = P
+        for l1 in center_lines[p1]:
+            z = join.get((p1, p2, l1) if p2 < l1 else (p1, l1, p2))
+            if z is not None:
+                for L in on_line.get((z, l1), ()):
+                    incidence.add((P, L))
     return HjelmslevPlane(2, tuple(points), tuple(lines),
                           frozenset(incidence))
 
@@ -441,10 +465,14 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
 def _h2_tables(H: HjelmslevPlane):
     pt_index = {p: i for i, p in enumerate(H.points)}
     ln_index = {l: i for i, l in enumerate(H.lines)}
-    pt_lines = [frozenset(ln_index[l] for l in H.lines_through(p))
-                for p in H.points]
-    ln_points = [frozenset(pt_index[p] for p in H.points_on(l))
-                 for l in H.lines]
+    pt_lines = [set() for _ in H.points]
+    ln_points = [set() for _ in H.lines]
+    for p, l in H.incidence:
+        i, j = pt_index[p], ln_index[l]
+        pt_lines[i].add(j)
+        ln_points[j].add(i)
+    pt_lines = [frozenset(s) for s in pt_lines]
+    ln_points = [frozenset(s) for s in ln_points]
     pt_fibers = {}
     for i, p in enumerate(H.points):
         pt_fibers.setdefault(p[0], []).append(i)
@@ -670,32 +698,42 @@ def complex_to_text(ball: BallComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-_VERTEX_RE = re.compile(r"vertex (\d+) type=(\d+) dist=(\d+)$")
-_EDGE_RE = re.compile(r"edge (\d+) (\d+)$")
-_CHAMBER_RE = re.compile(r"chamber (\d+) (\d+) (\d+) label=(\d+)$")
+# one pattern for the three row kinds; its last group takes any other
+# row whole, so that every line gives exactly one match
+_ROW_RE = re.compile(
+    r"^(?:vertex (\d+) type=(\d+) dist=(\d+)|edge (\d+) (\d+)"
+    r"|chamber (\d+) (\d+) (\d+) label=(\d+)|(.*))$", re.MULTILINE)
 
 
 def complex_from_text(text: str) -> BallComplex:
     """Inverse of complex_to_text up to what the export carries: the
     source matrix and the vertex names are not exported and come back as
-    None.  Every edge and chamber must name listed vertices."""
+    None.  Vertex types lie in 0..2, and every edge and chamber must
+    name listed vertices."""
     types, dists, edges, chambers = [], [], [], []
     edge_rows, chamber_rows = [], []  # line numbers, for the range checks
-    for i, line in enumerate(text.splitlines(), start=1):
-        if m := _VERTEX_RE.match(line):
-            v, t, d = map(int, m.groups())
+    lines = text.splitlines()
+    # rejoined by "\n" alone, each line is one match of the anchored
+    # pattern; the join of no lines would still match once, as a blank
+    rows = _ROW_RE.findall("\n".join(lines)) if lines else []
+    for i, (v, t, d, e0, e1, a, b, c, label, other) in enumerate(
+            rows, start=1):
+        if e0:
+            edges.append((int(e0), int(e1)))
+            edge_rows.append(i)
+        elif label:
+            chambers.append((int(a), int(b), int(c), int(label)))
+            chamber_rows.append(i)
+        elif v:
+            v, t = int(v), int(t)
             if v != len(types):
                 raise InvalidInput(f"line {i}: vertex id {v} out of order")
+            if t > 2:  # the row pattern admits no negative type
+                raise InvalidInput(f"line {i}: vertex type {t} outside 0..2")
             types.append(t)
-            dists.append(d)
-        elif m := _EDGE_RE.match(line):
-            edges.append((int(m.group(1)), int(m.group(2))))
-            edge_rows.append(i)
-        elif m := _CHAMBER_RE.match(line):
-            chambers.append(tuple(map(int, m.groups())))
-            chamber_rows.append(i)
+            dists.append(int(d))
         else:
-            raise InvalidInput(f"line {i}: unrecognized row {line!r}")
+            raise InvalidInput(f"line {i}: unrecognized row {other!r}")
     if not chambers:
         raise InvalidInput("complex export has no chambers")
     n = len(types)

@@ -67,10 +67,15 @@ class NormalizedMatrix:
     alpha2: tuple[int, ...]
 
     def __post_init__(self):
-        if self.D != canonical_difference_set(self.q):
+        # enumerate_normalized(5) makes 518,400 of these: test identity
+        # with the cached canonical set before equality, and list the
+        # labels once
+        D = canonical_difference_set(self.q)
+        if self.D is not D and self.D != D:
             raise InvalidInput("normalized matrices use the canonical set")
+        labels = list(range(self.q + 1))
         for a in (self.alpha1, self.alpha2):
-            if sorted(a) != list(range(self.q + 1)):
+            if sorted(a) != labels:
                 raise InvalidInput(f"{a} is not a permutation of the labels")
 
     @classmethod

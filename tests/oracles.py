@@ -1,14 +1,19 @@
-"""The plane-search route to the pencil groups, kept as the independent
-check of the field-model G_0 that the library computes.
+"""Reference implementations that the library's faster routes are
+checked against.
 
-The search enumerates the collineations fixing a point (or a line) of
-a labelled plane and reads off the permutations they induce on the
-q+1 flag labels there.  Nothing in the library depends on this module.
+The plane-search route to the pencil groups is the independent check of
+the field-model G_0 that the library computes: the search enumerates
+the collineations fixing a point (or a line) of a labelled plane and
+reads off the permutations they induce on the q+1 flag labels there.
+The per-line ball-export parser is the reference for the library's
+one-pattern parser.  Nothing in the library depends on this module.
 """
 
+import re
 from functools import lru_cache
 
-from singerlat.errors import CapExceeded
+from singerlat.ball import BallComplex
+from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.exotic import (
     EDGES, ExoticWitness, NonDesarguesianColumn, _canonical_plane_desarguesian,
     _check_canonical_plane, _label_twists,
@@ -98,3 +103,48 @@ def mismatch_witness(groups):
             return ExoticWitness(kind="pencil_mismatch", edge=(s, t),
                                  perm=min(gs.elements - gt.elements))
     return None
+
+
+_VERTEX_RE = re.compile(r"vertex (\d+) type=(\d+) dist=(\d+)$")
+_EDGE_RE = re.compile(r"edge (\d+) (\d+)$")
+_CHAMBER_RE = re.compile(r"chamber (\d+) (\d+) (\d+) label=(\d+)$")
+
+
+def complex_from_text(text):
+    """The ball-export parser as it was before the one-pattern scan: three
+    patterns tried per line.  It accepts any vertex type, which the
+    library now rejects."""
+    types, dists, edges, chambers = [], [], [], []
+    edge_rows, chamber_rows = [], []  # line numbers, for the range checks
+    for i, line in enumerate(text.splitlines(), start=1):
+        if m := _VERTEX_RE.match(line):
+            v, t, d = map(int, m.groups())
+            if v != len(types):
+                raise InvalidInput(f"line {i}: vertex id {v} out of order")
+            types.append(t)
+            dists.append(d)
+        elif m := _EDGE_RE.match(line):
+            edges.append((int(m.group(1)), int(m.group(2))))
+            edge_rows.append(i)
+        elif m := _CHAMBER_RE.match(line):
+            chambers.append(tuple(map(int, m.groups())))
+            chamber_rows.append(i)
+        else:
+            raise InvalidInput(f"line {i}: unrecognized row {line!r}")
+    if not chambers:
+        raise InvalidInput("complex export has no chambers")
+    n = len(types)
+    for i, (a, b) in zip(edge_rows, edges):
+        if not (0 <= a < n and 0 <= b < n):
+            raise InvalidInput(f"line {i}: edge endpoint out of range")
+    for i, (a, b, c, _) in zip(chamber_rows, chambers):
+        if max(a, b, c) >= n:  # the row pattern admits no negative id
+            raise InvalidInput(f"line {i}: chamber vertex out of range")
+    centers = [v for v in range(n) if dists[v] == 0]
+    if len(centers) != 1:
+        raise InvalidInput("complex export must have exactly one center")
+    return BallComplex(
+        q=max(c[3] for c in chambers), radius=max(dists),
+        matrix=None, center=centers[0], center_type=types[centers[0]],
+        names=None, types=tuple(types), dists=tuple(dists),
+        edges=tuple(edges), chambers=tuple(chambers))

@@ -1,16 +1,21 @@
 import dataclasses
+import hashlib
 import itertools
 from collections import Counter
 
 import pytest
 
-from conftest import identity_matrix
+import oracles
+from conftest import identity_matrix, q11_matrix
 from singerlat.ball import (
     build_ball, complex_from_text, complex_to_text, extract_hjelmslev,
     h2_collineations, h2_collineations_fixing_center, verify_ball,
 )
-from singerlat.diffsets import DifferenceMatrix, DifferenceVector
+from singerlat.diffsets import (
+    DifferenceMatrix, DifferenceVector, canonical_difference_set,
+)
 from singerlat.errors import CapExceeded, InvalidInput
+from singerlat.exotic import NormalizedMatrix
 from singerlat.permgrp import inverse
 from singerlat.plane import LabelledPlane
 
@@ -50,8 +55,25 @@ def test_radius_one_verifies():
 def test_caps_and_bad_radius():
     with pytest.raises(InvalidInput):
         build_ball(identity_matrix(2), 3)
-    with pytest.raises(CapExceeded):
-        build_ball(identity_matrix(4), 2)
+    for radius in (1, 2):
+        with pytest.raises(CapExceeded,
+                           match=f"radius {radius} ball capped at q <= 9"):
+            build_ball(q11_matrix(), radius)
+
+
+@pytest.mark.parametrize("q, vertices, chambers",
+                         [(4, 1135, 3885), (5, 2543, 10416)])
+def test_radius_two_past_q3(q, vertices, chambers):
+    # counts pinned from the earlier build code, run with its q <= 3 cap
+    # lifted
+    ball = build_ball(identity_matrix(q), 2)
+    assert (ball.vertex_count, len(ball.chambers)) == (vertices, chambers)
+    assert verify_ball(ball).ok
+    H = extract_hjelmslev(ball, 2)
+    m = q * q + q + 1
+    # m q^2 points and lines, each point on q(q+1) lines
+    assert len(H.points) == len(H.lines) == {4: 336, 5: 775}[q] == m * q * q
+    assert len(H.incidence) == {4: 6720, 5: 23250}[q] == m * q ** 3 * (q + 1)
 
 
 def test_radius_two_q2_census(q2_ball_r2):
@@ -271,3 +293,158 @@ def test_parsed_export_is_refused_where_the_matrix_is_needed(q2_ball_r2):
         verify_ball(parsed)
     with pytest.raises(InvalidInput, match="needs the source matrix"):
         h2_collineations(parsed, labels_only=True)
+
+
+# (q, alpha1, alpha2) -> sha256 of complex_to_text, of repr(verify_ball)
+# and of repr((points, lines, sorted incidence)) of the level-2 plane,
+# all taken before the chamber index: the identity balls at q = 2, 3 and
+# eight seeded q = 3 matrices
+BALL_R2_SHA256 = {
+    (2, (0, 1, 2), (0, 1, 2)): (
+        "3f24b401109358c656c4d91d26fa91f65aad39624f2a1df1da468e014431e662",
+        "4910777cbb27935320ee9f4af6d855e567bcc1f2cfbe6d9882d08dc1dbc07c84",
+        "3b774251d9e70cbc0b9c3c3eaa8b5ffd16e54dd22a4709bc376c37b94b872a5e"),
+    (3, (0, 1, 2, 3), (0, 1, 2, 3)): (
+        "26f22568cfb5aa8c73ca034eea7b3ad5531b9cb85385b6433db13eb59992f9eb",
+        "987609a1fbabacbfcacaa2d47b02796f5b0fcf67eabfdbeaa667177248c0f082",
+        "9ba3cb5aa9b3b390525397dcf1d2e2c9d5b8b2a08179b4a0102c330b366d2368"),
+    (3, (1, 3, 0, 2), (0, 3, 1, 2)): (
+        "56de025527bd0dfea9b96951ab5b3096be781d771bc9e6ccf0c0771c13f7d95d",
+        "987609a1fbabacbfcacaa2d47b02796f5b0fcf67eabfdbeaa667177248c0f082",
+        "f18bc65b5668aa3e23638a576df264907655c8621359be85d6d445724256dd2f"),
+    (3, (2, 0, 1, 3), (3, 1, 0, 2)): (
+        "f924e86cf234ff752b3dc4c8c8200fdbc0c36eb9b45aafda211f203df84eeae1",
+        "987609a1fbabacbfcacaa2d47b02796f5b0fcf67eabfdbeaa667177248c0f082",
+        "ef9a769ef03987e60bf556c2e6a2605db30e0f355aa3b5363c420805cea55598"),
+    (3, (0, 1, 3, 2), (0, 2, 1, 3)): (
+        "4746884a3b7d0dfb42d195c2cf1ace5d6343dc219141184744c72ff694068c89",
+        "987609a1fbabacbfcacaa2d47b02796f5b0fcf67eabfdbeaa667177248c0f082",
+        "54a768c2d427e243c8c74f4874f08e6969875ce7a0e2c8a0d3dac1253b36d62d"),
+    (3, (2, 3, 1, 0), (0, 2, 3, 1)): (
+        "e6cdc6b9480bd9b59f0793058f70f27d1dc0fb407135b25c1efcd7be35077e8f",
+        "987609a1fbabacbfcacaa2d47b02796f5b0fcf67eabfdbeaa667177248c0f082",
+        "8a6a6703299ce901afa1c1f82baf4086f30214fd147153ebc2bd70c6a8e53b58"),
+    (3, (1, 3, 2, 0), (3, 0, 1, 2)): (
+        "118563f3910381ed55ecfa34566da773de2ce6dedea04ea07629f46309e052ed",
+        "987609a1fbabacbfcacaa2d47b02796f5b0fcf67eabfdbeaa667177248c0f082",
+        "cdd33fe995437bc1e9cdb84cb801b1b18cc0d759ab78e13d077fd490859d10b2"),
+    (3, (0, 1, 3, 2), (2, 3, 0, 1)): (
+        "2044d3119860b8a68a10bd4c6d24d069bddc8cfe8a5bc19ff450c03a690ffeb1",
+        "987609a1fbabacbfcacaa2d47b02796f5b0fcf67eabfdbeaa667177248c0f082",
+        "6ab01b0c63733b5a6a4daad469ad30d300d411c6abc297d935d3fef03dd288a7"),
+    (3, (1, 0, 2, 3), (0, 1, 3, 2)): (
+        "97767474f5f32907b7f88eadd8bb021fcec15073c2fbb24048f2a3bdb8ccd70d",
+        "987609a1fbabacbfcacaa2d47b02796f5b0fcf67eabfdbeaa667177248c0f082",
+        "442178fb263e5e9d1056f92dc2adf628ba14eb1b549c77857a48bd305c57777c"),
+    (3, (0, 2, 1, 3), (2, 0, 3, 1)): (
+        "d481679b5d79c552f49ac9459d0c3c20ce6065eee7760a1088539c063f08b476",
+        "987609a1fbabacbfcacaa2d47b02796f5b0fcf67eabfdbeaa667177248c0f082",
+        "60b71e4c56c559c040e1f5e631b5e1bdfe2591263be2f9295fd8e18365fcd25c"),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(BALL_R2_SHA256))
+def test_radius_two_outputs_are_pinned(key):
+    q, a1, a2 = key
+    M = NormalizedMatrix(q, canonical_difference_set(q), a1, a2).decode()
+    ball = build_ball(M, 2)
+    H = extract_hjelmslev(ball, 2)
+    got = (_sha256(complex_to_text(ball)), _sha256(repr(verify_ball(ball))),
+           _sha256(repr((H.points, H.lines, sorted(H.incidence)))))
+    assert got == BALL_R2_SHA256[key]
+
+
+def _parsed(parse, text):
+    try:
+        return "ball", parse(text)
+    except InvalidInput as e:
+        return "raises", str(e)
+
+
+def test_complex_parser_matches_per_line_reference_on_exports(q2_ball_r2):
+    texts = [complex_to_text(build_ball(identity_matrix(q), 1))
+             for q in (2, 3, 4)]
+    texts.append(complex_to_text(q2_ball_r2))
+    M = NormalizedMatrix(3, canonical_difference_set(3),
+                         (1, 3, 0, 2), (0, 3, 1, 2)).decode()
+    texts.append(complex_to_text(build_ball(M, 2)))
+    for text in texts:
+        got = complex_from_text(text)
+        assert got == oracles.complex_from_text(text)
+        assert complex_to_text(got) == text
+
+
+def _mutations(lines):
+    """(what, text) pairs made from the lines of a valid export."""
+    first_edge = next(i for i, l in enumerate(lines) if l.startswith("edge"))
+    first_chamber = lines.index("chamber 0 1 8 label=0")
+    text = "\n".join(lines) + "\n"
+
+    def at(i, row):
+        return "\n".join(lines[:i] + [row] + lines[i + 1:]) + "\n"
+
+    def insert(i, row):
+        return "\n".join(lines[:i] + [row] + lines[i:]) + "\n"
+
+    return [
+        ("keyword", at(0, "vortex 0 type=0 dist=0")),
+        ("keyword case", at(3, "Vertex 3 type=1 dist=1")),
+        ("keyword plural", at(first_chamber, "chambers 0 1 8 label=0")),
+        ("missing vertex field", at(2, "vertex 2 type=1")),
+        ("missing edge field", at(first_edge, "edge 0")),
+        ("missing label", at(first_chamber, "chamber 0 1 8")),
+        ("extra field", at(first_edge, "edge 0 1 2")),
+        ("id out of order", at(2, "vertex 3 type=1 dist=1")),
+        ("ids swapped", "\n".join([lines[0], lines[2], lines[1]]
+                                  + lines[3:]) + "\n"),
+        ("edge out of range", at(first_edge, "edge 0 99")),
+        ("negative edge id", at(first_edge, "edge -1 1")),
+        ("chamber out of range", at(first_chamber, "chamber 0 999 8 label=0")),
+        ("crlf endings", text.replace("\n", "\r\n")),
+        ("lone cr endings", text.replace("\n", "\r")),
+        ("unicode line separator", text.replace("\n", "\u2028")),
+        ("no final newline", text[:-1]),
+        ("blank line", insert(first_edge, "")),
+        ("blank last line", text + "\n"),
+        ("whitespace line", insert(first_edge, "   ")),
+        ("trailing space", at(first_edge, lines[first_edge] + " ")),
+        ("leading space", at(0, " " + lines[0])),
+        ("tab separator", at(first_edge, lines[first_edge].replace(" ", "\t"))),
+        ("vertical tab inside a row",
+         at(first_edge, lines[first_edge].replace(" ", "\x0b", 1))),
+        ("arabic-indic digit",
+         at(first_chamber, "chamber 0 1 \u0668 label=0")),
+        ("fullwidth digits", at(2, "vertex \uff12 type=1 dist=1")),
+        ("leading zeros", at(first_chamber, "chamber 00 01 8 label=000")),
+        ("vertex row moved last", "\n".join(lines[1:] + lines[:1]) + "\n"),
+        ("last vertex moved to the end",
+         "\n".join(lines[:14] + lines[15:] + lines[14:15]) + "\n"),
+        ("two centers", at(1, "vertex 1 type=1 dist=0")),
+        ("no center", at(0, "vertex 0 type=0 dist=1")),
+        ("no chambers", "\n".join(lines[:first_chamber]) + "\n"),
+        ("duplicate chamber", insert(first_chamber, lines[first_chamber])),
+        ("empty text", ""),
+        ("one newline", "\n"),
+    ]
+
+
+def test_complex_parser_matches_per_line_reference_on_mutated_rows():
+    lines = complex_to_text(build_ball(identity_matrix(2), 1)).splitlines()
+    outcomes = set()
+    for what, text in _mutations(lines):
+        got = _parsed(complex_from_text, text)
+        assert got == _parsed(oracles.complex_from_text, text), what
+        outcomes.add(got[0])
+    assert outcomes == {"ball", "raises"}
+
+
+def test_complex_parser_rejects_vertex_type_outside_0_to_2():
+    text = "vertex 0 type=0 dist=0\nvertex 1 type=7 dist=1\nchamber 0 0 0 label=0\n"
+    with pytest.raises(InvalidInput, match="line 2: vertex type 7 outside 0..2"):
+        complex_from_text(text)
+    # the per-line reference accepts the row: the one intended difference
+    assert oracles.complex_from_text(text).types == (0, 7)

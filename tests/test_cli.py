@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import identity_matrix
+from conftest import identity_matrix, q11_matrix
 from singerlat import exotic
 from singerlat.ball import complex_from_text
 from singerlat.cli import main
@@ -248,10 +248,12 @@ def test_ball_bad_radius(q2_file, capsys):
     assert run(capsys, "ball", q2_file, 3)[0] == 2
 
 
-def test_ball_radius_two_cap(twisted_q5_file, capsys):
-    code, _, err = run(capsys, "ball", twisted_q5_file, 2)
+def test_ball_radius_two_cap(tmp_path, capsys):
+    path = tmp_path / "q11.dm"
+    path.write_text(matrix_to_text(q11_matrix()))
+    code, _, err = run(capsys, "ball", path, 2)
     assert code == 3
-    assert "capped" in err
+    assert "radius 2 ball capped at q <= 9, got 11" in err
 
 
 def test_unknown_subcommand_exits_two():
