@@ -339,10 +339,10 @@ def verify_ball(ball: BallComplex) -> BallReport:
     source matrix, so a parsed export, which has none, is refused."""
     _check_source(ball, "the residue check")
     failures = []
-    q = ball.q
+    q, radius, types, dists = ball.q, ball.radius, ball.types, ball.dists
     for ch in ball.chambers:
         a, b, c, label = ch
-        if (ball.types[a], ball.types[b], ball.types[c]) != (0, 1, 2):
+        if (types[a], types[b], types[c]) != (0, 1, 2):
             failures.append(f"chamber {ch} lacks one vertex of each type")
         if not 0 <= label <= q:
             failures.append(f"chamber {ch} label out of range")
@@ -352,7 +352,6 @@ def verify_ball(ball: BallComplex) -> BallReport:
         if e not in panel_labels:
             failures.append(f"panel {e} lies in no chamber")
     every_label = list(range(q + 1))
-    dists, radius = ball.dists, ball.radius
     for e in ball.edges:
         if dists[e[0]] >= radius and dists[e[1]] >= radius:
             continue
@@ -365,20 +364,20 @@ def verify_ball(ball: BallComplex) -> BallReport:
     planes = _column_planes(ball.matrix)
     residue_status = []
     for x in range(ball.vertex_count):
-        if ball.dists[x] >= ball.radius:
+        if dists[x] >= radius:
             continue
         # the flags (line, point, label) of the plane at x: its type t+1
         # neighbors are the points, its type t+2 neighbors the lines
-        t = ball.types[x]
+        t = types[x]
         pt_slot, ln_slot = (t + 1) % 3, (t + 2) % 3
         flags = [(ch[ln_slot], ch[pt_slot], ch[3])
                  for ch in by_vertex[x] if ch[t] == x]
-        good = _labelled_plane_isomorphic(flags, planes[ball.types[x]])
+        good = _labelled_plane_isomorphic(flags, planes[t])
         residue_status.append((x, good))
         if not good:
             failures.append(
                 f"residue of vertex {x} is not the labelled plane of "
-                f"column {ball.types[x]}")
+                f"column {t}")
 
     return BallReport(
         ok=not failures, failures=tuple(failures),
@@ -712,10 +711,9 @@ def complex_from_text(text: str) -> BallComplex:
     name listed vertices."""
     types, dists, edges, chambers = [], [], [], []
     edge_rows, chamber_rows = [], []  # line numbers, for the range checks
-    lines = text.splitlines()
     # rejoined by "\n" alone, each line is one match of the anchored
-    # pattern; the join of no lines would still match once, as a blank
-    rows = _ROW_RE.findall("\n".join(lines)) if lines else []
+    # pattern; the join of no lines (text "") would still match once
+    rows = _ROW_RE.findall("\n".join(text.splitlines())) if text else []
     for i, (v, t, d, e0, e1, a, b, c, label, other) in enumerate(
             rows, start=1):
         if e0:
