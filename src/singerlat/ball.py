@@ -18,7 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .diffsets import DifferenceMatrix
 from .errors import CapExceeded, GluingError, InvalidInput
