@@ -56,25 +56,30 @@ class BallComplex:
 
     @cached_property
     def _index(self) -> ChamberIndex:
-        # built on first use, in one pass; it lives and dies with the ball
-        panel_labels = {}
-        by_vertex = [[] for _ in range(self.vertex_count)]
-        for ch in self.chambers:
-            a, b, c, label = ch
-            for pair in ((a, b) if a < b else (b, a),
-                         (a, c) if a < c else (c, a),
-                         (b, c) if b < c else (c, b)):
-                labels = panel_labels.get(pair)
-                if labels is None:
-                    panel_labels[pair] = [label]
-                else:
-                    labels.append(label)
-            by_vertex[a].append(ch)
-            if b != a:
-                by_vertex[b].append(ch)
-            if c != a and c != b:
-                by_vertex[c].append(ch)
-        return ChamberIndex(panel_labels, by_vertex)
+        # built on first use; it lives and dies with the ball
+        return _chamber_index(self.chambers, self.vertex_count)
+
+
+def _chamber_index(chambers, vertex_count: int) -> ChamberIndex:
+    # one pass over the chambers, so every list keeps chamber order
+    panel_labels = {}
+    by_vertex = [[] for _ in range(vertex_count)]
+    for ch in chambers:
+        a, b, c, label = ch
+        for pair in ((a, b) if a < b else (b, a),
+                     (a, c) if a < c else (c, a),
+                     (b, c) if b < c else (c, b)):
+            labels = panel_labels.get(pair)
+            if labels is None:
+                panel_labels[pair] = [label]
+            else:
+                labels.append(label)
+        by_vertex[a].append(ch)
+        if b != a:
+            by_vertex[b].append(ch)
+        if c != a and c != b:
+            by_vertex[c].append(ch)
+    return ChamberIndex(panel_labels, by_vertex)
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,21 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
     Sphere-1 vertices are the points and lines of the center's plane;
     at radius 2 each of them gets the full plane of its own column,
     anchored so that the chambers through the center keep their labels,
-    and the two completions meeting over a sphere-1 panel are glued by
-    a union-find keyed on equal (panel, label) chambers.
+    and the two completions meeting over a sphere-1 panel share their
+    type-0 vertices.  Vertex ids come from closed formulas, in blocks
+    ordered by (dist, type) and then by name:
+
+        0                    the center ("O",)
+        1 + p                the points ("pt", p) of the center's plane
+        1 + m + l            its lines ("ln", l)
+        t0 + (m-1)l + z - 1  ("lnres", l, "P", z), z != 0: the points of
+                             the residue of line l, glued type-0 vertices
+        t1 + q^2 l + r       ("lnres", l, "L", w): the r-th line off point
+                             0 of that residue
+        t2 + q^2 p + r       ("ptres", p, "P", u): the r-th point off line
+                             0 of the residue of point p
+
+    The chamber index is built with the ball.
     """
     q, m = M.q, M.columns[0].modulus
     if radius not in (1, 2):
@@ -143,134 +161,91 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
     cap = BALL_R1_Q_CAP if radius == 1 else BALL_R2_Q_CAP
     if q > cap:
         raise CapExceeded(f"radius {radius} ball capped at q <= {cap}, got {q}")
-    planes = _column_planes(M)
-    v0 = M.columns[0].entries
-    v1 = M.columns[1].entries
-    v2 = M.columns[2].entries
+    v0, v1, v2 = (c.entries for c in M.columns)
 
-    center = ("O",)
-    raw = []  # (type0 name, type1 name, type2 name, label)
-    for x in range(m):
-        for j, d in enumerate(v0):
-            raw.append((center, ("pt", (x + d) % m), ("ln", x), j))
-
-    parent = {}
-
-    def find(a):
-        root = a
-        while root in parent:
-            root = parent[root]
-        while a != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = min(ra, rb), max(ra, rb)
-            parent[hi] = lo
-
+    names = [("O",), *(("pt", p) for p in range(m)),
+             *(("ln", l) for l in range(m))]
+    types = [0] + [1] * m + [2] * m
+    dists = [0] + [1] * (2 * m)
+    raw = [(0, 1 + (x + d) % m, 1 + m + x, j)
+           for x in range(m) for j, d in enumerate(v0)]
     if radius == 2:
-        # labels of the line-0 points of the second column's plane, and
-        # of the lines through point 0 of the third column's plane
-        line0_label = {d: j for j, d in enumerate(v1)}
-        through0_label = {(-d) % m: j for j, d in enumerate(v2)}
+        qq = q * q
+        t0 = 1 + 2 * m
+        t1 = t0 + m * (m - 1)
+        t2 = t1 + m * qq
+        # the residue of point p is the column-1 plane: its line 0 is the
+        # center, its point v1[j] the label-j line p - v0[j] of the
+        # center's plane.  On the panel of that flag the label-k chamber
+        # comes from both sides, so its line v1[j] - v1[k] there is the
+        # point v2[k] - v2[j] of the residue of line p - v0[j]
+        by_diff = {(v1[j] - v1[k]) % m: (v0[j], (v2[k] - v2[j]) % m - 1)
+                   for j in range(q + 1) for k in range(q + 1) if j != k}
+        if len(by_diff) != m - 1:
+            raise GluingError(
+                f"column 1 differences {v1} miss a nonzero residue mod {m}")
+        glue = [by_diff[w] for w in range(1, m)]
+        # the residue of line l is the column-2 plane: its point 0 is the
+        # center, its line -v2[j] the label-j point l + v0[j]
+        line0 = {d: j for j, d in enumerate(v1)}
+        through0 = {(-d) % m: j for j, d in enumerate(v2)}
+        off_line0 = [u for u in range(m) if u not in line0]
+        off_point0 = [w for w in range(m) if w not in through0]
+        pt_rows = [[(w + d) % m for d in v1] for w in range(m)]
+        ln_rows = [[(w + d) % m for d in v2] for w in range(m)]
 
         for p in range(m):
-            # complete the residue of point-vertex p to the column-1
-            # plane: its line 0 is the center, its point v1[j] is the
-            # label-j line of the center's plane through p
-            def pt_point_name(u):
-                j = line0_label.get(u)
-                if j is not None:
-                    return ("ln", (p - v0[j]) % m)
-                return ("ptres", p, "P", u)
-
-            for w in range(m):
-                wname = center if w == 0 else ("ptres", p, "L", w)
-                for k, d in enumerate(v1):
-                    raw.append((wname, ("pt", p), pt_point_name((w + d) % m), k))
-
+            res_lines = [0] + [t0 + (m - 1) * ((p - a) % m) + b
+                               for a, b in glue]
+            res_points = [None] * m
+            for u, j in line0.items():
+                res_points[u] = 1 + m + (p - v0[j]) % m
+            for r, u in enumerate(off_line0, start=t2 + qq * p):
+                res_points[u] = r
+            raw += [(res_lines[w], 1 + p, res_points[u], k)
+                    for w, row in enumerate(pt_rows)
+                    for k, u in enumerate(row)]
         for l in range(m):
-            # complete the residue of line-vertex l to the column-2
-            # plane: its point 0 is the center, its label-j line through
-            # that point is the label-j point of the center's plane on l
-            def ln_line_name(w):
-                j = through0_label.get(w)
-                if j is not None:
-                    return ("pt", (l + v0[j]) % m)
-                return ("lnres", l, "L", w)
+            res_points = [0, *range(t0 + (m - 1) * l, t0 + (m - 1) * (l + 1))]
+            res_lines = [None] * m
+            for w, j in through0.items():
+                res_lines[w] = 1 + (l + v0[j]) % m
+            for r, w in enumerate(off_point0, start=t1 + qq * l):
+                res_lines[w] = r
+            raw += [(res_points[z], res_lines[w], 1 + m + l, k)
+                    for w, row in enumerate(ln_rows)
+                    for k, z in enumerate(row)]
 
-            for w in range(m):
-                lname = ln_line_name(w)
-                for k, d in enumerate(v2):
-                    z = (w + d) % m
-                    zname = center if z == 0 else ("lnres", l, "P", z)
-                    raw.append((zname, lname, ("ln", l), k))
+        names += [("lnres", l, "P", z) for l in range(m) for z in range(1, m)]
+        names += [("lnres", l, "L", w) for l in range(m) for w in off_point0]
+        names += [("ptres", p, "P", u) for p in range(m) for u in off_line0]
+        types += [0] * (m * (m - 1)) + [1] * (m * qq) + [2] * (m * qq)
+        dists += [2] * (m * (m - 1) + 2 * m * qq)
 
-        # glue: on the panel of the label-j flag (l, p), the label-k
-        # chamber appears once from each side with a fresh type-0 vertex
-        for l in range(m):
-            for j in range(q + 1):
-                p = (l + v0[j]) % m
-                for k in range(q + 1):
-                    if k == j:
-                        continue
-                    union(("ptres", p, "L", (v1[j] - v1[k]) % m),
-                          ("lnres", l, "P", (v2[k] - v2[j]) % m))
-
-    # only the fresh type-0 vertices of sphere 2 are glued, and they sit
-    # in the first slot; resolve each class to its root once
-    alias = {a: find(a) for a in list(parent)}
+    # each chamber comes once from every residue it lies in
     resolved = {}
-    for n0, n1, n2, label in raw:
-        key = (alias.get(n0, n0), n1, n2)
-        old = resolved.get(key)
-        if old is not None and old != label:
+    for a, b, c, label in raw:
+        old = resolved.setdefault((a, b, c), label)
+        if old != label:
             raise GluingError(
-                f"panel {key[1]}|{key[2]} forces labels {old} and {label} "
-                f"on one chamber")
-        resolved[key] = label
-
-    def name_dist(name):
-        if name == center:
-            return 0
-        return 1 if name[0] in ("pt", "ln") else 2
-
-    def name_type(name):
-        if name == center:
-            return 0
-        if name[0] == "pt":
-            return 1
-        if name[0] == "ln":
-            return 2
-        # merged sphere-2 classes keep the type-0 role; unmerged names
-        # are points of a point-residue (type 2) or lines of a
-        # line-residue (type 1)
-        if name[0] == "lnres":
-            return 0 if name[2] == "P" else 1
-        return 0 if name[2] == "L" else 2
-
-    dists, types, roots = zip(*sorted(
-        (name_dist(n), name_type(n), n)
-        for n in {v for key in resolved for v in key}))
-    vid = {n: i for i, n in enumerate(roots)}
-    chambers = tuple(sorted(
-        (vid[a], vid[b], vid[c], label)
-        for (a, b, c), label in resolved.items()))
-    edges = tuple(sorted({
-        pair for a, b, c, _ in chambers
-        for pair in ((a, b) if a < b else (b, a),
-                     (a, c) if a < c else (c, a),
-                     (b, c) if b < c else (c, b))}))
-    return BallComplex(
-        q=q, radius=radius, matrix=M, center=vid[center], center_type=0,
-        names=roots, types=types, dists=dists, edges=edges, chambers=chambers)
+                f"panel {b}|{c} forces labels {old} and {label} on one "
+                f"chamber")
+    chambers = sorted(
+        (a, b, c, label) for (a, b, c), label in resolved.items())
+    index = _chamber_index(chambers, len(types))
+    ball = BallComplex(
+        q=q, radius=radius, matrix=M, center=0, center_type=0,
+        names=tuple(names), types=tuple(types), dists=tuple(dists),
+        edges=tuple(sorted(index.panel_labels)), chambers=tuple(chambers))
+    # the index fills the slot of the cached property, as a first use would
+    ball.__dict__["_index"] = index
+    return ball
 
 
 def _labelled_plane_isomorphic(flags, plane: LabelledPlane) -> bool:
     """Whether the flag list is a labelled plane isomorphic to plane,
-    by anchoring one line and propagating the forced label-matching."""
+    by sending one line to line 0 and propagating the forced
+    label-matching."""
     m, q = plane.modulus, plane.q
     line_flags, point_flags = {}, {}
     for l, p, k in flags:
@@ -288,47 +263,42 @@ def _labelled_plane_isomorphic(flags, plane: LabelledPlane) -> bool:
             or not set(range(q + 1)).issuperset(k for _, _, k in flags)):
         return False
 
+    # one image of the anchor suffices: x -> x + t keeps every label of
+    # the difference-set plane, so an isomorphism sending the anchor to
+    # t shifts to one sending it to 0; and the images propagated from
+    # the anchor are forced, so they rebuild that shifted isomorphism
+    # whenever one exists
     anchor = min(line_flags)
-    for y0 in range(m):
-        line_img = {anchor: y0}
-        point_img = {}
-        pending_lines = [anchor]
-        pending_points = []
-        seen_lines = {anchor}
-        seen_points = set()
-        ok = True
-        while ok and (pending_lines or pending_points):
-            while ok and pending_lines:
-                l = pending_lines.pop()
-                y = line_img[l]
-                for p, k in line_flags[l]:
-                    target = (y + plane.entries[k]) % m
-                    prev = point_img.setdefault(p, target)
-                    if prev != target:
-                        ok = False
-                        break
-                    if p not in seen_points:
-                        seen_points.add(p)
-                        pending_points.append(p)
-            while ok and pending_points:
-                p = pending_points.pop()
-                pp = point_img[p]
-                for l, k in point_flags[p]:
-                    target = (pp - plane.entries[k]) % m
-                    prev = line_img.setdefault(l, target)
-                    if prev != target:
-                        ok = False
-                        break
-                    if l not in seen_lines:
-                        seen_lines.add(l)
-                        pending_lines.append(l)
-        if not ok:
-            continue
-        if len(set(line_img.values())) != m or len(set(point_img.values())) != m:
-            continue
-        if len(line_img) == m and len(point_img) == m:
-            return True
-    return False
+    line_img = {anchor: 0}
+    point_img = {}
+    pending_lines = [anchor]
+    pending_points = []
+    seen_lines = {anchor}
+    seen_points = set()
+    while pending_lines or pending_points:
+        while pending_lines:
+            l = pending_lines.pop()
+            y = line_img[l]
+            for p, k in line_flags[l]:
+                target = (y + plane.entries[k]) % m
+                if point_img.setdefault(p, target) != target:
+                    return False
+                if p not in seen_points:
+                    seen_points.add(p)
+                    pending_points.append(p)
+        while pending_points:
+            p = pending_points.pop()
+            pp = point_img[p]
+            for l, k in point_flags[p]:
+                target = (pp - plane.entries[k]) % m
+                if line_img.setdefault(l, target) != target:
+                    return False
+                if l not in seen_lines:
+                    seen_lines.add(l)
+                    pending_lines.append(l)
+    # m distinct images among at most m lines (points): each one reached
+    return (len(set(line_img.values())) == m
+            and len(set(point_img.values())) == m)
 
 
 def verify_ball(ball: BallComplex) -> BallReport:
@@ -481,12 +451,12 @@ def _h2_tables(H: HjelmslevPlane):
     return pt_index, ln_index, pt_lines, ln_points, pt_fibers, ln_fibers
 
 
-def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane):
+def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane, tables):
     """Label-preserving collineations: the center's cyclic shift forces
     the whole map through the vertex names, one map per shift."""
     m = ball.matrix.columns[0].modulus
     name_id = {n: i for i, n in enumerate(ball.names)}
-    pt_index, ln_index, pt_lines, ln_points, _, _ = _h2_tables(H)
+    pt_index, ln_index, pt_lines, _, _, _ = tables
 
     def shift_name(n, t):
         if n == ("O",):
@@ -594,18 +564,18 @@ def _h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):
     return out
 
 
-def h2_collineations(ball: BallComplex, labels_only=False):
-    """Collineations of the level-2 plane at the center that respect the
-    projection fibers, enumerated in deterministic order."""
+def _h2_group(ball: BallComplex, labels_only):
+    """The sorted level-2 collineations, with the level-2 plane and the
+    tables they were found on, for both public group calls to share."""
     if ball.q > H2_GROUP_Q_CAP:
         raise CapExceeded(
             f"level-2 group search capped at q <= {H2_GROUP_Q_CAP}, "
             f"got {ball.q}")
     _check_source(ball, "the level-2 group search")
     H = extract_hjelmslev(ball, 2)
-    if labels_only:
-        return sorted(_h2_singer_maps(ball, H))
     tables = _h2_tables(H)
+    if labels_only:
+        return sorted(_h2_singer_maps(ball, H, tables)), H, tables
     plane = _column_planes(ball.matrix)[ball.center_type]
     maps = []
     for c in all_collineations(plane):
@@ -615,7 +585,13 @@ def h2_collineations(ball: BallComplex, labels_only=False):
         base_ln = {1 + plane.modulus + l: 1 + plane.modulus + c.line_map[l]
                    for l in range(plane.modulus)}
         maps.extend(_h2_lifts(H, base_pt, base_ln, tables))
-    return sorted(maps)
+    return sorted(maps), H, tables
+
+
+def h2_collineations(ball: BallComplex, labels_only=False):
+    """Collineations of the level-2 plane at the center that respect the
+    projection fibers, enumerated in deterministic order."""
+    return _h2_group(ball, labels_only)[0]
 
 
 def h2_collineations_fixing_center(ball: BallComplex,
@@ -624,11 +600,10 @@ def h2_collineations_fixing_center(ball: BallComplex,
     laws asserted for every elation found: it fixes the full fiber of
     its center and axis, and moves every point of an auxiliary line
     through the center that is not near the axis."""
-    maps = h2_collineations(ball, labels_only)
-    H = extract_hjelmslev(ball, 2)
+    maps, H, tables = _h2_group(ball, labels_only)
     h1 = extract_hjelmslev(ball, 1)
     h1_flags = {(p[0], l[0]) for p, l in h1.incidence}
-    _, _, pt_lines, ln_points, pt_fibers, ln_fibers = _h2_tables(H)
+    _, _, pt_lines, ln_points, pt_fibers, ln_fibers = tables
     npts, nlns = len(H.points), len(H.lines)
     identity = (tuple(range(npts)), tuple(range(nlns)))
     if identity not in maps:

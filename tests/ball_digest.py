@@ -1,0 +1,64 @@
+"""One sha256 over the ball module's outputs on every small ball, to show
+that a change to the module leaves them byte for byte as they were.
+
+It covers the radius-2 balls of all 612 normalized matrices at q = 2, 3,
+in enumeration order, and the radius-1 balls of the identity matrix at
+q = 4, 5, 7, 8, 9.  Per ball it hashes the vertex names, the export, the
+verify_ball report, the chamber index (panel labels and chambers by
+vertex, in their own order), the level-1 plane, and for radius 2 the
+level-2 plane and the ball parsed back from the export.  Run it on two
+checkouts and compare the lines it prints:
+
+    PYTHONPATH=src python tests/ball_digest.py
+
+It takes about 25 s on a 2-core Xeon, so it is not part of the test
+suite.
+"""
+
+import hashlib
+
+from singerlat.ball import (
+    build_ball, complex_from_text, complex_to_text, extract_hjelmslev,
+    verify_ball,
+)
+from singerlat.diffsets import canonical_difference_set
+from singerlat.exotic import NormalizedMatrix, enumerate_normalized
+
+
+def _plane(H):
+    return repr((H.points, H.lines, sorted(H.incidence)))
+
+
+def _ball_parts(ball):
+    text = complex_to_text(ball)
+    index = ball._index
+    yield repr(ball.names)
+    yield text
+    yield repr(verify_ball(ball))
+    yield repr(tuple(index.panel_labels.items()))
+    yield repr(index.by_vertex)
+    yield _plane(extract_hjelmslev(ball, 1))
+    if ball.radius == 2:
+        yield _plane(extract_hjelmslev(ball, 2))
+        back = complex_from_text(text)
+        yield repr((back.q, back.radius, back.center, back.types, back.dists,
+                    back.edges, back.chambers))
+
+
+def ball_digest():
+    digest = hashlib.sha256()
+    balls = [(Mn.decode(), 2) for q in (2, 3) for Mn in enumerate_normalized(q)]
+    for q in (4, 5, 7, 8, 9):
+        e = tuple(range(q + 1))
+        balls.append((NormalizedMatrix(
+            q, canonical_difference_set(q), e, e).decode(), 1))
+    for M, radius in balls:
+        for part in _ball_parts(build_ball(M, radius)):
+            digest.update(part.encode())
+            digest.update(b"\n")
+    return len(balls), digest.hexdigest()
+
+
+if __name__ == "__main__":
+    count, hexdigest = ball_digest()
+    print(f"{count} balls: {hexdigest}")

@@ -6,14 +6,17 @@ the field-model G_0 that the library computes: the search enumerates
 the collineations fixing a point (or a line) of a labelled plane and
 reads off the permutations they induce on the q+1 flag labels there.
 The per-line ball-export parser is the reference for the library's
-one-pattern parser.  Nothing in the library depends on this module.
+one-pattern parser, the name-and-union-find ball build for its
+closed-form vertex numbering, and the residue test that tries every
+image of the anchor line for the one that tries line 0 alone.  Nothing
+in the library depends on this module.
 """
 
 import re
 from functools import lru_cache
 
-from singerlat.ball import BallComplex
-from singerlat.errors import CapExceeded, InvalidInput
+from singerlat.ball import BALL_R1_Q_CAP, BALL_R2_Q_CAP, BallComplex
+from singerlat.errors import CapExceeded, GluingError, InvalidInput
 from singerlat.exotic import (
     EDGES, ExoticWitness, NonDesarguesianColumn, _canonical_plane_desarguesian,
     _check_canonical_plane, _label_twists,
@@ -148,3 +151,202 @@ def complex_from_text(text):
         matrix=None, center=centers[0], center_type=types[centers[0]],
         names=None, types=tuple(types), dists=tuple(dists),
         edges=tuple(edges), chambers=tuple(chambers))
+
+
+def build_ball(M, radius):
+    """The ball build as it was before the closed-form vertex numbering:
+    every vertex gets a name, the two completions meeting over a
+    sphere-1 panel are glued by a union-find keyed on equal (panel,
+    label) chambers, and ids are the sort order of (dist, type, name)."""
+    q, m = M.q, M.columns[0].modulus
+    if radius not in (1, 2):
+        raise InvalidInput(f"radius must be 1 or 2, got {radius}")
+    cap = BALL_R1_Q_CAP if radius == 1 else BALL_R2_Q_CAP
+    if q > cap:
+        raise CapExceeded(f"radius {radius} ball capped at q <= {cap}, got {q}")
+    v0 = M.columns[0].entries
+    v1 = M.columns[1].entries
+    v2 = M.columns[2].entries
+
+    center = ("O",)
+    raw = []  # (type0 name, type1 name, type2 name, label)
+    for x in range(m):
+        for j, d in enumerate(v0):
+            raw.append((center, ("pt", (x + d) % m), ("ln", x), j))
+
+    parent = {}
+
+    def find(a):
+        root = a
+        while root in parent:
+            root = parent[root]
+        while a != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            lo, hi = min(ra, rb), max(ra, rb)
+            parent[hi] = lo
+
+    if radius == 2:
+        # labels of the line-0 points of the second column's plane, and
+        # of the lines through point 0 of the third column's plane
+        line0_label = {d: j for j, d in enumerate(v1)}
+        through0_label = {(-d) % m: j for j, d in enumerate(v2)}
+
+        for p in range(m):
+            # complete the residue of point-vertex p to the column-1
+            # plane: its line 0 is the center, its point v1[j] is the
+            # label-j line of the center's plane through p
+            def pt_point_name(u):
+                j = line0_label.get(u)
+                if j is not None:
+                    return ("ln", (p - v0[j]) % m)
+                return ("ptres", p, "P", u)
+
+            for w in range(m):
+                wname = center if w == 0 else ("ptres", p, "L", w)
+                for k, d in enumerate(v1):
+                    raw.append((wname, ("pt", p), pt_point_name((w + d) % m), k))
+
+        for l in range(m):
+            # complete the residue of line-vertex l to the column-2
+            # plane: its point 0 is the center, its label-j line through
+            # that point is the label-j point of the center's plane on l
+            def ln_line_name(w):
+                j = through0_label.get(w)
+                if j is not None:
+                    return ("pt", (l + v0[j]) % m)
+                return ("lnres", l, "L", w)
+
+            for w in range(m):
+                lname = ln_line_name(w)
+                for k, d in enumerate(v2):
+                    z = (w + d) % m
+                    zname = center if z == 0 else ("lnres", l, "P", z)
+                    raw.append((zname, lname, ("ln", l), k))
+
+        # glue: on the panel of the label-j flag (l, p), the label-k
+        # chamber appears once from each side with a fresh type-0 vertex
+        for l in range(m):
+            for j in range(q + 1):
+                p = (l + v0[j]) % m
+                for k in range(q + 1):
+                    if k == j:
+                        continue
+                    union(("ptres", p, "L", (v1[j] - v1[k]) % m),
+                          ("lnres", l, "P", (v2[k] - v2[j]) % m))
+
+    # only the fresh type-0 vertices of sphere 2 are glued, and they sit
+    # in the first slot; resolve each class to its root once
+    alias = {a: find(a) for a in list(parent)}
+    resolved = {}
+    for n0, n1, n2, label in raw:
+        key = (alias.get(n0, n0), n1, n2)
+        old = resolved.get(key)
+        if old is not None and old != label:
+            raise GluingError(
+                f"panel {key[1]}|{key[2]} forces labels {old} and {label} "
+                f"on one chamber")
+        resolved[key] = label
+
+    def name_dist(name):
+        if name == center:
+            return 0
+        return 1 if name[0] in ("pt", "ln") else 2
+
+    def name_type(name):
+        if name == center:
+            return 0
+        if name[0] == "pt":
+            return 1
+        if name[0] == "ln":
+            return 2
+        # merged sphere-2 classes keep the type-0 role; unmerged names
+        # are points of a point-residue (type 2) or lines of a
+        # line-residue (type 1)
+        if name[0] == "lnres":
+            return 0 if name[2] == "P" else 1
+        return 0 if name[2] == "L" else 2
+
+    dists, types, roots = zip(*sorted(
+        (name_dist(n), name_type(n), n)
+        for n in {v for key in resolved for v in key}))
+    vid = {n: i for i, n in enumerate(roots)}
+    chambers = tuple(sorted(
+        (vid[a], vid[b], vid[c], label)
+        for (a, b, c), label in resolved.items()))
+    edges = tuple(sorted({
+        pair for a, b, c, _ in chambers
+        for pair in ((a, b) if a < b else (b, a),
+                     (a, c) if a < c else (c, a),
+                     (b, c) if b < c else (c, b))}))
+    return BallComplex(
+        q=q, radius=radius, matrix=M, center=vid[center], center_type=0,
+        names=roots, types=types, dists=dists, edges=edges, chambers=chambers)
+
+
+def labelled_plane_isomorphic(flags, plane):
+    """The residue test as it was before it tried line 0 alone: every
+    image y0 of the anchor line is tried in turn, each propagating the
+    forced label-matching."""
+    m, q = plane.modulus, plane.q
+    line_flags, point_flags = {}, {}
+    for l, p, k in flags:
+        line_flags.setdefault(l, []).append((p, k))
+        point_flags.setdefault(p, []).append((l, k))
+    # m lines and m points, each on one flag of every label 0..q: with
+    # m(q+1) flags in all, that is distinct (line, point), (line, label)
+    # and (point, label) pairs with every label in 0..q
+    n = len(flags)
+    if len(line_flags) != m or len(point_flags) != m or n != m * (q + 1):
+        return False
+    if (len({(l, p) for l, p, _ in flags}) != n
+            or len({(l, k) for l, _, k in flags}) != n
+            or len({(p, k) for _, p, k in flags}) != n
+            or not set(range(q + 1)).issuperset(k for _, _, k in flags)):
+        return False
+
+    anchor = min(line_flags)
+    for y0 in range(m):
+        line_img = {anchor: y0}
+        point_img = {}
+        pending_lines = [anchor]
+        pending_points = []
+        seen_lines = {anchor}
+        seen_points = set()
+        ok = True
+        while ok and (pending_lines or pending_points):
+            while ok and pending_lines:
+                l = pending_lines.pop()
+                y = line_img[l]
+                for p, k in line_flags[l]:
+                    target = (y + plane.entries[k]) % m
+                    prev = point_img.setdefault(p, target)
+                    if prev != target:
+                        ok = False
+                        break
+                    if p not in seen_points:
+                        seen_points.add(p)
+                        pending_points.append(p)
+            while ok and pending_points:
+                p = pending_points.pop()
+                pp = point_img[p]
+                for l, k in point_flags[p]:
+                    target = (pp - plane.entries[k]) % m
+                    prev = line_img.setdefault(l, target)
+                    if prev != target:
+                        ok = False
+                        break
+                    if l not in seen_lines:
+                        seen_lines.add(l)
+                        pending_lines.append(l)
+        if not ok:
+            continue
+        if len(set(line_img.values())) != m or len(set(point_img.values())) != m:
+            continue
+        if len(line_img) == m and len(point_img) == m:
+            return True
+    return False

@@ -1,21 +1,25 @@
 import dataclasses
 import hashlib
 import itertools
+import math
+import random
 from collections import Counter
 
 import pytest
 
 import oracles
 from conftest import identity_matrix, q11_matrix
+import singerlat.ball as ball_module
 from singerlat.ball import (
-    build_ball, complex_from_text, complex_to_text, extract_hjelmslev,
-    h2_collineations, h2_collineations_fixing_center, verify_ball,
+    _labelled_plane_isomorphic, build_ball, complex_from_text,
+    complex_to_text, extract_hjelmslev, h2_collineations,
+    h2_collineations_fixing_center, verify_ball,
 )
 from singerlat.diffsets import (
     DifferenceMatrix, DifferenceVector, canonical_difference_set,
 )
-from singerlat.errors import CapExceeded, InvalidInput
-from singerlat.exotic import NormalizedMatrix
+from singerlat.errors import CapExceeded, GluingError, InvalidInput
+from singerlat.exotic import NormalizedMatrix, enumerate_normalized
 from singerlat.permgrp import inverse
 from singerlat.plane import LabelledPlane
 
@@ -74,6 +78,59 @@ def test_radius_two_past_q3(q, vertices, chambers):
     # m q^2 points and lines, each point on q(q+1) lines
     assert len(H.points) == len(H.lines) == {4: 336, 5: 775}[q] == m * q * q
     assert len(H.incidence) == {4: 6720, 5: 23250}[q] == m * q ** 3 * (q + 1)
+
+
+def _disguised(M, rng):
+    """M with every column moved by its own random affine map x -> ax + b
+    and its own row order: still three perfect difference sets."""
+    m = M.columns[0].modulus
+    cols = []
+    for col in M.columns:
+        a = rng.choice([u for u in range(1, m) if math.gcd(u, m) == 1])
+        b = rng.randrange(m)
+        entries = [(a * d + b) % m for d in col.entries]
+        rng.shuffle(entries)
+        cols.append(entries)
+    return DifferenceMatrix.make(M.q, cols)
+
+
+def _same_as_reference(M, radius):
+    got, want = build_ball(M, radius), oracles.build_ball(M, radius)
+    # names, types, dists, edges and chambers, and the chamber index the
+    # build hands over against the one a first use of the reference makes
+    assert got == want
+    assert got.__dict__["_index"] == want._index
+
+
+def test_build_matches_name_union_find_reference():
+    rng = random.Random(2017)
+    for q in (2, 3, 4, 5, 7):
+        for M in (identity_matrix(q), _disguised(identity_matrix(q), rng)):
+            for radius in (1, 2):
+                _same_as_reference(M, radius)
+    for Mn in rng.sample(list(enumerate_normalized(3)), 40):
+        _same_as_reference(Mn.decode(), 2)
+
+
+def test_fresh_ball_holds_its_index(monkeypatch, q2_ball_r2):
+    ball = build_ball(identity_matrix(2), 2)
+    assert "_index" in ball.__dict__
+
+    def rebuilt(*args):
+        raise AssertionError("the chamber index was built a second time")
+
+    monkeypatch.setattr(ball_module, "_chamber_index", rebuilt)
+    assert verify_ball(ball).ok
+    assert verify_ball(q2_ball_r2).ok
+
+
+def test_column_one_differences_must_cover_the_residues():
+    # bypasses the difference-set check that DifferenceVector makes, to
+    # reach the build's own guard: 0, 1, 2 has the difference 1 twice
+    M = DifferenceMatrix.make(2, [(0, 1, 3)] * 3)
+    object.__setattr__(M.columns[1], "entries", (0, 1, 2))
+    with pytest.raises(GluingError, match="miss a nonzero residue mod 7"):
+        build_ball(M, 2)
 
 
 def test_radius_two_q2_census(q2_ball_r2):
@@ -224,6 +281,25 @@ def test_label_preserving_summary(q2_ball_r2):
     assert summary.base_image_order == 7
     assert summary.fiber_kernel_order == 1
     assert summary.elation_count == 0
+
+
+def test_level_two_plane_built_once_per_group_call(monkeypatch, q2_ball_r2):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name, args[1:]] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ball_module, "extract_hjelmslev", counted(
+        "extract_hjelmslev", ball_module.extract_hjelmslev))
+    monkeypatch.setattr(ball_module, "_h2_tables", counted(
+        "_h2_tables", ball_module._h2_tables))
+    summary = h2_collineations_fixing_center(q2_ball_r2, labels_only=True)
+    assert summary.order == 7
+    assert calls[("extract_hjelmslev", (2,))] == 1
+    assert calls[("_h2_tables", ())] == 1
 
 
 def test_full_collineation_group(h2_full_summary):
@@ -448,3 +524,61 @@ def test_complex_parser_rejects_vertex_type_outside_0_to_2():
         complex_from_text(text)
     # the per-line reference accepts the row: the one intended difference
     assert oracles.complex_from_text(text).types == (0, 7)
+
+
+def _plane_flags(plane):
+    m = plane.modulus
+    return [(y, (y + d) % m, k) for y in range(m)
+            for k, d in enumerate(plane.entries)]
+
+
+def _flag_mutations(plane, rng):
+    """(what, flags) pairs around the flags of plane."""
+    m, q = plane.modulus, plane.q
+    flags = _plane_flags(plane)
+    out = [("plane", flags)]
+    for _ in range(4):
+        # the plane of the entries under a random label order, and under
+        # a multiplier: the counts hold, and the propagation decides
+        sigma = list(range(q + 1))
+        rng.shuffle(sigma)
+        out.append(("labels permuted", [(l, p, sigma[k]) for l, p, k in flags]))
+        a = rng.choice([u for u in range(1, m) if math.gcd(u, m) == 1])
+        out.append(("multiplied", _plane_flags(LabelledPlane(
+            q, m, tuple(a * d % m for d in plane.entries)))))
+        i, j = rng.sample(range(len(flags)), 2)
+        swapped = list(flags)
+        (l, p, k), (l2, p2, k2) = flags[i], flags[j]
+        swapped[i], swapped[j] = (l, p, k2), (l2, p2, k)
+        out.append(("swapped labels", swapped))
+        moved = list(flags)
+        moved[i] = (l, (p + rng.randrange(1, m)) % m, k)
+        out.append(("moved flag", moved))
+        u, v = rng.sample(range(m), 2)
+        swap = {u: v, v: u}
+        out.append(("two points renamed",
+                    [(l, swap.get(p, p), k) for l, p, k in flags]))
+        out.append(("two points renamed on one line",
+                    [(l, swap.get(p, p) if l == flags[i][0] else p, k)
+                     for l, p, k in flags]))
+        dropped = list(flags)
+        del dropped[i]
+        out.append(("dropped flag", dropped))
+    return out
+
+
+def test_residue_test_matches_every_anchor_reference():
+    rng = random.Random(1990)
+    outcomes = set()
+    for q in (2, 3, 4, 5):
+        M = _disguised(identity_matrix(q), rng)
+        for col in M.columns:
+            plane = LabelledPlane(q, col.modulus, col.entries)
+            for what, flags in _flag_mutations(plane, rng):
+                got = _labelled_plane_isomorphic(flags, plane)
+                assert got == oracles.labelled_plane_isomorphic(flags, plane), (
+                    q, what)
+                outcomes.add((what, got))
+    assert {("labels permuted", True), ("labels permuted", False),
+            ("multiplied", True), ("two points renamed", True),
+            ("dropped flag", False)} <= outcomes

@@ -672,7 +672,7 @@ def test_ball_and_plane_checks_survive_python_O():
             print("raised:", e)
         e = (0, 1, 2)
         M = NormalizedMatrix(2, canonical_difference_set(2), e, e).decode()
-        ball.h2_collineations = lambda b, labels_only: []
+        ball._h2_singer_maps = lambda b, H, tables: []
         try:
             ball.h2_collineations_fixing_center(ball.build_ball(M, 2), True)
         except AssertionError as e:
