@@ -22,7 +22,9 @@ from typing import NamedTuple
 
 from .diffsets import DifferenceMatrix
 from .errors import CapExceeded, GluingError, InvalidInput
-from .plane import LabelledPlane, all_collineations
+from .permgrp import compose as perm_compose
+from .permgrp import inverse as perm_inverse
+from .plane import LabelledPlane, _incidence_tables, _Search, all_collineations
 
 BALL_R1_Q_CAP = 9
 BALL_R2_Q_CAP = 9
@@ -101,13 +103,6 @@ class HjelmslevPlane:
 
     def points_on(self, line):
         return tuple(p for p in self.points if (p, line) in self.incidence)
-
-    def neighboring(self, a, b) -> bool:
-        # 1-neighboring: equal after forgetting the deepest coordinate
-        return a[:-1] == b[:-1] if self.level == 2 else a == b
-
-    def pi1(self, obj):
-        return obj[:1]
 
 
 @dataclass(frozen=True)
@@ -431,24 +426,44 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
                           frozenset(incidence))
 
 
-def _h2_tables(H: HjelmslevPlane):
+class _H2Tables(NamedTuple):
+    """The level-2 plane by index, for the engine and the summary."""
+    pt_index: dict  # point -> its number
+    ln_index: dict
+    pt_lines: list  # the lines through each point, as a set
+    ln_points: list
+    pt_fibers: dict  # level-1 point -> the numbers of the points over it
+    ln_fibers: dict
+    engine: tuple  # plane._incidence_tables of the level-2 plane
+
+
+def _h2_tables(H: HjelmslevPlane) -> _H2Tables:
     pt_index = {p: i for i, p in enumerate(H.points)}
     ln_index = {l: i for i, l in enumerate(H.lines)}
-    pt_lines = [set() for _ in H.points]
-    ln_points = [set() for _ in H.lines]
-    for p, l in H.incidence:
+    pt_lines = [[] for _ in H.points]
+    ln_points = [[] for _ in H.lines]
+    for p, l in sorted(H.incidence):
         i, j = pt_index[p], ln_index[l]
-        pt_lines[i].add(j)
-        ln_points[j].add(i)
-    pt_lines = [frozenset(s) for s in pt_lines]
-    ln_points = [frozenset(s) for s in ln_points]
+        pt_lines[i].append(j)
+        ln_points[j].append(i)
     pt_fibers = {}
     for i, p in enumerate(H.points):
         pt_fibers.setdefault(p[0], []).append(i)
     ln_fibers = {}
     for i, l in enumerate(H.lines):
         ln_fibers.setdefault(l[0], []).append(i)
-    return pt_index, ln_index, pt_lines, ln_points, pt_fibers, ln_fibers
+    return _H2Tables(
+        pt_index, ln_index, [frozenset(s) for s in pt_lines],
+        [frozenset(s) for s in ln_points], pt_fibers, ln_fibers,
+        _incidence_tables(ln_points, pt_lines))
+
+
+def _h2_check(tables: _H2Tables, pmap, lmap) -> None:
+    # the lines through each point go onto the lines through its image
+    for i, lines in enumerate(tables.pt_lines):
+        if tables.pt_lines[pmap[i]] != frozenset(lmap[j] for j in lines):
+            raise AssertionError(
+                f"the map sends the lines through point {i} elsewhere")
 
 
 def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane, tables):
@@ -456,7 +471,7 @@ def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane, tables):
     the whole map through the vertex names, one map per shift."""
     m = ball.matrix.columns[0].modulus
     name_id = {n: i for i, n in enumerate(ball.names)}
-    pt_index, ln_index, pt_lines, _, _, _ = tables
+    pt_index, ln_index = tables.pt_index, tables.ln_index
 
     def shift_name(n, t):
         if n == ("O",):
@@ -471,102 +486,48 @@ def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane, tables):
                 for i, n in enumerate(ball.names)}
         pmap = tuple(pt_index[(vmap[p[0]], vmap[p[1]])] for p in H.points)
         lmap = tuple(ln_index[(vmap[l[0]], vmap[l[1]])] for l in H.lines)
-        for i in range(len(H.points)):
-            if pt_lines[pmap[i]] != frozenset(lmap[j] for j in pt_lines[i]):
-                raise AssertionError(
-                    f"the shift by {t} does not preserve incidence")
+        _h2_check(tables, pmap, lmap)
         maps.append((pmap, lmap))
     return maps
 
 
-def _h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):
-    """All collineations of the level-2 plane inducing the given
-    residue collineation on the fibers, by fiber-wise backtracking."""
-    pt_index, ln_index, pt_lines, ln_points, pt_fibers, ln_fibers = tables
-    npts, nlns = len(H.points), len(H.lines)
+def _h2_frame(plane: LabelledPlane, tables) -> list:
+    """One level-2 point over each point of a quadrangle of the center's
+    plane: the images of these four pin most of a collineation."""
+    lines = [set(plane.point_lines(p)) for p in range(plane.modulus)]
+    quad = []
+    for p in range(plane.modulus):
+        collinear = any(lines[a] & lines[b] & lines[p]
+                        for a, b in itertools.combinations(quad, 2))
+        if len(quad) < 4 and not collinear:
+            quad.append(p)
+    return [tables.pt_fibers[1 + p][0] for p in quad]
 
-    # unique common line of two non-neighboring points
-    common = {}
-    for li, pts in enumerate(ln_points):
-        for a, b in itertools.combinations(sorted(pts), 2):
-            if H.points[a][0] != H.points[b][0]:
-                if (a, b) in common:
-                    raise AssertionError(
-                        f"non-neighboring points {a}, {b} share two lines")
-                common[(a, b)] = li
 
-    fiber_keys = sorted(pt_fibers)
-    pmap = [-1] * npts
-    lmap = [-1] * nlns
-    lines_of_fiber_pair = {}
-    for li in range(nlns):
-        fibs = frozenset(H.points[p][0] for p in ln_points[li])
-        lines_of_fiber_pair.setdefault(fibs, []).append(li)
-
-    out = []
-
-    def lines_touching(fibers_done):
-        done = set(fibers_done)
-        return [li for li in range(nlns)
-                if sum(1 for p in ln_points[li] if H.points[p][0] in done) >= 2]
-
-    def extend(fi):
-        if fi == len(fiber_keys):
-            final_p = tuple(pmap)
-            final_l = tuple(lmap)
-            if -1 in final_l:
-                return
-            for i in range(npts):
-                if pt_lines[final_p[i]] != frozenset(
-                        final_l[j] for j in pt_lines[i]):
-                    return
-            out.append((final_p, final_l))
-            return
-        src = pt_fibers[fiber_keys[fi]]
-        dst = pt_fibers[base_pt[fiber_keys[fi]]]
-        done_fibers = fiber_keys[:fi + 1]
-        affected = lines_touching(done_fibers)
-        for images in itertools.permutations(dst):
-            for s, d in zip(src, images):
-                pmap[s] = d
-            touched = []
-            ok = True
-            for li in affected:
-                mapped = [pmap[p] for p in ln_points[li] if pmap[p] != -1]
-                if len(mapped) < 2:
-                    continue
-                if lmap[li] == -1:
-                    # forcing needs two images in distinct fibers; two
-                    # neighboring points lie on several common lines
-                    pair = next(
-                        ((a, b) for a, b in itertools.combinations(
-                            sorted(set(mapped)), 2)
-                         if H.points[a][0] != H.points[b][0]), None)
-                    if pair is None:
-                        continue
-                    target = common.get(pair)
-                    if target is None:
-                        ok = False
-                        break
-                    lmap[li] = target
-                    touched.append(li)
-                if any(mp not in ln_points[lmap[li]] for mp in mapped):
-                    ok = False
-                    break
-            if ok:
-                extend(fi + 1)
-            for li in touched:
-                lmap[li] = -1
-        for s in src:
-            pmap[s] = -1
-
-    extend(0)
-    return out
+def _h2_lift_search(H: HjelmslevPlane, tables, frame, base_pt, base_ln):
+    """The collineations of the level-2 plane that send the fiber over
+    each level-1 point p (line l) into the fiber over base_pt[p]
+    (base_ln[l]), one at a time as the engine finds them."""
+    pt_dom = {f: frozenset(tables.pt_fibers[base_pt[f]])
+              for f in tables.pt_fibers}
+    ln_dom = {f: frozenset(tables.ln_fibers[base_ln[f]])
+              for f in tables.ln_fibers}
+    search = _Search(tables.engine,
+                     pt_domain=[pt_dom[p[0]] for p in H.points],
+                     ln_domain=[ln_dom[l[0]] for l in H.lines], frame=frame)
+    for pmap, lmap in search.run():
+        _h2_check(tables, pmap, lmap)
+        yield pmap, lmap
 
 
 def _h2_group(ball: BallComplex, labels_only):
     """The sorted level-2 collineations, with the level-2 plane and the
-    tables they were found on, for both public group calls to share."""
+    tables they were found on, for both public group calls to share.
+
+    The full group is a union of cosets of the fiber kernel K, the lifts
+    of the identity: two lifts of one collineation of the center's plane
+    differ by an element of K.  So K is enumerated once, and each base
+    collineation needs one lift l0, giving its lifts as l0 after K."""
     if ball.q > H2_GROUP_Q_CAP:
         raise CapExceeded(
             f"level-2 group search capped at q <= {H2_GROUP_Q_CAP}, "
@@ -577,14 +538,21 @@ def _h2_group(ball: BallComplex, labels_only):
     if labels_only:
         return sorted(_h2_singer_maps(ball, H, tables)), H, tables
     plane = _column_planes(ball.matrix)[ball.center_type]
+    m = plane.modulus
+    frame = _h2_frame(plane, tables)
+    fixed = {f: f for f in (*tables.pt_fibers, *tables.ln_fibers)}
+    kernel = list(_h2_lift_search(H, tables, frame, fixed, fixed))
     maps = []
     for c in all_collineations(plane):
         # residue points sit at vertex id 1 + plane point, residue lines
         # at 1 + modulus + plane line
-        base_pt = {1 + p: 1 + c.point_map[p] for p in range(plane.modulus)}
-        base_ln = {1 + plane.modulus + l: 1 + plane.modulus + c.line_map[l]
-                   for l in range(plane.modulus)}
-        maps.extend(_h2_lifts(H, base_pt, base_ln, tables))
+        base_pt = {1 + p: 1 + c.point_map[p] for p in range(m)}
+        base_ln = {1 + m + l: 1 + m + c.line_map[l] for l in range(m)}
+        lift = next(_h2_lift_search(H, tables, frame, base_pt, base_ln),
+                    None)
+        if lift is not None:
+            maps += [(perm_compose(lift[0], kp), perm_compose(lift[1], kl))
+                     for kp, kl in kernel]
     return sorted(maps), H, tables
 
 
@@ -600,10 +568,15 @@ def h2_collineations_fixing_center(ball: BallComplex,
     laws asserted for every elation found: it fixes the full fiber of
     its center and axis, and moves every point of an auxiliary line
     through the center that is not near the axis."""
-    maps, H, tables = _h2_group(ball, labels_only)
+    return _h2_summary(ball, *_h2_group(ball, labels_only))
+
+
+def _h2_summary(ball: BallComplex, maps, H: HjelmslevPlane,
+                tables) -> H2GroupSummary:
     h1 = extract_hjelmslev(ball, 1)
     h1_flags = {(p[0], l[0]) for p, l in h1.incidence}
-    _, _, pt_lines, ln_points, pt_fibers, ln_fibers = tables
+    pt_lines, ln_points = tables.pt_lines, tables.ln_points
+    pt_fibers, ln_fibers = tables.pt_fibers, tables.ln_fibers
     npts, nlns = len(H.points), len(H.lines)
     identity = (tuple(range(npts)), tuple(range(nlns)))
     if identity not in maps:
@@ -611,9 +584,7 @@ def h2_collineations_fixing_center(ball: BallComplex,
 
     map_set = set(maps)
     for pmap, lmap in maps:
-        inv_p = tuple(sorted(range(npts), key=lambda i: pmap[i]))
-        inv_l = tuple(sorted(range(nlns), key=lambda i: lmap[i]))
-        if (inv_p, inv_l) not in map_set:
+        if (perm_inverse(pmap), perm_inverse(lmap)) not in map_set:
             raise AssertionError("the collineations are not closed under "
                                  "inverses")
 

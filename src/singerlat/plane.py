@@ -9,7 +9,9 @@ point p are p - d_j, again with label j.
 The collineation search assigns point images by backtracking and forces
 line images through incidence closure: once two points of a line have
 images, the image line is the join of the image points, and two mapped
-lines force the image of their meet.
+lines force the image of their meet.  The engine reads only index
+tables, so it also searches the level-2 planes of singerlat.ball, where
+neighbouring points have no unique join.
 """
 
 import re
@@ -228,62 +230,69 @@ class Elation:
 # -- collineation search --
 
 
+def _unique_common(blocks, n):
+    # -1 where a pair lies in no block or in several: in a Hjelmslev
+    # plane those are the neighbours
+    table = [[-1] * n for _ in range(n)]
+    for i, block in enumerate(blocks):
+        for a in block:
+            row = table[a]
+            for b in block:
+                if b != a:
+                    row[b] = i if row[b] == -1 else -2
+    return [[-1 if x == -2 else x for x in row] for row in table]
+
+
+def _incidence_tables(line_pts, pt_lines):
+    """The engine's tables, points and lines numbered from 0 (in label
+    order in a labelled plane): line_pts, pt_lines, the points of each
+    line as a set, and join[a][b] (meet[x][y]), the one line on points
+    a != b (point on lines x != y) or -1."""
+    return (line_pts, pt_lines, [frozenset(pts) for pts in line_pts],
+            _unique_common(line_pts, len(pt_lines)),
+            _unique_common(pt_lines, len(line_pts)))
+
+
 @lru_cache(maxsize=None)
 def _plane_tables(plane):
-    """Incidence tables for the backtracking engine.  Requires the
-    difference property, which makes joins and meets unique."""
+    """Engine tables of a projective plane: the difference property
+    makes every join and meet unique."""
     if not is_difference_set(plane.entries, plane.q):
         raise InvalidInput("search requires a projective plane; "
                            "entries are not a perfect difference set")
     m = plane.modulus
-    d = plane.entries
-    rep = {}
-    for i, di in enumerate(d):
-        for j, dj in enumerate(d):
-            if i != j:
-                rep[(di - dj) % m] = (i, j)
-    line_pts = [plane.line_points(x) for x in range(m)]
-    pt_lines = [plane.point_lines(p) for p in range(m)]
-    join = [[0] * m for _ in range(m)]
-    meet = [[0] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            i, j = rep[(a - b) % m]
-            join[a][b] = (a - d[i]) % m
-            meet[a][b] = (a + d[j]) % m
-    return line_pts, pt_lines, join, meet
+    return _incidence_tables([plane.line_points(x) for x in range(m)],
+                             [plane.point_lines(p) for p in range(m)])
 
 
 class _Search:
     """Backtracking over point images with incidence-closure propagation.
 
-    Line images are forced as soon as two of the line's points are
-    mapped; meets of mapped lines force point images back.  With
-    labels_only, a mapped point or line forces its whole labelled
-    pencil, pinning the search almost immediately.
+    Line images are forced as soon as two of the line's points with a
+    unique join are mapped; meets of mapped lines force point images
+    back.  With labels_only, a mapped point or line forces its whole
+    labelled pencil, pinning the search almost immediately.  Optional
+    domains restrict the images of each point and each line.  Branching
+    takes the points of frame first, then the point with the fewest
+    candidates: where joins are not all unique, that alone can fill in
+    a large part of the plane that no map of the whole extends.
     """
 
-    def __init__(self, plane, labels_only=False):
-        if plane.q > SEARCH_Q_CAP:
-            raise CapExceeded(
-                f"collineation search capped at q <= {SEARCH_Q_CAP}, got {plane.q}")
-        self.plane = plane
+    def __init__(self, tables, labels_only=False, pt_domain=None,
+                 ln_domain=None, frame=()):
+        self.line_pts, self.pt_lines, self.on_line, self.join, self.meet = tables
         self.labels_only = labels_only
-        self.m = plane.modulus
-        self.entries = plane.entries
-        self.entry_set = set(plane.entries)
-        self.line_pts, self.pt_lines, self.join, self.meet = _plane_tables(plane)
-        m = self.m
-        self.pimg = [-1] * m
-        self.limg = [-1] * m
-        self.psrc = [-1] * m
-        self.lsrc = [-1] * m
+        self.pt_domain = pt_domain
+        self.ln_domain = ln_domain
+        self.frame = frame
+        self.npts, self.nlns = len(self.pt_lines), len(self.line_pts)
+        self.pimg = [-1] * self.npts
+        self.psrc = [-1] * self.npts
+        self.limg = [-1] * self.nlns
+        self.lsrc = [-1] * self.nlns
         self.mapped_lines = []
         self.trail = []
-        self.n_points = 0
-        self.results = []
+        self.n_mapped = 0
 
     # each trail record undoes one assignment
     def _undo_to(self, mark):
@@ -292,7 +301,7 @@ class _Search:
             if kind == 0:
                 self.pimg[a] = -1
                 self.psrc[b] = -1
-                self.n_points -= 1
+                self.n_mapped -= 1
             else:
                 self.limg[a] = -1
                 self.lsrc[b] = -1
@@ -304,9 +313,11 @@ class _Search:
             return cur == v
         if self.psrc[v] != -1:
             return False
+        if self.pt_domain is not None and v not in self.pt_domain[p]:
+            return False
         self.pimg[p] = v
         self.psrc[v] = p
-        self.n_points += 1
+        self.n_mapped += 1
         self.trail.append((0, p, v))
         queue.append((0, p))
         return True
@@ -317,6 +328,8 @@ class _Search:
             return cur == w
         if self.lsrc[w] != -1:
             return False
+        if self.ln_domain is not None and w not in self.ln_domain[y]:
+            return False
         self.limg[y] = w
         self.lsrc[w] = y
         self.mapped_lines.append(y)
@@ -325,47 +338,47 @@ class _Search:
         return True
 
     def _propagate(self, queue):
-        m = self.m
+        pimg, limg, on_line = self.pimg, self.limg, self.on_line
         while queue:
             kind, a = queue.pop()
             if kind == 0:
-                p, v = a, self.pimg[a]
+                p, v = a, pimg[a]
+                join_p = self.join[p]
                 for idx, y in enumerate(self.pt_lines[p]):
-                    w = self.limg[y]
+                    w = limg[y]
                     if w != -1:
-                        if (v - w) % m not in self.entry_set:
+                        if v not in on_line[w]:
                             return False
                     else:
-                        other = -1
+                        # a mapped point joined to p by y alone
                         for p2 in self.line_pts[y]:
-                            if p2 != p and self.pimg[p2] != -1:
-                                other = p2
+                            if p2 != p and pimg[p2] != -1 and join_p[p2] != -1:
+                                forced = self.join[v][pimg[p2]]
+                                if forced == -1 or not self._set_line(
+                                        y, forced, queue):
+                                    return False
                                 break
-                        if other != -1:
-                            forced = self.join[v][self.pimg[other]]
-                            if not self._set_line(y, forced, queue):
-                                return False
                     if self.labels_only:
-                        forced = (v - self.entries[idx]) % m
-                        if not self._set_line(y, forced, queue):
+                        if not self._set_line(y, self.pt_lines[v][idx], queue):
                             return False
             else:
-                y, w = a, self.limg[a]
+                y, w = a, limg[a]
                 for p in self.line_pts[y]:
-                    v = self.pimg[p]
-                    if v != -1 and (v - w) % m not in self.entry_set:
+                    v = pimg[p]
+                    if v != -1 and v not in on_line[w]:
                         return False
+                meet_y, meet_w = self.meet[y], self.meet[w]
                 for y2 in self.mapped_lines:
                     if y2 == y:
                         continue
-                    x = self.meet[y][y2]
-                    xi = self.meet[w][self.limg[y2]]
-                    if not self._set_point(x, xi, queue):
+                    x, xi = meet_y[y2], meet_w[limg[y2]]
+                    if (x == -1) != (xi == -1):
+                        return False
+                    if x != -1 and not self._set_point(x, xi, queue):
                         return False
                 if self.labels_only:
                     for idx, p in enumerate(self.line_pts[y]):
-                        forced = (w + self.entries[idx]) % m
-                        if not self._set_point(p, forced, queue):
+                        if not self._set_point(p, self.line_pts[w][idx], queue):
                             return False
         return True
 
@@ -373,30 +386,39 @@ class _Search:
         """Returns False when the seed is already contradictory."""
         queue = []
         for p, v in sorted(point_seed.items()):
-            if not (0 <= p < self.m and 0 <= v < self.m):
+            if not (0 <= p < self.npts and 0 <= v < self.npts):
                 raise InvalidInput(f"seed point pair ({p}, {v}) out of range")
             if not self._set_point(p, v, queue):
                 return False
         for y, w in sorted(line_seed.items()):
-            if not (0 <= y < self.m and 0 <= w < self.m):
+            if not (0 <= y < self.nlns and 0 <= w < self.nlns):
                 raise InvalidInput(f"seed line pair ({y}, {w}) out of range")
             if not self._set_line(y, w, queue):
                 return False
         return self._propagate(queue)
 
     def _choose(self):
+        pimg, psrc, limg, dom = self.pimg, self.psrc, self.limg, self.pt_domain
+
+        def free(p, pool):
+            return [v for v in pool
+                    if psrc[v] == -1 and (dom is None or v in dom[p])]
+
+        for p in self.frame:
+            if pimg[p] == -1:
+                return p, free(p, range(self.npts))
         best_p, best_cands = -1, None
-        for p in range(self.m):
-            if self.pimg[p] != -1:
+        for p in range(self.npts):
+            if pimg[p] != -1:
                 continue
             cands = None
             for y in self.pt_lines[p]:
-                w = self.limg[y]
+                w = limg[y]
                 if w != -1:
-                    cands = [v for v in self.line_pts[w] if self.psrc[v] == -1]
+                    cands = free(p, self.line_pts[w])
                     break
             if cands is None:
-                if best_cands is None and best_p == -1:
+                if best_p == -1:
                     best_p = p
                 continue
             if best_cands is None or len(cands) < len(best_cands):
@@ -404,32 +426,36 @@ class _Search:
                 if len(cands) <= 1:
                     break
         if best_cands is None:
-            best_cands = [v for v in range(self.m) if self.psrc[v] == -1]
+            best_cands = free(best_p, range(self.npts))
         return best_p, sorted(best_cands)
 
     def run(self):
-        if self.n_points == self.m:
+        """Yield each completion of the current partial map as a pair
+        (point map, line map) of tuples."""
+        if self.n_mapped == self.npts:
             if -1 in self.limg:
                 raise AssertionError("every point is mapped but a line is not")
-            self.results.append(Collineation(
-                self.plane, tuple(self.pimg), tuple(self.limg)))
+            yield tuple(self.pimg), tuple(self.limg)
             return
         p, cands = self._choose()
         for v in cands:
             mark = len(self.trail)
             queue = []
             if self._set_point(p, v, queue) and self._propagate(queue):
-                self.run()
+                yield from self.run()
             self._undo_to(mark)
 
 
 def search_collineations(plane, point_seed=None, line_seed=None, labels_only=False):
     """All collineations extending the given partial point and line maps,
     sorted by point map."""
-    s = _Search(plane, labels_only)
-    if s.seed(dict(point_seed or {}), dict(line_seed or {})):
-        s.run()
-    return sorted(s.results, key=lambda c: (c.point_map, c.line_map))
+    if plane.q > SEARCH_Q_CAP:
+        raise CapExceeded(
+            f"collineation search capped at q <= {SEARCH_Q_CAP}, got {plane.q}")
+    s = _Search(_plane_tables(plane), labels_only)
+    if not s.seed(dict(point_seed or {}), dict(line_seed or {})):
+        return []
+    return [Collineation(plane, pmap, lmap) for pmap, lmap in sorted(s.run())]
 
 
 def all_collineations(plane):

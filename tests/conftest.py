@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from singerlat.ball import build_ball, h2_collineations_fixing_center
+from singerlat.ball import _h2_group, _h2_summary, build_ball
 from singerlat.diffsets import DifferenceMatrix, canonical_difference_set
 from singerlat.exotic import NormalizedMatrix
 from singerlat.permgrp import identity
@@ -31,9 +31,17 @@ def q3_ball_r2():
 
 
 @pytest.fixture(scope="session")
-def h2_full_summary(q2_ball_r2):
-    # the full level-2 collineation enumeration is the most expensive
-    # computation in the suite; run it once and share
+def h2_full_group(q2_ball_r2):
+    # the full level-2 collineation group is the most expensive
+    # computation in the suite; find it once, and its summary from the
+    # same maps, and share both
     start = time.time()
-    summary = h2_collineations_fixing_center(q2_ball_r2, labels_only=False)
-    return summary, time.time() - start
+    maps, H, tables = _h2_group(q2_ball_r2, labels_only=False)
+    summary = _h2_summary(q2_ball_r2, maps, H, tables)
+    return maps, summary, time.time() - start
+
+
+@pytest.fixture(scope="session")
+def h2_full_summary(h2_full_group):
+    _, summary, elapsed = h2_full_group
+    return summary, elapsed

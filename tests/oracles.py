@@ -7,15 +7,20 @@ the collineations fixing a point (or a line) of a labelled plane and
 reads off the permutations they induce on the q+1 flag labels there.
 The per-line ball-export parser is the reference for the library's
 one-pattern parser, the name-and-union-find ball build for its
-closed-form vertex numbering, and the residue test that tries every
-image of the anchor line for the one that tries line 0 alone.  Nothing
-in the library depends on this module.
+closed-form vertex numbering, the residue test that tries every
+image of the anchor line for the one that tries line 0 alone, and the
+fiber-wise permutation search for the level-2 lifts for their kernel
+cosets found on the plane engine.  Nothing in the library depends on
+this module.
 """
 
+import itertools
 import re
 from functools import lru_cache
 
-from singerlat.ball import BALL_R1_Q_CAP, BALL_R2_Q_CAP, BallComplex
+from singerlat.ball import (
+    BALL_R1_Q_CAP, BALL_R2_Q_CAP, BallComplex, HjelmslevPlane,
+)
 from singerlat.errors import CapExceeded, GluingError, InvalidInput
 from singerlat.exotic import (
     EDGES, ExoticWitness, NonDesarguesianColumn, _canonical_plane_desarguesian,
@@ -350,3 +355,91 @@ def labelled_plane_isomorphic(flags, plane):
         if len(line_img) == m and len(point_img) == m:
             return True
     return False
+
+
+def h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):
+    """All collineations of the level-2 plane inducing the given
+    residue collineation on the fibers, by fiber-wise backtracking: the
+    reference for the library's kernel cosets, which it checks lift by
+    lift.  tables are the first six fields of the library's level-2
+    tables."""
+    pt_index, ln_index, pt_lines, ln_points, pt_fibers, ln_fibers = tables
+    npts, nlns = len(H.points), len(H.lines)
+
+    # unique common line of two non-neighboring points
+    common = {}
+    for li, pts in enumerate(ln_points):
+        for a, b in itertools.combinations(sorted(pts), 2):
+            if H.points[a][0] != H.points[b][0]:
+                if (a, b) in common:
+                    raise AssertionError(
+                        f"non-neighboring points {a}, {b} share two lines")
+                common[(a, b)] = li
+
+    fiber_keys = sorted(pt_fibers)
+    pmap = [-1] * npts
+    lmap = [-1] * nlns
+    lines_of_fiber_pair = {}
+    for li in range(nlns):
+        fibs = frozenset(H.points[p][0] for p in ln_points[li])
+        lines_of_fiber_pair.setdefault(fibs, []).append(li)
+
+    out = []
+
+    def lines_touching(fibers_done):
+        done = set(fibers_done)
+        return [li for li in range(nlns)
+                if sum(1 for p in ln_points[li] if H.points[p][0] in done) >= 2]
+
+    def extend(fi):
+        if fi == len(fiber_keys):
+            final_p = tuple(pmap)
+            final_l = tuple(lmap)
+            if -1 in final_l:
+                return
+            for i in range(npts):
+                if pt_lines[final_p[i]] != frozenset(
+                        final_l[j] for j in pt_lines[i]):
+                    return
+            out.append((final_p, final_l))
+            return
+        src = pt_fibers[fiber_keys[fi]]
+        dst = pt_fibers[base_pt[fiber_keys[fi]]]
+        done_fibers = fiber_keys[:fi + 1]
+        affected = lines_touching(done_fibers)
+        for images in itertools.permutations(dst):
+            for s, d in zip(src, images):
+                pmap[s] = d
+            touched = []
+            ok = True
+            for li in affected:
+                mapped = [pmap[p] for p in ln_points[li] if pmap[p] != -1]
+                if len(mapped) < 2:
+                    continue
+                if lmap[li] == -1:
+                    # forcing needs two images in distinct fibers; two
+                    # neighboring points lie on several common lines
+                    pair = next(
+                        ((a, b) for a, b in itertools.combinations(
+                            sorted(set(mapped)), 2)
+                         if H.points[a][0] != H.points[b][0]), None)
+                    if pair is None:
+                        continue
+                    target = common.get(pair)
+                    if target is None:
+                        ok = False
+                        break
+                    lmap[li] = target
+                    touched.append(li)
+                if any(mp not in ln_points[lmap[li]] for mp in mapped):
+                    ok = False
+                    break
+            if ok:
+                extend(fi + 1)
+            for li in touched:
+                lmap[li] = -1
+        for s in src:
+            pmap[s] = -1
+
+    extend(0)
+    return out

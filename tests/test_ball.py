@@ -11,17 +11,17 @@ import oracles
 from conftest import identity_matrix, q11_matrix
 import singerlat.ball as ball_module
 from singerlat.ball import (
-    _labelled_plane_isomorphic, build_ball, complex_from_text,
-    complex_to_text, extract_hjelmslev, h2_collineations,
+    H2GroupSummary, _labelled_plane_isomorphic, build_ball,
+    complex_from_text, complex_to_text, extract_hjelmslev, h2_collineations,
     h2_collineations_fixing_center, verify_ball,
 )
 from singerlat.diffsets import (
     DifferenceMatrix, DifferenceVector, canonical_difference_set,
 )
 from singerlat.errors import CapExceeded, GluingError, InvalidInput
-from singerlat.exotic import NormalizedMatrix, enumerate_normalized
-from singerlat.permgrp import inverse
-from singerlat.plane import LabelledPlane
+from singerlat.exotic import NormalizedMatrix, classify, enumerate_normalized
+from singerlat.permgrp import compose, inverse
+from singerlat.plane import LabelledPlane, all_collineations, canonical_plane
 
 
 def test_radius_one_counts():
@@ -242,14 +242,14 @@ def test_level_two_projection_sends_flags_to_flags(q2_ball_r2):
     H1 = extract_hjelmslev(q2_ball_r2, 1)
     H2 = extract_hjelmslev(q2_ball_r2, 2)
     for P, L in H2.incidence:
-        assert (H2.pi1(P), H2.pi1(L)) in H1.incidence
+        assert (P[:1], L[:1]) in H1.incidence
 
 
 def test_level_two_common_line_counts(q2_ball_r2):
     H = extract_hjelmslev(q2_ball_r2, 2)
     for P, Q in itertools.combinations(H.points, 2):
         common = len(set(H.lines_through(P)) & set(H.lines_through(Q)))
-        if H.neighboring(P, Q):
+        if P[0] == Q[0]:
             assert common == 2
         else:
             assert common == 1
@@ -314,6 +314,54 @@ def test_full_group_elation_laws(h2_full_summary):
     assert summary.elation_count == 357
     assert summary.neighbor_fixing_ok
     assert summary.free_action_ok
+
+
+def test_full_group_bytes_are_pinned(h2_full_group):
+    # the sorted map list of the q = 2 identity ball, as the fiber-wise
+    # permutation search produced it before the kernel cosets
+    maps, _, _ = h2_full_group
+    assert len(maps) == 43008
+    assert hashlib.sha256(repr(maps).encode()).hexdigest() == (
+        "e0342f9e498e238e6e13dcc18b316c830b3bd6d31214bda62fdf7738a0783caa")
+
+
+def test_lifts_are_kernel_cosets(q2_ball_r2):
+    # every lift of a base collineation is one lift after the kernel
+    H = extract_hjelmslev(q2_ball_r2, 2)
+    tables = ball_module._h2_tables(H)
+    plane = canonical_plane(2)
+    frame = ball_module._h2_frame(plane, tables)
+    fixed = {f: f for f in (*tables.pt_fibers, *tables.ln_fibers)}
+    kernel = list(ball_module._h2_lift_search(H, tables, frame, fixed, fixed))
+    assert len(kernel) == 256
+    bases = all_collineations(plane)
+    assert bases[0].is_identity
+    for c in (bases[0], bases[1], bases[-1]):
+        base_pt = {1 + p: 1 + c.point_map[p] for p in range(7)}
+        base_ln = {8 + l: 8 + c.line_map[l] for l in range(7)}
+        lp, ll = next(ball_module._h2_lift_search(
+            H, tables, frame, base_pt, base_ln))
+        cosets = sorted((compose(lp, kp), compose(ll, kl)) for kp, kl in kernel)
+        assert oracles.h2_lifts(H, base_pt, base_ln, tables[:6]) == cosets
+
+
+def test_full_group_on_every_q2_class():
+    classes = classify(2)
+    assert len(classes) == 4
+    for cls in classes:
+        ball = build_ball(cls.representative.decode(), 2)
+        assert h2_collineations_fixing_center(ball) == H2GroupSummary(
+            43008, 168, 256, 357, True, True), cls.representative
+
+
+def test_level_two_maps_are_checked(q2_ball_r2):
+    H = extract_hjelmslev(q2_ball_r2, 2)
+    tables = ball_module._h2_tables(H)
+    ident = tuple(range(28))
+    ball_module._h2_check(tables, ident, ident)
+    swapped = (1, 0, *ident[2:])
+    with pytest.raises(AssertionError, match="lines through point 0"):
+        ball_module._h2_check(tables, swapped, ident)
 
 
 def test_h2_search_cap(q3_ball_r2):

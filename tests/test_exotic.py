@@ -661,13 +661,13 @@ def test_ball_and_plane_checks_survive_python_O():
     # group without the identity: both must still stop the run
     out = run_python_O("""
         import singerlat.ball as ball
-        from singerlat.plane import _Search, canonical_plane
+        from singerlat.plane import _plane_tables, _Search, canonical_plane
         from singerlat.diffsets import canonical_difference_set
         from singerlat.exotic import NormalizedMatrix
-        search = _Search(canonical_plane(2))
-        search.n_points = search.m
+        search = _Search(_plane_tables(canonical_plane(2)))
+        search.n_mapped = search.npts
         try:
-            search.run()
+            next(search.run())
         except AssertionError as e:
             print("raised:", e)
         e = (0, 1, 2)
