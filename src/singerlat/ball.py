@@ -431,7 +431,6 @@ class _H2Tables(NamedTuple):
     pt_index: dict  # point -> its number
     ln_index: dict
     pt_lines: list  # the lines through each point, as a set
-    ln_points: list
     pt_fibers: dict  # level-1 point -> the numbers of the points over it
     ln_fibers: dict
     engine: tuple  # plane._incidence_tables of the level-2 plane
@@ -453,9 +452,8 @@ def _h2_tables(H: HjelmslevPlane) -> _H2Tables:
     for i, l in enumerate(H.lines):
         ln_fibers.setdefault(l[0], []).append(i)
     return _H2Tables(
-        pt_index, ln_index, [frozenset(s) for s in pt_lines],
-        [frozenset(s) for s in ln_points], pt_fibers, ln_fibers,
-        _incidence_tables(ln_points, pt_lines))
+        pt_index, ln_index, [frozenset(s) for s in pt_lines], pt_fibers,
+        ln_fibers, _incidence_tables(ln_points, pt_lines))
 
 
 def _h2_check(tables: _H2Tables, pmap, lmap) -> None:
@@ -491,30 +489,13 @@ def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane, tables):
     return maps
 
 
-def _h2_frame(plane: LabelledPlane, tables) -> list:
-    """One level-2 point over each point of a quadrangle of the center's
-    plane: the images of these four pin most of a collineation."""
-    lines = [set(plane.point_lines(p)) for p in range(plane.modulus)]
-    quad = []
-    for p in range(plane.modulus):
-        collinear = any(lines[a] & lines[b] & lines[p]
-                        for a, b in itertools.combinations(quad, 2))
-        if len(quad) < 4 and not collinear:
-            quad.append(p)
-    return [tables.pt_fibers[1 + p][0] for p in quad]
-
-
-def _h2_lift_search(H: HjelmslevPlane, tables, frame, base_pt, base_ln):
+def _h2_lift_search(H: HjelmslevPlane, tables, base_pt):
     """The collineations of the level-2 plane that send the fiber over
-    each level-1 point p (line l) into the fiber over base_pt[p]
-    (base_ln[l]), one at a time as the engine finds them."""
-    pt_dom = {f: frozenset(tables.pt_fibers[base_pt[f]])
-              for f in tables.pt_fibers}
-    ln_dom = {f: frozenset(tables.ln_fibers[base_ln[f]])
-              for f in tables.ln_fibers}
-    search = _Search(tables.engine,
-                     pt_domain=[pt_dom[p[0]] for p in H.points],
-                     ln_domain=[ln_dom[l[0]] for l in H.lines], frame=frame)
+    each level-1 point p into the fiber over base_pt[p], one at a time
+    as the engine finds them."""
+    dom = {f: frozenset(tables.pt_fibers[base_pt[f]])
+           for f in tables.pt_fibers}
+    search = _Search(tables.engine, pt_domain=[dom[p[0]] for p in H.points])
     for pmap, lmap in search.run():
         _h2_check(tables, pmap, lmap)
         yield pmap, lmap
@@ -539,17 +520,13 @@ def _h2_group(ball: BallComplex, labels_only):
         return sorted(_h2_singer_maps(ball, H, tables)), H, tables
     plane = _column_planes(ball.matrix)[ball.center_type]
     m = plane.modulus
-    frame = _h2_frame(plane, tables)
-    fixed = {f: f for f in (*tables.pt_fibers, *tables.ln_fibers)}
-    kernel = list(_h2_lift_search(H, tables, frame, fixed, fixed))
+    kernel = list(_h2_lift_search(H, tables,
+                                  {f: f for f in tables.pt_fibers}))
     maps = []
     for c in all_collineations(plane):
-        # residue points sit at vertex id 1 + plane point, residue lines
-        # at 1 + modulus + plane line
+        # residue points sit at vertex id 1 + plane point
         base_pt = {1 + p: 1 + c.point_map[p] for p in range(m)}
-        base_ln = {1 + m + l: 1 + m + c.line_map[l] for l in range(m)}
-        lift = next(_h2_lift_search(H, tables, frame, base_pt, base_ln),
-                    None)
+        lift = next(_h2_lift_search(H, tables, base_pt), None)
         if lift is not None:
             maps += [(perm_compose(lift[0], kp), perm_compose(lift[1], kl))
                      for kp, kl in kernel]
@@ -575,7 +552,8 @@ def _h2_summary(ball: BallComplex, maps, H: HjelmslevPlane,
                 tables) -> H2GroupSummary:
     h1 = extract_hjelmslev(ball, 1)
     h1_flags = {(p[0], l[0]) for p, l in h1.incidence}
-    pt_lines, ln_points = tables.pt_lines, tables.ln_points
+    pt_lines = tables.pt_lines
+    ln_points = tables.engine[2]  # the points of each line, as a set
     pt_fibers, ln_fibers = tables.pt_fibers, tables.ln_fibers
     npts, nlns = len(H.points), len(H.lines)
     identity = (tuple(range(npts)), tuple(range(nlns)))

@@ -14,6 +14,7 @@ tables, so it also searches the level-2 planes of singerlat.ball, where
 neighbouring points have no unique join.
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -243,14 +244,32 @@ def _unique_common(blocks, n):
     return [[-1 if x == -2 else x for x in row] for row in table]
 
 
+def _quadrangle(line_pts, join):
+    """Four points, pairwise with a unique join, none of them on or next
+    to the join of two others (next to: without a unique join to one of
+    its points, so in a level-2 plane they lie over a quadrangle of the
+    plane below)."""
+    quad = []
+    for p in range(len(join)):
+        row = join[p]
+        if all(row[a] != -1 for a in quad) and not any(
+                -1 in [row[d] for d in line_pts[join[a][b]]]
+                for a, b in itertools.combinations(quad, 2)):
+            quad.append(p)
+            if len(quad) == 4:
+                break
+    return quad
+
+
 def _incidence_tables(line_pts, pt_lines):
     """The engine's tables, points and lines numbered from 0 (in label
     order in a labelled plane): line_pts, pt_lines, the points of each
-    line as a set, and join[a][b] (meet[x][y]), the one line on points
-    a != b (point on lines x != y) or -1."""
-    return (line_pts, pt_lines, [frozenset(pts) for pts in line_pts],
-            _unique_common(line_pts, len(pt_lines)),
-            _unique_common(pt_lines, len(line_pts)))
+    line as a set, join[a][b] (meet[x][y]), the one line on points
+    a != b (point on lines x != y) or -1, and a quadrangle."""
+    join = _unique_common(line_pts, len(pt_lines))
+    return (line_pts, pt_lines, [frozenset(pts) for pts in line_pts], join,
+            _unique_common(pt_lines, len(line_pts)),
+            _quadrangle(line_pts, join))
 
 
 @lru_cache(maxsize=None)
@@ -272,19 +291,17 @@ class _Search:
     unique join are mapped; meets of mapped lines force point images
     back.  With labels_only, a mapped point or line forces its whole
     labelled pencil, pinning the search almost immediately.  Optional
-    domains restrict the images of each point and each line.  Branching
-    takes the points of frame first, then the point with the fewest
-    candidates: where joins are not all unique, that alone can fill in
-    a large part of the plane that no map of the whole extends.
+    domains restrict the images of each point.  Branching takes the
+    points of the tables' quadrangle first, then the point with the
+    fewest candidates: where joins are not all unique, that alone can
+    fill in a large part of the plane that no map of the whole extends.
     """
 
-    def __init__(self, tables, labels_only=False, pt_domain=None,
-                 ln_domain=None, frame=()):
-        self.line_pts, self.pt_lines, self.on_line, self.join, self.meet = tables
+    def __init__(self, tables, labels_only=False, pt_domain=None):
+        (self.line_pts, self.pt_lines, self.on_line, self.join, self.meet,
+         self.quad) = tables
         self.labels_only = labels_only
         self.pt_domain = pt_domain
-        self.ln_domain = ln_domain
-        self.frame = frame
         self.npts, self.nlns = len(self.pt_lines), len(self.line_pts)
         self.pimg = [-1] * self.npts
         self.psrc = [-1] * self.npts
@@ -327,8 +344,6 @@ class _Search:
         if cur != -1:
             return cur == w
         if self.lsrc[w] != -1:
-            return False
-        if self.ln_domain is not None and w not in self.ln_domain[y]:
             return False
         self.limg[y] = w
         self.lsrc[w] = y
@@ -404,19 +419,23 @@ class _Search:
             return [v for v in pool
                     if psrc[v] == -1 and (dom is None or v in dom[p])]
 
-        for p in self.frame:
+        def on_mapped_line(p):
+            for y in self.pt_lines[p]:
+                if limg[y] != -1:
+                    return free(p, self.line_pts[limg[y]])
+            return None
+
+        for p in self.quad:
             if pimg[p] == -1:
-                return p, free(p, range(self.npts))
+                cands = on_mapped_line(p)
+                if cands is None:
+                    cands = free(p, range(self.npts))
+                return p, sorted(cands)
         best_p, best_cands = -1, None
         for p in range(self.npts):
             if pimg[p] != -1:
                 continue
-            cands = None
-            for y in self.pt_lines[p]:
-                w = limg[y]
-                if w != -1:
-                    cands = free(p, self.line_pts[w])
-                    break
+            cands = on_mapped_line(p)
             if cands is None:
                 if best_p == -1:
                     best_p = p

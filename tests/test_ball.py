@@ -329,20 +329,34 @@ def test_lifts_are_kernel_cosets(q2_ball_r2):
     # every lift of a base collineation is one lift after the kernel
     H = extract_hjelmslev(q2_ball_r2, 2)
     tables = ball_module._h2_tables(H)
-    plane = canonical_plane(2)
-    frame = ball_module._h2_frame(plane, tables)
-    fixed = {f: f for f in (*tables.pt_fibers, *tables.ln_fibers)}
-    kernel = list(ball_module._h2_lift_search(H, tables, frame, fixed, fixed))
+    oracle_tables = (tables.pt_index, tables.ln_index, tables.pt_lines,
+                     tables.engine[2], tables.pt_fibers, tables.ln_fibers)
+    fixed = {f: f for f in tables.pt_fibers}
+    kernel = list(ball_module._h2_lift_search(H, tables, fixed))
     assert len(kernel) == 256
-    bases = all_collineations(plane)
+    bases = all_collineations(canonical_plane(2))
     assert bases[0].is_identity
     for c in (bases[0], bases[1], bases[-1]):
         base_pt = {1 + p: 1 + c.point_map[p] for p in range(7)}
         base_ln = {8 + l: 8 + c.line_map[l] for l in range(7)}
-        lp, ll = next(ball_module._h2_lift_search(
-            H, tables, frame, base_pt, base_ln))
+        lp, ll = next(ball_module._h2_lift_search(H, tables, base_pt))
         cosets = sorted((compose(lp, kp), compose(ll, kl)) for kp, kl in kernel)
-        assert oracles.h2_lifts(H, base_pt, base_ln, tables[:6]) == cosets
+        assert oracles.h2_lifts(H, base_pt, base_ln, oracle_tables) == cosets
+
+
+def test_level_two_quadrangle_lies_over_a_quadrangle(q2_ball_r2, q3_ball_r2):
+    # the engine branches on its tables' quadrangle first; in a level-2
+    # plane that must be four points over a quadrangle of the plane below
+    for ball in (q2_ball_r2, q3_ball_r2):
+        H = extract_hjelmslev(ball, 2)
+        quad = ball_module._h2_tables(H).engine[5]
+        plane = canonical_plane(ball.q)
+        # residue points sit at vertex id 1 + plane point
+        below = [H.points[i][0] - 1 for i in quad]
+        assert len(set(below)) == 4
+        for trio in itertools.combinations(below, 3):
+            assert not set.intersection(
+                *(set(plane.point_lines(p)) for p in trio))
 
 
 def test_full_group_on_every_q2_class():
