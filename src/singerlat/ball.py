@@ -16,6 +16,7 @@ ball by a short gallery of chambers.
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -97,12 +98,6 @@ class HjelmslevPlane:
     points: tuple[tuple, ...]
     lines: tuple[tuple, ...]
     incidence: frozenset
-
-    def lines_through(self, point):
-        return tuple(l for l in self.lines if (point, l) in self.incidence)
-
-    def points_on(self, line):
-        return tuple(p for p in self.points if (p, line) in self.incidence)
 
 
 @dataclass(frozen=True)
@@ -611,14 +606,70 @@ def _h2_summary(ball: BallComplex, maps, H: HjelmslevPlane,
 
 
 def complex_to_text(ball: BallComplex) -> str:
-    lines = []
-    for v in range(ball.vertex_count):
-        lines.append(f"vertex {v} type={ball.types[v]} dist={ball.dists[v]}")
-    for a, b in ball.edges:
-        lines.append(f"edge {a} {b}")
-    for a, b, c, label in ball.chambers:
-        lines.append(f"chamber {a} {b} {c} label={label}")
-    return "\n".join(lines) + "\n"
+    vertices = zip(range(ball.vertex_count), ball.types, ball.dists)
+    return (_rows("vertex %d type=%d dist=%d\n", tuple(vertices))
+            + _rows("edge %d %d\n", ball.edges)
+            + _rows("chamber %d %d %d label=%d\n", ball.chambers))
+
+
+def _rows(template, rows):
+    # one % format for all rows of a kind
+    return template * len(rows) % tuple(itertools.chain.from_iterable(rows))
+
+
+# the layout complex_to_text writes, one group per block of rows.  The
+# repeats are possessive where re has them (Python 3.11+): a greedy one
+# keeps backtracking state for every row, 144 MB for a q = 9 ball.
+_REPEAT = "*+" if sys.version_info >= (3, 11) else "*"
+_LAYOUT_RE = re.compile(
+    r"((?:vertex \d+ type=\d+ dist=\d+\n)" + _REPEAT + ")"
+    r"((?:edge \d+ \d+\n)" + _REPEAT + ")"
+    r"((?:chamber \d+ \d+ \d+ label=\d+\n)" + _REPEAT + ")")
+# every character of the row keywords; the rest of a row is digits and spaces
+_KEYWORDS = str.maketrans("", "", "abcdeghilmprstvxy=")
+
+
+def complex_from_text(text: str) -> BallComplex:
+    """Inverse of complex_to_text up to what the export carries: the
+    source matrix and the vertex names are not exported and come back as
+    None.  Vertex types lie in 0..2, and every edge and chamber must
+    name listed vertices.  Rows may come in any order; the layout that
+    complex_to_text writes is read in bulk."""
+    # any line ending reads as "\n", and the final one is optional
+    layout = _LAYOUT_RE.fullmatch("\n".join(text.splitlines()) + "\n")
+    ball = _complex_from_layout(*layout.groups()) if layout else None
+    return _complex_from_rows(text) if ball is None else ball
+
+
+def _complex_from_layout(vertex_rows, edge_rows, chamber_rows):
+    """The ball of the three row blocks of an export in complex_to_text's
+    layout, or None when a value needs the per-row scan, which accepts
+    or rejects it with its own message."""
+    fields = vertex_rows.translate(_KEYWORDS).split()
+    n = len(fields) // 3
+    keys = list(map(str, range(n)))
+    if fields[::3] != keys:
+        return None
+    # ids, types, dists and labels all lie in 0..n-1; a token outside
+    # the table (an id >= n, a leading zero, a non-ASCII digit, a large
+    # label or dist) leaves the text to the per-row scan
+    value = dict(zip(keys, range(n))).__getitem__
+    try:
+        types = tuple(map(value, fields[1::3]))
+        dists = tuple(map(value, fields[2::3]))
+        ends = list(map(value, edge_rows.translate(_KEYWORDS).split()))
+        corners = list(map(value, chamber_rows.translate(_KEYWORDS).split()))
+    except KeyError:
+        return None
+    if not corners or dists.count(0) != 1 or max(types) > 2:
+        return None
+    center = dists.index(0)
+    return BallComplex(
+        q=max(corners[3::4]), radius=max(dists), matrix=None,
+        center=center, center_type=types[center], names=None,
+        types=types, dists=dists, edges=tuple(zip(ends[::2], ends[1::2])),
+        chambers=tuple(zip(corners[::4], corners[1::4], corners[2::4],
+                           corners[3::4])))
 
 
 # one pattern for the three row kinds; its last group takes any other
@@ -628,11 +679,8 @@ _ROW_RE = re.compile(
     r"|chamber (\d+) (\d+) (\d+) label=(\d+)|(.*))$", re.MULTILINE)
 
 
-def complex_from_text(text: str) -> BallComplex:
-    """Inverse of complex_to_text up to what the export carries: the
-    source matrix and the vertex names are not exported and come back as
-    None.  Vertex types lie in 0..2, and every edge and chamber must
-    name listed vertices."""
+def _complex_from_rows(text):
+    """The per-row scan: rows in any order, and every error message."""
     types, dists, edges, chambers = [], [], [], []
     edge_rows, chamber_rows = [], []  # line numbers, for the range checks
     # rejoined by "\n" alone, each line is one match of the anchored

@@ -125,11 +125,14 @@ class Collineation:
         m = self.plane.modulus
         validate_perm(self.point_map, m)
         validate_perm(self.line_map, m)
-        pm = self.point_map
-        for x in range(m):
-            y = self.line_map[x]
-            for p in self.plane.line_points(x):
-                if not self.plane.incident(y, pm[p]):
+        pm, entries = self.point_map, self.plane.entries
+        entry_set = self.plane._entry_set
+        # flag (x, x + d) goes to (y, pm[x + d]), a flag when the
+        # difference of the two is an entry
+        for x, y in enumerate(self.line_map):
+            for d in entries:
+                p = (x + d) % m
+                if (pm[p] - y) % m not in entry_set:
                     raise InvalidInput(
                         f"image of flag ({x}, {p}) is not a flag")
 

@@ -11,11 +11,17 @@ checkouts and compare the lines it prints:
 
     PYTHONPATH=src python tests/ball_digest.py
 
-It takes about 25 s on a 2-core Xeon, so it is not part of the test
-suite.
+or give the expected digest, and it exits 1 when the digest differs:
+
+    PYTHONPATH=src python tests/ball_digest.py \
+        249ae7ae2cd91027eadbbdb51dab093de42757dfe1d2a583d25e86833fc660e1
+
+That is the digest of the current outputs (617 balls).  It takes about
+25 s on a 2-core Xeon, so it is not part of the test suite.
 """
 
 import hashlib
+import sys
 
 from singerlat.ball import (
     build_ball, complex_from_text, complex_to_text, extract_hjelmslev,
@@ -62,3 +68,6 @@ def ball_digest():
 if __name__ == "__main__":
     count, hexdigest = ball_digest()
     print(f"{count} balls: {hexdigest}")
+    if len(sys.argv) > 1 and sys.argv[1] != hexdigest:
+        print(f"expected {sys.argv[1]}")
+        sys.exit(1)

@@ -232,10 +232,10 @@ def test_level_two_counts_and_fibers(q2_ball_r2):
     assert len(H.lines) == 28
     fibers = Counter(p[0] for p in H.points)
     assert sorted(fibers.values()) == [4] * 7
-    for p in H.points:
-        assert len(H.lines_through(p)) == 6
-    for l in H.lines:
-        assert len(H.points_on(l)) == 6
+    assert Counter(P for P, _ in H.incidence) == Counter(
+        dict.fromkeys(H.points, 6))
+    assert Counter(L for _, L in H.incidence) == Counter(
+        dict.fromkeys(H.lines, 6))
 
 
 def test_level_two_projection_sends_flags_to_flags(q2_ball_r2):
@@ -247,8 +247,11 @@ def test_level_two_projection_sends_flags_to_flags(q2_ball_r2):
 
 def test_level_two_common_line_counts(q2_ball_r2):
     H = extract_hjelmslev(q2_ball_r2, 2)
+    lines_through = {P: set() for P in H.points}
+    for P, L in H.incidence:
+        lines_through[P].add(L)
     for P, Q in itertools.combinations(H.points, 2):
-        common = len(set(H.lines_through(P)) & set(H.lines_through(Q)))
+        common = len(lines_through[P] & lines_through[Q])
         if P[0] == Q[0]:
             assert common == 2
         else:
@@ -502,17 +505,33 @@ def _parsed(parse, text):
         return "raises", str(e)
 
 
-def test_complex_parser_matches_per_line_reference_on_exports(q2_ball_r2):
+def _exports(q2_ball_r2):
     texts = [complex_to_text(build_ball(identity_matrix(q), 1))
              for q in (2, 3, 4)]
     texts.append(complex_to_text(q2_ball_r2))
     M = NormalizedMatrix(3, canonical_difference_set(3),
                          (1, 3, 0, 2), (0, 3, 1, 2)).decode()
     texts.append(complex_to_text(build_ball(M, 2)))
-    for text in texts:
+    return texts
+
+
+def test_complex_parser_matches_per_line_reference_on_exports(q2_ball_r2):
+    for text in _exports(q2_ball_r2):
         got = complex_from_text(text)
         assert got == oracles.complex_from_text(text)
         assert complex_to_text(got) == text
+
+
+def test_complex_parser_reads_exports_without_the_row_scan(monkeypatch,
+                                                           q2_ball_r2):
+    texts = _exports(q2_ball_r2)
+
+    def row_scan(text):
+        raise AssertionError("per-row scan on an export")
+
+    monkeypatch.setattr(ball_module, "_complex_from_rows", row_scan)
+    for text in texts:
+        assert complex_to_text(complex_from_text(text)) == text
 
 
 def _mutations(lines):
@@ -563,18 +582,60 @@ def _mutations(lines):
         ("two centers", at(1, "vertex 1 type=1 dist=0")),
         ("no center", at(0, "vertex 0 type=0 dist=1")),
         ("no chambers", "\n".join(lines[:first_chamber]) + "\n"),
+        ("no vertex rows", "\n".join(lines[first_edge:]) + "\n"),
+        # the vertex rows come first, so first_edge is their count
+        ("edge endpoint equal to the vertex count",
+         at(first_edge, f"edge 0 {first_edge}")),
+        ("label past the vertex count",
+         at(first_chamber, "chamber 0 1 8 label=500")),
+        ("vertex id with a leading zero", at(1, "vertex 01 type=1 dist=1")),
+        ("unicode digit in a type", at(2, "vertex 2 type=\u0661 dist=1")),
+        ("unicode digit in a dist", at(2, "vertex 2 type=1 dist=\u0661")),
+        ("dist past the vertex count", at(2, "vertex 2 type=1 dist=500")),
+        ("type 3", at(2, "vertex 2 type=3 dist=1")),
         ("duplicate chamber", insert(first_chamber, lines[first_chamber])),
         ("empty text", ""),
         ("one newline", "\n"),
     ]
 
 
-def test_complex_parser_matches_per_line_reference_on_mutated_rows():
+# mutations that leave a valid export in the layout complex_to_text
+# writes, read in bulk; every other mutation needs the per-row scan,
+# including those that keep the layout but hold a value out of range
+_READ_IN_BULK = {"crlf endings", "lone cr endings", "unicode line separator",
+                 "no final newline", "duplicate chamber"}
+
+
+def _reference(text):
+    """The outcome of the per-line reference, which accepts any vertex
+    type; the library refuses a type outside 0..2 at its row, the one
+    intended difference."""
+    kind, got = _parsed(oracles.complex_from_text, text)
+    if kind == "ball" and max(got.types) > 2:
+        v, t = next((v, t) for v, t in enumerate(got.types) if t > 2)
+        i = next(i for i, line in enumerate(text.splitlines(), start=1)
+                 if line.startswith(f"vertex {v} "))
+        return "raises", f"line {i}: vertex type {t} outside 0..2"
+    return kind, got
+
+
+def test_complex_parser_matches_per_line_reference_on_mutated_rows(
+        monkeypatch):
     lines = complex_to_text(build_ball(identity_matrix(2), 1)).splitlines()
+    scanned = []
+    row_scan = ball_module._complex_from_rows
+
+    def counted(text):
+        scanned.append(text)
+        return row_scan(text)
+
+    monkeypatch.setattr(ball_module, "_complex_from_rows", counted)
     outcomes = set()
     for what, text in _mutations(lines):
+        scanned.clear()
         got = _parsed(complex_from_text, text)
-        assert got == _parsed(oracles.complex_from_text, text), what
+        assert got == _reference(text), what
+        assert scanned == ([] if what in _READ_IN_BULK else [text]), what
         outcomes.add(got[0])
     assert outcomes == {"ball", "raises"}
 
