@@ -16,8 +16,7 @@ from .errors import CapExceeded, GluingError, InvalidInput
 from .exotic import (
     EquivClass, ExoticityVerdict, ExoticWitness, NormalizedMatrix, bound_B,
     candidate_count, census_from_text, census_summary, census_to_text,
-    certify_exotic, certify_normalized, classify, enumerate_normalized,
-    fast_necessary_condition, lower_A, pencil_group, pencil_normalizer,
+    certify_exotic, classify, enumerate_normalized, lower_A, pencil_group,
     ratio_table,
 )
 from .plane import (

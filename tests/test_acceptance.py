@@ -9,7 +9,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import identity_matrix
-from oracles import pencil_action
+from oracles import (
+    certify_normalized, fast_necessary_condition, is_conjugate_in_sym,
+    normalizer_in_sym, pencil_action, pgammal2_model, pgl2_model,
+)
 from singerlat.ball import build_ball, extract_hjelmslev, verify_ball
 from singerlat.diffsets import (
     agl_orbit_of_set, all_difference_sets, canonical_difference_set,
@@ -17,14 +20,10 @@ from singerlat.diffsets import (
 )
 from singerlat.exotic import (
     CERTIFIED_EXOTIC, INCONCLUSIVE, NormalizedMatrix, bound_B,
-    candidate_count, census_to_text, certify_normalized, classify,
-    enumerate_normalized, fast_necessary_condition, lower_A, pencil_group,
-    ratio_table,
+    candidate_count, census_to_text, classify, enumerate_normalized,
+    lower_A, pencil_group, ratio_table,
 )
-from singerlat.permgrp import (
-    compose, inverse, is_conjugate_in_sym, normalizer_in_sym,
-    pgammal2_model, pgl2_model,
-)
+from singerlat.permgrp import compose, inverse
 from singerlat.plane import (
     LabelledPlane, canonical_plane, elation_cycle_profile, elations_with,
     verify_plane_axioms,

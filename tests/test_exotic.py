@@ -10,9 +10,12 @@ import textwrap
 import pytest
 
 import oracles
-from oracles import local_pencil_groups, mismatch_witness
+from oracles import (
+    certify_normalized, fast_necessary_condition, local_pencil_groups,
+    mismatch_witness,
+)
 from singerlat import exotic
-from singerlat.arith import zmod_units
+from singerlat.arith import prime_power, zmod_units
 from singerlat.diffsets import (
     DifferenceMatrix, DifferenceVector, canonical_difference_set,
     find_agl_map, normalize_matrix, stabilizer_index_perms,
@@ -22,8 +25,7 @@ from singerlat.exotic import (
     CERTIFIED_EXOTIC, INCONCLUSIVE, EquivClass, ExoticityVerdict,
     ExoticWitness, NonDesarguesianColumn, NormalizedMatrix, bound_B,
     candidate_count, census_from_text, census_summary, census_to_text,
-    certify_exotic, certify_normalized, classify, enumerate_normalized,
-    fast_necessary_condition, lower_A, pencil_group, pencil_normalizer,
+    certify_exotic, classify, enumerate_normalized, lower_A, pencil_group,
     ratio_table,
 )
 from singerlat.permgrp import PermGroup, compose, conjugator, identity, inverse
@@ -37,6 +39,18 @@ def classes_of(q, extra_moves=False):
 
 def normalized(q, a1, a2):
     return NormalizedMatrix(q, canonical_difference_set(q), a1, a2)
+
+
+# every q that pencil_group accepts
+MODEL_QS = [q for q in range(2, exotic.MODEL_ROUTE_Q_CAP + 1)
+            if prime_power(q) is not None]
+
+
+@functools.lru_cache(maxsize=None)
+def normalizer_of_g0(q):
+    """N(G_0) in Sym(q+1) by the oracle's search, which the library's
+    membership verdicts take to be G_0 itself."""
+    return oracles.normalizer_in_sym(pencil_group(q))
 
 
 # sha256 of census_to_text(classify(q, extra_moves)), pinned from the
@@ -162,9 +176,12 @@ def test_model_route_beyond_search_cap(q, order):
     assert pencil_group(q, "model").order == order
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", MODEL_QS)
 def test_pencil_group_self_normalizing(q):
-    assert pencil_normalizer(q) == pencil_group(q)
+    # the one fact every verdict rests on: G_s = G_t exactly when
+    # tau_s tau_t^-1 normalizes G_0, which the library tests as
+    # membership in G_0
+    assert normalizer_of_g0(q) == pencil_group(q)
 
 
 def test_pencil_group_route_caps():
@@ -420,9 +437,9 @@ def test_classify_q5_candidate_count_under_bound():
     (2, 4), (3, 24), (4, 70), (5, 544), (7, 4192), (8, 3150), (9, 9624)])
 def test_candidate_count_matches_burnside(q, count):
     # beyond the census cap too: an independent orbit count over the
-    # normalizer, which is G_0 itself
+    # normalizer found by search, which is G_0 itself
     assert candidate_count(q) == count
-    assert burnside_class_count(q, pencil_normalizer(q).elements) == count
+    assert burnside_class_count(q, normalizer_of_g0(q).elements) == count
     assert count <= bound_B(q)
 
 
@@ -455,15 +472,14 @@ def test_classify_q5_extra_matches_brute_force_walk():
     assert got == brute_force_census(5, extra_moves=True)
 
 
-def test_classify_checks_stabilizer_inside_normalizer(monkeypatch):
-    # the verdict is a class invariant only when S normalizes G_0; a
-    # normalizer missing S must stop the census, also under python -O
+def test_classify_checks_stabilizer_inside_g0(monkeypatch):
+    # the verdict is a class invariant only when S lies in G_0; a G_0
+    # missing S must stop the census, also under python -O
     trivial = PermGroup(4, (), {identity(4)})
-    monkeypatch.setattr("singerlat.exotic.pencil_normalizer",
-                        lambda q: trivial)
-    with pytest.raises(AssertionError, match="normalize"):
+    monkeypatch.setattr("singerlat.exotic.pencil_group", lambda q: trivial)
+    with pytest.raises(AssertionError, match="outside the pencil group"):
         classify(3)
-    with pytest.raises(AssertionError, match="normalize"):
+    with pytest.raises(AssertionError, match="outside the pencil group"):
         candidate_count(3)
 
 
@@ -551,6 +567,9 @@ def test_verdict_requires_witness():
         ExoticityVerdict(CERTIFIED_EXOTIC, None)
     with pytest.raises(InvalidInput):
         ExoticityVerdict("Maybe", None)
+    with pytest.raises(InvalidInput, match="inconclusive verdict has no"):
+        ExoticityVerdict(INCONCLUSIVE, ExoticWitness(
+            kind="non_desarguesian_column", column=0))
 
 
 def test_bound_values():
@@ -614,6 +633,31 @@ def test_census_parser_rejects_garbage():
             "alpha1=[0 1 2] alpha2=[0 1 2] orbit=9 verdict=Maybe witness=-\n")
     with pytest.raises(InvalidInput):
         census_from_text("")
+    # records census_to_text can write but no census holds
+    good = "alpha1=[0 1 2] alpha2=[0 1 2] orbit=9 verdict=Inconclusive witness=-\n"
+    certified = good.replace(
+        "Inconclusive witness=-",
+        "CertifiedExotic witness=edge(0, 1) perm=[1 0 2]")
+    census_from_text(certified)
+    for bad, message in [
+        (good.replace("orbit=9", "orbit=0"), "orbit size 0"),
+        (good.replace("witness=-", "witness=edge(0, 1) perm=[1 0 2]"),
+         "an inconclusive verdict has no witness"),
+        (good.replace("witness=-", "witness=column(0)"),
+         "an inconclusive verdict has no witness"),
+        (certified.replace("edge(0, 1)", "edge(7, 9)"), r"no edge \(7, 9\)"),
+        (certified.replace("edge(0, 1)", "edge(1, 0)"), r"no edge \(1, 0\)"),
+        (certified.replace("edge(0, 1) perm=[1 0 2]", "column(7)"),
+         "no column 7"),
+        (certified.replace("perm=[1 0 2]", "perm=[1 0 2 3]"),
+         "expected degree 3, got 4"),
+    ]:
+        with pytest.raises(InvalidInput, match="census line 2: " + message):
+            census_from_text(good + bad)
+    # a degree past every cap keeps its error type and gains the line
+    q11 = "[" + " ".join(map(str, range(12))) + "]"
+    with pytest.raises(CapExceeded, match="census line 1: "):
+        census_from_text(good.replace("[0 1 2]", q11))
 
 
 def test_census_parser_checks_degree_of_repeated_text():
@@ -627,6 +671,13 @@ def test_census_parser_checks_degree_of_repeated_text():
         census_from_text(text)
     with pytest.raises(InvalidInput, match="census line 2: not a perm"):
         census_from_text(text.replace("[0 1 2 3]", "[0 1 1 3]"))
+    # so must a witness perm whose verdict text was met at degree 3
+    witness = "verdict=CertifiedExotic witness=edge(0, 1) perm=[1 0 2]\n"
+    text = (
+        "alpha1=[0 1 2] alpha2=[0 1 2] orbit=9 " + witness
+        + "alpha1=[0 1 2 3] alpha2=[0 1 2 3] orbit=9 " + witness)
+    with pytest.raises(InvalidInput, match="census line 2: expected degree 4"):
+        census_from_text(text)
 
 
 def run_python_O(body):

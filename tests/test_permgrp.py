@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
+from oracles import (
+    cycle_type, frobenius_perm, is_conjugate_in_sym, normalizer_in_sym,
+    perm_order, pgammal2_model, pgl2_model, symmetric_group,
+)
 from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.permgrp import (
-    PermGroup, closure, compose, conjugator, cycle_type,
-    frobenius_perm, identity, inverse, is_conjugate_in_sym,
-    normalizer_in_sym, perm_from_str, perm_order, perm_to_str,
-    pgammal2_model, pgl2_model, reduce_generators, symmetric_group,
-    validate_perm,
+    PermGroup, closure, compose, conjugator, identity, inverse,
+    perm_from_str, perm_to_str, reduce_generators, validate_perm,
 )
 
 

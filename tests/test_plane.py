@@ -4,8 +4,10 @@ import pytest
 
 from singerlat.diffsets import DifferenceVector
 from singerlat.errors import CapExceeded, InvalidInput
-from oracles import line_pencil_action, pencil_action
-from singerlat.permgrp import is_conjugate_in_sym, pgammal2_model, symmetric_group
+from oracles import (
+    is_conjugate_in_sym, line_pencil_action, pencil_action, pgammal2_model,
+    symmetric_group,
+)
 from singerlat.plane import (
     Collineation, Duality, LabelledPlane, all_collineations, canonical_plane,
     collineations_fixing, dual_map, elation_cycle_profile, elations_with,
