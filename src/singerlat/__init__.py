@@ -7,10 +7,9 @@ from .ball import (
     h2_collineations_fixing_center, verify_ball,
 )
 from .diffsets import (
-    DifferenceMatrix, DifferenceSet, DifferenceVector, all_difference_sets,
+    DifferenceMatrix, DifferenceSet, DifferenceVector,
     canonical_difference_set, is_difference_set, matrix_from_text,
-    matrix_to_text, normalize_matrix, set_from_text, set_to_text,
-    singer_difference_set,
+    matrix_to_text, set_from_text, set_to_text, singer_difference_set,
 )
 from .errors import CapExceeded, GluingError, InvalidInput
 from .exotic import (

@@ -120,8 +120,8 @@ class Field:
     """GF(p^k) with a fixed reduction polynomial and primitive element.
 
     Elements are coefficient tuples of length k; the canonical element
-    order is lexicographic on those tuples, which is what index() and
-    element_by_index() use.
+    order, the one iter_elements() walks, is lexicographic on those
+    tuples.
     """
 
     def __init__(self, p: int, k: int):
@@ -151,12 +151,6 @@ class Field:
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
         k, p = self.k, self.p
@@ -217,18 +211,14 @@ class Field:
         for c0 in range(self.p):
             yield from rec((c0,), 1)
 
-    def index(self, coeffs) -> int:
-        idx = 0
-        for c in coeffs:
-            idx = idx * self.p + c
-        return idx
-
-    def element_by_index(self, idx: int):
-        digits = []
-        for _ in range(self.k):
-            digits.append(idx % self.p)
-            idx //= self.p
-        return tuple(reversed(digits))
+    def subfield(self, q: int) -> list:
+        """The elements of the subfield GF(q), the fixed points of
+        x -> x^q, in canonical order."""
+        elements = [x for x in self.iter_elements() if self.power(x, q) == x]
+        if len(elements) != q:
+            raise AssertionError(
+                f"GF({q}) inside {self!r} has {len(elements)} elements")
+        return elements
 
     def __repr__(self):
         return f"Field(p={self.p}, k={self.k})"

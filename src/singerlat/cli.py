@@ -9,11 +9,8 @@ Exit codes: 0 success, 1 certified-exotic verdict where a Moufang
 candidate was requested, 2 invalid input, 3 cap exceeded.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,22 +22,6 @@ from .exotic import CERTIFIED_EXOTIC, NormalizedMatrix, census_summary, \
     census_to_text, certify_exotic, classify, ratio_table
 from .permgrp import perm_to_str
 from .plane import canonical_plane, plane_to_text
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; every field the dispatch table may read."""
-
-    subcommand: str
-    q: int | None = None
-    qs: tuple[int, ...] = ()
-    input_path: str | None = None
-    output_path: str | None = None
-    outdir: str | None = None
-    radius: int | None = None
-    extra_moves: bool = False
-    threads: int = 1
-    moufang_candidate: bool = False
 
 
 def _read(path):
@@ -60,15 +41,15 @@ def _emit(text, output_path, summary):
         print(f"{summary} -> {output_path}")
 
 
-def cmd_gen_singer(cfg):
-    D = canonical_difference_set(cfg.q)
-    _emit(set_to_text(D), cfg.output_path,
+def cmd_gen_singer(args):
+    D = canonical_difference_set(args.q)
+    _emit(set_to_text(D), args.output,
           f"difference set q={D.q} modulus={D.modulus}")
     return 0
 
 
-def cmd_verify_ds(cfg):
-    D = set_from_text(_read(cfg.input_path))
+def cmd_verify_ds(args):
+    D = set_from_text(_read(args.file))
     canonical = D == canonical_difference_set(D.q)
     els = " ".join(str(x) for x in D.elements)
     print(f"ok: q={D.q} modulus={D.modulus} elements=[{els}] "
@@ -76,16 +57,16 @@ def cmd_verify_ds(cfg):
     return 0
 
 
-def cmd_build_plane(cfg):
-    plane = canonical_plane(cfg.q)
-    _emit(plane_to_text(plane), cfg.output_path,
-          f"plane of order {cfg.q} "
+def cmd_build_plane(args):
+    plane = canonical_plane(args.q)
+    _emit(plane_to_text(plane), args.output,
+          f"plane of order {args.q} "
           f"({plane.modulus} points, {plane.modulus} lines)")
     return 0
 
 
-def cmd_certify(cfg):
-    M = matrix_from_text(_read(cfg.input_path))
+def cmd_certify(args):
+    M = matrix_from_text(_read(args.file))
     # both calls read the same cached column twists of M
     Mn = NormalizedMatrix.from_matrix(M)
     verdict = certify_exotic(M)
@@ -93,23 +74,23 @@ def cmd_certify(cfg):
     print(f"alpha1={perm_to_str(Mn.alpha1)} alpha2={perm_to_str(Mn.alpha2)}")
     print(f"verdict={verdict.outcome}")
     print(f"witness={verdict.witness.summary() if verdict.witness else '-'}")
-    if cfg.moufang_candidate and verdict.outcome == CERTIFIED_EXOTIC:
+    if args.moufang_candidate and verdict.outcome == CERTIFIED_EXOTIC:
         return 1
     return 0
 
 
-def cmd_classify(cfg):
-    if cfg.threads < 1:
-        raise InvalidInput(f"thread count must be positive, got {cfg.threads}")
-    classes = classify(cfg.q, extra_moves=cfg.extra_moves,
-                       threads=cfg.threads)
-    outdir = Path(cfg.outdir)
+def cmd_classify(args):
+    if args.threads < 1:
+        raise InvalidInput(f"thread count must be positive, got {args.threads}")
+    classes = classify(args.q, extra_moves=args.extra_moves,
+                       threads=args.threads)
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    suffix = "_extra" if cfg.extra_moves else ""
-    census_path = outdir / f"census_q{cfg.q}{suffix}.txt"
-    summary_path = outdir / f"summary_q{cfg.q}{suffix}.tsv"
+    suffix = "_extra" if args.extra_moves else ""
+    census_path = outdir / f"census_q{args.q}{suffix}.txt"
+    summary_path = outdir / f"summary_q{args.q}{suffix}.tsv"
     census_path.write_text(census_to_text(classes))
-    summary_path.write_text(census_summary(cfg.q, classes))
+    summary_path.write_text(census_summary(args.q, classes))
     total = sum(c.orbit_size for c in classes)
     exotic = sum(1 for c in classes
                  if c.verdict.outcome == CERTIFIED_EXOTIC)
@@ -121,20 +102,20 @@ def cmd_classify(cfg):
     return 0
 
 
-def cmd_bounds(cfg):
-    rows = ratio_table(list(cfg.qs))
+def cmd_bounds(args):
+    rows = ratio_table(args.qs)
     print("q\tbound_B\tlower_A\tratio")
     for q, b, a, ratio in rows:
         print(f"{q}\t{b}\t{a}\t{ratio!r}")
     return 0
 
 
-def cmd_ball(cfg):
-    M = matrix_from_text(_read(cfg.input_path))
-    ball = build_ball(M, cfg.radius)
+def cmd_ball(args):
+    M = matrix_from_text(_read(args.file))
+    ball = build_ball(M, args.radius)
     report = verify_ball(ball)
-    status = sys.stdout if cfg.output_path else sys.stderr
-    _emit(complex_to_text(ball), cfg.output_path,
+    status = sys.stdout if args.output else sys.stderr
+    _emit(complex_to_text(ball), args.output,
           f"ball q={ball.q} radius={ball.radius} "
           f"({ball.vertex_count} vertices, {len(ball.chambers)} chambers)")
     if report.ok:
@@ -216,20 +197,8 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        q=getattr(args, "q", None),
-        qs=tuple(getattr(args, "qs", ())),
-        input_path=getattr(args, "file", None),
-        output_path=getattr(args, "output", None),
-        outdir=getattr(args, "outdir", None),
-        radius=getattr(args, "radius", None),
-        extra_moves=getattr(args, "extra_moves", False),
-        threads=getattr(args, "threads", 1),
-        moufang_candidate=getattr(args, "moufang_candidate", False),
-    )
     try:
-        return _DISPATCH[cfg.subcommand](cfg)
+        return _DISPATCH[args.subcommand](args)
     except InvalidInput as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -8,9 +8,8 @@ vectors sharing q, one per vertex type of the complex they encode.
 
 The affine group AGL(1, Z/mZ) of maps x -> a*x + b (a a unit) acts on
 difference sets.  Singer's construction produces one difference set per
-prime power q; normalize_matrix uses affine maps and a row sort to push
-a matrix into the standard shape whose first column is a chosen set in
-ascending order.
+prime power q; find_agl_map finds the first affine map between two
+sets, which is how a matrix column is matched to the canonical set.
 """
 
 from __future__ import annotations
@@ -19,14 +18,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator, Optional
 
 from .arith import make_field, prime_power, zmod_units
 from .errors import CapExceeded, InvalidInput
 
 SINGER_Q_CAP = 9
-ENUMERATION_Q_CAP = 4
 
 
 def _check_residues(elements, m: int) -> tuple[int, ...]:
@@ -138,20 +135,6 @@ class AffineMap:
     def __call__(self, x: int) -> int:
         return (self.a * x + self.b) % self.modulus
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other."""
-        if self.modulus != other.modulus:
-            raise InvalidInput("modulus mismatch")
-        return AffineMap(self.a * other.a, self.a * other.b + self.b,
-                         self.modulus)
-
-    def inverse(self) -> "AffineMap":
-        ainv = pow(self.a, -1, self.modulus)
-        return AffineMap(ainv, -ainv * self.b, self.modulus)
-
-    def apply_vector(self, v: DifferenceVector) -> DifferenceVector:
-        return DifferenceVector(v.q, v.modulus, tuple(self(x) for x in v.entries))
-
 
 def agl_maps(m: int) -> Iterator[AffineMap]:
     """All affine maps mod m, ascending in (a, b)."""
@@ -171,11 +154,7 @@ def singer_difference_set(q: int) -> DifferenceSet:
         raise CapExceeded(f"order {q} exceeds cap {SINGER_Q_CAP}")
     p, eta = pk
     field = make_field(p, 3 * eta)
-    # subfield GF(q) = fixed points of x -> x^q
-    subfield = [x for x in field.iter_elements() if field.power(x, q) == x]
-    if len(subfield) != q:
-        raise AssertionError(
-            f"GF({q}) inside GF({q}^3) has {len(subfield)} elements")
+    subfield = field.subfield(q)
     w = field.omega_coeffs
     span = {field.add(a, field.mul(b, w)) for a in subfield for b in subfield}
     span.discard(field.zero)
@@ -249,46 +228,6 @@ def stabilizer_index_perms(D: DifferenceSet) -> list[tuple[int, ...]]:
     pos = {d: i for i, d in enumerate(D.elements)}
     return [tuple(pos[g(d)] for d in D.elements)
             for g in set_stabilizer_in_agl(D)]
-
-
-def all_difference_sets(q: int) -> list[DifferenceSet]:
-    """Every perfect difference set of order q, by exhaustive scan."""
-    if q > ENUMERATION_Q_CAP:
-        raise CapExceeded(f"exhaustive scan capped at q <= {ENUMERATION_Q_CAP}")
-    if q < 2:
-        raise InvalidInput(f"order must be at least 2, got {q}")
-    m = q * q + q + 1
-    out = []
-    for combo in combinations(range(m), q + 1):
-        if is_difference_set(combo, q):
-            out.append(DifferenceSet(q, m, combo))
-    return out
-
-
-def normalize_matrix(M: DifferenceMatrix, D: DifferenceSet) -> DifferenceMatrix:
-    """Equivalent matrix whose three columns all equal D as sets and whose
-    first column is D in ascending order.
-
-    Uses one affine map per column, then one simultaneous row sort.  If a
-    column is not affine-equivalent to D it belongs to a different orbit
-    and cannot be normalized; the error names the column.
-    """
-    if D.q != M.q:
-        raise InvalidInput("matrix and target set have different orders")
-    mapped = []
-    for t, col in enumerate(M.columns):
-        g = find_agl_map(col.entries, D.elements, D.modulus)
-        if g is None:
-            raise InvalidInput(
-                f"column {t} is not AGL-equivalent to the target set")
-        mapped.append(g.apply_vector(col))
-    order = sorted(range(M.q + 1), key=lambda i: mapped[0].entries[i])
-    cols = tuple(
-        DifferenceVector(M.q, D.modulus, tuple(v.entries[i] for i in order))
-        for v in mapped)
-    if cols[0].entries != D.elements:
-        raise AssertionError("the row sort did not put column 0 in order")
-    return DifferenceMatrix(M.q, cols)
 
 
 # -- matrix files: JSON with fields q, modulus, columns --

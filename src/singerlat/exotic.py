@@ -48,6 +48,9 @@ from .plane import SEARCH_Q_CAP, canonical_plane, is_desarguesian
 
 CLASSIFY_Q_CAP = 5
 MODEL_ROUTE_Q_CAP = 9
+# past q = 857 the numerator of lower_A has more than 4,300 digits, the
+# most that Python turns into text by default
+LOWER_A_Q_CAP = 857
 
 CERTIFIED_EXOTIC = "CertifiedExotic"
 INCONCLUSIVE = "Inconclusive"
@@ -86,8 +89,9 @@ class NormalizedMatrix:
     @classmethod
     def from_matrix(cls, M: DifferenceMatrix) -> "NormalizedMatrix":
         """The normalized encoding of M, alpha_t = tau_t tau_0^-1 for the
-        column label twists tau_t: the row sort of normalize_matrix is
-        tau_0^-1, and tau_t then reads each row's canonical position."""
+        column label twists tau_t: the row sort that puts column 0 in
+        ascending order is tau_0^-1, and tau_t then reads each row's
+        canonical position."""
         t0, t1, t2 = _label_twists(M)
         back = inverse(t0)
         return cls(M.q, canonical_difference_set(M.q),
@@ -153,10 +157,6 @@ def _canonical_plane_desarguesian(q) -> bool:
     return is_desarguesian(canonical_plane(q))
 
 
-def _subfield_elements(field, q):
-    return [x for x in field.iter_elements() if field.power(x, q) == x]
-
-
 @lru_cache(maxsize=None)
 def _model_pencil_group(q) -> PermGroup:
     """Pencil group at a point of the canonical plane, built from the
@@ -175,7 +175,7 @@ def _model_pencil_group(q) -> PermGroup:
     p, _ = pk
     S = singer_difference_set(q)
     field = make_field(p, 3 * pk[1])
-    K = _subfield_elements(field, q)
+    K = field.subfield(q)
     w = field.omega_coeffs
     w2 = field.mul(w, w)
 
@@ -582,6 +582,9 @@ def bound_B(q) -> int:
 
 def lower_A(q) -> Fraction:
     """((q+1)!)^2 / (162 eta^3), exact."""
+    if q > LOWER_A_Q_CAP:
+        raise CapExceeded(
+            f"lower bound capped at q <= {LOWER_A_Q_CAP}, got {q}")
     pk = prime_power(q)
     if pk is None:
         raise InvalidInput(f"{q} is not a prime power")

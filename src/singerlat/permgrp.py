@@ -99,21 +99,6 @@ def closure(generators, degree=None):
     return frozenset(elements)
 
 
-def reduce_generators(perms):
-    """A short generating tuple for the group the given elements form."""
-    perms = sorted(set(perms))
-    if not perms:
-        raise InvalidInput("no permutations given")
-    degree = len(perms[0])
-    gens = []
-    known = {identity(degree)}
-    for p in perms:
-        if p not in known:
-            gens.append(p)
-            known = closure(gens, degree)
-    return tuple(gens)
-
-
 class PermGroup:
     """A permutation group held as an explicit element set."""
 
@@ -121,23 +106,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = frozenset(elements)
-
-    @classmethod
-    def from_generators(cls, generators, degree=None):
-        gens = tuple(generators)
-        elements = closure(gens, degree)
-        if degree is None:
-            degree = len(gens[0])
-        return cls(degree, gens, elements)
-
-    @classmethod
-    def from_elements(cls, elements):
-        gens = reduce_generators(elements)
-        degree = len(gens[0]) if gens else len(next(iter(elements)))
-        group = closure(gens, degree)
-        if group != frozenset(elements):
-            raise InvalidInput("element set is not closed under composition")
-        return cls(degree, gens, group)
 
     @property
     def order(self):

@@ -21,8 +21,6 @@ from functools import cached_property, lru_cache
 
 from .diffsets import canonical_difference_set, is_difference_set
 from .errors import CapExceeded, InvalidInput
-from .permgrp import compose as perm_compose
-from .permgrp import inverse as perm_inverse
 from .permgrp import validate_perm
 
 # backtracking searches stay exact but slow down fast with q; the full
@@ -65,12 +63,6 @@ class LabelledPlane:
 
     def incident(self, line, point):
         return (point - line) % self.modulus in self._entry_set
-
-    def flag_label(self, line, point):
-        d = (point - line) % self.modulus
-        if d not in self._entry_set:
-            raise InvalidInput(f"point {point} is not on line {line}")
-        return self.entries.index(d)
 
     @cached_property
     def _entry_set(self):
@@ -135,81 +127,6 @@ class Collineation:
                 if (pm[p] - y) % m not in entry_set:
                     raise InvalidInput(
                         f"image of flag ({x}, {p}) is not a flag")
-
-    @cached_property
-    def preserves_labels(self):
-        m = self.plane.modulus
-        return all(
-            self.point_map[(x + d) % m] == (self.line_map[x] + d) % m
-            for x in range(m) for d in self.plane.entries)
-
-    @property
-    def is_identity(self):
-        m = self.plane.modulus
-        return self.point_map == tuple(range(m)) and self.line_map == tuple(range(m))
-
-    def compose(self, other):
-        """self after other."""
-        if self.plane != other.plane:
-            raise InvalidInput("collineations of different planes")
-        return Collineation(self.plane,
-                            perm_compose(self.point_map, other.point_map),
-                            perm_compose(self.line_map, other.line_map))
-
-    def inverse(self):
-        return Collineation(self.plane,
-                            perm_inverse(self.point_map),
-                            perm_inverse(self.line_map))
-
-
-@dataclass(frozen=True)
-class Duality:
-    """Point-to-line and line-to-point bijections preserving incidence.
-
-    Kept apart from Collineation: the two index sets coincide as
-    residues but play different roles."""
-
-    plane: LabelledPlane
-    point_to_line: tuple[int, ...]
-    line_to_point: tuple[int, ...]
-
-    def __post_init__(self):
-        m = self.plane.modulus
-        validate_perm(self.point_to_line, m)
-        validate_perm(self.line_to_point, m)
-        for x in range(m):
-            for p in self.plane.line_points(x):
-                if not self.plane.incident(self.point_to_line[p],
-                                           self.line_to_point[x]):
-                    raise InvalidInput(
-                        f"dual image of flag ({x}, {p}) is not a flag")
-
-    @cached_property
-    def preserves_labels(self):
-        pl = self.plane
-        return all(
-            pl.flag_label(self.point_to_line[p], self.line_to_point[x])
-            == pl.flag_label(x, p)
-            for x in range(pl.modulus) for p in pl.line_points(x))
-
-
-def identity_collineation(plane):
-    ident = tuple(range(plane.modulus))
-    return Collineation(plane, ident, ident)
-
-
-def singer_shift(plane, t=1):
-    """x -> x + t on points and lines; always label-preserving."""
-    m = plane.modulus
-    shift = tuple((x + t) % m for x in range(m))
-    return Collineation(plane, shift, shift)
-
-
-def dual_map(plane):
-    """The duality p -> line -p, x -> point -x; label-preserving."""
-    m = plane.modulus
-    neg = tuple((-x) % m for x in range(m))
-    return Duality(plane, neg, neg)
 
 
 @dataclass(frozen=True)
@@ -488,11 +405,6 @@ def all_collineations(plane):
     return search_collineations(plane)
 
 
-def collineations_fixing(plane, x0, labels_only=False):
-    """All collineations fixing the point x0, label-preserving if asked."""
-    return search_collineations(plane, point_seed={x0: x0}, labels_only=labels_only)
-
-
 def elations_with(plane, center, axis):
     """The group of elations with the given center and axis, as a sorted
     list including the identity."""
@@ -502,40 +414,6 @@ def elations_with(plane, center, axis):
     line_seed = {y: y for y in plane.point_lines(center)}
     found = search_collineations(plane, point_seed, line_seed)
     return [Elation(c, center, axis) for c in found]
-
-
-def elation_cycle_profile(e, line):
-    """Cycle structure (k, c) of a nontrivial elation on the q points of a
-    center line other than the axis: k disjoint cycles of equal length c,
-    k * c = q."""
-    coll = e.collineation
-    plane = coll.plane
-    if coll.is_identity:
-        raise InvalidInput("cycle profile of the trivial elation is undefined")
-    if line == e.axis:
-        raise InvalidInput("profile line must differ from the axis")
-    if not plane.incident(line, e.center):
-        raise InvalidInput(f"line {line} does not pass through the center")
-    lengths = []
-    seen = set()
-    for start in plane.line_points(line):
-        if start == e.center or start in seen:
-            continue
-        n = 0
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = coll.point_map[x]
-            n += 1
-        lengths.append(n)
-    if sum(lengths) != plane.q:
-        raise AssertionError(
-            f"the cycles cover {sum(lengths)} points, expected {plane.q}")
-    k = len(lengths)
-    c = lengths[0]
-    if any(length != c for length in lengths):
-        raise AssertionError(f"cycles of unequal lengths {lengths}")
-    return (k, c)
 
 
 def is_desarguesian(plane):

@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -6,6 +7,16 @@ from singerlat.ball import _h2_group, _h2_summary, build_ball
 from singerlat.diffsets import DifferenceMatrix, canonical_difference_set
 from singerlat.exotic import NormalizedMatrix
 from singerlat.permgrp import identity
+
+
+def checkout_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH, so that
+    a subprocess imports the sources under test, installed or not."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 def identity_matrix(q):

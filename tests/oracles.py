@@ -23,6 +23,17 @@ cycle types and orders.  So do certify_normalized and
 fast_necessary_condition, the normalized-encoding certifier and the
 membership test that the census is checked against.
 
+The rest are tools that only the tests need: normalize_matrix (affine
+map per column, then the row sort), the reference for
+NormalizedMatrix.from_matrix; all_difference_sets, the exhaustive scan
+up to ENUMERATION_Q_CAP that the Singer orbit is checked against;
+compose_affine and invert_affine; collineations_fixing, which
+pencil_action reads the point stabilizer from; compose_collineations,
+invert_collineation, is_identity and preserves_labels;
+elation_cycle_profile for the elation laws of criterion 10; and
+reduce_generators, group_from_generators and group_from_elements, which
+build a PermGroup from generators or from a closed element set.
+
 Nothing in the library depends on this module; tests/test_source.py
 fails if a library module imports it.
 """
@@ -36,6 +47,10 @@ from singerlat.arith import make_field, prime_power
 from singerlat.ball import (
     BALL_R1_Q_CAP, BALL_R2_Q_CAP, BallComplex, HjelmslevPlane,
 )
+from singerlat.diffsets import (
+    AffineMap, DifferenceMatrix, DifferenceSet, DifferenceVector,
+    find_agl_map, is_difference_set,
+)
 from singerlat.errors import CapExceeded, GluingError, InvalidInput
 from singerlat.exotic import (
     EDGES, ExoticWitness, NonDesarguesianColumn, NormalizedMatrix,
@@ -45,14 +60,15 @@ from singerlat.exotic import (
 from singerlat.exotic import pencil_group as model_pencil_group
 from singerlat.permgrp import (
     CLOSURE_ORDER_CAP, PermGroup, closure, compose, conjugator, identity,
-    reduce_generators,
+    inverse,
 )
 from singerlat.plane import (
-    LabelledPlane, canonical_plane, collineations_fixing, is_desarguesian,
+    Collineation, LabelledPlane, canonical_plane, is_desarguesian,
     search_collineations,
 )
 
 SEARCH_ROUTE_Q_CAP = 5
+ENUMERATION_Q_CAP = 4
 
 # full scan of Sym(n) up to here; degrees 9 and 10 use the full-cycle
 # coset route; beyond that conjugacy and normalizer searches refuse
@@ -72,7 +88,7 @@ def pencil_action(plane, x0):
         perms.add(tuple(
             entry_index[(x0 - c.line_map[lines[j]]) % m]
             for j in range(plane.q + 1)))
-    return PermGroup.from_elements(perms)
+    return group_from_elements(perms)
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +103,7 @@ def line_pencil_action(plane, y0):
         perms.add(tuple(
             entry_index[(c.point_map[pts[j]] - y0) % m]
             for j in range(plane.q + 1)))
-    return PermGroup.from_elements(perms)
+    return group_from_elements(perms)
 
 
 def pencil_group(q, route="auto"):
@@ -562,8 +578,7 @@ def pgl2_model(q):
     index_of = {x: i for i, x in enumerate(elems)}
     perms = set()
     for a, b, c, d in itertools.product(elems, repeat=4):
-        det = field.sub(field.mul(a, d), field.mul(b, c))
-        if det == field.zero:
+        if field.mul(a, d) == field.mul(b, c):  # ad - bc = 0
             continue
         perms.add(_moebius_perm(field, a, b, c, d, elems, index_of))
     if len(perms) != q * (q * q - 1):
@@ -703,3 +718,156 @@ def normalizer_in_sym(group):
         raise CapExceeded(
             f"normalizer search capped at degree {CYCLE_ROUTE_DEGREE_CAP}, got {n}")
     return PermGroup(n, reduce_generators(found), frozenset(found))
+
+
+# -- permutation groups from generators or from elements --
+
+
+def reduce_generators(perms):
+    """A short generating tuple for the group the given elements form."""
+    perms = sorted(set(perms))
+    if not perms:
+        raise InvalidInput("no permutations given")
+    degree = len(perms[0])
+    gens = []
+    known = {identity(degree)}
+    for p in perms:
+        if p not in known:
+            gens.append(p)
+            known = closure(gens, degree)
+    return tuple(gens)
+
+
+def group_from_generators(generators, degree=None):
+    gens = tuple(generators)
+    elements = closure(gens, degree)
+    if degree is None:
+        degree = len(gens[0])
+    return PermGroup(degree, gens, elements)
+
+
+def group_from_elements(elements):
+    """The group the elements form, refused unless they are closed."""
+    gens = reduce_generators(elements)
+    degree = len(gens[0]) if gens else len(next(iter(elements)))
+    group = closure(gens, degree)
+    if group != frozenset(elements):
+        raise InvalidInput("element set is not closed under composition")
+    return PermGroup(degree, gens, group)
+
+
+# -- difference sets and matrices by brute force --
+
+
+def all_difference_sets(q):
+    """Every perfect difference set of order q, by exhaustive scan."""
+    if q > ENUMERATION_Q_CAP:
+        raise CapExceeded(f"exhaustive scan capped at q <= {ENUMERATION_Q_CAP}")
+    if q < 2:
+        raise InvalidInput(f"order must be at least 2, got {q}")
+    m = q * q + q + 1
+    return [DifferenceSet(q, m, combo)
+            for combo in itertools.combinations(range(m), q + 1)
+            if is_difference_set(combo, q)]
+
+
+def compose_affine(g, h):
+    """g after h."""
+    if g.modulus != h.modulus:
+        raise InvalidInput("modulus mismatch")
+    return AffineMap(g.a * h.a, g.a * h.b + g.b, g.modulus)
+
+
+def invert_affine(g):
+    ainv = pow(g.a, -1, g.modulus)
+    return AffineMap(ainv, -ainv * g.b, g.modulus)
+
+
+def normalize_matrix(M, D):
+    """Equivalent matrix whose three columns all equal D as sets and whose
+    first column is D in ascending order: one affine map per column, then
+    one simultaneous row sort.  A column that is not affine-equivalent to
+    D cannot be normalized; the error names the column."""
+    if D.q != M.q:
+        raise InvalidInput("matrix and target set have different orders")
+    mapped = []
+    for t, col in enumerate(M.columns):
+        g = find_agl_map(col.entries, D.elements, D.modulus)
+        if g is None:
+            raise InvalidInput(
+                f"column {t} is not AGL-equivalent to the target set")
+        mapped.append(tuple(map(g, col.entries)))
+    order = sorted(range(M.q + 1), key=lambda i: mapped[0][i])
+    cols = tuple(
+        DifferenceVector(M.q, D.modulus, tuple(v[i] for i in order))
+        for v in mapped)
+    if cols[0].entries != D.elements:
+        raise AssertionError("the row sort did not put column 0 in order")
+    return DifferenceMatrix(M.q, cols)
+
+
+# -- collineations and elations --
+
+
+def collineations_fixing(plane, x0, labels_only=False):
+    """All collineations fixing the point x0, label-preserving if asked."""
+    return search_collineations(plane, point_seed={x0: x0},
+                                labels_only=labels_only)
+
+
+def compose_collineations(a, b):
+    """a after b."""
+    if a.plane != b.plane:
+        raise InvalidInput("collineations of different planes")
+    return Collineation(a.plane, compose(a.point_map, b.point_map),
+                        compose(a.line_map, b.line_map))
+
+
+def invert_collineation(c):
+    return Collineation(c.plane, inverse(c.point_map), inverse(c.line_map))
+
+
+def is_identity(c):
+    ident = tuple(range(c.plane.modulus))
+    return c.point_map == ident and c.line_map == ident
+
+
+def preserves_labels(c):
+    """True iff every flag keeps its label."""
+    m = c.plane.modulus
+    return all(c.point_map[(x + d) % m] == (c.line_map[x] + d) % m
+               for x in range(m) for d in c.plane.entries)
+
+
+def elation_cycle_profile(e, line):
+    """Cycle structure (k, c) of a nontrivial elation on the q points of a
+    center line other than the axis: k disjoint cycles of equal length c,
+    k * c = q."""
+    coll = e.collineation
+    plane = coll.plane
+    if is_identity(coll):
+        raise InvalidInput("cycle profile of the trivial elation is undefined")
+    if line == e.axis:
+        raise InvalidInput("profile line must differ from the axis")
+    if not plane.incident(line, e.center):
+        raise InvalidInput(f"line {line} does not pass through the center")
+    lengths = []
+    seen = set()
+    for start in plane.line_points(line):
+        if start == e.center or start in seen:
+            continue
+        n = 0
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = coll.point_map[x]
+            n += 1
+        lengths.append(n)
+    if sum(lengths) != plane.q:
+        raise AssertionError(
+            f"the cycles cover {sum(lengths)} points, expected {plane.q}")
+    k = len(lengths)
+    c = lengths[0]
+    if any(length != c for length in lengths):
+        raise AssertionError(f"cycles of unequal lengths {lengths}")
+    return (k, c)

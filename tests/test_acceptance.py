@@ -10,12 +10,13 @@ from fractions import Fraction
 
 from conftest import identity_matrix
 from oracles import (
-    certify_normalized, fast_necessary_condition, is_conjugate_in_sym,
+    all_difference_sets, certify_normalized, elation_cycle_profile,
+    fast_necessary_condition, is_conjugate_in_sym, is_identity,
     normalizer_in_sym, pencil_action, pgammal2_model, pgl2_model,
 )
 from singerlat.ball import build_ball, extract_hjelmslev, verify_ball
 from singerlat.diffsets import (
-    agl_orbit_of_set, all_difference_sets, canonical_difference_set,
+    agl_orbit_of_set, canonical_difference_set,
     is_difference_set, singer_difference_set, stabilizer_index_perms,
 )
 from singerlat.exotic import (
@@ -25,8 +26,7 @@ from singerlat.exotic import (
 )
 from singerlat.permgrp import compose, inverse
 from singerlat.plane import (
-    LabelledPlane, canonical_plane, elation_cycle_profile, elations_with,
-    verify_plane_axioms,
+    LabelledPlane, canonical_plane, elations_with, verify_plane_axioms,
 )
 
 
@@ -183,7 +183,7 @@ def test_criterion_10_elation_laws():
                     els = elations_with(plane, center, axis)
                     assert len(els) == q
                     for e in els:
-                        if e.collineation.is_identity:
+                        if is_identity(e.collineation):
                             continue
                         pm = e.collineation.point_map
                         lm = e.collineation.line_map

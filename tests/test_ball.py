@@ -338,7 +338,7 @@ def test_lifts_are_kernel_cosets(q2_ball_r2):
     kernel = list(ball_module._h2_lift_search(H, tables, fixed))
     assert len(kernel) == 256
     bases = all_collineations(canonical_plane(2))
-    assert bases[0].is_identity
+    assert oracles.is_identity(bases[0])
     for c in (bases[0], bases[1], bases[-1]):
         base_pt = {1 + p: 1 + c.point_map[p] for p in range(7)}
         base_ln = {8 + l: 8 + c.line_map[l] for l in range(7)}

@@ -1,9 +1,11 @@
+import hashlib
 import subprocess
 import sys
+import time
 
 import pytest
 
-from conftest import identity_matrix, q11_matrix
+from conftest import checkout_env, identity_matrix, q11_matrix
 from singerlat import exotic
 from singerlat.ball import complex_from_text
 from singerlat.cli import main
@@ -225,6 +227,23 @@ def test_bounds_rejects_non_prime_power(capsys):
     assert run(capsys, "bounds", 2, 6)[0] == 2
 
 
+def test_bounds_cap_keeps_every_printable_row(capsys):
+    # at q = 857 the lower bound's numerator has 4,291 digits, just under
+    # the 4,300 that Python converts to text by default
+    code, out, _ = run(capsys, "bounds", 857)
+    assert code == 0
+    assert out.splitlines()[1].startswith("857\t44019108168665344\t")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "73dd38ec4621ac19475a56b4f6bbd2d14b91c606a9825ad78955c4ec1fb32f8a")
+    # past the cap: exit 3 before any factorial, and no partial table
+    for args in ((859,), (1000003,), (2, 859)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", *args)
+        assert (code, out) == (3, "")
+        assert "capped at q <= 857" in err
+        assert time.perf_counter() - start < 1
+
+
 def test_ball_stdout_parses(q2_file, capsys):
     code, out, err = run(capsys, "ball", q2_file, 1)
     assert code == 0
@@ -265,7 +284,7 @@ def test_unknown_subcommand_exits_two():
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "singerlat.cli", "gen-singer", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0
     assert proc.stdout == '{"elements": [0, 1, 3], "modulus": 7, "q": 2}\n'
 
@@ -287,5 +306,5 @@ def test_repeated_main_calls_match_fresh_processes(twisted_q5_file, tmp_path,
         code, out, _ = run(capsys, *args)
         proc = subprocess.run(
             [sys.executable, "-m", "singerlat.cli", *args],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=checkout_env())
         assert (code, out) == (proc.returncode, proc.stdout), args

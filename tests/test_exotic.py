@@ -1,7 +1,6 @@
 import functools
 import hashlib
 import itertools
-import os
 import random
 import subprocess
 import sys
@@ -10,15 +9,16 @@ import textwrap
 import pytest
 
 import oracles
+from conftest import checkout_env
 from oracles import (
     certify_normalized, fast_necessary_condition, local_pencil_groups,
-    mismatch_witness,
+    mismatch_witness, normalize_matrix,
 )
 from singerlat import exotic
 from singerlat.arith import prime_power, zmod_units
 from singerlat.diffsets import (
     DifferenceMatrix, DifferenceVector, canonical_difference_set,
-    find_agl_map, normalize_matrix, stabilizer_index_perms,
+    find_agl_map, stabilizer_index_perms,
 )
 from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.exotic import (
@@ -685,12 +685,8 @@ def run_python_O(body):
     sources; the script first checks that asserts are really off."""
     script = 'assert False, "asserts are on"  # skipped under -O\n' \
         + textwrap.dedent(body)
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -36,3 +36,44 @@ def test_library_does_not_import_test_code():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] in test_modules]
     assert found == []
+
+
+# names that served only the tests: the tools among them live in
+# tests/oracles.py, the rest went with the tests of their own contract
+TEST_ONLY_NAMES = {
+    "Duality", "dual_map", "singer_shift", "identity_collineation",
+    "elation_cycle_profile", "collineations_fixing", "Collineation.compose",
+    "Collineation.inverse", "Collineation.is_identity",
+    "Collineation.preserves_labels", "LabelledPlane.flag_label",
+    "normalize_matrix", "all_difference_sets", "ENUMERATION_Q_CAP",
+    "AffineMap.compose", "AffineMap.inverse", "AffineMap.apply_vector",
+    "reduce_generators", "PermGroup.from_generators",
+    "PermGroup.from_elements", "Field.sub", "Field.neg", "Field.index",
+    "Field.element_by_index", "RunConfig", "_subfield_elements",
+}
+
+
+def _defined_names(tree):
+    """Module-level functions, classes and assigned names, and methods
+    as Class.method."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef))
+    return names
+
+
+def test_test_only_api_stays_out_of_src():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}: {name}" for name in
+                  sorted(_defined_names(tree) & TEST_ONLY_NAMES)]
+    assert found == []
