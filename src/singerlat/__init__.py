@@ -3,8 +3,8 @@ for Singer cyclic lattice data."""
 
 from .ball import (
     BallComplex, HjelmslevPlane, build_ball, complex_from_text,
-    complex_to_text, extract_hjelmslev, h2_collineations,
-    h2_collineations_fixing_center, verify_ball,
+    complex_to_text, extract_hjelmslev, h2_collineations_fixing_center,
+    verify_ball,
 )
 from .diffsets import (
     DifferenceMatrix, DifferenceSet, DifferenceVector,

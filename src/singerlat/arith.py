@@ -32,21 +32,18 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
-    """Return (p, k) with q = p^k and p prime, or None."""
+    """Return (p, k) with q = p^k and p prime, or None.  The least
+    divisor of q above 1 is its least prime factor p, and it is at most
+    sqrt(q) unless q itself is prime."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if not is_prime(p):
-            continue
-        if q % p:
-            continue
-        k = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            k += 1
-        return (p, k) if n == 1 else None
-    return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    n = q
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
 
 
 def prime_factors(n: int) -> list[int]:

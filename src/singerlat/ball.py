@@ -497,8 +497,10 @@ def _h2_lift_search(H: HjelmslevPlane, tables, base_pt):
 
 
 def _h2_group(ball: BallComplex, labels_only):
-    """The sorted level-2 collineations, with the level-2 plane and the
-    tables they were found on, for both public group calls to share.
+    """The sorted level-2 collineations of the center's level-2 plane
+    that respect the projection fibers (with labels_only, those that
+    also keep every label), with the plane and the tables they were
+    found on, for the group summary to read.
 
     The full group is a union of cosets of the fiber kernel K, the lifts
     of the identity: two lifts of one collineation of the center's plane
@@ -526,12 +528,6 @@ def _h2_group(ball: BallComplex, labels_only):
             maps += [(perm_compose(lift[0], kp), perm_compose(lift[1], kl))
                      for kp, kl in kernel]
     return sorted(maps), H, tables
-
-
-def h2_collineations(ball: BallComplex, labels_only=False):
-    """Collineations of the level-2 plane at the center that respect the
-    projection fibers, enumerated in deterministic order."""
-    return _h2_group(ball, labels_only)[0]
 
 
 def h2_collineations_fixing_center(ball: BallComplex,

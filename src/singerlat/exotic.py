@@ -7,6 +7,12 @@ pencil groups differ as subgroups of Sym(q+1), the glued structure
 cannot be classical, and the mismatch is a checkable certificate.  The
 converse does not hold, so the other outcome is only "inconclusive".
 
+The mismatch is the only certificate.  A column outside the affine
+orbit of the canonical set is refused before any verdict, and every
+other column's plane is an affine image of the canonical plane, which
+is Singer's cyclic PG(2, q), so no column can fail to be Desarguesian.
+The tests check the canonical plane's Moufang property by plane search.
+
 With G_t = tau_t^-1 G_0 tau_t for a label twist tau_t, G_s = G_t exactly
 when tau_s tau_t^-1 normalizes G_0.  G_0 is PGammaL(2, q) on the
 projective line, which is its own normalizer in Sym(q+1), so that is a
@@ -44,7 +50,6 @@ from .permgrp import (
     PermGroup, closure, compose, conjugator, inverse, perm_from_str,
     perm_to_str,
 )
-from .plane import SEARCH_Q_CAP, canonical_plane, is_desarguesian
 
 CLASSIFY_Q_CAP = 5
 MODEL_ROUTE_Q_CAP = 9
@@ -57,14 +62,6 @@ INCONCLUSIVE = "Inconclusive"
 
 # adjacency pairs of the three vertex types, in check order
 EDGES = ((0, 1), (1, 2), (2, 0))
-
-
-class NonDesarguesianColumn(Exception):
-    """A column's plane fails the Moufang test; its index says which."""
-
-    def __init__(self, column):
-        super().__init__(f"column {column} is not Desarguesian")
-        self.column = column
 
 
 @dataclass(frozen=True)
@@ -110,21 +107,13 @@ class NormalizedMatrix:
 
 @dataclass(frozen=True)
 class ExoticWitness:
-    """Machine-checkable reason for a CertifiedExotic outcome.
+    """Machine-checkable reason for a CertifiedExotic outcome: perm lies
+    in the pencil group of edge[0] but not in that of edge[1]."""
 
-    kind "pencil_mismatch": perm lies in the pencil group of edge[0]
-    but not in that of edge[1].
-    kind "non_desarguesian_column": column is the failing index.
-    """
-
-    kind: str
-    edge: Optional[tuple[int, int]] = None
-    perm: Optional[tuple[int, ...]] = None
-    column: Optional[int] = None
+    edge: tuple[int, int]
+    perm: tuple[int, ...]
 
     def summary(self) -> str:
-        if self.kind == "non_desarguesian_column":
-            return f"column({self.column})"
         return f"edge{self.edge} perm={perm_to_str(self.perm)}"
 
 
@@ -150,11 +139,6 @@ class EquivClass:
 
 
 # -- pencil group of the canonical plane --
-
-
-@lru_cache(maxsize=None)
-def _canonical_plane_desarguesian(q) -> bool:
-    return is_desarguesian(canonical_plane(q))
 
 
 @lru_cache(maxsize=None)
@@ -304,13 +288,6 @@ def _label_twists(M: DifferenceMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(twists)
 
 
-def _check_canonical_plane(q):
-    """The Moufang test of the canonical plane, which the field model
-    takes for granted; it runs where the plane search can."""
-    if q <= SEARCH_Q_CAP and not _canonical_plane_desarguesian(q):
-        raise NonDesarguesianColumn(0)
-
-
 def _least_moved(members_sorted, g0_set, a) -> tuple[int, ...]:
     """The least member h with a h a^-1 outside G_0, that is the least
     member outside a^-1 G_0 a; the members must not all lie in it."""
@@ -335,8 +312,7 @@ def _pencil_witness(g0: PermGroup, twists) -> Optional[ExoticWitness]:
             continue
         members = sorted(map(conjugator(twists[s]), g0.elements))
         return ExoticWitness(
-            kind="pencil_mismatch", edge=(s, t),
-            perm=_least_moved(members, g0.elements, twists[t]))
+            (s, t), _least_moved(members, g0.elements, twists[t]))
     return None
 
 
@@ -347,29 +323,21 @@ def _verdict(witness) -> ExoticityVerdict:
 
 
 def certify_exotic(M: DifferenceMatrix) -> ExoticityVerdict:
-    """CertifiedExotic when a column is non-Desarguesian or two adjacent
-    pencil groups differ; otherwise Inconclusive.  Never claims the
-    structure is classical.  Membership tests in G_0 through the
-    columns' label twists decide it; no group is built.
+    """CertifiedExotic when two adjacent pencil groups differ; otherwise
+    Inconclusive.  Never claims the structure is classical.  Membership
+    tests in G_0 through the columns' label twists decide it; no group
+    is built.
     """
-    try:
-        g0 = pencil_group(M.q)
-        _check_canonical_plane(M.q)
-        witness = _pencil_witness(g0, _label_twists(M))
-    except NonDesarguesianColumn as e:
-        witness = ExoticWitness(kind="non_desarguesian_column",
-                                column=e.column)
-    return _verdict(witness)
+    return _verdict(_pencil_witness(pencil_group(M.q), _label_twists(M)))
 
 
-def enumerate_normalized(q, D=None) -> Iterator[NormalizedMatrix]:
+def enumerate_normalized(q) -> Iterator[NormalizedMatrix]:
     """All normalized matrices of order q, alpha pairs in lexicographic
     order."""
     if q > CLASSIFY_Q_CAP:
         raise CapExceeded(
             f"enumeration capped at q <= {CLASSIFY_Q_CAP}, got {q}")
-    if D is None:
-        D = canonical_difference_set(q)
+    D = canonical_difference_set(q)
     for a1 in itertools.permutations(range(q + 1)):
         for a2 in itertools.permutations(range(q + 1)):
             yield NormalizedMatrix(q, D, a1, a2)
@@ -544,7 +512,7 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
                 witness_perm[c] = _least_moved(
                     g0_sorted, g0.elements, least[c])
             verdict = ExoticityVerdict(CERTIFIED_EXOTIC, ExoticWitness(
-                kind="pencil_mismatch", edge=edge, perm=witness_perm[c]))
+                edge, witness_perm[c]))
         out.append(EquivClass(NormalizedMatrix(q, D, least[c1], least[c2]),
                               sizes[k], verdict))
     return out
@@ -630,7 +598,6 @@ _CENSUS_RE = re.compile(
     r"alpha1=(\[[0-9 ]*\]) alpha2=(\[[0-9 ]*\]) orbit=(\d+) "
     r"verdict=(\w+) witness=(.+)$")
 _EDGE_WITNESS_RE = re.compile(r"edge\((\d+), (\d+)\) perm=(\[[0-9 ]*\])$")
-_COLUMN_WITNESS_RE = re.compile(r"column\((\d+)\)$")
 
 
 def _witness_from_summary(text, parse_perm):
@@ -640,13 +607,7 @@ def _witness_from_summary(text, parse_perm):
         edge = (int(m.group(1)), int(m.group(2)))
         if edge not in EDGES:
             raise InvalidInput(f"no edge {edge} among {EDGES}")
-        return ExoticWitness(kind="pencil_mismatch", edge=edge,
-                             perm=parse_perm(m.group(3)))
-    if m := _COLUMN_WITNESS_RE.match(text):
-        column = int(m.group(1))
-        if column not in (0, 1, 2):
-            raise InvalidInput(f"no column {column}; columns are 0, 1, 2")
-        return ExoticWitness(kind="non_desarguesian_column", column=column)
+        return ExoticWitness(edge, parse_perm(m.group(3)))
     raise InvalidInput(f"unrecognized witness {text!r}")
 
 
@@ -654,8 +615,9 @@ def census_from_text(text: str) -> tuple:
     """Inverse of census_to_text.  Each distinct permutation or witness
     text is parsed and validated once per call: the q = 5 census repeats
     a few hundred of them over 19,296 lines.  A record with orbit 0, an
-    Inconclusive verdict with a witness, a witness edge or column that
-    does not exist or a witness perm of another degree is refused."""
+    Inconclusive verdict with a witness, a witness that is not an edge
+    and a perm, an edge that does not exist or a witness perm of another
+    degree is refused."""
     perms = {}
     verdicts = {}
 

@@ -209,18 +209,16 @@ class _Search:
 
     Line images are forced as soon as two of the line's points with a
     unique join are mapped; meets of mapped lines force point images
-    back.  With labels_only, a mapped point or line forces its whole
-    labelled pencil, pinning the search almost immediately.  Optional
-    domains restrict the images of each point.  Branching takes the
-    points of the tables' quadrangle first, then the point with the
-    fewest candidates: where joins are not all unique, that alone can
-    fill in a large part of the plane that no map of the whole extends.
+    back.  Optional domains restrict the images of each point.
+    Branching takes the points of the tables' quadrangle first, then the
+    point with the fewest candidates: where joins are not all unique,
+    that alone can fill in a large part of the plane that no map of the
+    whole extends.
     """
 
-    def __init__(self, tables, labels_only=False, pt_domain=None):
+    def __init__(self, tables, pt_domain=None):
         (self.line_pts, self.pt_lines, self.on_line, self.join, self.meet,
          self.quad) = tables
-        self.labels_only = labels_only
         self.pt_domain = pt_domain
         self.npts, self.nlns = len(self.pt_lines), len(self.line_pts)
         self.pimg = [-1] * self.npts
@@ -279,7 +277,7 @@ class _Search:
             if kind == 0:
                 p, v = a, pimg[a]
                 join_p = self.join[p]
-                for idx, y in enumerate(self.pt_lines[p]):
+                for y in self.pt_lines[p]:
                     w = limg[y]
                     if w != -1:
                         if v not in on_line[w]:
@@ -293,9 +291,6 @@ class _Search:
                                         y, forced, queue):
                                     return False
                                 break
-                    if self.labels_only:
-                        if not self._set_line(y, self.pt_lines[v][idx], queue):
-                            return False
             else:
                 y, w = a, limg[a]
                 for p in self.line_pts[y]:
@@ -311,10 +306,6 @@ class _Search:
                         return False
                     if x != -1 and not self._set_point(x, xi, queue):
                         return False
-                if self.labels_only:
-                    for idx, p in enumerate(self.line_pts[y]):
-                        if not self._set_point(p, self.line_pts[w][idx], queue):
-                            return False
         return True
 
     def seed(self, point_seed, line_seed):
@@ -385,13 +376,13 @@ class _Search:
             self._undo_to(mark)
 
 
-def search_collineations(plane, point_seed=None, line_seed=None, labels_only=False):
+def search_collineations(plane, point_seed=None, line_seed=None):
     """All collineations extending the given partial point and line maps,
     sorted by point map."""
     if plane.q > SEARCH_Q_CAP:
         raise CapExceeded(
             f"collineation search capped at q <= {SEARCH_Q_CAP}, got {plane.q}")
-    s = _Search(_plane_tables(plane), labels_only)
+    s = _Search(_plane_tables(plane))
     if not s.seed(dict(point_seed or {}), dict(line_seed or {})):
         return []
     return [Collineation(plane, pmap, lmap) for pmap, lmap in sorted(s.run())]

@@ -6,6 +6,10 @@ The plane-search route to the pencil groups is the independent check of
 the field-model G_0 that the library computes: the search enumerates
 the collineations fixing a point (or a line) of a labelled plane and
 reads off the permutations they induce on the q+1 flag labels there.
+It runs the Moufang test on each plane it searches first and raises
+NonDesarguesianColumn on a failure.  The library has no such verdict:
+every column it accepts is an affine image of the canonical set, whose
+plane is Singer's PG(2, q).
 The per-line ball-export parser is the reference for the library's
 one-pattern parser, the name-and-union-find ball build for its
 closed-form vertex numbering, the residue test that tries every
@@ -25,8 +29,9 @@ membership test that the census is checked against.
 
 The rest are tools that only the tests need: normalize_matrix (affine
 map per column, then the row sort), the reference for
-NormalizedMatrix.from_matrix; all_difference_sets, the exhaustive scan
-up to ENUMERATION_Q_CAP that the Singer orbit is checked against;
+NormalizedMatrix.from_matrix; prime_power_by_scan, the reference for
+prime_power; all_difference_sets, the exhaustive scan up to
+ENUMERATION_Q_CAP that the Singer orbit is checked against;
 compose_affine and invert_affine; collineations_fixing, which
 pencil_action reads the point stabilizer from; compose_collineations,
 invert_collineation, is_identity and preserves_labels;
@@ -43,7 +48,7 @@ import math
 import re
 from functools import lru_cache
 
-from singerlat.arith import make_field, prime_power
+from singerlat.arith import is_prime, make_field, prime_power
 from singerlat.ball import (
     BALL_R1_Q_CAP, BALL_R2_Q_CAP, BallComplex, HjelmslevPlane,
 )
@@ -53,9 +58,8 @@ from singerlat.diffsets import (
 )
 from singerlat.errors import CapExceeded, GluingError, InvalidInput
 from singerlat.exotic import (
-    EDGES, ExoticWitness, NonDesarguesianColumn, NormalizedMatrix,
-    _canonical_plane_desarguesian, _check_canonical_plane, _label_twists,
-    _pencil_witness, _verdict,
+    EDGES, ExoticWitness, NormalizedMatrix, _label_twists, _pencil_witness,
+    _verdict,
 )
 from singerlat.exotic import pencil_group as model_pencil_group
 from singerlat.permgrp import (
@@ -106,15 +110,23 @@ def line_pencil_action(plane, y0):
     return group_from_elements(perms)
 
 
+class NonDesarguesianColumn(Exception):
+    """A column's plane fails the Moufang test; its index says which."""
+
+    def __init__(self, column):
+        super().__init__(f"column {column} is not Desarguesian")
+        self.column = column
+
+
 def pencil_group(q, route="auto"):
     """G_0 by route: "search" enumerates the point stabilizer of the
-    canonical plane (q <= 5); "auto" and "model" take the library's
-    field model."""
+    canonical plane (q <= 5) once that plane passes the Moufang test;
+    "auto" and "model" take the library's field model."""
     if route == "search":
         if q > SEARCH_ROUTE_Q_CAP:
             raise CapExceeded(
                 f"search route capped at q <= {SEARCH_ROUTE_Q_CAP}, got {q}")
-        if not _canonical_plane_desarguesian(q):
+        if not is_desarguesian(canonical_plane(q)):
             raise NonDesarguesianColumn(0)
         return pencil_action(canonical_plane(q), 0)
     return model_pencil_group(q, "model" if route == "auto" else route)
@@ -124,9 +136,10 @@ def local_pencil_groups(M, route="auto"):
     """The three pencil groups (G_0, G_1, G_2) of a difference matrix,
     each on the labels of its own column.
 
-    route "search" runs a plane search per column; the other routes
-    move the field-model group by each column's label twist.  Raises
-    NonDesarguesianColumn when a column fails the Moufang test.
+    route "search" runs a plane search per column and raises
+    NonDesarguesianColumn when a column fails the Moufang test; the
+    other routes move the field-model group by each column's label
+    twist.
     """
     if route == "search":
         out = []
@@ -137,7 +150,6 @@ def local_pencil_groups(M, route="auto"):
             out.append(pencil_action(plane, 0))
         return tuple(out)
     g0 = pencil_group(M.q, route)
-    _check_canonical_plane(M.q)
     return tuple(g0.conjugate_by(s) for s in _label_twists(M))
 
 
@@ -148,8 +160,7 @@ def mismatch_witness(groups):
     for s, t in EDGES:
         gs, gt = groups[s], groups[t]
         if gs != gt:
-            return ExoticWitness(kind="pencil_mismatch", edge=(s, t),
-                                 perm=min(gs.elements - gt.elements))
+            return ExoticWitness((s, t), min(gs.elements - gt.elements))
     return None
 
 
@@ -756,6 +767,24 @@ def group_from_elements(elements):
     return PermGroup(degree, gens, group)
 
 
+# -- prime powers by a scan of every candidate --
+
+
+def prime_power_by_scan(q):
+    """prime_power as a scan of every candidate up to q: the first prime
+    p that divides q, then (p, k) if q = p^k."""
+    if q < 2:
+        return None
+    for p in range(2, q + 1):
+        if q % p == 0 and is_prime(p):
+            k, n = 0, q
+            while n % p == 0:
+                n //= p
+                k += 1
+            return (p, k) if n == 1 else None
+    return None
+
+
 # -- difference sets and matrices by brute force --
 
 
@@ -809,10 +838,9 @@ def normalize_matrix(M, D):
 # -- collineations and elations --
 
 
-def collineations_fixing(plane, x0, labels_only=False):
-    """All collineations fixing the point x0, label-preserving if asked."""
-    return search_collineations(plane, point_seed={x0: x0},
-                                labels_only=labels_only)
+def collineations_fixing(plane, x0):
+    """All collineations fixing the point x0."""
+    return search_collineations(plane, point_seed={x0: x0})
 
 
 def compose_collineations(a, b):

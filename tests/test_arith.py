@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import prime_power_by_scan
 from singerlat.arith import (
     Field, make_field, prime_factors, prime_power, is_prime, zmod_units,
 )
@@ -125,3 +126,10 @@ def test_prime_power_decomposition():
     assert prime_power(1) is None
     assert prime_factors(728) == [2, 7, 13]
     assert is_prime(997) and not is_prime(1)
+
+
+def test_prime_power_matches_the_full_scan():
+    # trial division stops at sqrt(q); the scan of every candidate up to
+    # q finds the same least prime factor
+    for q in range(-2, 10 ** 4):
+        assert prime_power(q) == prime_power_by_scan(q), q

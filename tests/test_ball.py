@@ -11,8 +11,8 @@ import oracles
 from conftest import identity_matrix, q11_matrix
 import singerlat.ball as ball_module
 from singerlat.ball import (
-    H2GroupSummary, _labelled_plane_isomorphic, build_ball,
-    complex_from_text, complex_to_text, extract_hjelmslev, h2_collineations,
+    H2GroupSummary, _h2_group, _labelled_plane_isomorphic, build_ball,
+    complex_from_text, complex_to_text, extract_hjelmslev,
     h2_collineations_fixing_center, verify_ball,
 )
 from singerlat.diffsets import (
@@ -267,7 +267,7 @@ def test_extraction_needs_radius():
 
 
 def test_label_preserving_maps_are_the_cyclic_shifts(q2_ball_r2):
-    maps = h2_collineations(q2_ball_r2, labels_only=True)
+    maps, _, _ = _h2_group(q2_ball_r2, labels_only=True)
     assert len(maps) == 7
     npts = 28
     assert (tuple(range(npts)), tuple(range(npts))) in maps
@@ -383,7 +383,7 @@ def test_level_two_maps_are_checked(q2_ball_r2):
 
 def test_h2_search_cap(q3_ball_r2):
     with pytest.raises(CapExceeded):
-        h2_collineations(q3_ball_r2, labels_only=True)
+        _h2_group(q3_ball_r2, labels_only=True)
 
 
 def test_complex_text_round_trip_markers():
@@ -432,7 +432,7 @@ def test_parsed_export_is_refused_where_the_matrix_is_needed(q2_ball_r2):
     with pytest.raises(InvalidInput, match="residue check needs the source"):
         verify_ball(parsed)
     with pytest.raises(InvalidInput, match="needs the source matrix"):
-        h2_collineations(parsed, labels_only=True)
+        _h2_group(parsed, labels_only=True)
 
 
 # (q, alpha1, alpha2) -> sha256 of complex_to_text, of repr(verify_ball)

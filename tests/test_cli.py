@@ -223,6 +223,18 @@ def test_bounds_table(capsys):
     ]
 
 
+def test_singer_cap_is_reached_at_once(capsys):
+    # the prime-power test before the cap is O(sqrt(q)), so a large prime
+    # exits 3 as fast as a small one, and a large non-prime-power 2
+    for command in ("gen-singer", "build-plane"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, 1000003)
+        assert (code, out) == (3, "")
+        assert "exceeds cap" in err
+        assert time.perf_counter() - start < 1
+        assert run(capsys, command, 1000000)[0] == 2
+
+
 def test_bounds_rejects_non_prime_power(capsys):
     assert run(capsys, "bounds", 2, 6)[0] == 2
 

@@ -11,22 +11,21 @@ import pytest
 import oracles
 from conftest import checkout_env
 from oracles import (
-    certify_normalized, fast_necessary_condition, local_pencil_groups,
-    mismatch_witness, normalize_matrix,
+    NonDesarguesianColumn, certify_normalized, fast_necessary_condition,
+    local_pencil_groups, mismatch_witness, normalize_matrix,
 )
 from singerlat import exotic
 from singerlat.arith import prime_power, zmod_units
 from singerlat.diffsets import (
     DifferenceMatrix, DifferenceVector, canonical_difference_set,
-    find_agl_map, stabilizer_index_perms,
+    find_agl_map, matrix_to_text, stabilizer_index_perms,
 )
 from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.exotic import (
     CERTIFIED_EXOTIC, INCONCLUSIVE, EquivClass, ExoticityVerdict,
-    ExoticWitness, NonDesarguesianColumn, NormalizedMatrix, bound_B,
-    candidate_count, census_from_text, census_summary, census_to_text,
-    certify_exotic, classify, enumerate_normalized, lower_A, pencil_group,
-    ratio_table,
+    ExoticWitness, NormalizedMatrix, bound_B, candidate_count,
+    census_from_text, census_summary, census_to_text, certify_exotic,
+    classify, enumerate_normalized, lower_A, pencil_group, ratio_table,
 )
 from singerlat.permgrp import PermGroup, compose, conjugator, identity, inverse
 from fractions import Fraction
@@ -234,30 +233,15 @@ def test_local_pencil_groups_on_normalized_matrix():
     assert g2 == g0.conjugate_by(a2)
 
 
-@pytest.fixture
-def fresh_moufang_cache():
-    # the canonical plane's Moufang verdict is cached per q; a stubbed
-    # test must neither read nor leave behind a cached verdict
-    exotic._canonical_plane_desarguesian.cache_clear()
-    yield
-    exotic._canonical_plane_desarguesian.cache_clear()
-
-
-def test_non_desarguesian_column_short_circuits(monkeypatch,
-                                                fresh_moufang_cache):
+def test_non_desarguesian_column_short_circuits(monkeypatch):
     # no such column can arise from a real cyclic plane of order <= 9,
-    # so force the branch by stubbing out the Moufang test, in the
-    # library and in the plane-search oracle
-    for module in (exotic, oracles):
-        monkeypatch.setattr(module, "is_desarguesian", lambda plane: False)
+    # so force the plane-search oracle's branch by stubbing out its
+    # Moufang test
+    monkeypatch.setattr(oracles, "is_desarguesian", lambda plane: False)
     M = normalized(2, identity(3), identity(3)).decode()
     with pytest.raises(NonDesarguesianColumn) as e:
         local_pencil_groups(M, route="search")
     assert e.value.column == 0
-    verdict = certify_exotic(M)
-    assert verdict.outcome == CERTIFIED_EXOTIC
-    assert verdict.witness.kind == "non_desarguesian_column"
-    assert verdict.witness.summary() == "column(0)"
 
 
 def test_certify_identity_matrix_inconclusive():
@@ -275,7 +259,6 @@ def test_certify_transposition_exotic_at_q5():
     verdict = certify_exotic(normalized(5, identity(6), a2).decode())
     assert verdict.outcome == CERTIFIED_EXOTIC
     w = verdict.witness
-    assert w.kind == "pencil_mismatch"
     assert w.edge == (1, 2)
     groups = local_pencil_groups(normalized(5, identity(6), a2).decode())
     assert w.perm in groups[1].elements
@@ -352,6 +335,43 @@ def test_certify_exotic_matches_three_group_comparison(q):
             assert (verdict.witness.edge, verdict.witness.perm) == expected
             edges.add(expected[0])
     assert edges == (set() if q <= 4 else {(0, 1), (1, 2)})
+
+
+def test_certify_runs_no_plane_search():
+    # G_0 membership decides every verdict: in a fresh process whose
+    # plane engine raises, certify gives the verdicts of a working one
+    rng = random.Random(13)
+    matrices = []
+    for q in (2, 3, 4, 5):
+        matrices.append(normalized(q, identity(q + 1), identity(q + 1))
+                        .decode())
+        for _ in range(4):
+            matrices.append(scrambled(
+                q, tuple(rng.sample(range(q + 1), q + 1)),
+                tuple(rng.sample(range(q + 1), q + 1)), rng))
+    expected = []
+    for M in matrices:
+        v = certify_exotic(M)
+        expected.append(
+            f"{v.outcome} {v.witness.summary() if v.witness else '-'}")
+    assert CERTIFIED_EXOTIC + " edge(0, 1)" in " ".join(expected)
+    script = textwrap.dedent(f"""
+        import singerlat.plane
+        from singerlat.diffsets import matrix_from_text
+        from singerlat.exotic import certify_exotic
+
+        def run(self):
+            raise RuntimeError("the plane search ran")
+
+        singerlat.plane._Search.run = run
+        for text in {[matrix_to_text(M) for M in matrices]!r}:
+            v = certify_exotic(matrix_from_text(text))
+            print(v.outcome, v.witness.summary() if v.witness else "-")
+        """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -526,7 +546,6 @@ def test_classify_exotic_witnesses_check_out():
 
     for c in exotic:
         w = c.verdict.witness
-        assert w.kind == "pencil_mismatch"
         alphas = (identity(6), c.representative.alpha1,
                   c.representative.alpha2)
         s, t = w.edge
@@ -568,8 +587,7 @@ def test_verdict_requires_witness():
     with pytest.raises(InvalidInput):
         ExoticityVerdict("Maybe", None)
     with pytest.raises(InvalidInput, match="inconclusive verdict has no"):
-        ExoticityVerdict(INCONCLUSIVE, ExoticWitness(
-            kind="non_desarguesian_column", column=0))
+        ExoticityVerdict(INCONCLUSIVE, ExoticWitness((0, 1), (1, 0, 2)))
 
 
 def test_bound_values():
@@ -644,11 +662,11 @@ def test_census_parser_rejects_garbage():
         (good.replace("witness=-", "witness=edge(0, 1) perm=[1 0 2]"),
          "an inconclusive verdict has no witness"),
         (good.replace("witness=-", "witness=column(0)"),
-         "an inconclusive verdict has no witness"),
+         r"unrecognized witness 'column\(0\)'"),
         (certified.replace("edge(0, 1)", "edge(7, 9)"), r"no edge \(7, 9\)"),
         (certified.replace("edge(0, 1)", "edge(1, 0)"), r"no edge \(1, 0\)"),
         (certified.replace("edge(0, 1) perm=[1 0 2]", "column(7)"),
-         "no column 7"),
+         r"unrecognized witness 'column\(7\)'"),
         (certified.replace("perm=[1 0 2]", "perm=[1 0 2 3]"),
          "expected degree 3, got 4"),
     ]:

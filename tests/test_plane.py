@@ -102,7 +102,8 @@ def test_point_stabilizer_orders(q, order):
 
 def test_label_preserving_stabilizer_is_trivial():
     for q in (2, 3):
-        found = collineations_fixing(canonical_plane(q), 0, labels_only=True)
+        found = [c for c in collineations_fixing(canonical_plane(q), 0)
+                 if preserves_labels(c)]
         assert len(found) == 1 and is_identity(found[0])
 
 
