@@ -496,16 +496,18 @@ def _h2_lift_search(H: HjelmslevPlane, tables, base_pt):
         yield pmap, lmap
 
 
-def _h2_group(ball: BallComplex, labels_only):
-    """The sorted level-2 collineations of the center's level-2 plane
-    that respect the projection fibers (with labels_only, those that
-    also keep every label), with the plane and the tables they were
-    found on, for the group summary to read.
+def _h2_base(H: HjelmslevPlane, tables, pmap):
+    # the level-1 point under the image of each fiber, fibers in order
+    return tuple(H.points[pmap[f[0]]][0] for f in tables.pt_fibers.values())
 
-    The full group is a union of cosets of the fiber kernel K, the lifts
-    of the identity: two lifts of one collineation of the center's plane
-    differ by an element of K.  So K is enumerated once, and each base
-    collineation needs one lift l0, giving its lifts as l0 after K."""
+
+def _h2_group(ball: BallComplex, labels_only):
+    """The fiber kernel K of the center's level-2 plane (the lifts of the
+    identity), one lift of each collineation of the center's plane that
+    lifts, and the plane and its tables.  Two lifts of one base differ
+    by an element of K, so the group is the union of the cosets lift
+    after K, and nothing lists it.  With labels_only the lifts are the
+    center's cyclic shifts, and K the shifts that fix every fiber."""
     if ball.q > H2_GROUP_Q_CAP:
         raise CapExceeded(
             f"level-2 group search capped at q <= {H2_GROUP_Q_CAP}, "
@@ -514,20 +516,20 @@ def _h2_group(ball: BallComplex, labels_only):
     H = extract_hjelmslev(ball, 2)
     tables = _h2_tables(H)
     if labels_only:
-        return sorted(_h2_singer_maps(ball, H, tables)), H, tables
+        lifts = _h2_singer_maps(ball, H, tables)
+        fibers = tuple(tables.pt_fibers)
+        return ([g for g in lifts if _h2_base(H, tables, g[0]) == fibers],
+                lifts, H, tables)
     plane = _column_planes(ball.matrix)[ball.center_type]
     m = plane.modulus
     kernel = list(_h2_lift_search(H, tables,
                                   {f: f for f in tables.pt_fibers}))
-    maps = []
+    lifts = []
     for c in all_collineations(plane):
         # residue points sit at vertex id 1 + plane point
         base_pt = {1 + p: 1 + c.point_map[p] for p in range(m)}
-        lift = next(_h2_lift_search(H, tables, base_pt), None)
-        if lift is not None:
-            maps += [(perm_compose(lift[0], kp), perm_compose(lift[1], kl))
-                     for kp, kl in kernel]
-    return sorted(maps), H, tables
+        lifts += itertools.islice(_h2_lift_search(H, tables, base_pt), 1)
+    return kernel, lifts, H, tables
 
 
 def h2_collineations_fixing_center(ball: BallComplex,
@@ -536,68 +538,65 @@ def h2_collineations_fixing_center(ball: BallComplex,
     laws asserted for every elation found: it fixes the full fiber of
     its center and axis, and moves every point of an auxiliary line
     through the center that is not near the axis."""
-    return _h2_summary(ball, *_h2_group(ball, labels_only))
+    return _h2_summary(*_h2_group(ball, labels_only), labels_only)
 
 
-def _h2_summary(ball: BallComplex, maps, H: HjelmslevPlane,
-                tables) -> H2GroupSummary:
-    h1 = extract_hjelmslev(ball, 1)
-    h1_flags = {(p[0], l[0]) for p, l in h1.incidence}
+def _h2_summary(kernel, lifts, H, tables, labels_only) -> H2GroupSummary:
+    identity = (tuple(range(len(H.points))), tuple(range(len(H.lines))))
+    kernel_set = set(kernel)
+    if identity not in kernel_set:
+        raise AssertionError("the identity is not among the collineations")
+    # closed under inverses: K is, and the lift of c^-1 after the lift
+    # of c lies in K for every base collineation c
+    by_base = {_h2_base(H, tables, g[0]): g for g in lifts}
+    inverses = [(perm_inverse(kp), perm_inverse(kl)) for kp, kl in kernel]
+    for pmap, lmap in by_base.values():
+        inv = by_base.get(_h2_base(H, tables, perm_inverse(pmap)))
+        inverses.append(inv and (perm_compose(inv[0], pmap),
+                                 perm_compose(inv[1], lmap)))
+    if not kernel_set.issuperset(inverses):
+        raise AssertionError("the collineations are not closed under inverses")
+
+    # the elations at each flag: a search seeded with every point of the
+    # axis and every line through the center fixed (with labels_only,
+    # the shifts that fix them), and both laws checked at that flag.
+    # The level-2 flags project onto the level-1 flags.
     pt_lines = tables.pt_lines
     ln_points = tables.engine[2]  # the points of each line, as a set
-    pt_fibers, ln_fibers = tables.pt_fibers, tables.ln_fibers
-    npts, nlns = len(H.points), len(H.lines)
-    identity = (tuple(range(npts)), tuple(range(nlns)))
-    if identity not in maps:
-        raise AssertionError("the identity is not among the collineations")
-
-    map_set = set(maps)
-    for pmap, lmap in maps:
-        if (perm_inverse(pmap), perm_inverse(lmap)) not in map_set:
-            raise AssertionError("the collineations are not closed under "
-                                 "inverses")
-
-    base_images = {tuple(H.points[pmap[pt_fibers[f][0]]][0]
-                         for f in sorted(pt_fibers))
-                   for pmap, _ in maps}
-    kernel = sum(
-        1 for pmap, _ in maps
-        if all(H.points[pmap[i]][0] == H.points[i][0] for i in range(npts)))
-
-    elations = 0
-    neighbor_ok = True
-    free_ok = True
-    for pmap, lmap in maps:
-        if (pmap, lmap) == identity:
-            continue
-        fixed_pts = {i for i in range(npts) if pmap[i] == i}
-        fixed_lns = {j for j in range(nlns) if lmap[j] == j}
-        axes = [j for j in range(nlns) if ln_points[j] <= fixed_pts]
-        centers = [i for i in range(npts) if pt_lines[i] <= fixed_lns]
-        flag = next(((i, j) for i in centers for j in axes
-                     if j in pt_lines[i]), None)
-        if flag is None:
-            continue
-        elations += 1
-        ci, ax = flag
+    h1_flags = {(H.points[i][0], H.lines[j][0])
+                for i, lines in enumerate(pt_lines) for j in lines}
+    elations = set()
+    neighbor_ok = free_ok = True
+    for ci, center_lines in enumerate(pt_lines):
         cf = H.points[ci][0]
-        if not all(pmap[i] == i for i in pt_fibers[cf]):
-            neighbor_ok = False
-        af = H.lines[ax][0]
-        if not all(lmap[j] == j for j in ln_fibers[af]):
-            neighbor_ok = False
-        # free action off the axis: a point is near the axis when its
-        # fiber meets the axis's level-1 line, and those may be fixed
-        for m_line in pt_lines[ci]:
-            for p in ln_points[m_line]:
-                if (H.points[p][0], H.lines[ax][0]) in h1_flags:
+        for ax in sorted(center_lines):
+            axis_pts, af = ln_points[ax], H.lines[ax][0]
+            if labels_only:
+                found = [(pmap, lmap) for pmap, lmap in lifts
+                         if all(pmap[p] == p for p in axis_pts)
+                         and all(lmap[y] == y for y in center_lines)]
+            else:
+                search = _Search(tables.engine)
+                found = search.run() if search.seed(
+                    {p: p for p in axis_pts},
+                    {y: y for y in center_lines}) else ()
+            for pmap, lmap in found:
+                if (pmap, lmap) == identity:
                     continue
-                if pmap[p] == p:
-                    free_ok = False
+                _h2_check(tables, pmap, lmap)
+                elations.add((pmap, lmap))
+                neighbor_ok &= (
+                    all(pmap[i] == i for i in tables.pt_fibers[cf])
+                    and all(lmap[j] == j for j in tables.ln_fibers[af]))
+                # free action off the axis: a point whose fiber meets
+                # the axis's level-1 line is near it, and may be fixed
+                free_ok &= not any(
+                    pmap[p] == p for y in center_lines for p in ln_points[y]
+                    if (H.points[p][0], af) not in h1_flags)
 
     return H2GroupSummary(
-        order=len(maps), base_image_order=len(base_images),
-        fiber_kernel_order=kernel, elation_count=elations,
+        order=len(kernel) * len(by_base), base_image_order=len(by_base),
+        fiber_kernel_order=len(kernel), elation_count=len(elations),
         neighbor_fixing_ok=neighbor_ok, free_action_ok=free_ok)
 
 

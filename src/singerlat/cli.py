@@ -5,8 +5,10 @@ sets, export planes, certify difference matrices, run the equivalence
 census, print the counting bounds, and build glued balls.  All output is
 deterministic; identical invocations produce byte-identical bytes.
 
-Exit codes: 0 success, 1 certified-exotic verdict where a Moufang
-candidate was requested, 2 invalid input, 3 cap exceeded.
+Exit codes: 0 success, 1 a certified-exotic verdict from certify with
+--moufang-candidate (the flag keeps its old name: certify runs no
+Moufang test, and exit 1 means two adjacent pencil groups differ), 2
+invalid input, 3 cap exceeded.
 """
 
 import argparse
@@ -167,7 +169,8 @@ def _build_parser():
     p.add_argument("file", help="difference matrix file")
     p.add_argument(
         "--moufang-candidate", action="store_true",
-        help="exit 1 if the matrix is certified exotic")
+        help="exit 1 if the matrix is certified exotic (two adjacent "
+             "pencil groups differ; no Moufang test is run)")
 
     p = sub.add_parser(
         "classify",

@@ -230,6 +230,11 @@ def stabilizer_index_perms(D: DifferenceSet) -> list[tuple[int, ...]]:
             for g in set_stabilizer_in_agl(D)]
 
 
+def _is_json_int(x) -> bool:
+    # JSON true and false parse to bools, which are ints to isinstance
+    return type(x) is int
+
+
 # -- matrix files: JSON with fields q, modulus, columns --
 
 def matrix_to_text(M: DifferenceMatrix) -> str:
@@ -252,7 +257,7 @@ def matrix_from_text(text: str) -> DifferenceMatrix:
         if key not in doc:
             raise InvalidInput(f"missing field {key!r}")
     q, m, cols = doc["q"], doc["modulus"], doc["columns"]
-    if not isinstance(q, int) or not isinstance(m, int):
+    if not _is_json_int(q) or not _is_json_int(m):
         raise InvalidInput("q and modulus must be integers")
     if m != q * q + q + 1:
         raise InvalidInput(f"modulus {m} is not q^2+q+1 for q={q}")
@@ -260,7 +265,7 @@ def matrix_from_text(text: str) -> DifferenceMatrix:
         raise InvalidInput("columns must be a list of three integer arrays")
     for c in cols:
         if not isinstance(c, list) or len(c) != q + 1 \
-                or not all(isinstance(x, int) for x in c):
+                or not all(map(_is_json_int, c)):
             raise InvalidInput(
                 f"each column must be a list of {q + 1} integers")
     return DifferenceMatrix.make(q, cols)
@@ -284,8 +289,8 @@ def set_from_text(text: str) -> DifferenceSet:
         if key not in doc:
             raise InvalidInput(f"missing field {key!r}")
     q, m, els = doc["q"], doc["modulus"], doc["elements"]
-    if not isinstance(q, int) or not isinstance(m, int):
+    if not _is_json_int(q) or not _is_json_int(m):
         raise InvalidInput("q and modulus must be integers")
-    if not isinstance(els, list) or not all(isinstance(x, int) for x in els):
+    if not isinstance(els, list) or not all(map(_is_json_int, els)):
         raise InvalidInput("elements must be a list of integers")
     return DifferenceSet(q, m, tuple(els))

@@ -617,9 +617,23 @@ def census_from_text(text: str) -> tuple:
     a few hundred of them over 19,296 lines.  A record with orbit 0, an
     Inconclusive verdict with a witness, a witness that is not an edge
     and a perm, an edge that does not exist or a witness perm of another
-    degree is refused."""
+    degree is refused, and so is a verdict that its alphas contradict:
+    Inconclusive needs alpha1 and alpha2 in G_0, and a witness edge
+    (s, t) with perm h needs h in G_s but not in G_t."""
     perms = {}
     verdicts = {}
+    members = {}
+
+    def in_group(alpha_token, h, h_token):
+        # h lies in G = a^-1 G_0 a, a the perm of alpha_token (G_0 itself
+        # for None), when a h a^-1 lies in G_0; once per pair of texts
+        key = (alpha_token, h_token)
+        found = members.get(key)
+        if found is None:
+            if alpha_token is not None:
+                h = conjugator(inverse(perm(alpha_token)))(h)
+            found = members[key] = h in pencil_group(len(h) - 1).elements
+        return found
 
     def perm(token, degree=None):
         p = perms.get(token)
@@ -650,6 +664,18 @@ def census_from_text(text: str) -> tuple:
             if orbit == 0:
                 raise InvalidInput("orbit size 0")
             v = verdict(m.group(4), m.group(5), len(a1))
+            w = v.witness
+            if w is None:
+                holds = (in_group(None, a1, m.group(1))
+                         and in_group(None, a2, m.group(2)))
+            else:
+                tokens = (None, m.group(1), m.group(2))
+                s, t = w.edge
+                holds = (in_group(tokens[s], w.perm, m.group(5))
+                         and not in_group(tokens[t], w.perm, m.group(5)))
+            if not holds:
+                raise InvalidInput(
+                    f"verdict {v.outcome} contradicts alpha1 and alpha2")
         except (InvalidInput, CapExceeded) as e:
             raise type(e)(f"census line {i}: {e}") from None
         classes.append(EquivClass(rep, orbit, v))

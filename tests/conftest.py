@@ -43,13 +43,13 @@ def q3_ball_r2():
 
 @pytest.fixture(scope="session")
 def h2_full_group(q2_ball_r2):
-    # the full level-2 collineation group is the most expensive
-    # computation in the suite; find it once, and its summary from the
-    # same maps, and share both
+    # the full level-2 collineation group of the identity ball: its fiber
+    # kernel, one lift per base collineation, the plane and its tables,
+    # and the summary read from them, found once and shared
     start = time.time()
-    maps, H, tables = _h2_group(q2_ball_r2, labels_only=False)
-    summary = _h2_summary(q2_ball_r2, maps, H, tables)
-    return maps, summary, time.time() - start
+    kernel, lifts, H, tables = _h2_group(q2_ball_r2, labels_only=False)
+    summary = _h2_summary(kernel, lifts, H, tables, labels_only=False)
+    return (kernel, lifts, H, tables), summary, time.time() - start
 
 
 @pytest.fixture(scope="session")

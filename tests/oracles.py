@@ -15,7 +15,11 @@ one-pattern parser, the name-and-union-find ball build for its
 closed-form vertex numbering, the residue test that tries every
 image of the anchor line for the one that tries line 0 alone, and the
 fiber-wise permutation search for the level-2 lifts for their kernel
-cosets found on the plane engine.
+cosets found on the plane engine.  The sorted listing of the whole
+q = 2 level-2 group (h2_group_listing), whose bytes the tests pin, and
+the walk over every listed map (h2_summary_of_listing) are the
+reference for the library's group summary, which reads the fiber
+kernel, the lifts and one elation search per flag instead.
 
 The library decides every verdict by membership in G_0, which is
 PGammaL(2, q) and so its own normalizer in Sym(q+1).  The normalizer
@@ -50,7 +54,8 @@ from functools import lru_cache
 
 from singerlat.arith import is_prime, make_field, prime_power
 from singerlat.ball import (
-    BALL_R1_Q_CAP, BALL_R2_Q_CAP, BallComplex, HjelmslevPlane,
+    BALL_R1_Q_CAP, BALL_R2_Q_CAP, BallComplex, H2GroupSummary,
+    HjelmslevPlane, extract_hjelmslev,
 )
 from singerlat.diffsets import (
     AffineMap, DifferenceMatrix, DifferenceSet, DifferenceVector,
@@ -510,6 +515,80 @@ def h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):
 
     extend(0)
     return out
+
+
+def h2_group_listing(kernel, lifts):
+    """The whole level-2 group as a sorted list, every lift after every
+    element of the fiber kernel: the listing the library's summary
+    replaces, and the map list whose bytes the tests pin."""
+    return sorted((compose(lp, kp), compose(ll, kl))
+                  for lp, ll in lifts for kp, kl in kernel)
+
+
+def h2_summary_of_listing(ball: BallComplex, maps, H: HjelmslevPlane,
+                          tables) -> H2GroupSummary:
+    """The group summary by a walk over every map of the listing: the
+    fixed points and lines, axes and centres of each map, the elation
+    laws at its first flag.  The reference for the library's summary,
+    which reads the kernel and the lifts and searches flag by flag."""
+    h1 = extract_hjelmslev(ball, 1)
+    h1_flags = {(p[0], l[0]) for p, l in h1.incidence}
+    pt_lines = tables.pt_lines
+    ln_points = tables.engine[2]  # the points of each line, as a set
+    pt_fibers, ln_fibers = tables.pt_fibers, tables.ln_fibers
+    npts, nlns = len(H.points), len(H.lines)
+    identity_map = (tuple(range(npts)), tuple(range(nlns)))
+    if identity_map not in maps:
+        raise AssertionError("the identity is not among the collineations")
+
+    map_set = set(maps)
+    for pmap, lmap in maps:
+        if (inverse(pmap), inverse(lmap)) not in map_set:
+            raise AssertionError("the collineations are not closed under "
+                                 "inverses")
+
+    base_images = {tuple(H.points[pmap[pt_fibers[f][0]]][0]
+                         for f in sorted(pt_fibers))
+                   for pmap, _ in maps}
+    kernel = sum(
+        1 for pmap, _ in maps
+        if all(H.points[pmap[i]][0] == H.points[i][0] for i in range(npts)))
+
+    elations = 0
+    neighbor_ok = True
+    free_ok = True
+    for pmap, lmap in maps:
+        if (pmap, lmap) == identity_map:
+            continue
+        fixed_pts = {i for i in range(npts) if pmap[i] == i}
+        fixed_lns = {j for j in range(nlns) if lmap[j] == j}
+        axes = [j for j in range(nlns) if ln_points[j] <= fixed_pts]
+        centers = [i for i in range(npts) if pt_lines[i] <= fixed_lns]
+        flag = next(((i, j) for i in centers for j in axes
+                     if j in pt_lines[i]), None)
+        if flag is None:
+            continue
+        elations += 1
+        ci, ax = flag
+        cf = H.points[ci][0]
+        if not all(pmap[i] == i for i in pt_fibers[cf]):
+            neighbor_ok = False
+        af = H.lines[ax][0]
+        if not all(lmap[j] == j for j in ln_fibers[af]):
+            neighbor_ok = False
+        # free action off the axis: a point is near the axis when its
+        # fiber meets the axis's level-1 line, and those may be fixed
+        for m_line in pt_lines[ci]:
+            for p in ln_points[m_line]:
+                if (H.points[p][0], H.lines[ax][0]) in h1_flags:
+                    continue
+                if pmap[p] == p:
+                    free_ok = False
+
+    return H2GroupSummary(
+        order=len(maps), base_image_order=len(base_images),
+        fiber_kernel_order=kernel, elation_count=elations,
+        neighbor_fixing_ok=neighbor_ok, free_action_ok=free_ok)
 
 
 # -- cycle types and the full symmetric group --

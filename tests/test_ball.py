@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -238,11 +239,12 @@ def test_level_two_counts_and_fibers(q2_ball_r2):
         dict.fromkeys(H.lines, 6))
 
 
-def test_level_two_projection_sends_flags_to_flags(q2_ball_r2):
-    H1 = extract_hjelmslev(q2_ball_r2, 1)
-    H2 = extract_hjelmslev(q2_ball_r2, 2)
-    for P, L in H2.incidence:
-        assert (P[:1], L[:1]) in H1.incidence
+def test_level_two_projection_sends_flags_to_flags(q2_ball_r2, q3_ball_r2):
+    # onto the level-1 flags, which the level-2 summary reads this way
+    for ball in (q2_ball_r2, q3_ball_r2):
+        H1 = extract_hjelmslev(ball, 1)
+        H2 = extract_hjelmslev(ball, 2)
+        assert {(P[:1], L[:1]) for P, L in H2.incidence} == H1.incidence
 
 
 def test_level_two_common_line_counts(q2_ball_r2):
@@ -267,10 +269,11 @@ def test_extraction_needs_radius():
 
 
 def test_label_preserving_maps_are_the_cyclic_shifts(q2_ball_r2):
-    maps, _, _ = _h2_group(q2_ball_r2, labels_only=True)
+    kernel, maps, _, _ = _h2_group(q2_ball_r2, labels_only=True)
     assert len(maps) == 7
     npts = 28
-    assert (tuple(range(npts)), tuple(range(npts))) in maps
+    assert kernel == [(tuple(range(npts)), tuple(range(npts)))]
+    assert kernel[0] in maps
     for pmap, _ in maps:
         if pmap == tuple(range(npts)):
             continue
@@ -319,13 +322,44 @@ def test_full_group_elation_laws(h2_full_summary):
     assert summary.free_action_ok
 
 
-def test_full_group_bytes_are_pinned(h2_full_group):
+@pytest.fixture(scope="module")
+def h2_listing(h2_full_group):
+    # the oracle listing of the whole group of the q = 2 identity ball,
+    # every lift after every kernel element, sorted
+    (kernel, lifts, _, _), _, _ = h2_full_group
+    return oracles.h2_group_listing(kernel, lifts)
+
+
+def test_full_group_bytes_are_pinned(h2_listing):
     # the sorted map list of the q = 2 identity ball, as the fiber-wise
     # permutation search produced it before the kernel cosets
-    maps, _, _ = h2_full_group
+    maps = h2_listing
     assert len(maps) == 43008
     assert hashlib.sha256(repr(maps).encode()).hexdigest() == (
         "e0342f9e498e238e6e13dcc18b316c830b3bd6d31214bda62fdf7738a0783caa")
+
+
+def test_summary_matches_the_walk_over_the_listing(
+        q2_ball_r2, h2_full_group, h2_listing):
+    # the summary from the kernel, the lifts and the flag-wise elation
+    # searches equals the old walk over all 43,008 maps
+    (_, _, H, tables), summary, _ = h2_full_group
+    assert summary == oracles.h2_summary_of_listing(
+        q2_ball_r2, h2_listing, H, tables)
+
+
+def test_full_group_summary_lists_no_group(q2_ball_r2):
+    # the summary never lists the group: the 43,008 maps and a walk over
+    # them take about 28 MB (tracemalloc), the kernel, the lifts and the
+    # elations under 1 MB
+    tracemalloc.start()
+    try:
+        summary = h2_collineations_fixing_center(q2_ball_r2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.order == 43008
+    assert peak < 4_000_000
 
 
 def test_lifts_are_kernel_cosets(q2_ball_r2):

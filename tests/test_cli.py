@@ -83,6 +83,19 @@ def test_verify_ds_non_canonical(tmp_path, capsys):
     assert "canonical=no" in out
 
 
+def test_verify_ds_rejects_json_booleans(tmp_path, capsys):
+    # JSON true and false are no integers, though Python's bool is one
+    target = tmp_path / "ds.json"
+    for text, field in [
+        ('{"elements": [false, true, 3], "modulus": 7, "q": 2}\n', "elements"),
+        ('{"elements": [0, 1], "modulus": 3, "q": true}\n', "q and modulus"),
+    ]:
+        target.write_text(text)
+        code, out, err = run(capsys, "verify-ds", target)
+        assert (code, out) == (2, "")
+        assert field in err and "integers" in err
+
+
 def test_verify_ds_rejects_non_difference_set(tmp_path, capsys):
     target = tmp_path / "ds.json"
     target.write_text('{"elements": [0, 1, 2], "modulus": 7, "q": 2}\n')
@@ -152,6 +165,20 @@ def test_certify_finds_each_column_map_once(twisted_q5_file, capsys,
 
 def test_certify_inconclusive_moufang_candidate_ok(q2_file, capsys):
     assert run(capsys, "certify", q2_file, "--moufang-candidate")[0] == 0
+
+
+def test_certify_rejects_json_booleans(q2_file, tmp_path, capsys):
+    text = q2_file.read_text()
+    assert '"q": 2' in text and "[0, 1, 3]" in text
+    bad = tmp_path / "bad.dm"
+    for wrong, field in [(text.replace("[0, 1, 3]", "[0, true, 3]", 1),
+                          "column"),
+                         (text.replace('"q": 2', '"q": true'),
+                          "q and modulus")]:
+        bad.write_text(wrong)
+        code, out, err = run(capsys, "certify", bad)
+        assert (code, out) == (2, "")
+        assert field in err and "integers" in err
 
 
 def test_certify_malformed_matrix_diagnostics(tmp_path, capsys):

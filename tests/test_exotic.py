@@ -653,9 +653,9 @@ def test_census_parser_rejects_garbage():
         census_from_text("")
     # records census_to_text can write but no census holds
     good = "alpha1=[0 1 2] alpha2=[0 1 2] orbit=9 verdict=Inconclusive witness=-\n"
-    certified = good.replace(
-        "Inconclusive witness=-",
-        "CertifiedExotic witness=edge(0, 1) perm=[1 0 2]")
+    certified = (
+        "alpha1=[0 1 2 3 4 5] alpha2=[0 1 2 3 5 4] orbit=405 "
+        "verdict=CertifiedExotic witness=edge(1, 2) perm=[0 2 1 5 4 3]\n")
     census_from_text(certified)
     for bad, message in [
         (good.replace("orbit=9", "orbit=0"), "orbit size 0"),
@@ -663,12 +663,12 @@ def test_census_parser_rejects_garbage():
          "an inconclusive verdict has no witness"),
         (good.replace("witness=-", "witness=column(0)"),
          r"unrecognized witness 'column\(0\)'"),
-        (certified.replace("edge(0, 1)", "edge(7, 9)"), r"no edge \(7, 9\)"),
-        (certified.replace("edge(0, 1)", "edge(1, 0)"), r"no edge \(1, 0\)"),
-        (certified.replace("edge(0, 1) perm=[1 0 2]", "column(7)"),
+        (certified.replace("edge(1, 2)", "edge(7, 9)"), r"no edge \(7, 9\)"),
+        (certified.replace("edge(1, 2)", "edge(2, 1)"), r"no edge \(2, 1\)"),
+        (certified.replace("edge(1, 2) perm=[0 2 1 5 4 3]", "column(7)"),
          r"unrecognized witness 'column\(7\)'"),
-        (certified.replace("perm=[1 0 2]", "perm=[1 0 2 3]"),
-         "expected degree 3, got 4"),
+        (certified.replace("perm=[0 2 1 5 4 3]", "perm=[0 2 1 5 4 3 6]"),
+         "expected degree 6, got 7"),
     ]:
         with pytest.raises(InvalidInput, match="census line 2: " + message):
             census_from_text(good + bad)
@@ -689,13 +689,42 @@ def test_census_parser_checks_degree_of_repeated_text():
         census_from_text(text)
     with pytest.raises(InvalidInput, match="census line 2: not a perm"):
         census_from_text(text.replace("[0 1 2 3]", "[0 1 1 3]"))
-    # so must a witness perm whose verdict text was met at degree 3
-    witness = "verdict=CertifiedExotic witness=edge(0, 1) perm=[1 0 2]\n"
+    # so must a witness perm whose verdict text was met at degree 6
+    witness = "verdict=CertifiedExotic witness=edge(1, 2) perm=[0 2 1 5 4 3]\n"
     text = (
-        "alpha1=[0 1 2] alpha2=[0 1 2] orbit=9 " + witness
-        + "alpha1=[0 1 2 3] alpha2=[0 1 2 3] orbit=9 " + witness)
-    with pytest.raises(InvalidInput, match="census line 2: expected degree 4"):
+        "alpha1=[0 1 2 3 4 5] alpha2=[0 1 2 3 5 4] orbit=405 " + witness
+        + "alpha1=[0 1 2 3 4 5 6 7] alpha2=[0 1 2 3 4 5 6 7] orbit=9 "
+        + witness)
+    with pytest.raises(InvalidInput, match="census line 2: expected degree 8"):
         census_from_text(text)
+
+
+def test_census_parser_refuses_verdicts_that_the_alphas_contradict():
+    # Inconclusive exactly when alpha1 and alpha2 lie in G_0; a witness
+    # edge (s, t) with perm h needs h in G_s = alpha_s^-1 G_0 alpha_s and
+    # not in G_t
+    inconclusive = ("alpha1=[0 1 2 3 4 5] alpha2=[0 1 3 2 5 4] orbit=135 "
+                    "verdict=Inconclusive witness=-\n")
+    certified = ("alpha1=[0 1 2 3 4 5] alpha2=[0 1 2 3 5 4] orbit=405 "
+                 "verdict=CertifiedExotic witness=edge(1, 2) "
+                 "perm=[0 2 1 5 4 3]\n")
+    census_from_text(inconclusive + certified)
+    for bad in [
+        "alpha1=[0 1 2 3 5 4] alpha2=[0 1 2 3 4 5] orbit=7 "
+        "verdict=Inconclusive witness=-\n",
+        "alpha1=[0 1 2] alpha2=[0 1 2] orbit=1 verdict=CertifiedExotic "
+        "witness=edge(0, 1) perm=[0 2 1]\n",
+        certified.split(" verdict=")[0] + " verdict=Inconclusive witness=-\n",
+        # G_0 = G_1 here, so no perm tells them apart
+        certified.replace("edge(1, 2)", "edge(0, 1)"),
+        # the witness lies in G_1 and G_2 both
+        certified.replace("perm=[0 2 1 5 4 3]", "perm=[0 1 2 3 4 5]"),
+        # the witness lies outside G_2
+        certified.replace("edge(1, 2)", "edge(2, 0)"),
+    ]:
+        with pytest.raises(InvalidInput,
+                           match="census line 2: verdict .* contradicts"):
+            census_from_text(inconclusive + bad)
 
 
 def run_python_O(body):

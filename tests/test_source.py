@@ -67,6 +67,7 @@ TEST_ONLY_NAMES = {
     "Field.element_by_index", "RunConfig", "_subfield_elements",
     "NonDesarguesianColumn", "_check_canonical_plane",
     "_canonical_plane_desarguesian", "h2_collineations", "_COLUMN_WITNESS_RE",
+    "h2_group_listing", "h2_summary_of_listing",
 }
 
 
