@@ -15,6 +15,7 @@ ball by a short gallery of chambers.
 """
 
 import itertools
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -23,9 +24,9 @@ from typing import NamedTuple
 
 from .diffsets import DifferenceMatrix
 from .errors import CapExceeded, GluingError, InvalidInput
-from .permgrp import compose as perm_compose
-from .permgrp import inverse as perm_inverse
-from .plane import LabelledPlane, _incidence_tables, _Search, all_collineations
+from .plane import (
+    LabelledPlane, _chain_orbits, _check_map, _incidence_tables, _Search,
+)
 
 BALL_R1_Q_CAP = 9
 BALL_R2_Q_CAP = 9
@@ -108,11 +109,6 @@ class H2GroupSummary:
     elation_count: int
     neighbor_fixing_ok: bool
     free_action_ok: bool
-
-
-def _column_planes(M: DifferenceMatrix):
-    return tuple(
-        LabelledPlane(c.q, c.modulus, c.entries) for c in M.columns)
 
 
 def _check_source(ball: BallComplex, what: str) -> None:
@@ -321,7 +317,8 @@ def verify_ball(ball: BallComplex) -> BallReport:
                 f"interior panel {e} carries labels {labels} "
                 f"instead of one chamber per label")
 
-    planes = _column_planes(ball.matrix)
+    planes = [LabelledPlane(c.q, c.modulus, c.entries)
+              for c in ball.matrix.columns]
     residue_status = []
     for x in range(ball.vertex_count):
         if dists[x] >= radius:
@@ -451,14 +448,6 @@ def _h2_tables(H: HjelmslevPlane) -> _H2Tables:
         ln_fibers, _incidence_tables(ln_points, pt_lines))
 
 
-def _h2_check(tables: _H2Tables, pmap, lmap) -> None:
-    # the lines through each point go onto the lines through its image
-    for i, lines in enumerate(tables.pt_lines):
-        if tables.pt_lines[pmap[i]] != frozenset(lmap[j] for j in lines):
-            raise AssertionError(
-                f"the map sends the lines through point {i} elsewhere")
-
-
 def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane, tables):
     """Label-preserving collineations: the center's cyclic shift forces
     the whole map through the vertex names, one map per shift."""
@@ -479,35 +468,34 @@ def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane, tables):
                 for i, n in enumerate(ball.names)}
         pmap = tuple(pt_index[(vmap[p[0]], vmap[p[1]])] for p in H.points)
         lmap = tuple(ln_index[(vmap[l[0]], vmap[l[1]])] for l in H.lines)
-        _h2_check(tables, pmap, lmap)
+        _check_map(tables.engine, pmap, lmap)
         maps.append((pmap, lmap))
     return maps
 
 
-def _h2_lift_search(H: HjelmslevPlane, tables, base_pt):
-    """The collineations of the level-2 plane that send the fiber over
-    each level-1 point p into the fiber over base_pt[p], one at a time
-    as the engine finds them."""
-    dom = {f: frozenset(tables.pt_fibers[base_pt[f]])
-           for f in tables.pt_fibers}
-    search = _Search(tables.engine, pt_domain=[dom[p[0]] for p in H.points])
-    for pmap, lmap in search.run():
-        _h2_check(tables, pmap, lmap)
-        yield pmap, lmap
+def _h2_elation_laws(H: HjelmslevPlane, tables, h1_flags, center, axis,
+                     pmap, lmap):
+    """(neighbor_ok, free_ok) for a map fixing every point of the axis
+    and every line through the center; h1_flags are the level-1 flags."""
+    af, ln_points = H.lines[axis][0], tables.engine[2]
+    neighbor_ok = (
+        all(pmap[i] == i for i in tables.pt_fibers[H.points[center][0]])
+        and all(lmap[j] == j for j in tables.ln_fibers[af]))
+    # free action off the axis: a point whose fiber meets the axis's
+    # level-1 line is near it, and may be fixed
+    free_ok = not any(
+        pmap[p] == p for y in tables.pt_lines[center] for p in ln_points[y]
+        if (H.points[p][0], af) not in h1_flags)
+    return neighbor_ok, free_ok
 
 
-def _h2_base(H: HjelmslevPlane, tables, pmap):
-    # the level-1 point under the image of each fiber, fibers in order
-    return tuple(H.points[pmap[f[0]]][0] for f in tables.pt_fibers.values())
-
-
-def _h2_group(ball: BallComplex, labels_only):
-    """The fiber kernel K of the center's level-2 plane (the lifts of the
-    identity), one lift of each collineation of the center's plane that
-    lifts, and the plane and its tables.  Two lifts of one base differ
-    by an element of K, so the group is the union of the cosets lift
-    after K, and nothing lists it.  With labels_only the lifts are the
-    center's cyclic shifts, and K the shifts that fix every fiber."""
+def h2_collineations_fixing_center(ball: BallComplex,
+                                   labels_only=False) -> H2GroupSummary:
+    """Group summary of the level-2 collineations, with the two elation
+    laws checked for every elation found and reported as
+    neighbor_fixing_ok and free_action_ok: an elation fixes the full
+    fiber of its center and axis, and moves every point of an auxiliary
+    line through the center that is not near the axis."""
     if ball.q > H2_GROUP_Q_CAP:
         raise CapExceeded(
             f"level-2 group search capped at q <= {H2_GROUP_Q_CAP}, "
@@ -515,64 +503,38 @@ def _h2_group(ball: BallComplex, labels_only):
     _check_source(ball, "the level-2 group search")
     H = extract_hjelmslev(ball, 2)
     tables = _h2_tables(H)
-    if labels_only:
-        lifts = _h2_singer_maps(ball, H, tables)
-        fibers = tuple(tables.pt_fibers)
-        return ([g for g in lifts if _h2_base(H, tables, g[0]) == fibers],
-                lifts, H, tables)
-    plane = _column_planes(ball.matrix)[ball.center_type]
-    m = plane.modulus
-    kernel = list(_h2_lift_search(H, tables,
-                                  {f: f for f in tables.pt_fibers}))
-    lifts = []
-    for c in all_collineations(plane):
-        # residue points sit at vertex id 1 + plane point
-        base_pt = {1 + p: 1 + c.point_map[p] for p in range(m)}
-        lifts += itertools.islice(_h2_lift_search(H, tables, base_pt), 1)
-    return kernel, lifts, H, tables
-
-
-def h2_collineations_fixing_center(ball: BallComplex,
-                                   labels_only=False) -> H2GroupSummary:
-    """Group summary of the level-2 collineations, with the two elation
-    laws asserted for every elation found: it fixes the full fiber of
-    its center and axis, and moves every point of an auxiliary line
-    through the center that is not near the axis."""
-    return _h2_summary(*_h2_group(ball, labels_only), labels_only)
-
-
-def _h2_summary(kernel, lifts, H, tables, labels_only) -> H2GroupSummary:
     identity = (tuple(range(len(H.points))), tuple(range(len(H.lines))))
-    kernel_set = set(kernel)
-    if identity not in kernel_set:
-        raise AssertionError("the identity is not among the collineations")
-    # closed under inverses: K is, and the lift of c^-1 after the lift
-    # of c lies in K for every base collineation c
-    by_base = {_h2_base(H, tables, g[0]): g for g in lifts}
-    inverses = [(perm_inverse(kp), perm_inverse(kl)) for kp, kl in kernel]
-    for pmap, lmap in by_base.values():
-        inv = by_base.get(_h2_base(H, tables, perm_inverse(pmap)))
-        inverses.append(inv and (perm_compose(inv[0], pmap),
-                                 perm_compose(inv[1], lmap)))
-    if not kernel_set.issuperset(inverses):
-        raise AssertionError("the collineations are not closed under inverses")
+    # the orders of the group and of its fiber kernel K, the maps that
+    # keep every point in its fiber: by stabilizer chains, K's with the
+    # fibers as domains; with labels_only the group is the shifts
+    fibers = [frozenset(tables.pt_fibers[p[0]]) for p in H.points]
+    if labels_only:
+        shifts = _h2_singer_maps(ball, H, tables)
+        if identity not in shifts:
+            raise AssertionError("the identity is not among the collineations")
+        order = len(shifts)
+        kernel_order = sum(all(v in fiber for v, fiber in zip(pmap, fibers))
+                           for pmap, _ in shifts)
+    else:
+        order = math.prod(_chain_orbits(tables.engine))
+        kernel_order = math.prod(_chain_orbits(tables.engine, fibers))
+    if order % kernel_order:
+        raise AssertionError(
+            f"the fiber kernel order {kernel_order} does not divide the "
+            f"group order {order}")
 
     # the elations at each flag: a search seeded with every point of the
     # axis and every line through the center fixed (with labels_only,
     # the shifts that fix them), and both laws checked at that flag.
     # The level-2 flags project onto the level-1 flags.
-    pt_lines = tables.pt_lines
-    ln_points = tables.engine[2]  # the points of each line, as a set
     h1_flags = {(H.points[i][0], H.lines[j][0])
-                for i, lines in enumerate(pt_lines) for j in lines}
-    elations = set()
-    neighbor_ok = free_ok = True
-    for ci, center_lines in enumerate(pt_lines):
-        cf = H.points[ci][0]
+                for i, lines in enumerate(tables.pt_lines) for j in lines}
+    elations, laws = set(), set()
+    for ci, center_lines in enumerate(tables.pt_lines):
         for ax in sorted(center_lines):
-            axis_pts, af = ln_points[ax], H.lines[ax][0]
+            axis_pts = tables.engine[2][ax]  # the points of ax, as a set
             if labels_only:
-                found = [(pmap, lmap) for pmap, lmap in lifts
+                found = [(pmap, lmap) for pmap, lmap in shifts
                          if all(pmap[p] == p for p in axis_pts)
                          and all(lmap[y] == y for y in center_lines)]
             else:
@@ -583,21 +545,16 @@ def _h2_summary(kernel, lifts, H, tables, labels_only) -> H2GroupSummary:
             for pmap, lmap in found:
                 if (pmap, lmap) == identity:
                     continue
-                _h2_check(tables, pmap, lmap)
+                _check_map(tables.engine, pmap, lmap)
                 elations.add((pmap, lmap))
-                neighbor_ok &= (
-                    all(pmap[i] == i for i in tables.pt_fibers[cf])
-                    and all(lmap[j] == j for j in tables.ln_fibers[af]))
-                # free action off the axis: a point whose fiber meets
-                # the axis's level-1 line is near it, and may be fixed
-                free_ok &= not any(
-                    pmap[p] == p for y in center_lines for p in ln_points[y]
-                    if (H.points[p][0], af) not in h1_flags)
+                laws.add(_h2_elation_laws(H, tables, h1_flags, ci, ax,
+                                          pmap, lmap))
 
     return H2GroupSummary(
-        order=len(kernel) * len(by_base), base_image_order=len(by_base),
-        fiber_kernel_order=len(kernel), elation_count=len(elations),
-        neighbor_fixing_ok=neighbor_ok, free_action_ok=free_ok)
+        order=order, base_image_order=order // kernel_order,
+        fiber_kernel_order=kernel_order, elation_count=len(elations),
+        neighbor_fixing_ok=all(ok for ok, _ in laws),
+        free_action_ok=all(ok for _, ok in laws))
 
 
 def complex_to_text(ball: BallComplex) -> str:

@@ -8,7 +8,7 @@ deterministic; identical invocations produce byte-identical bytes.
 Exit codes: 0 success, 1 a certified-exotic verdict from certify with
 --moufang-candidate (the flag keeps its old name: certify runs no
 Moufang test, and exit 1 means two adjacent pencil groups differ), 2
-invalid input, 3 cap exceeded.
+invalid input or a file that cannot be read or written, 3 cap exceeded.
 """
 
 import argparse
@@ -33,13 +33,20 @@ def _read(path):
         raise InvalidInput(f"cannot read {path}: {e}") from None
 
 
+def _write(path, text):
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise InvalidInput(f"cannot write {path}: {e}") from None
+
+
 def _emit(text, output_path, summary):
     # machine text goes to the file when one is named, else to stdout;
     # the human summary must never mix into machine output
     if output_path is None:
         sys.stdout.write(text)
     else:
-        Path(output_path).write_text(text)
+        _write(output_path, text)
         print(f"{summary} -> {output_path}")
 
 
@@ -84,15 +91,19 @@ def cmd_certify(args):
 def cmd_classify(args):
     if args.threads < 1:
         raise InvalidInput(f"thread count must be positive, got {args.threads}")
+    outdir = Path(args.outdir)
+    # checked before the census, which can take seconds
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InvalidInput(f"cannot write {outdir}: {e}") from None
     classes = classify(args.q, extra_moves=args.extra_moves,
                        threads=args.threads)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     suffix = "_extra" if args.extra_moves else ""
     census_path = outdir / f"census_q{args.q}{suffix}.txt"
     summary_path = outdir / f"summary_q{args.q}{suffix}.tsv"
-    census_path.write_text(census_to_text(classes))
-    summary_path.write_text(census_summary(args.q, classes))
+    _write(census_path, census_to_text(classes))
+    _write(summary_path, census_summary(args.q, classes))
     total = sum(c.orbit_size for c in classes)
     exotic = sum(1 for c in classes
                  if c.verdict.outcome == CERTIFIED_EXOTIC)

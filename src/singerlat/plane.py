@@ -23,10 +23,8 @@ from .diffsets import canonical_difference_set, is_difference_set
 from .errors import CapExceeded, InvalidInput
 from .permgrp import validate_perm
 
-# backtracking searches stay exact but slow down fast with q; the full
-# group without a fixed point is only enumerated for tiny orders
+# backtracking searches stay exact but slow down fast with q
 SEARCH_Q_CAP = 5
-FULL_GROUP_Q_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -376,6 +374,45 @@ class _Search:
             self._undo_to(mark)
 
 
+def _check_map(tables, pmap, lmap):
+    # the lines through each point go onto the lines through its image
+    pt_lines = tables[1]
+    for p, lines in enumerate(pt_lines):
+        if set(pt_lines[pmap[p]]) != {lmap[y] for y in lines}:
+            raise AssertionError(
+                f"the map sends the lines through point {p} elsewhere")
+
+
+def _chain_orbits(tables, pt_domain=None):
+    """Orbit lengths of a stabilizer chain of the group of maps the
+    engine finds, each point p kept in pt_domain[p] when given; the order
+    is their product (Seress, Permutation Group Algorithms, ch. 4).  The
+    base starts at the tables' quadrangle and grows by the first point
+    that a map fixing all of it moves.  The orbit of a base point is the
+    set of images v for which a search with the earlier base points
+    fixed and the point sent to v finds a map."""
+    npts = len(tables[1])
+    identity = tuple(range(npts))
+
+    def maps(seed):
+        search = _Search(tables, pt_domain)
+        for g in search.run() if search.seed(seed, {}) else ():
+            _check_map(tables, *g)
+            yield g
+
+    fixed, orbits, b = {}, [], tables[5][0]
+    while b is not None:
+        orbit = [v for v in range(npts) if next(maps({**fixed, b: v}), None)]
+        if b not in orbit:
+            raise AssertionError("the identity is not among the collineations")
+        orbits.append(len(orbit))
+        fixed[b] = b
+        moved = next((g[0] for g in maps(fixed) if g[0] != identity), None)
+        b = None if moved is None else next(
+            p for p in range(npts) if moved[p] != p)
+    return orbits
+
+
 def search_collineations(plane, point_seed=None, line_seed=None):
     """All collineations extending the given partial point and line maps,
     sorted by point map."""
@@ -386,14 +423,6 @@ def search_collineations(plane, point_seed=None, line_seed=None):
     if not s.seed(dict(point_seed or {}), dict(line_seed or {})):
         return []
     return [Collineation(plane, pmap, lmap) for pmap, lmap in sorted(s.run())]
-
-
-def all_collineations(plane):
-    """The full collineation group, by unseeded search; tiny orders only."""
-    if plane.q > FULL_GROUP_Q_CAP:
-        raise CapExceeded(
-            f"full group enumeration capped at q <= {FULL_GROUP_Q_CAP}, got {plane.q}")
-    return search_collineations(plane)
 
 
 def elations_with(plane, center, axis):

@@ -3,7 +3,10 @@ import time
 
 import pytest
 
-from singerlat.ball import _h2_group, _h2_summary, build_ball
+import oracles
+from singerlat.ball import (
+    _h2_tables, build_ball, extract_hjelmslev, h2_collineations_fixing_center,
+)
 from singerlat.diffsets import DifferenceMatrix, canonical_difference_set
 from singerlat.exotic import NormalizedMatrix
 from singerlat.permgrp import identity
@@ -43,13 +46,17 @@ def q3_ball_r2():
 
 @pytest.fixture(scope="session")
 def h2_full_group(q2_ball_r2):
-    # the full level-2 collineation group of the identity ball: its fiber
-    # kernel, one lift per base collineation, the plane and its tables,
-    # and the summary read from them, found once and shared
+    # the full level-2 collineation group of the identity ball: the
+    # oracle's listed fiber kernel and one lift per base collineation,
+    # the plane and its tables, and the library's summary with its run
+    # time, found once and shared
     start = time.time()
-    kernel, lifts, H, tables = _h2_group(q2_ball_r2, labels_only=False)
-    summary = _h2_summary(kernel, lifts, H, tables, labels_only=False)
-    return (kernel, lifts, H, tables), summary, time.time() - start
+    summary = h2_collineations_fixing_center(q2_ball_r2)
+    elapsed = time.time() - start
+    H = extract_hjelmslev(q2_ball_r2, 2)
+    tables = _h2_tables(H)
+    kernel, lifts = oracles.h2_kernel_and_lifts(q2_ball_r2, H, tables)
+    return (kernel, lifts, H, tables), summary, elapsed
 
 
 @pytest.fixture(scope="session")

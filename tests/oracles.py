@@ -36,7 +36,9 @@ map per column, then the row sort), the reference for
 NormalizedMatrix.from_matrix; prime_power_by_scan, the reference for
 prime_power; all_difference_sets, the exhaustive scan up to
 ENUMERATION_Q_CAP that the Singer orbit is checked against;
-compose_affine and invert_affine; collineations_fixing, which
+all_collineations, the unseeded search for the full group of a plane
+up to FULL_GROUP_Q_CAP; compose_affine and invert_affine;
+collineations_fixing, which
 pencil_action reads the point stabilizer from; compose_collineations,
 invert_collineation, is_identity and preserves_labels;
 elation_cycle_profile for the elation laws of criterion 10; and
@@ -72,12 +74,14 @@ from singerlat.permgrp import (
     inverse,
 )
 from singerlat.plane import (
-    Collineation, LabelledPlane, canonical_plane, is_desarguesian,
-    search_collineations,
+    Collineation, LabelledPlane, _check_map, _Search, canonical_plane,
+    is_desarguesian, search_collineations,
 )
 
 SEARCH_ROUTE_Q_CAP = 5
 ENUMERATION_Q_CAP = 4
+# the full group without a fixed point is only enumerated for tiny orders
+FULL_GROUP_Q_CAP = 3
 
 # full scan of Sym(n) up to here; degrees 9 and 10 use the full-cycle
 # coset route; beyond that conjugacy and normalizer searches refuse
@@ -517,6 +521,34 @@ def h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):
     return out
 
 
+def h2_lift_search(H: HjelmslevPlane, tables, base_pt):
+    """The collineations of the level-2 plane that send the fiber over
+    each level-1 point p into the fiber over base_pt[p], one at a time
+    as the plane engine finds them, each checked."""
+    dom = {f: frozenset(tables.pt_fibers[base_pt[f]])
+           for f in tables.pt_fibers}
+    search = _Search(tables.engine, pt_domain=[dom[p[0]] for p in H.points])
+    for pmap, lmap in search.run():
+        _check_map(tables.engine, pmap, lmap)
+        yield pmap, lmap
+
+
+def h2_kernel_and_lifts(ball: BallComplex, H: HjelmslevPlane, tables):
+    """The fiber kernel K of the center's level-2 plane, listed, and one
+    lift of each collineation of the center's plane that lifts: the
+    lists the pinned q = 2 listing is built from.  The library counts
+    both by stabilizer chains instead."""
+    c = ball.matrix.columns[ball.center_type]
+    plane = LabelledPlane(c.q, c.modulus, c.entries)
+    kernel = list(h2_lift_search(H, tables, {f: f for f in tables.pt_fibers}))
+    lifts = []
+    for g in all_collineations(plane):
+        # residue points sit at vertex id 1 + plane point
+        base_pt = {1 + p: 1 + g.point_map[p] for p in range(plane.modulus)}
+        lifts += itertools.islice(h2_lift_search(H, tables, base_pt), 1)
+    return kernel, lifts
+
+
 def h2_group_listing(kernel, lifts):
     """The whole level-2 group as a sorted list, every lift after every
     element of the fiber kernel: the listing the library's summary
@@ -915,6 +947,14 @@ def normalize_matrix(M, D):
 
 
 # -- collineations and elations --
+
+
+def all_collineations(plane):
+    """The full collineation group, by unseeded search; tiny orders only."""
+    if plane.q > FULL_GROUP_Q_CAP:
+        raise CapExceeded(
+            f"full group enumeration capped at q <= {FULL_GROUP_Q_CAP}, got {plane.q}")
+    return search_collineations(plane)
 
 
 def collineations_fixing(plane, x0):

@@ -12,7 +12,7 @@ import oracles
 from conftest import identity_matrix, q11_matrix
 import singerlat.ball as ball_module
 from singerlat.ball import (
-    H2GroupSummary, _h2_group, _labelled_plane_isomorphic, build_ball,
+    H2GroupSummary, _labelled_plane_isomorphic, build_ball,
     complex_from_text, complex_to_text, extract_hjelmslev,
     h2_collineations_fixing_center, verify_ball,
 )
@@ -22,7 +22,9 @@ from singerlat.diffsets import (
 from singerlat.errors import CapExceeded, GluingError, InvalidInput
 from singerlat.exotic import NormalizedMatrix, classify, enumerate_normalized
 from singerlat.permgrp import compose, inverse
-from singerlat.plane import LabelledPlane, all_collineations, canonical_plane
+from singerlat.plane import (
+    LabelledPlane, _chain_orbits, _check_map, _Search, canonical_plane,
+)
 
 
 def test_radius_one_counts():
@@ -269,11 +271,17 @@ def test_extraction_needs_radius():
 
 
 def test_label_preserving_maps_are_the_cyclic_shifts(q2_ball_r2):
-    kernel, maps, _, _ = _h2_group(q2_ball_r2, labels_only=True)
+    H = extract_hjelmslev(q2_ball_r2, 2)
+    tables = ball_module._h2_tables(H)
+    maps = ball_module._h2_singer_maps(q2_ball_r2, H, tables)
     assert len(maps) == 7
     npts = 28
-    assert kernel == [(tuple(range(npts)), tuple(range(npts)))]
-    assert kernel[0] in maps
+    # the identity is the one shift that keeps every point in its fiber
+    fixes_fibers = [pmap for pmap, _ in maps
+                    if all(H.points[v][0] == p[0]
+                           for v, p in zip(pmap, H.points))]
+    assert fixes_fibers == [tuple(range(npts))]
+    assert (tuple(range(npts)), tuple(range(npts))) in maps
     for pmap, _ in maps:
         if pmap == tuple(range(npts)):
             continue
@@ -369,14 +377,14 @@ def test_lifts_are_kernel_cosets(q2_ball_r2):
     oracle_tables = (tables.pt_index, tables.ln_index, tables.pt_lines,
                      tables.engine[2], tables.pt_fibers, tables.ln_fibers)
     fixed = {f: f for f in tables.pt_fibers}
-    kernel = list(ball_module._h2_lift_search(H, tables, fixed))
+    kernel = list(oracles.h2_lift_search(H, tables, fixed))
     assert len(kernel) == 256
-    bases = all_collineations(canonical_plane(2))
+    bases = oracles.all_collineations(canonical_plane(2))
     assert oracles.is_identity(bases[0])
     for c in (bases[0], bases[1], bases[-1]):
         base_pt = {1 + p: 1 + c.point_map[p] for p in range(7)}
         base_ln = {8 + l: 8 + c.line_map[l] for l in range(7)}
-        lp, ll = next(ball_module._h2_lift_search(H, tables, base_pt))
+        lp, ll = next(oracles.h2_lift_search(H, tables, base_pt))
         cosets = sorted((compose(lp, kp), compose(ll, kl)) for kp, kl in kernel)
         assert oracles.h2_lifts(H, base_pt, base_ln, oracle_tables) == cosets
 
@@ -409,15 +417,77 @@ def test_level_two_maps_are_checked(q2_ball_r2):
     H = extract_hjelmslev(q2_ball_r2, 2)
     tables = ball_module._h2_tables(H)
     ident = tuple(range(28))
-    ball_module._h2_check(tables, ident, ident)
+    _check_map(tables.engine, ident, ident)
     swapped = (1, 0, *ident[2:])
     with pytest.raises(AssertionError, match="lines through point 0"):
-        ball_module._h2_check(tables, swapped, ident)
+        _check_map(tables.engine, swapped, ident)
+
+
+def _fiber_domains(H, tables):
+    return [frozenset(tables.pt_fibers[p[0]]) for p in H.points]
+
+
+def test_stabilizer_chain_orders_past_the_cap(q3_ball_r2):
+    # the q = 3 level-2 group and its fiber kernel, which the summary
+    # does not reach while H2_GROUP_Q_CAP is 2
+    H = extract_hjelmslev(q3_ball_r2, 2)
+    tables = ball_module._h2_tables(H)
+    order = math.prod(_chain_orbits(tables.engine))
+    kernel = math.prod(_chain_orbits(tables.engine, _fiber_domains(H, tables)))
+    assert (order, kernel) == (73693152, 13122)
+
+
+def test_fiber_kernel_of_a_non_classical_class():
+    e = (0, 1, 2, 3)
+    M = NormalizedMatrix(3, canonical_difference_set(3), e, (0, 1, 3, 2))
+    H = extract_hjelmslev(build_ball(M.decode(), 2), 2)
+    tables = ball_module._h2_tables(H)
+    assert math.prod(_chain_orbits(tables.engine,
+                                   _fiber_domains(H, tables))) == 3
+
+
+def test_elation_laws_fail_on_maps_that_break_them(q2_ball_r2):
+    H = extract_hjelmslev(q2_ball_r2, 2)
+    tables = ball_module._h2_tables(H)
+    h1_flags = {(H.points[i][0], H.lines[j][0])
+                for i, lines in enumerate(tables.pt_lines) for j in lines}
+    center = 0
+    center_lines = tables.pt_lines[center]
+    axis = min(center_lines)
+    axis_pts = tables.engine[2][axis]
+
+    def laws(pmap, lmap):
+        return ball_module._h2_elation_laws(
+            H, tables, h1_flags, center, axis, pmap, lmap)
+
+    ident = tuple(range(28))
+    search = _Search(tables.engine)
+    assert search.seed({p: p for p in axis_pts}, {y: y for y in center_lines})
+    pmap, lmap = next(g for g in search.run() if g[0] != ident)
+    assert laws(pmap, lmap) == (True, True)
+
+    # fixes every point of the axis and every line through the center,
+    # but swaps the two points of the center's fiber off the axis
+    a, b = [i for i in tables.pt_fibers[H.points[center][0]]
+            if i not in axis_pts]
+    swapped = list(ident)
+    swapped[a], swapped[b] = b, a
+    assert laws(tuple(swapped), ident)[0] is False
+
+    # the elation, made to fix one point of a line through the center
+    # that is not near the axis
+    af = H.lines[axis][0]
+    far = next(p for y in sorted(center_lines)
+               for p in sorted(tables.engine[2][y])
+               if (H.points[p][0], af) not in h1_flags)
+    broken = list(pmap)
+    broken[pmap.index(far)], broken[far] = pmap[far], far
+    assert laws(tuple(broken), lmap) == (True, False)
 
 
 def test_h2_search_cap(q3_ball_r2):
     with pytest.raises(CapExceeded):
-        _h2_group(q3_ball_r2, labels_only=True)
+        h2_collineations_fixing_center(q3_ball_r2, labels_only=True)
 
 
 def test_complex_text_round_trip_markers():
@@ -466,7 +536,7 @@ def test_parsed_export_is_refused_where_the_matrix_is_needed(q2_ball_r2):
     with pytest.raises(InvalidInput, match="residue check needs the source"):
         verify_ball(parsed)
     with pytest.raises(InvalidInput, match="needs the source matrix"):
-        _h2_group(parsed, labels_only=True)
+        h2_collineations_fixing_center(parsed, labels_only=True)
 
 
 # (q, alpha1, alpha2) -> sha256 of complex_to_text, of repr(verify_ball)

@@ -66,6 +66,21 @@ def test_gen_singer_to_file(tmp_path, capsys):
     assert set_from_text(target.read_text()) == canonical_difference_set(3)
 
 
+def test_gen_singer_output_in_a_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "ds.json"
+    code, out, err = run(capsys, "gen-singer", 3, "-o", target)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+
+
+def test_gen_singer_output_onto_a_directory(tmp_path, capsys):
+    code, out, err = run(capsys, "gen-singer", 3, "-o", tmp_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}")
+
+
 def test_verify_ds_round_trip(tmp_path, capsys):
     target = tmp_path / "ds.json"
     run(capsys, "gen-singer", 4, "-o", target)
@@ -223,6 +238,19 @@ def test_classify_extra_moves(tmp_path, capsys):
     assert "into 2 classes" in out
     census = census_from_text((tmp_path / "census_q2_extra.txt").read_text())
     assert sum(c.orbit_size for c in census) == 36
+
+
+def test_classify_outdir_that_is_a_file(tmp_path, capsys, monkeypatch):
+    # refused before the census runs
+    target = tmp_path / "census"
+    target.write_text("")
+    monkeypatch.setattr("singerlat.cli.classify",
+                        lambda *args, **kwargs: pytest.fail("census ran"))
+    code, out, err = run(capsys, "classify", 2, "--outdir", target)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert target.read_text() == ""
 
 
 def test_classify_cap(capsys):

@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import pytest
@@ -5,15 +6,15 @@ import pytest
 from singerlat.diffsets import DifferenceVector
 from singerlat.errors import CapExceeded, InvalidInput
 from oracles import (
-    collineations_fixing, compose_collineations, elation_cycle_profile,
-    invert_collineation, is_conjugate_in_sym, is_identity,
-    line_pencil_action, pencil_action, pgammal2_model, preserves_labels,
-    symmetric_group,
+    all_collineations, collineations_fixing, compose_collineations,
+    elation_cycle_profile, invert_collineation, is_conjugate_in_sym,
+    is_identity, line_pencil_action, pencil_action, pgammal2_model,
+    preserves_labels, symmetric_group,
 )
 from singerlat.plane import (
-    Collineation, LabelledPlane, all_collineations, canonical_plane,
-    elations_with, is_desarguesian, plane_from_text, plane_to_text,
-    search_collineations, verify_plane_axioms,
+    Collineation, LabelledPlane, _chain_orbits, _plane_tables,
+    canonical_plane, elations_with, is_desarguesian, plane_from_text,
+    plane_to_text, search_collineations, verify_plane_axioms,
 )
 
 # entries without the difference property, on the seven residues mod 7
@@ -90,6 +91,16 @@ def test_order_three_group_order_and_closure():
 def test_full_group_cap():
     with pytest.raises(CapExceeded):
         all_collineations(canonical_plane(4))
+
+
+@pytest.mark.parametrize("q,order", [(2, 168), (3, 5616), (4, 120960),
+                                     (5, 372000)])
+def test_stabilizer_chain_gives_the_collineation_group_order(q, order):
+    # |PGammaL(3, q)|, past the cap of the full enumeration
+    orbits = _chain_orbits(_plane_tables(canonical_plane(q)))
+    assert math.prod(orbits) == order
+    if q <= 3:
+        assert len(all_collineations(canonical_plane(q))) == order
 
 
 @pytest.mark.parametrize("q,order", [(2, 24), (3, 432)])

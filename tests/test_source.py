@@ -67,7 +67,8 @@ TEST_ONLY_NAMES = {
     "Field.element_by_index", "RunConfig", "_subfield_elements",
     "NonDesarguesianColumn", "_check_canonical_plane",
     "_canonical_plane_desarguesian", "h2_collineations", "_COLUMN_WITNESS_RE",
-    "h2_group_listing", "h2_summary_of_listing",
+    "h2_group_listing", "h2_summary_of_listing", "all_collineations",
+    "FULL_GROUP_Q_CAP", "h2_lift_search", "h2_kernel_and_lifts",
 }
 
 
