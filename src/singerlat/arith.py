@@ -161,8 +161,6 @@ class Field:
         return rem + (0,) * (k - len(rem))
 
     def power(self, a, e: int):
-        if e < 0:
-            return self.power(self.inv(a), -e)
         result = self.one
         base = a
         while e:
@@ -171,11 +169,6 @@ class Field:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def inv(self, a):
-        if a == self.zero:
-            raise InvalidInput("zero has no inverse")
-        return self.power(a, self.order - 2)
 
     def multiplicative_order(self, a) -> int:
         if a == self.zero:

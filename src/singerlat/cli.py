@@ -12,6 +12,7 @@ invalid input or a file that cannot be read or written, 3 cap exceeded.
 """
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -38,6 +39,15 @@ def _write(path, text):
         Path(path).write_text(text)
     except OSError as e:
         raise InvalidInput(f"cannot write {path}: {e}") from None
+
+
+def _check_writable(path):
+    # run before any work, which can take seconds; creates nothing
+    target = Path(path)
+    if target.is_dir():
+        raise InvalidInput(f"cannot write {path}: it is a directory")
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise InvalidInput(f"cannot write {path}: no write access")
 
 
 def _emit(text, output_path, summary):
@@ -89,16 +99,13 @@ def cmd_certify(args):
 
 
 def cmd_classify(args):
-    if args.threads < 1:
-        raise InvalidInput(f"thread count must be positive, got {args.threads}")
     outdir = Path(args.outdir)
     # checked before the census, which can take seconds
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise InvalidInput(f"cannot write {outdir}: {e}") from None
-    classes = classify(args.q, extra_moves=args.extra_moves,
-                       threads=args.threads)
+    classes = classify(args.q, extra_moves=args.extra_moves)
     suffix = "_extra" if args.extra_moves else ""
     census_path = outdir / f"census_q{args.q}{suffix}.txt"
     summary_path = outdir / f"summary_q{args.q}{suffix}.tsv"
@@ -189,9 +196,6 @@ def _build_parser():
     p.add_argument("q", type=int, help="plane order (prime power)")
     p.add_argument("--extra-moves", action="store_true",
                    help="also quotient by rotation and duality")
-    p.add_argument("--threads", type=int, default=1,
-                   help="kept for compatibility: the census runs in one "
-                        "thread and its bytes never depend on this")
     p.add_argument("--outdir", default=".",
                    help="directory for census and summary files")
 
@@ -212,6 +216,8 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "output", None) is not None:
+            _check_writable(args.output)
         return _DISPATCH[args.subcommand](args)
     except InvalidInput as e:
         print(f"error: {e}", file=sys.stderr)

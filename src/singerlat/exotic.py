@@ -16,7 +16,10 @@ The tests check the canonical plane's Moufang property by plane search.
 With G_t = tau_t^-1 G_0 tau_t for a label twist tau_t, G_s = G_t exactly
 when tau_s tau_t^-1 normalizes G_0.  G_0 is PGammaL(2, q) on the
 projective line, which is its own normalizer in Sym(q+1), so that is a
-membership test in G_0: G_0 is the one group the verdicts use.
+membership test in G_0: G_0 is the one group the verdicts use.  It
+is read off the canonical plane's own incidence, generated by a
+multiplier and by projectivities of the pencil at point 0, and its
+order q(q^2-1)eta confirms it.
 
 Normalized matrices have all columns equal to the canonical difference
 set D, the first in ascending order, so columns 1 and 2 are encoded by
@@ -39,11 +42,10 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from .arith import make_field, prime_power
+from .arith import prime_power
 from .diffsets import (
     DifferenceMatrix, DifferenceSet, DifferenceVector,
-    canonical_difference_set, find_agl_map, singer_difference_set,
-    stabilizer_index_perms,
+    canonical_difference_set, find_agl_map, stabilizer_index_perms,
 )
 from .errors import CapExceeded, InvalidInput
 from .permgrp import (
@@ -142,119 +144,73 @@ class EquivClass:
 
 
 @lru_cache(maxsize=None)
-def _model_pencil_group(q) -> PermGroup:
-    """Pencil group at a point of the canonical plane, built from the
-    field model instead of a plane search.
+def _canonical_pencil_group(q) -> PermGroup:
+    """Pencil group at point 0 of the canonical plane, read off the
+    plane's own incidence.
 
-    In GF(q^3) the plane's lines through the point 1*K are the
-    K-subspaces w^-d * span{1, w} for d in the Singer set; modulo the
-    fixed vector 1 they become the projective line over K, on which the
-    point stabilizer induces the full fractional-semilinear group.  The
-    result is carried back to the labels of the canonical set by the
-    affine map between the two difference sets.
+    Point x lies on line y when x - y is in D, and label j names the
+    line -d_j through 0.  Two kinds of collineation fix point 0.  The
+    multiplier p of q maps D onto a translate D + s (Hall 1947), so
+    x -> p*x sends line y to line p*y + s.  A chain of perspectivities
+    from the pencil at 0 onto an axis a, to the pencil at a point P,
+    onto an axis b and back to the pencil at 0 is a projectivity, which
+    a collineation fixing 0 induces in a Desarguesian plane (Hughes and
+    Piper 1973, ch. 4).  So the group they generate lies in
+    G_0 = PGammaL(2, q), and the order check makes it G_0.
     """
-    pk = prime_power(q)
-    if pk is None:
-        raise InvalidInput(f"{q} is not a prime power")
-    p, _ = pk
-    S = singer_difference_set(q)
-    field = make_field(p, 3 * pk[1])
-    K = field.subfield(q)
-    w = field.omega_coeffs
-    w2 = field.mul(w, w)
+    D = canonical_difference_set(q)  # refuses a q that is no prime power
+    p, eta = prime_power(q)
+    d, m = D.elements, D.modulus
+    members = set(d)
+    # every nonzero residue is d_i - d_j for exactly one pair (i, j)
+    pair = {(di - dj) % m: (i, j) for i, di in enumerate(d)
+            for j, dj in enumerate(d) if i != j}
 
-    # coordinates over K in the basis (1, w, w^2)
-    coords = {}
-    for a in K:
-        for b in K:
-            for c in K:
-                z = field.add(field.add(a, field.mul(b, w)), field.mul(c, w2))
-                coords[z] = (a, b, c)
-    if len(coords) != field.order:
-        raise AssertionError("(1, w, w^2) is not a basis over the subfield")
+    def join(a, b):  # the line on points a != b
+        return (a - d[pair[(a - b) % m][0]]) % m
 
-    def proj_point(u, v):
-        # canonical representative of the K-span of (u, v), nonzero
-        if u != field.zero:
-            return (field.one, field.mul(v, field.inv(u)))
-        return (field.zero, field.one)
+    def meet(x, y):  # the point on lines x != y
+        return (x + d[pair[(x - y) % m][1]]) % m
 
-    def subspace_point(z1, z2):
-        # the quotient image of span{z1, z2} with 1 in the span
-        _, b1, c1 = coords[z1]
-        _, b2, c2 = coords[z2]
-        if (b1, c1) != (field.zero, field.zero):
-            return proj_point(b1, c1)
-        return proj_point(b2, c2)
-
-    labels = {}
-    basis_vectors = []
-    for j, d in enumerate(S.elements):
-        z1 = field.power(w, -d)
-        z2 = field.mul(z1, w)
-        pt = subspace_point(z1, z2)
-        if pt in labels:
-            raise AssertionError(f"two lines through 1*K share label {pt}")
-        labels[pt] = j
-        basis_vectors.append((z1, z2))
-    if len(labels) != q + 1:
-        raise AssertionError(f"{len(labels)} labels, expected {q + 1}")
-
-    def matrix_perm(g00, g01, g10, g11):
-        img = [0] * (q + 1)
-        for pt, j in labels.items():
-            u, v = pt
-            iu = field.add(field.mul(g00, u), field.mul(g01, v))
-            iv = field.add(field.mul(g10, u), field.mul(g11, v))
-            img[j] = labels[proj_point(iu, iv)]
-        return tuple(img)
-
-    one, zero = field.one, field.zero
-    gens = [
-        matrix_perm(one, one, zero, one),
-        matrix_perm(one, zero, one, one),
-    ]
-    lam = next((x for x in K if x != zero
-                and field.multiplicative_order(x) == q - 1), None)
-    if lam is not None:
-        gens.append(matrix_perm(lam, zero, zero, one))
-    frob = [0] * (q + 1)
-    for j, (z1, z2) in enumerate(basis_vectors):
-        pt = subspace_point(field.power(z1, p), field.power(z2, p))
-        frob[j] = labels[pt]
-    gens.append(tuple(frob))
-
+    pencil = [(-dj) % m for dj in d]
+    label = {y: j for j, y in enumerate(pencil)}
+    s = next((s for s in range(m)
+              if {(p * dj - s) % m for dj in d} == members), None)
+    if s is None:
+        raise AssertionError(f"{p} times the canonical set is no translate")
+    gens = [tuple(label[(p * y + s) % m] for y in pencil)]
     elements = closure(gens, q + 1)
-    eta = pk[1]
-    if len(elements) != q * (q * q - 1) * eta:
+    for P in (1, 2):
+        axes = [x for x in range(m)
+                if (-x) % m not in members and (P - x) % m not in members]
+        a = axes[0]
+        for b in axes[1:]:
+            g = tuple(label[join(0, meet(join(P, meet(y, a)), b))]
+                      for y in pencil)
+            if g not in elements:
+                gens.append(g)
+                elements = closure(gens, q + 1)
+    order = q * (q * q - 1) * eta
+    if len(elements) != order:
         raise AssertionError(
-            f"model pencil group of order {len(elements)}, "
-            f"expected {q * (q * q - 1) * eta}")
-    group = PermGroup(q + 1, tuple(gens), elements)
-
-    # relabel from the Singer set to the canonical one
-    D = canonical_difference_set(q)
-    g = find_agl_map(S.elements, D.elements, D.modulus)
-    if g is None:
-        raise AssertionError("the Singer set is not in the canonical orbit")
-    pos = {d: i for i, d in enumerate(D.elements)}
-    rho = tuple(pos[g(d)] for d in S.elements)
-    return group.conjugate_by(inverse(rho))
+            f"pencil group of order {len(elements)}, expected {order}")
+    return PermGroup(q + 1, tuple(gens), elements)
 
 
 def pencil_group(q, route="model") -> PermGroup:
     """The pencil group G_0 of the canonical plane on its q+1 labels,
-    from the field model (prime powers q <= 9).
+    generated by collineations fixing point 0 that the plane's
+    difference table gives directly (prime powers q <= 9).
 
     "model" is the only route; any other raises InvalidInput.  The
-    plane search that checks the model lives with the tests.
+    plane search that checks it lives with the tests.
     """
     if route != "model":
         raise InvalidInput(f"unknown route {route!r}")
     if q > MODEL_ROUTE_Q_CAP:
         raise CapExceeded(
             f"model route capped at q <= {MODEL_ROUTE_Q_CAP}, got {q}")
-    return _model_pencil_group(q)
+    return _canonical_pencil_group(q)
 
 
 def pencil_normalizer(q) -> PermGroup:

@@ -3,7 +3,9 @@ checked against, and the group theory that the library's verdicts rest
 on but do not compute.
 
 The plane-search route to the pencil groups is the independent check of
-the field-model G_0 that the library computes: the search enumerates
+the G_0 that the library generates from the canonical plane's
+difference table (a multiplier and projectivities of the pencil at
+point 0, checked by the order of PGammaL(2, q)): the search enumerates
 the collineations fixing a point (or a line) of a labelled plane and
 reads off the permutations they induce on the q+1 flag labels there.
 It runs the Moufang test on each plane it searches first and raises
@@ -130,7 +132,8 @@ class NonDesarguesianColumn(Exception):
 def pencil_group(q, route="auto"):
     """G_0 by route: "search" enumerates the point stabilizer of the
     canonical plane (q <= 5) once that plane passes the Moufang test;
-    "auto" and "model" take the library's field model."""
+    "auto" and "model" take the library's G_0, generated from the
+    canonical plane's difference table."""
     if route == "search":
         if q > SEARCH_ROUTE_Q_CAP:
             raise CapExceeded(
@@ -147,8 +150,7 @@ def local_pencil_groups(M, route="auto"):
 
     route "search" runs a plane search per column and raises
     NonDesarguesianColumn when a column fails the Moufang test; the
-    other routes move the field-model group by each column's label
-    twist.
+    other routes move the library's G_0 by each column's label twist.
     """
     if route == "search":
         out = []
@@ -671,6 +673,9 @@ def symmetric_group(n):
 
 
 def _moebius_perm(field, a, b, c, d, elems, index_of):
+    def over(x, y):  # x / y, with y^-1 = y^(|F| - 2)
+        return field.mul(x, field.power(y, field.order - 2))
+
     q = len(elems)
     inf = q
     img = [0] * (q + 1)
@@ -680,11 +685,11 @@ def _moebius_perm(field, a, b, c, d, elems, index_of):
         if den == field.zero:
             img[i] = inf
         else:
-            img[i] = index_of[field.mul(num, field.inv(den))]
+            img[i] = index_of[over(num, den)]
     if c == field.zero:
         img[inf] = inf
     else:
-        img[inf] = index_of[field.mul(a, field.inv(c))]
+        img[inf] = index_of[over(a, c)]
     return tuple(img)
 
 

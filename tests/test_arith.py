@@ -81,17 +81,6 @@ def test_field_laws_spot_checked():
             assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
 
 
-def test_inverses_everywhere_in_small_fields():
-    for p, k in [(2, 3), (3, 2), (5, 1)]:
-        f = make_field(p, k)
-        for a in f.iter_elements():
-            if a == f.zero:
-                with pytest.raises(InvalidInput):
-                    f.inv(a)
-            else:
-                assert f.mul(a, f.inv(a)) == f.one
-
-
 def test_elements_in_lexicographic_order():
     f = make_field(3, 2)
     elems = list(f.iter_elements())

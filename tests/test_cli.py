@@ -81,6 +81,23 @@ def test_gen_singer_output_onto_a_directory(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {tmp_path}")
 
 
+@pytest.mark.parametrize("command", ["gen-singer", "build-plane", "ball"])
+@pytest.mark.parametrize("onto_directory", [False, True])
+def test_unwritable_output_is_refused_before_any_work(
+        command, onto_directory, q2_file, tmp_path, capsys, monkeypatch):
+    for name in ("build_ball", "canonical_difference_set", "canonical_plane"):
+        monkeypatch.setattr(f"singerlat.cli.{name}",
+                            lambda *args, name=name: pytest.fail(f"{name} ran"))
+    before = sorted(tmp_path.rglob("*"))
+    target = tmp_path if onto_directory else tmp_path / "missing" / "x.txt"
+    args = {"gen-singer": [2], "build-plane": [2], "ball": [q2_file, 2]}
+    code, out, err = run(capsys, command, *args[command], "-o", target)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_verify_ds_round_trip(tmp_path, capsys):
     target = tmp_path / "ds.json"
     run(capsys, "gen-singer", 4, "-o", target)
@@ -223,14 +240,6 @@ def test_classify_writes_parseable_census(tmp_path, capsys):
     assert summary.splitlines()[1] == "3\t576\t24\t0\t24\t64"
 
 
-def test_classify_threads_do_not_change_bytes(tmp_path, capsys):
-    run(capsys, "classify", 3, "--outdir", tmp_path / "a", "--threads", 1)
-    run(capsys, "classify", 3, "--outdir", tmp_path / "b", "--threads", 8)
-    for name in ("census_q3.txt", "summary_q3.tsv"):
-        assert (tmp_path / "a" / name).read_bytes() \
-            == (tmp_path / "b" / name).read_bytes()
-
-
 def test_classify_extra_moves(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", 2, "--extra-moves",
                        "--outdir", tmp_path)
@@ -257,13 +266,6 @@ def test_classify_cap(capsys):
     code, _, err = run(capsys, "classify", 7)
     assert code == 3
     assert "capped" in err
-
-
-def test_classify_rejects_bad_thread_count(tmp_path, capsys):
-    code, _, err = run(capsys, "classify", 2, "--threads", 0,
-                       "--outdir", tmp_path)
-    assert code == 2
-    assert "thread count" in err
 
 
 def test_bounds_table(capsys):

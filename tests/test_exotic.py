@@ -27,7 +27,9 @@ from singerlat.exotic import (
     census_from_text, census_summary, census_to_text, certify_exotic,
     classify, enumerate_normalized, lower_A, pencil_group, ratio_table,
 )
-from singerlat.permgrp import PermGroup, compose, conjugator, identity, inverse
+from singerlat.permgrp import (
+    PermGroup, compose, conjugator, identity, inverse, perm_to_str,
+)
 from fractions import Fraction
 
 
@@ -63,6 +65,20 @@ CENSUS_SHA256 = {
     (4, True): "4428110ab6ed4dd78ec0eac7d621dc5b80cf033bf199428c9dcad28bc8bdc2a2",
     (5, False): "1c31b119349786b8d45fc1a03a368ceaf652aaac7941cefe85e164d8e2190a5f",
     (5, True): "516bd8294c169f1417d99af6cdf8b4d40a32e499eaa21c6238a1316ceaec7a07",
+}
+
+# sha256 of the sorted elements of pencil_group(q), one perm_to_str per
+# line, pinned from the GF(q^3) field model that the construction from
+# the plane's difference table replaced; at q = 7, 8, 9 the plane search
+# is capped, so this is the element-wise check there
+G0_SHA256 = {
+    2: "314714a2986894857e43e66b3f7d39d3e6bd95615c49fcc2235cd014268ac454",
+    3: "aefe2dd9eeddf75e01998172730f2856ea709539ddeb38d72afca42ca0776ed0",
+    4: "b2715a8e40450ab2754033a14fa89964462da22c9e2872d5ec8fd2614abc5f8b",
+    5: "07a0309399d9a6292f70b381804ef51ba7c2e1b39fcd48a36b5a8ae3dd4ff408",
+    7: "d45a76d2af0fe7338ce026143e1d4abca8c7f8bed23a37644192bc0ecb436a74",
+    8: "774b086b5ae871c1a982c3d5a30bb287b58c0851ad835e0ca60b4645925a3094",
+    9: "b114365e39502c23de7162a12981b572bcd323d4f7b017be36d46f86b26d76b0",
 }
 
 
@@ -173,6 +189,12 @@ def test_pencil_group_routes_agree(q, order):
 @pytest.mark.parametrize("q,order", [(7, 336), (8, 1512), (9, 1440)])
 def test_model_route_beyond_search_cap(q, order):
     assert pencil_group(q, "model").order == order
+
+
+@pytest.mark.parametrize("q", MODEL_QS)
+def test_pencil_group_elements_are_pinned(q):
+    text = "\n".join(map(perm_to_str, sorted(pencil_group(q).elements)))
+    assert hashlib.sha256(text.encode()).hexdigest() == G0_SHA256[q]
 
 
 @pytest.mark.parametrize("q", MODEL_QS)
@@ -739,15 +761,25 @@ def run_python_O(body):
 
 
 def test_model_route_checks_survive_python_O():
+    # a prime that is no multiplier of the canonical set, and generators
+    # that close to the identity alone: both must stop the construction
     out = run_python_O("""
         import singerlat.exotic as exotic
-        exotic.find_agl_map = lambda *args: None
+        prime_power = exotic.prime_power
+        exotic.prime_power = lambda q: (2, 1)
+        try:
+            exotic.pencil_group(3, "model")
+        except AssertionError as e:
+            print("raised:", e)
+        exotic.prime_power = prime_power
+        exotic.closure = lambda gens, degree: frozenset([tuple(range(degree))])
         try:
             exotic.pencil_group(3, "model")
         except AssertionError as e:
             print("raised:", e)
         """)
-    assert out == "raised: the Singer set is not in the canonical orbit\n"
+    assert out == ("raised: 2 times the canonical set is no translate\n"
+                   "raised: pencil group of order 1, expected 24\n")
 
 
 def test_ball_and_plane_checks_survive_python_O():

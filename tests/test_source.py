@@ -53,6 +53,14 @@ def test_exotic_does_not_import_the_plane_search():
     assert found == []
 
 
+def test_exotic_does_not_import_the_field_model():
+    # G_0 comes from the canonical plane's difference table; no GF(q^3)
+    # arithmetic and no second difference set sit on the verdict path
+    found = [f"{line} {name}" for line, name in _imports(SRC / "exotic.py")
+             if name.split(".")[-1] in {"make_field", "singer_difference_set"}]
+    assert found == []
+
+
 # names that served only the tests: the tools among them live in
 # tests/oracles.py, the rest went with the tests of their own contract
 TEST_ONLY_NAMES = {
@@ -68,7 +76,7 @@ TEST_ONLY_NAMES = {
     "NonDesarguesianColumn", "_check_canonical_plane",
     "_canonical_plane_desarguesian", "h2_collineations", "_COLUMN_WITNESS_RE",
     "h2_group_listing", "h2_summary_of_listing", "all_collineations",
-    "FULL_GROUP_Q_CAP", "h2_lift_search", "h2_kernel_and_lifts",
+    "FULL_GROUP_Q_CAP", "h2_lift_search", "h2_kernel_and_lifts", "Field.inv",
 }
 
 
