@@ -173,22 +173,19 @@ def singer_difference_set(q: int) -> DifferenceSet:
     return DifferenceSet(q, m, tuple(sorted(exponents)))
 
 
-def agl_orbit_of_set(D: DifferenceSet) -> set[tuple[int, ...]]:
-    """All images of D under the affine group, as sorted tuples."""
-    m = D.modulus
-    return {
-        tuple(sorted((a * d + b) % m for d in D.elements))
-        for a in zmod_units(m) for b in range(m)
-    }
-
-
 @lru_cache(maxsize=None)
 def canonical_difference_set(q: int) -> DifferenceSet:
     """Lexicographically smallest member of the affine orbit of the Singer
-    difference set."""
+    difference set.
+
+    That member contains 0, so it is one of the images a*(x - d) of the
+    Singer set, with a a unit and d a member; only those are scanned.
+    """
     D = singer_difference_set(q)
-    best = min(agl_orbit_of_set(D))
-    return DifferenceSet(q, D.modulus, best)
+    m = D.modulus
+    best = min(tuple(sorted(a * (x - d) % m for x in D.elements))
+               for a in zmod_units(m) for d in D.elements)
+    return DifferenceSet(q, m, best)
 
 
 def find_agl_map(src: tuple[int, ...], dst: tuple[int, ...], m: int) -> Optional[AffineMap]:

@@ -36,8 +36,8 @@ It walks pairs of stabilizer cosets, not the pairs themselves.
 import itertools
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -49,8 +49,8 @@ from .diffsets import (
 )
 from .errors import CapExceeded, InvalidInput
 from .permgrp import (
-    PermGroup, closure, compose, conjugator, inverse, perm_from_str,
-    perm_to_str,
+    PermGroup, closure, compose, conjugator, identity, inverse,
+    perm_from_str, perm_to_str,
 )
 
 CLASSIFY_Q_CAP = 5
@@ -244,31 +244,60 @@ def _label_twists(M: DifferenceMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(twists)
 
 
-def _least_moved(members_sorted, g0_set, a) -> tuple[int, ...]:
-    """The least member h with a h a^-1 outside G_0, that is the least
-    member outside a^-1 G_0 a; the members must not all lie in it."""
-    conj = conjugator(inverse(a))
-    for h in members_sorted:
-        if conj(h) not in g0_set:
-            return h
-    raise AssertionError(f"{perm_to_str(a)} normalizes the pencil group")
+@lru_cache(maxsize=None)
+def _sorted_pencil_group(q) -> tuple[tuple[int, ...], ...]:
+    """G_0 in ascending order: the members that send labels 0, 1, 2 to
+    the same triple sit next to each other."""
+    return tuple(sorted(pencil_group(q).elements))
 
 
-def _pencil_witness(g0: PermGroup, twists) -> Optional[ExoticWitness]:
+def _least_outside(q, s, t) -> tuple[int, ...]:
+    """The least member of G_s = s^-1 G_0 s outside G_t = t^-1 G_0 t,
+    found by an ordered walk that never lists G_s; raises when G_s has
+    no member outside G_t.
+
+    The members of G_s that send labels 0, 1, 2 to v are s^-1 x y^-1 s,
+    with x running over the members of G_0 that send 0, 1, 2 to s(v)
+    and y one member that sends them to s(0), s(1), s(2).  G_0 is
+    PGammaL(2, q): 3-transitive, with the eta field automorphisms
+    fixing any three labels, so each triple has exactly eta such x,
+    side by side in sorted G_0 and found by one bisection.  Triples in
+    ascending order, and the eta conjugates sorted within each, walk
+    G_s in ascending order; h lies in G_t when t h t^-1 lies in G_0.
+    """
+    g0 = pencil_group(q).elements
+    members = _sorted_pencil_group(q)
+    eta = prime_power(q)[1]
+    y_inv = inverse(members[bisect_left(members, s[:3])])
+    into_s = itemgetter(*compose(y_inv, s))  # x -> x y^-1 s
+    into_t = itemgetter(*compose(y_inv, compose(s, inverse(t))))
+    from_s = inverse(s).__getitem__  # h = s^-1 (x y^-1 s)
+    to_t = compose(t, inverse(s)).__getitem__  # t h t^-1
+    for v in itertools.permutations(range(q + 1), 3):
+        i = bisect_left(members, (s[v[0]], s[v[1]], s[v[2]]))
+        for h, g in sorted((tuple(map(from_s, into_s(x))),
+                            tuple(map(to_t, into_t(x))))
+                           for x in members[i:i + eta]):
+            if g not in g0:
+                return h
+    raise AssertionError(
+        f"{perm_to_str(compose(t, inverse(s)))} normalizes the pencil group")
+
+
+def _pencil_witness(q, twists) -> Optional[ExoticWitness]:
     """The witness for the first edge whose pencil groups differ, when
     G_t = twists[t]^-1 G_0 twists[t]; None when all three agree.
 
     G_s = G_t exactly when twists[s] twists[t]^-1 normalizes G_0, that
     is when it lies in G_0.  The witness is the least element of G_s
-    outside G_t, so only a mismatched edge lists G_s; _least_moved
-    raises rather than certify an edge whose groups agree.
+    outside G_t, from the ordered walk of _least_outside, which raises
+    rather than certify an edge whose groups agree.
     """
+    g0 = pencil_group(q).elements
     for s, t in EDGES:
-        if compose(twists[s], inverse(twists[t])) in g0.elements:
-            continue
-        members = sorted(map(conjugator(twists[s]), g0.elements))
-        return ExoticWitness(
-            (s, t), _least_moved(members, g0.elements, twists[t]))
+        if compose(twists[s], inverse(twists[t])) not in g0:
+            return ExoticWitness(
+                (s, t), _least_outside(q, twists[s], twists[t]))
     return None
 
 
@@ -284,7 +313,7 @@ def certify_exotic(M: DifferenceMatrix) -> ExoticityVerdict:
     tests in G_0 through the columns' label twists decide it; no group
     is built.
     """
-    return _verdict(_pencil_witness(pencil_group(M.q), _label_twists(M)))
+    return _verdict(_pencil_witness(M.q, _label_twists(M)))
 
 
 def enumerate_normalized(q) -> Iterator[NormalizedMatrix]:
@@ -422,11 +451,13 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     for compatibility and never changes the output.
 
     The witness is for the first mismatched edge.  With alpha1 outside
-    G_0 that is edge (0, 1), and its witness depends on alpha1 alone.
-    Otherwise G_1 = G_0, so edge (1, 2) mismatches exactly when alpha2
-    lies outside G_0, with the same witness scan applied to alpha2, and
-    edge (2, 0) never comes first.  So witnesses are scanned once per
-    permutation, not once per class.
+    G_0 that is edge (0, 1), and its witness, the least member of G_0
+    outside alpha1^-1 G_0 alpha1, depends on alpha1 alone.  Otherwise
+    G_1 = G_0, so edge (1, 2) mismatches exactly when alpha2 lies
+    outside G_0, with the same witness for alpha2, and edge (2, 0)
+    never comes first.  So each witness is the ordered walk of
+    _least_outside with s the identity, run once per coset, not once
+    per class.
     """
     if q > CLASSIFY_Q_CAP:
         raise CapExceeded(
@@ -455,8 +486,8 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
         sizes = merged
 
     D = canonical_difference_set(q)
-    g0_sorted = sorted(g0.elements)
-    witness_perm = {}  # coset -> _least_moved of its least element
+    e = identity(q + 1)
+    witness_perm = {}  # coset -> witness of its least element
     out = []
     for k in kept:
         (c1, c2), _ = orbits[k]
@@ -465,8 +496,7 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
         else:
             edge, c = ((1, 2), c2) if fixes[c1] else ((0, 1), c1)
             if c not in witness_perm:
-                witness_perm[c] = _least_moved(
-                    g0_sorted, g0.elements, least[c])
+                witness_perm[c] = _least_outside(q, e, least[c])
             verdict = ExoticityVerdict(CERTIFIED_EXOTIC, ExoticWitness(
                 edge, witness_perm[c]))
         out.append(EquivClass(NormalizedMatrix(q, D, least[c1], least[c2]),
@@ -504,8 +534,12 @@ def bound_B(q) -> int:
     return (n // 3) ** 2
 
 
-def lower_A(q) -> Fraction:
+def lower_A(q) -> "Fraction":
     """((q+1)!)^2 / (162 eta^3), exact."""
+    # imported here, not at the top: fractions loads decimal, and
+    # nothing else in the library needs either
+    from fractions import Fraction
+
     if q > LOWER_A_Q_CAP:
         raise CapExceeded(
             f"lower bound capped at q <= {LOWER_A_Q_CAP}, got {q}")
@@ -516,8 +550,10 @@ def lower_A(q) -> Fraction:
     return Fraction(math.factorial(q + 1) ** 2, 162 * eta ** 3)
 
 
-def ratio_table(q_list) -> list[tuple[int, int, Fraction, float]]:
+def ratio_table(q_list) -> list[tuple[int, int, "Fraction", float]]:
     """Rows (q, B, A, B/A as float), exact until the final conversion."""
+    from fractions import Fraction
+
     out = []
     for q in q_list:
         b = bound_B(q)

@@ -38,6 +38,8 @@ map per column, then the row sort), the reference for
 NormalizedMatrix.from_matrix; prime_power_by_scan, the reference for
 prime_power; all_difference_sets, the exhaustive scan up to
 ENUMERATION_Q_CAP that the Singer orbit is checked against;
+agl_orbit_of_set, the whole affine orbit of a set, whose least member
+canonical_difference_set must find;
 all_collineations, the unseeded search for the full group of a plane
 up to FULL_GROUP_Q_CAP; compose_affine and invert_affine;
 collineations_fixing, which
@@ -56,7 +58,7 @@ import math
 import re
 from functools import lru_cache
 
-from singerlat.arith import is_prime, make_field, prime_power
+from singerlat.arith import is_prime, make_field, prime_power, zmod_units
 from singerlat.ball import (
     BALL_R1_Q_CAP, BALL_R2_Q_CAP, BallComplex, H2GroupSummary,
     HjelmslevPlane, extract_hjelmslev,
@@ -178,9 +180,8 @@ def mismatch_witness(groups):
 def certify_normalized(Mn: NormalizedMatrix):
     """certify_exotic specialized to the normalized encoding: the label
     twists are e, alpha1 and alpha2, no re-normalization needed."""
-    g0 = model_pencil_group(Mn.q)
     return _verdict(_pencil_witness(
-        g0, (identity(Mn.q + 1), Mn.alpha1, Mn.alpha2)))
+        Mn.q, (identity(Mn.q + 1), Mn.alpha1, Mn.alpha2)))
 
 
 def fast_necessary_condition(Mn: NormalizedMatrix, g0=None) -> bool:
@@ -914,6 +915,17 @@ def all_difference_sets(q):
     return [DifferenceSet(q, m, combo)
             for combo in itertools.combinations(range(m), q + 1)
             if is_difference_set(combo, q)]
+
+
+def agl_orbit_of_set(D):
+    """All images of D under the affine group, as sorted tuples: the
+    reference for canonical_difference_set, which scans only the images
+    that contain 0."""
+    m = D.modulus
+    return {
+        tuple(sorted((a * d + b) % m for d in D.elements))
+        for a in zmod_units(m) for b in range(m)
+    }
 
 
 def compose_affine(g, h):

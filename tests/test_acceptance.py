@@ -10,14 +10,15 @@ from fractions import Fraction
 
 from conftest import identity_matrix
 from oracles import (
-    all_difference_sets, certify_normalized, elation_cycle_profile,
-    fast_necessary_condition, is_conjugate_in_sym, is_identity,
-    normalizer_in_sym, pencil_action, pgammal2_model, pgl2_model,
+    agl_orbit_of_set, all_difference_sets, certify_normalized,
+    elation_cycle_profile, fast_necessary_condition, is_conjugate_in_sym,
+    is_identity, normalizer_in_sym, pencil_action, pgammal2_model,
+    pgl2_model,
 )
 from singerlat.ball import build_ball, extract_hjelmslev, verify_ball
 from singerlat.diffsets import (
-    agl_orbit_of_set, canonical_difference_set,
-    is_difference_set, singer_difference_set, stabilizer_index_perms,
+    canonical_difference_set, is_difference_set, singer_difference_set,
+    stabilizer_index_perms,
 )
 from singerlat.exotic import (
     CERTIFIED_EXOTIC, INCONCLUSIVE, NormalizedMatrix, bound_B,

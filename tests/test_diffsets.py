@@ -5,10 +5,11 @@ from itertools import combinations
 import pytest
 
 from oracles import (
-    all_difference_sets, compose_affine, invert_affine, normalize_matrix,
+    agl_orbit_of_set, all_difference_sets, compose_affine, invert_affine,
+    normalize_matrix,
 )
 from singerlat.diffsets import (
-    AffineMap, DifferenceMatrix, DifferenceSet, agl_maps, agl_orbit_of_set,
+    AffineMap, DifferenceMatrix, DifferenceSet, agl_maps,
     canonical_difference_set, find_agl_map, is_difference_set,
     matrix_from_text, matrix_to_text, set_from_text, set_stabilizer_in_agl,
     singer_difference_set, stabilizer_index_perms,
@@ -95,7 +96,9 @@ def test_all_difference_sets_cap():
 
 
 def test_canonical_set_is_orbit_minimum():
-    for q in (2, 3):
+    # the library scans only the images that contain 0; the whole orbit
+    # is the reference at every q it serves
+    for q in (2, 3, 4, 5, 7, 8, 9):
         C = canonical_difference_set(q)
         assert C.elements == min(agl_orbit_of_set(singer_difference_set(q)))
     assert canonical_difference_set(2).elements == (0, 1, 3)

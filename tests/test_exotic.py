@@ -359,6 +359,36 @@ def test_certify_exotic_matches_three_group_comparison(q):
     assert edges == (set() if q <= 4 else {(0, 1), (1, 2)})
 
 
+def test_witness_walk_matches_three_listed_groups():
+    # the ordered walk over G_s against the least element of G_s - G_t
+    # from three listed groups, on random twist triples; G_1 = G_0 in
+    # half of them, so that edge (1, 2) is reached.  At q = 8, 9 (eta >
+    # 1) a witness that fixes labels 0, 1, 2 checks the order of the eta
+    # members of G_s that send 0, 1, 2 to the same triple
+    rng = random.Random(18)
+    kinds = set()
+    for q in (5, 7, 8, 9):
+        g0 = pencil_group(q)
+        members = sorted(g0.elements)
+        for k in range(150):
+            twists = [tuple(rng.sample(range(q + 1), q + 1))
+                      for _ in range(3)]
+            if k % 2:
+                twists[1] = compose(rng.choice(members), twists[0])
+            expected = mismatch_witness(
+                tuple(g0.conjugate_by(s) for s in twists))
+            assert exotic._pencil_witness(q, twists) == expected
+            if expected is not None:
+                h = expected.perm
+                fixed = 3 if h[:3] == (0, 1, 2) else 2 if h[:2] == (0, 1) \
+                    else 0
+                kinds.add((q, expected.edge, fixed))
+    assert {(0, 1), (1, 2)} <= {edge for _, edge, _ in kinds}
+    assert {(8, 3), (9, 3)} & {(q, fixed) for q, _, fixed in kinds}
+    assert 2 in {fixed for _, _, fixed in kinds}
+    assert (5, 0) in {(q, fixed) for q, _, fixed in kinds}
+
+
 def test_certify_runs_no_plane_search():
     # G_0 membership decides every verdict: in a fresh process whose
     # plane engine raises, certify gives the verdicts of a working one
@@ -780,6 +810,22 @@ def test_model_route_checks_survive_python_O():
         """)
     assert out == ("raised: 2 times the canonical set is no translate\n"
                    "raised: pencil group of order 1, expected 24\n")
+
+
+def test_witness_walk_check_survives_python_O():
+    # t = g s with g in G_0 gives G_t = G_s: the walk finds no member of
+    # G_s outside G_t and must refuse to return a witness
+    g = max(pencil_group(5).elements)
+    out = run_python_O(f"""
+        from singerlat.exotic import _least_outside
+        from singerlat.permgrp import compose
+        s = (4, 0, 5, 2, 1, 3)
+        try:
+            _least_outside(5, s, compose({g!r}, s))
+        except AssertionError as e:
+            print("raised:", e)
+        """)
+    assert out == f"raised: {perm_to_str(g)} normalizes the pencil group\n"
 
 
 def test_ball_and_plane_checks_survive_python_O():

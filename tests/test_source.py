@@ -1,7 +1,11 @@
 """Checks on the library's source text rather than on its behaviour."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+from conftest import checkout_env
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "singerlat"
 
@@ -17,6 +21,18 @@ def test_no_assert_statements_in_src():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_import_loads_no_exact_arithmetic():
+    # fractions (which loads decimal) serves only the counting bounds,
+    # which import it when called; every run of the library pays for a
+    # module that the top level loads
+    script = ("import sys, singerlat\n"
+              "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _imports(path):
@@ -77,6 +93,7 @@ TEST_ONLY_NAMES = {
     "_canonical_plane_desarguesian", "h2_collineations", "_COLUMN_WITNESS_RE",
     "h2_group_listing", "h2_summary_of_listing", "all_collineations",
     "FULL_GROUP_Q_CAP", "h2_lift_search", "h2_kernel_and_lifts", "Field.inv",
+    "agl_orbit_of_set",
 }
 
 
