@@ -21,8 +21,8 @@ from .ball import build_ball, complex_to_text, verify_ball
 from .diffsets import canonical_difference_set, matrix_from_text, \
     set_from_text, set_to_text
 from .errors import CapExceeded, InvalidInput
-from .exotic import CERTIFIED_EXOTIC, NormalizedMatrix, census_summary, \
-    census_to_text, certify_exotic, classify, ratio_table
+from .exotic import CERTIFIED_EXOTIC, CLASSIFY_Q_CAP, NormalizedMatrix, \
+    census_summary, census_to_text, certify_exotic, classify, ratio_table
 from .permgrp import perm_to_str
 from .plane import canonical_plane, plane_to_text
 
@@ -99,8 +99,13 @@ def cmd_certify(args):
 
 
 def cmd_classify(args):
+    # q and the outdir are checked before the census, which can take
+    # seconds, and a refused q leaves no directory behind
+    if args.q > CLASSIFY_Q_CAP:
+        raise CapExceeded(
+            f"classification capped at q <= {CLASSIFY_Q_CAP}, got {args.q}")
+    canonical_difference_set(args.q)  # refuses a q that is no prime power
     outdir = Path(args.outdir)
-    # checked before the census, which can take seconds
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:

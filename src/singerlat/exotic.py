@@ -366,13 +366,20 @@ def _right_cosets(members, stab):
     return least, coset_of
 
 
+def _right_table(least, coset_of, x) -> list[int]:
+    """right(x): for each coset c, the coset of least[c] x.  Each table
+    maps the cosets onto themselves, and right(x y) is right(y) after
+    right(x)."""
+    after_x = itemgetter(*x)  # a -> compose(a, x)
+    return [coset_of[after_x(a)] for a in least]
+
+
 def _coset_pair_orbits(least, coset_of, stab):
     """The p0-orbits on coset pairs, pair (c1, c2) coded as
     c1 * len(least) + c2.  Returns the orbit number of every code and,
     per orbit in ascending order, its least pair and its length."""
     n = len(least)
-    moved = [[coset_of[compose(a, inverse(p0))] for a in least]
-             for p0 in stab]
+    moved = [_right_table(least, coset_of, inverse(p0)) for p0 in stab]
     orbit_of = [-1] * (n * n)
     orbits = []
     for code in range(n * n):
@@ -398,23 +405,27 @@ def _duality_perm(q) -> tuple[int, ...]:
     return tuple(pos[g((-d) % D.modulus)] for d in D.elements)
 
 
-def _extra_move_roots(q, least, coset_of, stab, orbit_of) -> list[int]:
+def _extra_move_roots(q, least, coset_of, stab, orbit_of,
+                      orbits) -> list[int]:
     """For each coarse class, the least coarse class that rotation and
-    duality join it to, by union-find.
+    duality join it to, by union-find over one pair per class.
 
-    Rotation (alpha1, alpha2) -> (alpha2 alpha1, alpha1^-1) does not
-    normalize the coarse moves, so one image per class is not enough.
-    On (s.b1, s'.b2) a p1 move absorbs s', so the images of (s.b1, b2)
-    over s in S, with b1, b2 least in their cosets, reach every class
-    a coset pair rotates into.  Duality maps coset pairs onto coset
-    pairs once nu S nu^-1 = S, so one image per pair suffices.
+    Rotation rho(alpha1, alpha2) = (alpha2 alpha1, alpha1^-1) does not
+    normalize the coarse moves, but the |S| images rho(s b1, b2), s in
+    S, of a class's least pair (b1, b2) reach every class that the class
+    rotates into.  With u = p0^-1 p1 in S, the member
+    (p1 b1 p0^-1, p2 b2 p0^-1) rotates to (p2 b2 u b1 p0^-1,
+    p0 b1^-1 u^-1 p0^-1), the coarse move (p0, p2, p0) of rho(u b1, b2).
+    Duality maps classes onto classes once nu S nu^-1 = S, so one image
+    per class suffices.  In cosets, b2 s b1 lies in right(b1)[right(s)[c2]]
+    and b1^-1 s^-1 in right(s^-1)[c], with c the coset of b1^-1.
     """
     nu = _duality_perm(q)
     nu_inv = inverse(nu)
     if {compose(nu, compose(s, nu_inv)) for s in stab} != set(stab):
         raise AssertionError("duality does not normalize the stabilizer")
     n = len(least)
-    parent = list(range(max(orbit_of) + 1))
+    parent = list(range(len(orbits)))
 
     def find(k):
         while parent[k] != k:
@@ -427,17 +438,16 @@ def _extra_move_roots(q, least, coset_of, stab, orbit_of) -> list[int]:
         if r1 != r2:  # the root stays the least class of its component
             parent[max(r1, r2)] = min(r1, r2)
 
+    right = [_right_table(least, coset_of, b) for b in least]
+    by_s = [(_right_table(least, coset_of, s),
+             _right_table(least, coset_of, inverse(s))) for s in stab]
+    inv = [coset_of[inverse(b)] for b in least]
     dual = [coset_of[compose(nu, compose(b, nu_inv))] for b in least]
-    for c1, b1 in enumerate(least):
-        row = orbit_of[c1 * n:(c1 + 1) * n]
-        for s in stab:
-            sb1 = compose(s, b1)
-            after_sb1 = itemgetter(*sb1)  # b2 -> compose(b2, sb1)
-            tail = coset_of[inverse(sb1)]
-            for k, b2 in zip(row, least):
-                join(k, orbit_of[coset_of[after_sb1(b2)] * n + tail])
-        for c2, k in enumerate(row):
-            join(k, orbit_of[dual[c2] * n + dual[c1]])
+    for k, ((c1, c2), _) in enumerate(orbits):
+        after_b1, c = right[c1], inv[c1]
+        for after_s, after_s_inv in by_s:
+            join(k, orbit_of[after_b1[after_s[c2]] * n + after_s_inv[c]])
+        join(k, orbit_of[dual[c2] * n + dual[c1]])
     return [find(k) for k in range(len(parent))]
 
 
@@ -450,6 +460,11 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     size and a verdict.  The census runs in one thread; threads is kept
     for compatibility and never changes the output.
 
+    The coarse classes are the p0-orbits on pairs of S-cosets.  Extra
+    moves merge them by a union-find over |S| + 1 images of each coarse
+    class's least pair (_extra_move_roots), and a merge that joins an
+    exotic class to an inconclusive one raises.
+
     The witness is for the first mismatched edge.  With alpha1 outside
     G_0 that is edge (0, 1), and its witness, the least member of G_0
     outside alpha1^-1 G_0 alpha1, depends on alpha1 alone.  Otherwise
@@ -457,7 +472,7 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     outside G_0, with the same witness for alpha2, and edge (2, 0)
     never comes first.  So each witness is the ordered walk of
     _least_outside with s the identity, run once per coset, not once
-    per class.
+    per class, and classes share one frozen verdict per (edge, coset).
     """
     if q > CLASSIFY_Q_CAP:
         raise CapExceeded(
@@ -476,7 +491,8 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     inconclusive = [fixes[c1] and fixes[c2] for (c1, c2), _ in orbits]
     kept = range(len(orbits))
     if extra_moves:
-        roots = _extra_move_roots(q, least, coset_of, stab, orbit_of)
+        roots = _extra_move_roots(q, least, coset_of, stab, orbit_of,
+                                  orbits)
         merged = [0] * len(orbits)
         for k, root in enumerate(roots):
             if inconclusive[k] != inconclusive[root]:
@@ -488,17 +504,24 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     D = canonical_difference_set(q)
     e = identity(q + 1)
     witness_perm = {}  # coset -> witness of its least element
+    # verdicts are frozen, so classes share them: one for all the
+    # inconclusive classes and one per (edge, coset) witness
+    unknown = ExoticityVerdict(INCONCLUSIVE)
+    verdicts = {}
     out = []
     for k in kept:
         (c1, c2), _ = orbits[k]
         if inconclusive[k]:
-            verdict = ExoticityVerdict(INCONCLUSIVE)
+            verdict = unknown
         else:
-            edge, c = ((1, 2), c2) if fixes[c1] else ((0, 1), c1)
-            if c not in witness_perm:
-                witness_perm[c] = _least_outside(q, e, least[c])
-            verdict = ExoticityVerdict(CERTIFIED_EXOTIC, ExoticWitness(
-                edge, witness_perm[c]))
+            key = ((1, 2), c2) if fixes[c1] else ((0, 1), c1)
+            verdict = verdicts.get(key)
+            if verdict is None:
+                edge, c = key
+                if c not in witness_perm:
+                    witness_perm[c] = _least_outside(q, e, least[c])
+                verdict = verdicts[key] = ExoticityVerdict(
+                    CERTIFIED_EXOTIC, ExoticWitness(edge, witness_perm[c]))
         out.append(EquivClass(NormalizedMatrix(q, D, least[c1], least[c2]),
                               sizes[k], verdict))
     return out

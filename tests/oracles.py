@@ -15,13 +15,15 @@ plane is Singer's PG(2, q).
 The per-line ball-export parser is the reference for the library's
 one-pattern parser, the name-and-union-find ball build for its
 closed-form vertex numbering, the residue test that tries every
-image of the anchor line for the one that tries line 0 alone, and the
+image of the anchor line for the one that tries line 0 alone, the
 fiber-wise permutation search for the level-2 lifts for their kernel
-cosets found on the plane engine.  The sorted listing of the whole
-q = 2 level-2 group (h2_group_listing), whose bytes the tests pin, and
-the walk over every listed map (h2_summary_of_listing) are the
-reference for the library's group summary, which reads the fiber
-kernel, the lifts and one elation search per flag instead.
+cosets found on the plane engine, and the union-find over the rotation
+and duality images of every coset pair (extra_move_roots_per_pair) for
+the census's walk over one pair per coarse class.  The sorted listing
+of the whole q = 2 level-2 group (h2_group_listing), whose bytes the
+tests pin, and the walk over every listed map (h2_summary_of_listing)
+are the reference for the library's group summary, which reads the
+fiber kernel, the lifts and one elation search per flag instead.
 
 The library decides every verdict by membership in G_0, which is
 PGammaL(2, q) and so its own normalizer in Sym(q+1).  The normalizer
@@ -57,6 +59,7 @@ import itertools
 import math
 import re
 from functools import lru_cache
+from operator import itemgetter
 
 from singerlat.arith import is_prime, make_field, prime_power, zmod_units
 from singerlat.ball import (
@@ -69,8 +72,8 @@ from singerlat.diffsets import (
 )
 from singerlat.errors import CapExceeded, GluingError, InvalidInput
 from singerlat.exotic import (
-    EDGES, ExoticWitness, NormalizedMatrix, _label_twists, _pencil_witness,
-    _verdict,
+    EDGES, ExoticWitness, NormalizedMatrix, _duality_perm, _label_twists,
+    _pencil_witness, _verdict,
 )
 from singerlat.exotic import pencil_group as model_pencil_group
 from singerlat.permgrp import (
@@ -961,6 +964,53 @@ def normalize_matrix(M, D):
     if cols[0].entries != D.elements:
         raise AssertionError("the row sort did not put column 0 in order")
     return DifferenceMatrix(M.q, cols)
+
+
+# -- the census --
+
+
+def extra_move_roots_per_pair(q, least, coset_of, stab, orbit_of):
+    """For each coarse class, the least coarse class that rotation and
+    duality join it to, by union-find over the images of every coset
+    pair: the reference for the library's walk over one pair per class.
+
+    Rotation (alpha1, alpha2) -> (alpha2 alpha1, alpha1^-1) does not
+    normalize the coarse moves, so one image per class is not enough.
+    On (s.b1, s'.b2) a p1 move absorbs s', so the images of (s.b1, b2)
+    over s in S, with b1, b2 least in their cosets, reach every class
+    a coset pair rotates into.  Duality maps coset pairs onto coset
+    pairs once nu S nu^-1 = S, so one image per pair suffices.
+    """
+    nu = _duality_perm(q)
+    nu_inv = inverse(nu)
+    if {compose(nu, compose(s, nu_inv)) for s in stab} != set(stab):
+        raise AssertionError("duality does not normalize the stabilizer")
+    n = len(least)
+    parent = list(range(max(orbit_of) + 1))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    def join(k1, k2):
+        r1, r2 = find(k1), find(k2)
+        if r1 != r2:  # the root stays the least class of its component
+            parent[max(r1, r2)] = min(r1, r2)
+
+    dual = [coset_of[compose(nu, compose(b, nu_inv))] for b in least]
+    for c1, b1 in enumerate(least):
+        row = orbit_of[c1 * n:(c1 + 1) * n]
+        for s in stab:
+            sb1 = compose(s, b1)
+            after_sb1 = itemgetter(*sb1)  # b2 -> compose(b2, sb1)
+            tail = coset_of[inverse(sb1)]
+            for k, b2 in zip(row, least):
+                join(k, orbit_of[coset_of[after_sb1(b2)] * n + tail])
+        for c2, k in enumerate(row):
+            join(k, orbit_of[dual[c2] * n + dual[c1]])
+    return [find(k) for k in range(len(parent))]
 
 
 # -- collineations and elations --

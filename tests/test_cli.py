@@ -268,6 +268,15 @@ def test_classify_cap(capsys):
     assert "capped" in err
 
 
+@pytest.mark.parametrize("q, expected", [(1, 2), (6, 3), (7, 3)])
+def test_classify_refused_q_makes_no_outdir(tmp_path, capsys, q, expected):
+    code, out, _ = run(capsys, "classify", q,
+                       "--outdir", tmp_path / "X" / "deep")
+    assert code == expected
+    assert out == ""
+    assert not (tmp_path / "X").exists()
+
+
 def test_bounds_table(capsys):
     code, out, _ = run(capsys, "bounds", 2, 3, 4, 5)
     assert code == 0

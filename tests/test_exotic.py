@@ -562,6 +562,91 @@ def test_classify_checks_duality_normalizes_stabilizer(monkeypatch):
         classify(3, extra_moves=True)
 
 
+@functools.lru_cache(maxsize=None)
+def coarse_census(q):
+    """(S, least, coset_of, orbit_of, orbits) as classify builds them."""
+    stab = exotic._census_stabilizer(q, pencil_group(q))
+    least, coset_of = exotic._right_cosets(
+        itertools.permutations(range(q + 1)), stab)
+    return (stab, least, coset_of,
+            *exotic._coset_pair_orbits(least, coset_of, stab))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_extra_move_roots_match_every_pair_oracle(q):
+    stab, least, coset_of, orbit_of, orbits = coarse_census(q)
+    assert exotic._extra_move_roots(
+        q, least, coset_of, stab, orbit_of, orbits) \
+        == oracles.extra_move_roots_per_pair(
+            q, least, coset_of, stab, orbit_of)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_extra_move_roots_from_any_member_of_each_class(q):
+    # the |S| rotation images and the duality image of any one member of
+    # a coarse class, not only of its least pair, reach every class that
+    # the class joins
+    stab, least, coset_of, orbit_of, orbits = coarse_census(q)
+    n = len(least)
+    nu = exotic._duality_perm(q)
+    nu_inv = inverse(nu)
+    rng = random.Random(19 + q)
+    parent = list(range(len(orbits)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for k, ((c1, c2), _) in enumerate(orbits):
+        p0, p1, p2 = (rng.choice(stab) for _ in range(3))
+        a1 = compose(p1, compose(least[c1], inverse(p0)))
+        a2 = compose(p2, compose(least[c2], inverse(p0)))
+        images = [(compose(a2, compose(s, a1)), inverse(compose(s, a1)))
+                  for s in stab]
+        images.append((compose(nu, compose(a2, nu_inv)),
+                       compose(nu, compose(a1, nu_inv))))
+        for x, y in images:
+            r1, r2 = find(k), find(orbit_of[coset_of[x] * n + coset_of[y]])
+            parent[max(r1, r2)] = min(r1, r2)
+    assert [find(k) for k in range(len(orbits))] == exotic._extra_move_roots(
+        q, least, coset_of, stab, orbit_of, orbits)
+
+
+def test_classify_checks_extra_moves_keep_verdicts(monkeypatch):
+    # roots that join an exotic class to the inconclusive class of the
+    # identity pair must stop the census, also under python -O
+    g0 = pencil_group(5).elements
+
+    def joined(q, least, coset_of, stab, orbit_of, orbits):
+        roots = list(range(len(orbits)))
+        roots[next(k for k, ((c1, _), _) in enumerate(orbits)
+                   if least[c1] not in g0)] = 0
+        return roots
+
+    monkeypatch.setattr("singerlat.exotic._extra_move_roots", joined)
+    with pytest.raises(AssertionError, match="changed a verdict"):
+        classify(5, extra_moves=True)
+    out = run_python_O("""
+        import singerlat.exotic as exotic
+        g0 = exotic.pencil_group(5).elements
+
+        def joined(q, least, coset_of, stab, orbit_of, orbits):
+            roots = list(range(len(orbits)))
+            roots[next(k for k, ((c1, _), _) in enumerate(orbits)
+                       if least[c1] not in g0)] = 0
+            return roots
+
+        exotic._extra_move_roots = joined
+        try:
+            exotic.classify(5, extra_moves=True)
+        except AssertionError as e:
+            print("raised:", e)
+        """)
+    assert out == "raised: rotation or duality changed a verdict\n"
+
+
 def test_classify_orbit_sizes_divide_group_order():
     for q in (2, 3, 4):
         eta = {2: 1, 3: 1, 4: 2}[q]

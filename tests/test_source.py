@@ -93,7 +93,7 @@ TEST_ONLY_NAMES = {
     "_canonical_plane_desarguesian", "h2_collineations", "_COLUMN_WITNESS_RE",
     "h2_group_listing", "h2_summary_of_listing", "all_collineations",
     "FULL_GROUP_Q_CAP", "h2_lift_search", "h2_kernel_and_lifts", "Field.inv",
-    "agl_orbit_of_set",
+    "agl_orbit_of_set", "extra_move_roots_per_pair",
 }
 
 
