@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .arith import make_field, prime_power, zmod_units
+from .arith import prime_power, primitive_powers, zmod_units
 from .errors import CapExceeded, InvalidInput
 
 SINGER_Q_CAP = 9
@@ -144,29 +144,27 @@ def agl_maps(m: int) -> Iterator[AffineMap]:
 
 
 def singer_difference_set(q: int) -> DifferenceSet:
-    """Difference set from the field model: exponents i of a primitive
-    element w of GF(q^3) for which w^i lies in the plane spanned by 1 and
-    w over GF(q), taken mod q^2+q+1."""
+    """Singer's difference set: the exponents i, taken mod q^2+q+1, for
+    which x^i lies in the plane GF(q) + GF(q)*x, where x generates the
+    multiplicative group of GF(q^3) (arith.primitive_powers).  GF(q)* is
+    the group of (q^2+q+1)-th powers of x."""
     pk = prime_power(q)
     if pk is None:
         raise InvalidInput(f"{q} is not a prime power")
     if q > SINGER_Q_CAP:
         raise CapExceeded(f"order {q} exceeds cap {SINGER_Q_CAP}")
     p, eta = pk
-    field = make_field(p, 3 * eta)
-    subfield = field.subfield(q)
-    w = field.omega_coeffs
-    span = {field.add(a, field.mul(b, w)) for a in subfield for b in subfield}
-    span.discard(field.zero)
-    if len(span) != q * q - 1:
-        raise AssertionError(f"span{{1, w}} has {len(span)} nonzero vectors")
+    powers = primitive_powers(p, 3 * eta)
     m = q * q + q + 1
-    exponents = set()
-    acc = field.one
-    for i in range(field.order - 1):
-        if acc in span:
-            exponents.add(i % m)
-        acc = field.mul(acc, w)
+    zero = (0,) * (3 * eta)
+    subfield = [zero] + powers[::m]
+    times_x = [zero] + powers[1::m]
+    span = {tuple((a + b) % p for a, b in zip(u, v))
+            for u in subfield for v in times_x}
+    span.discard(zero)
+    if len(span) != q * q - 1:
+        raise AssertionError(f"span{{1, x}} has {len(span)} nonzero vectors")
+    exponents = {i % m for i, v in enumerate(powers) if v in span}
     if len(exponents) != q + 1:
         raise AssertionError(
             f"Singer set of order {q} has {len(exponents)} elements")

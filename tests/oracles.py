@@ -35,6 +35,14 @@ cycle types and orders.  So do certify_normalized and
 fast_necessary_condition, the normalized-encoding certifier and the
 membership test that the census is checked against.
 
+The PGL(2, q) model computes in GF(q) through the field model Field
+(make_field): reduction by the first irreducible polynomial, found by
+trial division, and the first element whose order, read from the prime
+factors of p^k - 1, is p^k - 1.  The same model is the reference for
+the library's Singer set (field_model_singer_set), which walks the
+powers of x modulo the first polynomial in which x is primitive
+(arith.primitive_powers) instead.
+
 The rest are tools that only the tests need: normalize_matrix (affine
 map per column, then the row sort), the reference for
 NormalizedMatrix.from_matrix; prime_power_by_scan, the reference for
@@ -60,8 +68,9 @@ import math
 import re
 from functools import lru_cache
 from operator import itemgetter
+from typing import Iterator
 
-from singerlat.arith import is_prime, make_field, prime_power, zmod_units
+from singerlat.arith import prime_power, zmod_units
 from singerlat.ball import (
     BALL_R1_Q_CAP, BALL_R2_Q_CAP, BallComplex, H2GroupSummary,
     HjelmslevPlane, extract_hjelmslev,
@@ -669,6 +678,189 @@ def symmetric_group(n):
     return PermGroup(n, gens, elements)
 
 
+# -- finite fields GF(p^k) on coefficient tuples --
+
+FIELD_DEGREE_CAP = 9
+FIELD_ORDER_CAP = 1000
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+# -- polynomials over GF(p), as coefficient tuples, index = degree --
+
+def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
+    i = len(c)
+    while i > 0 and c[i - 1] == 0:
+        i -= 1
+    return c[:i]
+
+
+def _poly_mod(num: tuple[int, ...], div: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Remainder of num by monic div, coefficients mod p."""
+    num = list(num)
+    dd = len(div) - 1
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] % p
+        if c:
+            for j in range(dd + 1):
+                num[i - dd + j] = (num[i - dd + j] - c * div[j]) % p
+    return _poly_trim(tuple(v % p for v in num[:dd]))
+
+
+def _poly_from_int(n: int, p: int, degree: int) -> tuple[int, ...]:
+    """Monic polynomial of the given degree whose low coefficients are the
+    base-p digits of n (constant term = least significant digit)."""
+    coeffs = []
+    for _ in range(degree):
+        coeffs.append(n % p)
+        n //= p
+    return tuple(coeffs) + (1,)
+
+
+def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
+    """Trial division by every monic polynomial of degree 1..deg(f)//2."""
+    deg = len(f) - 1
+    if deg == 1:
+        return True
+    if f[0] == 0:
+        return False
+    for d in range(1, deg // 2 + 1):
+        for n in range(p ** d):
+            g = _poly_from_int(n, p, d)
+            if not _poly_mod(f, g, p):
+                return False
+    return True
+
+
+class Field:
+    """GF(p^k) with a fixed reduction polynomial and primitive element.
+
+    Elements are coefficient tuples of length k; the canonical element
+    order, the one iter_elements() walks, is lexicographic on those
+    tuples.
+    """
+
+    def __init__(self, p: int, k: int):
+        if not is_prime(p):
+            raise InvalidInput(f"p must be prime, got {p}")
+        if not 1 <= k <= FIELD_DEGREE_CAP:
+            raise InvalidInput(f"degree must be in 1..{FIELD_DEGREE_CAP}, got {k}")
+        if p ** k > FIELD_ORDER_CAP:
+            raise CapExceeded(
+                f"field order {p ** k} exceeds cap {FIELD_ORDER_CAP}")
+        self.p = p
+        self.k = k
+        self.order = p ** k
+        self.modulus_poly = self._find_modulus()
+        self.zero = (0,) * k
+        self.one = (1,) + (0,) * (k - 1)
+        self.omega_coeffs = self._find_primitive()
+
+    def _find_modulus(self) -> tuple[int, ...]:
+        for n in range(self.p ** self.k):
+            f = _poly_from_int(n, self.p, self.k)
+            if _is_irreducible(f, self.p):
+                return f
+        raise RuntimeError("no irreducible polynomial found")
+
+    # -- raw tuple arithmetic --
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        k, p = self.k, self.p
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        rem = _poly_mod(tuple(v % p for v in prod), self.modulus_poly, p)
+        return rem + (0,) * (k - len(rem))
+
+    def power(self, a, e: int):
+        result = self.one
+        base = a
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def multiplicative_order(self, a) -> int:
+        if a == self.zero:
+            raise InvalidInput("zero has no multiplicative order")
+        n = self.order - 1
+        order = n
+        for r in prime_factors(n):
+            while order % r == 0 and self.power(a, order // r) == self.one:
+                order //= r
+        return order
+
+    def _find_primitive(self):
+        for coeffs in self.iter_elements():
+            if coeffs == self.zero:
+                continue
+            if self.multiplicative_order(coeffs) == self.order - 1:
+                return coeffs
+        raise RuntimeError("no primitive element found")
+
+    # -- canonical enumeration --
+
+    def iter_elements(self) -> Iterator[tuple[int, ...]]:
+        def rec(prefix, depth):
+            if depth == self.k:
+                yield prefix
+                return
+            for c in range(self.p):
+                yield from rec(prefix + (c,), depth + 1)
+        # lexicographic on (c_0, ..., c_{k-1})
+        for c0 in range(self.p):
+            yield from rec((c0,), 1)
+
+    def subfield(self, q: int) -> list:
+        """The elements of the subfield GF(q), the fixed points of
+        x -> x^q, in canonical order."""
+        elements = [x for x in self.iter_elements() if self.power(x, q) == x]
+        if len(elements) != q:
+            raise AssertionError(
+                f"GF({q}) inside {self!r} has {len(elements)} elements")
+        return elements
+
+    def __repr__(self):
+        return f"Field(p={self.p}, k={self.k})"
+
+
+@lru_cache(maxsize=None)
+def make_field(p: int, k: int) -> Field:
+    return Field(p, k)
+
+
 # -- fractional linear groups on the projective line --
 #
 # The line over GF(q) is indexed 0..q: index i < q is the i-th field
@@ -918,6 +1110,28 @@ def all_difference_sets(q):
     return [DifferenceSet(q, m, combo)
             for combo in itertools.combinations(range(m), q + 1)
             if is_difference_set(combo, q)]
+
+
+def field_model_singer_set(q):
+    """Singer's difference set from the field model: exponents i of the
+    primitive element w of GF(q^3) for which w^i lies in the plane
+    spanned by 1 and w over the subfield GF(q), taken mod q^2+q+1.  The
+    reference for singer_difference_set, which reads GF(q) off the
+    powers of x instead."""
+    p, eta = prime_power(q)
+    field = make_field(p, 3 * eta)
+    subfield = field.subfield(q)
+    w = field.omega_coeffs
+    span = {field.add(a, field.mul(b, w)) for a in subfield for b in subfield}
+    span.discard(field.zero)
+    m = q * q + q + 1
+    exponents = set()
+    acc = field.one
+    for i in range(field.order - 1):
+        if acc in span:
+            exponents.add(i % m)
+        acc = field.mul(acc, w)
+    return DifferenceSet(q, m, tuple(sorted(exponents)))
 
 
 def agl_orbit_of_set(D):

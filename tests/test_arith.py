@@ -1,12 +1,14 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from oracles import prime_power_by_scan
-from singerlat.arith import (
-    Field, make_field, prime_factors, prime_power, is_prime, zmod_units,
+from oracles import (
+    Field, _is_irreducible, _poly_from_int, _poly_mod, is_prime, make_field,
+    prime_factors, prime_power_by_scan,
 )
+from singerlat.arith import prime_power, primitive_powers, zmod_units
 from singerlat.errors import CapExceeded, InvalidInput
 
 
@@ -122,3 +124,57 @@ def test_prime_power_matches_the_full_scan():
     # q finds the same least prime factor
     for q in range(-2, 10 ** 4):
         assert prime_power(q) == prime_power_by_scan(q), q
+
+
+# the fields GF(q^3) = GF(p^n) of the Singer sets at q = 2, 3, 4, 5, 7, 8, 9
+SINGER_FIELDS = [(2, 3), (3, 3), (2, 6), (5, 3), (7, 3), (2, 9), (3, 6)]
+
+
+@pytest.mark.parametrize("p,n", SINGER_FIELDS)
+def test_primitive_powers_are_every_nonzero_vector_once(p, n):
+    powers = primitive_powers(p, n)
+    assert len(powers) == p ** n - 1
+    nonzero = set(itertools.product(range(p), repeat=n)) - {(0,) * n}
+    assert set(powers) == nonzero
+
+
+def oracle_x_power(e, f, p):
+    """x^e mod f by square and multiply on dense polynomials."""
+    result, base = (1,), (0, 1)
+    while e:
+        if e & 1:
+            result = _poly_mod(tuple(poly_mul(result, base, p)), f, p)
+        base = _poly_mod(tuple(poly_mul(base, base, p)), f, p)
+        e >>= 1
+    return result
+
+
+def oracle_first_primitive(p, n):
+    """The first monic f of degree n, in the order of _poly_from_int,
+    that is irreducible and in which x has order p^n - 1."""
+    order = p ** n - 1
+    for code in range(p ** n):
+        f = _poly_from_int(code, p, n)
+        if _is_irreducible(f, p) and all(
+                oracle_x_power(order // r, f, p) != (1,)
+                for r in prime_factors(order)):
+            return f
+    raise AssertionError
+
+
+@pytest.mark.parametrize("p,n", SINGER_FIELDS)
+def test_primitive_powers_reduce_by_the_first_primitive_polynomial(p, n):
+    f = oracle_first_primitive(p, n)
+    powers = primitive_powers(p, n)
+    for i, v in enumerate(powers):
+        x_times_v = _poly_mod((0,) + v, f, p)
+        expected = powers[(i + 1) % len(powers)]
+        assert x_times_v + (0,) * (n - len(x_times_v)) == expected
+
+
+def test_primitive_powers_need_a_prime():
+    # Z/pZ with p composite has zero divisors, so no quotient ring over
+    # it is a field and x is primitive modulo no polynomial
+    for p, n in ((4, 1), (4, 2), (6, 1)):
+        with pytest.raises(InvalidInput):
+            primitive_powers(p, n)

@@ -44,6 +44,34 @@ def test_gen_singer_stdout(capsys):
     assert out == '{"elements": [0, 1, 3], "modulus": 7, "q": 2}\n'
 
 
+# sha256 of the stdout of gen-singer q and of build-plane q
+STDOUT_SHA256 = {
+    2: ("6b9d65e8a027f26c1fda925445d3699b39d34e2fe3475494a7c4746c33f9b35b",
+        "06571262e07d4a3c90abfd4b53b2e1a20e2e308256f3a936cf2c1e0aed5b0a2c"),
+    3: ("ba26c9e00d4ca20b3591b32799f6bbe5089eefe2f8341d4822c3732cda074ef2",
+        "703e50ef76296b7d4b2f31ec8967eac0145173b57d8491c6269679d62efc5ac5"),
+    4: ("27ecd4d46bdb0ae337fef9e4123310c9b395527c4cbee5c4814db9bf9d2c4e36",
+        "f9e8ea48e8a5f1847a91d9c9f7f1874d161458f8e1b79f7028b30959afea51cb"),
+    5: ("f6ad3380a735a1ced8be50a1fcb78a3a9cce871c8491523eee1dec62bc70a0e2",
+        "985565e24400009426bb28008ee16fcb877c78fbdf81fca0dcfa28534d074800"),
+    7: ("a8d562b3f4e6647168ba49ce4e4df5697efa1165be5b5d97214bd05ba86667d8",
+        "012fbaedcd93ab4b0b305125edb42e4c6bd1a9e1ef8359b8a2cefb95930e2805"),
+    8: ("33e8d7cf13425c60205b15cc14cdd6d041295374a6e0d7f7b89e5627320788dd",
+        "113fc2e64d575aa2d0223da6dc9fa72b8b97d83dba9cddd54e88ec9edac5cebb"),
+    9: ("bdfb3a483ac965457694b0b26e0dd57e1140ce803c16f601718997b7eedac82f",
+        "21204c000ea2e7f2d1138955d5fbc52659dc36b8c74f68549625f4ad0ae061de"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(STDOUT_SHA256))
+def test_gen_singer_and_build_plane_stdout_bytes(capsys, q):
+    for command, digest in zip(("gen-singer", "build-plane"),
+                               STDOUT_SHA256[q]):
+        code, out, _ = run(capsys, command, q)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
 def test_gen_singer_large_q_parses_back(capsys):
     code, out, _ = run(capsys, "gen-singer", 8)
     assert code == 0

@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from oracles import (
-    agl_orbit_of_set, all_difference_sets, compose_affine, invert_affine,
-    normalize_matrix,
+    agl_orbit_of_set, all_difference_sets, compose_affine,
+    field_model_singer_set, invert_affine, normalize_matrix,
 )
 from singerlat.diffsets import (
     AffineMap, DifferenceMatrix, DifferenceSet, agl_maps,
@@ -96,12 +96,27 @@ def test_all_difference_sets_cap():
 
 
 def test_canonical_set_is_orbit_minimum():
-    # the library scans only the images that contain 0; the whole orbit
-    # is the reference at every q it serves
+    # the library scans only the images that contain 0 of a Singer set
+    # read off the powers of x; the whole orbit of the field model's
+    # Singer set is the reference at every q it serves
     for q in (2, 3, 4, 5, 7, 8, 9):
-        C = canonical_difference_set(q)
-        assert C.elements == min(agl_orbit_of_set(singer_difference_set(q)))
-    assert canonical_difference_set(2).elements == (0, 1, 3)
+        orbit = agl_orbit_of_set(field_model_singer_set(q))
+        assert canonical_difference_set(q).elements == min(orbit)
+        assert singer_difference_set(q).elements in orbit
+
+
+def test_canonical_sets_literally():
+    expected = {
+        2: (0, 1, 3),
+        3: (0, 1, 3, 9),
+        4: (0, 1, 4, 14, 16),
+        5: (0, 1, 3, 8, 12, 18),
+        7: (0, 1, 3, 13, 32, 36, 43, 52),
+        8: (0, 1, 3, 7, 15, 31, 36, 54, 63),
+        9: (0, 1, 3, 9, 27, 49, 56, 61, 77, 81),
+    }
+    for q, elements in expected.items():
+        assert canonical_difference_set(q).elements == elements
 
 
 def test_agl_apply_preserves_difference_property_exhaustively():
