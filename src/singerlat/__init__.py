@@ -18,9 +18,6 @@ from .exotic import (
     certify_exotic, classify, enumerate_normalized, lower_A, pencil_group,
     ratio_table,
 )
-from .plane import (
-    LabelledPlane, canonical_plane, elations_with, is_desarguesian,
-    plane_from_text, plane_to_text, verify_plane_axioms,
-)
+from .plane import canonical_plane, plane_from_text, plane_to_text
 
 __version__ = "0.1.0"

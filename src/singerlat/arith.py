@@ -13,22 +13,63 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .errors import InvalidInput
+from .errors import CapExceeded, InvalidInput
+
+
+# Miller-Rabin on the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < PRIME_TEST_BOUND."""
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _int_root(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 1, by Newton's method
+    from 2^ceil(bits/k), which lies above it."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
-    """Return (p, k) with q = p^k and p prime, or None.  The least
-    divisor of q above 1 is its least prime factor p, and it is at most
-    sqrt(q) unless q itself is prime."""
+    """Return (p, k) with q = p^k and p prime, or None.  For the largest
+    k with q = r^k, q is a prime power exactly when r is prime: r = p^j
+    would make q a (jk)-th power.  No trial division, so the cost grows
+    with the digits of q, not with its size; a q past the exact range
+    of the prime test is refused."""
     if q < 2:
         return None
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    k = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else None
+    if q >= PRIME_TEST_BOUND:
+        raise CapExceeded(f"prime power test capped below {PRIME_TEST_BOUND}")
+    for k in range(q.bit_length() - 1, 0, -1):
+        r = _int_root(q, k)
+        if r ** k == q:
+            return (r, k) if _is_prime(r) else None
+    return None
 
 
 def zmod_units(m: int) -> list[int]:

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .diffsets import DifferenceMatrix
+from .diffsets import DifferenceMatrix, DifferenceVector
 from .errors import CapExceeded, GluingError, InvalidInput
-from .plane import (
-    LabelledPlane, _chain_orbits, _check_map, _incidence_tables, _Search,
-)
+from .plane import _chain_orbits, _check_map, _incidence_tables, _Search
 
 BALL_R1_Q_CAP = 9
 BALL_R2_Q_CAP = 9
@@ -228,7 +226,7 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
     return ball
 
 
-def _labelled_plane_isomorphic(flags, plane: LabelledPlane) -> bool:
+def _labelled_plane_isomorphic(flags, plane: DifferenceVector) -> bool:
     """Whether the flag list is a labelled plane isomorphic to plane,
     by sending one line to line 0 and propagating the forced
     label-matching."""
@@ -317,8 +315,6 @@ def verify_ball(ball: BallComplex) -> BallReport:
                 f"interior panel {e} carries labels {labels} "
                 f"instead of one chamber per label")
 
-    planes = [LabelledPlane(c.q, c.modulus, c.entries)
-              for c in ball.matrix.columns]
     residue_status = []
     for x in range(ball.vertex_count):
         if dists[x] >= radius:
@@ -329,7 +325,7 @@ def verify_ball(ball: BallComplex) -> BallReport:
         pt_slot, ln_slot = (t + 1) % 3, (t + 2) % 3
         flags = [(ch[ln_slot], ch[pt_slot], ch[3])
                  for ch in by_vertex[x] if ch[t] == x]
-        good = _labelled_plane_isomorphic(flags, planes[t])
+        good = _labelled_plane_isomorphic(flags, ball.matrix.columns[t])
         residue_status.append((x, good))
         if not good:
             failures.append(

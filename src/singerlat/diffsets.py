@@ -82,12 +82,12 @@ class DifferenceVector:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        if self.modulus != self.q * self.q + self.q + 1:
+            raise InvalidInput("modulus is not q^2+q+1")
         object.__setattr__(self, "entries", tuple(self.entries))
         if not is_difference_set(self.entries, self.q):
             raise InvalidInput(
                 f"entries {self.entries} do not form a difference set of order {self.q}")
-        if self.modulus != self.q * self.q + self.q + 1:
-            raise InvalidInput("modulus is not q^2+q+1")
 
     @classmethod
     def make(cls, q: int, entries) -> "DifferenceVector":

@@ -122,14 +122,5 @@ class PermGroup:
     def __hash__(self):
         return hash((self.degree, self.elements))
 
-    def conjugate_by(self, s):
-        validate_perm(s, self.degree)
-        conj = conjugator(s)
-        return PermGroup(
-            self.degree,
-            tuple(map(conj, self.generators)),
-            frozenset(map(conj, self.elements)),
-        )
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"

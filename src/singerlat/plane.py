@@ -1,10 +1,12 @@
-"""Labelled projective planes over Z/mZ and their collineations.
+"""The labelled projective plane of a difference vector, and the
+backtracking engine that searches collineations.
 
-Points and lines are both residues mod m = q^2 + q + 1.  Line x carries
-the points x + d_j for the entries (d_0, ..., d_q) of a difference
-vector, and the flag (line x, point x + d_j) has label j.  Labels are
-0-based positions into the entry tuple; dually, the lines through a
-point p are p - d_j, again with label j.
+A difference vector (d_0, ..., d_q) mod m = q^2 + q + 1 is its own
+plane: points and lines are both residues mod m, line x carries the
+points x + d_j, and the flag (line x, point x + d_j) has label j.
+Labels are 0-based positions into the entry tuple; dually, the lines
+through a point p are p - d_j, again with label j.  The difference
+property makes every join and meet unique.
 
 The collineation search assigns point images by backtracking and forces
 line images through incidence closure: once two points of a line have
@@ -16,134 +18,25 @@ neighbouring points have no unique join.
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .diffsets import canonical_difference_set, is_difference_set
-from .errors import CapExceeded, InvalidInput
-from .permgrp import validate_perm
-
-# backtracking searches stay exact but slow down fast with q
-SEARCH_Q_CAP = 5
-
-
-@dataclass(frozen=True)
-class LabelledPlane:
-    """Incidence structure of a difference vector; not necessarily a
-    projective plane unless the vector is perfect (see
-    verify_plane_axioms)."""
-
-    q: int
-    modulus: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise InvalidInput(f"order must be at least 2, got {self.q}")
-        if self.modulus != self.q * self.q + self.q + 1:
-            raise InvalidInput("modulus is not q^2+q+1")
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) != self.q + 1:
-            raise InvalidInput(f"expected {self.q + 1} entries")
-        for d in self.entries:
-            if not isinstance(d, int) or not 0 <= d < self.modulus:
-                raise InvalidInput(f"entry {d!r} is not a residue mod {self.modulus}")
-        if len(set(self.entries)) != len(self.entries):
-            raise InvalidInput("repeated entries")
-
-    def line_points(self, x):
-        """Points on line x, in label order."""
-        return tuple((x + d) % self.modulus for d in self.entries)
-
-    def point_lines(self, p):
-        """Lines through point p, in label order."""
-        return tuple((p - d) % self.modulus for d in self.entries)
-
-    def incident(self, line, point):
-        return (point - line) % self.modulus in self._entry_set
-
-    @cached_property
-    def _entry_set(self):
-        return frozenset(self.entries)
+from .diffsets import DifferenceVector, canonical_difference_set
+from .errors import InvalidInput
 
 
 @lru_cache(maxsize=None)
 def canonical_plane(q):
+    """The plane of the canonical difference set, labelled in its order."""
     D = canonical_difference_set(q)
-    return LabelledPlane(q, D.modulus, D.elements)
+    return DifferenceVector(q, D.modulus, D.elements)
 
 
-def verify_plane_axioms(plane):
-    """True iff two distinct points lie on exactly one common line, two
-    distinct lines meet in exactly one point, and some four points have
-    no three of them collinear."""
-    m = plane.modulus
-    point_lines = [frozenset(plane.point_lines(p)) for p in range(m)]
-    line_points = [frozenset(plane.line_points(x)) for x in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            if len(point_lines[a] & point_lines[b]) != 1:
-                return False
-            if len(line_points[a] & line_points[b]) != 1:
-                return False
-
-    def collinear(a, b, c):
-        return bool(point_lines[a] & point_lines[b] & point_lines[c])
-
-    for a in range(m):
-        for b in range(a + 1, m):
-            for c in range(b + 1, m):
-                if collinear(a, b, c):
-                    continue
-                for d in range(c + 1, m):
-                    if not (collinear(a, b, d) or collinear(a, c, d)
-                            or collinear(b, c, d)):
-                        return True
-    return False
-
-
-# -- incidence-preserving maps --
-
-
-@dataclass(frozen=True)
-class Collineation:
-    plane: LabelledPlane
-    point_map: tuple[int, ...]
-    line_map: tuple[int, ...]
-
-    def __post_init__(self):
-        m = self.plane.modulus
-        validate_perm(self.point_map, m)
-        validate_perm(self.line_map, m)
-        pm, entries = self.point_map, self.plane.entries
-        entry_set = self.plane._entry_set
-        # flag (x, x + d) goes to (y, pm[x + d]), a flag when the
-        # difference of the two is an entry
-        for x, y in enumerate(self.line_map):
-            for d in entries:
-                p = (x + d) % m
-                if (pm[p] - y) % m not in entry_set:
-                    raise InvalidInput(
-                        f"image of flag ({x}, {p}) is not a flag")
-
-
-@dataclass(frozen=True)
-class Elation:
-    collineation: Collineation
-    center: int
-    axis: int
-
-    def __post_init__(self):
-        c = self.collineation
-        plane = c.plane
-        if not plane.incident(self.axis, self.center):
-            raise InvalidInput("elation center must lie on its axis")
-        for p in plane.line_points(self.axis):
-            if c.point_map[p] != p:
-                raise InvalidInput("axis is not fixed pointwise")
-        for y in plane.point_lines(self.center):
-            if c.line_map[y] != y:
-                raise InvalidInput("center pencil is not fixed linewise")
+def incidence_lists(plane):
+    """The points on each line and the lines through each point of the
+    plane of a difference vector, each in label order."""
+    m, entries = plane.modulus, plane.entries
+    return ([tuple((x + d) % m for d in entries) for x in range(m)],
+            [tuple((p - d) % m for d in entries) for p in range(m)])
 
 
 # -- collineation search --
@@ -188,18 +81,6 @@ def _incidence_tables(line_pts, pt_lines):
     return (line_pts, pt_lines, [frozenset(pts) for pts in line_pts], join,
             _unique_common(pt_lines, len(line_pts)),
             _quadrangle(line_pts, join))
-
-
-@lru_cache(maxsize=None)
-def _plane_tables(plane):
-    """Engine tables of a projective plane: the difference property
-    makes every join and meet unique."""
-    if not is_difference_set(plane.entries, plane.q):
-        raise InvalidInput("search requires a projective plane; "
-                           "entries are not a perfect difference set")
-    m = plane.modulus
-    return _incidence_tables([plane.line_points(x) for x in range(m)],
-                             [plane.point_lines(p) for p in range(m)])
 
 
 class _Search:
@@ -390,7 +271,9 @@ def _chain_orbits(tables, pt_domain=None):
     base starts at the tables' quadrangle and grows by the first point
     that a map fixing all of it moves.  The orbit of a base point is the
     set of images v for which a search with the earlier base points
-    fixed and the point sent to v finds a map."""
+    fixed and the point sent to v finds a map.  A map fixing a point a
+    keeps whether a has a unique join to the base point, so only the v
+    that agree with it on that for every earlier a are searched."""
     npts = len(tables[1])
     identity = tuple(range(npts))
 
@@ -400,9 +283,13 @@ def _chain_orbits(tables, pt_domain=None):
             _check_map(tables, *g)
             yield g
 
+    join = tables[3]
     fixed, orbits, b = {}, [], tables[5][0]
     while b is not None:
-        orbit = [v for v in range(npts) if next(maps({**fixed, b: v}), None)]
+        joined = [join[a][b] != -1 for a in fixed]
+        orbit = [v for v in range(npts)
+                 if [join[a][v] != -1 for a in fixed] == joined
+                 and next(maps({**fixed, b: v}), None)]
         if b not in orbit:
             raise AssertionError("the identity is not among the collineations")
         orbits.append(len(orbit))
@@ -413,57 +300,21 @@ def _chain_orbits(tables, pt_domain=None):
     return orbits
 
 
-def search_collineations(plane, point_seed=None, line_seed=None):
-    """All collineations extending the given partial point and line maps,
-    sorted by point map."""
-    if plane.q > SEARCH_Q_CAP:
-        raise CapExceeded(
-            f"collineation search capped at q <= {SEARCH_Q_CAP}, got {plane.q}")
-    s = _Search(_plane_tables(plane))
-    if not s.seed(dict(point_seed or {}), dict(line_seed or {})):
-        return []
-    return [Collineation(plane, pmap, lmap) for pmap, lmap in sorted(s.run())]
-
-
-def elations_with(plane, center, axis):
-    """The group of elations with the given center and axis, as a sorted
-    list including the identity."""
-    if not plane.incident(axis, center):
-        raise InvalidInput(f"center {center} is not on axis {axis}")
-    point_seed = {p: p for p in plane.line_points(axis)}
-    line_seed = {y: y for y in plane.point_lines(center)}
-    found = search_collineations(plane, point_seed, line_seed)
-    return [Elation(c, center, axis) for c in found]
-
-
-def is_desarguesian(plane):
-    """True iff every incident (center, axis) pair carries a full group of
-    q elations, which is the Moufang condition for a plane."""
-    if plane.q > SEARCH_Q_CAP:
-        raise CapExceeded(
-            f"Desarguesian test capped at q <= {SEARCH_Q_CAP}, got {plane.q}")
-    if not verify_plane_axioms(plane):
-        raise InvalidInput("not a projective plane")
-    for axis in range(plane.modulus):
-        for center in plane.line_points(axis):
-            if len(elations_with(plane, center, axis)) != plane.q:
-                return False
-    return True
-
-
 def plane_to_text(plane):
     """One text line per geometric line: its (point, label) pairs sorted
     by point."""
     out = []
-    for x in range(plane.modulus):
-        pairs = sorted((p, j) for j, p in enumerate(plane.line_points(x)))
+    for x, points in enumerate(incidence_lists(plane)[0]):
+        pairs = sorted((p, j) for j, p in enumerate(points))
         out.append(f"line {x}: " + " ".join(f"({p},{j})" for p, j in pairs))
     return "\n".join(out) + "\n"
 
 
 def plane_from_text(text):
     """Inverse of plane_to_text.  The whole export must be consistent
-    with one cyclic plane; anything else is rejected."""
+    with one cyclic plane; anything else is rejected.  q is read from
+    the pairs of the first row and the modulus from the row count, which
+    the vector checks before its q^2-sized difference count."""
     rows = text.splitlines()
     if not rows:
         raise InvalidInput("empty plane export")
@@ -477,7 +328,7 @@ def plane_from_text(text):
         if not 0 <= j <= q or entries[j] is not None:
             raise InvalidInput(f"line 1: bad label {j}")
         entries[j] = int(p)
-    plane = LabelledPlane(q, len(rows), tuple(entries))
+    plane = DifferenceVector(q, len(rows), tuple(entries))
     if plane_to_text(plane) != text:
         raise InvalidInput("export rows do not match a single cyclic plane")
     return plane

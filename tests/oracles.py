@@ -6,8 +6,9 @@ The plane-search route to the pencil groups is the independent check of
 the G_0 that the library generates from the canonical plane's
 difference table (a multiplier and projectivities of the pencil at
 point 0, checked by the order of PGammaL(2, q)): the search enumerates
-the collineations fixing a point (or a line) of a labelled plane and
-reads off the permutations they induce on the q+1 flag labels there.
+the collineations fixing a point (or a line) of a difference vector's
+plane and reads off the permutations they induce on the q+1 flag labels
+there.
 It runs the Moufang test on each plane it searches first and raises
 NonDesarguesianColumn on a failure.  The library has no such verdict:
 every column it accepts is an affine image of the canonical set, whose
@@ -49,15 +50,22 @@ NormalizedMatrix.from_matrix; prime_power_by_scan, the reference for
 prime_power; all_difference_sets, the exhaustive scan up to
 ENUMERATION_Q_CAP that the Singer orbit is checked against;
 agl_orbit_of_set, the whole affine orbit of a set, whose least member
-canonical_difference_set must find;
-all_collineations, the unseeded search for the full group of a plane
-up to FULL_GROUP_Q_CAP; compose_affine and invert_affine;
-collineations_fixing, which
-pencil_action reads the point stabilizer from; compose_collineations,
-invert_collineation, is_identity and preserves_labels;
-elation_cycle_profile for the elation laws of criterion 10; and
-reduce_generators, group_from_generators and group_from_elements, which
-build a PermGroup from generators or from a closed element set.
+canonical_difference_set must find; compose_affine and invert_affine;
+conjugate_by, the group s^-1 * G * s; and reduce_generators,
+group_from_generators and group_from_elements, which build a PermGroup
+from generators or from a closed element set.
+
+The plane tools work on a difference vector, which is its own plane
+(singerlat.plane).  A collineation is a (point map, line map) pair:
+collineations lists those that the library's engine finds from a
+partial map, each checked by the engine's map check _check_map, and
+all_collineations is the unseeded search for the full group up to
+FULL_GROUP_Q_CAP.  elations_with seeds it with the axis and the
+center's pencil fixed; is_desarguesian, the Moufang test, asks for q
+elations at every flag; preserves_labels and elation_cycle_profile
+serve the elation laws of criterion 10.  verify_plane_axioms checks the
+axioms of a projective plane on any list of lines, so it can refuse a
+non-plane as well as pass criterion 1's canonical planes.
 
 Nothing in the library depends on this module; tests/test_source.py
 fails if a library module imports it.
@@ -90,8 +98,7 @@ from singerlat.permgrp import (
     inverse,
 )
 from singerlat.plane import (
-    Collineation, LabelledPlane, _check_map, _Search, canonical_plane,
-    is_desarguesian, search_collineations,
+    _check_map, _incidence_tables, _Search, canonical_plane, incidence_lists,
 )
 
 SEARCH_ROUTE_Q_CAP = 5
@@ -111,13 +118,10 @@ def pencil_action(plane, x0):
     of x0, as a subgroup of Sym(q+1)."""
     m = plane.modulus
     entry_index = {d: j for j, d in enumerate(plane.entries)}
-    perms = set()
-    for c in collineations_fixing(plane, x0):
-        lines = plane.point_lines(x0)
-        perms.add(tuple(
-            entry_index[(x0 - c.line_map[lines[j]]) % m]
-            for j in range(plane.q + 1)))
-    return group_from_elements(perms)
+    lines = incidence_lists(plane)[1][x0]
+    return group_from_elements({
+        tuple(entry_index[(x0 - lmap[y]) % m] for y in lines)
+        for _, lmap in collineations(plane, {x0: x0})})
 
 
 @lru_cache(maxsize=None)
@@ -126,13 +130,10 @@ def line_pencil_action(plane, y0):
     setwise stabilizer."""
     m = plane.modulus
     entry_index = {d: j for j, d in enumerate(plane.entries)}
-    perms = set()
-    for c in search_collineations(plane, line_seed={y0: y0}):
-        pts = plane.line_points(y0)
-        perms.add(tuple(
-            entry_index[(c.point_map[pts[j]] - y0) % m]
-            for j in range(plane.q + 1)))
-    return group_from_elements(perms)
+    points = incidence_lists(plane)[0][y0]
+    return group_from_elements({
+        tuple(entry_index[(pmap[p] - y0) % m] for p in points)
+        for pmap, _ in collineations(plane, line_seed={y0: y0})})
 
 
 class NonDesarguesianColumn(Exception):
@@ -169,13 +170,12 @@ def local_pencil_groups(M, route="auto"):
     if route == "search":
         out = []
         for t, col in enumerate(M.columns):
-            plane = LabelledPlane(col.q, col.modulus, col.entries)
-            if not is_desarguesian(plane):
+            if not is_desarguesian(col):
                 raise NonDesarguesianColumn(t)
-            out.append(pencil_action(plane, 0))
+            out.append(pencil_action(col, 0))
         return tuple(out)
     g0 = pencil_group(M.q, route)
-    return tuple(g0.conjugate_by(s) for s in _label_twists(M))
+    return tuple(conjugate_by(g0, s) for s in _label_twists(M))
 
 
 def mismatch_witness(groups):
@@ -553,13 +553,12 @@ def h2_kernel_and_lifts(ball: BallComplex, H: HjelmslevPlane, tables):
     lift of each collineation of the center's plane that lifts: the
     lists the pinned q = 2 listing is built from.  The library counts
     both by stabilizer chains instead."""
-    c = ball.matrix.columns[ball.center_type]
-    plane = LabelledPlane(c.q, c.modulus, c.entries)
+    plane = ball.matrix.columns[ball.center_type]
     kernel = list(h2_lift_search(H, tables, {f: f for f in tables.pt_fibers}))
     lifts = []
-    for g in all_collineations(plane):
+    for pmap, _ in all_collineations(plane):
         # residue points sit at vertex id 1 + plane point
-        base_pt = {1 + p: 1 + g.point_map[p] for p in range(plane.modulus)}
+        base_pt = {1 + p: 1 + v for p, v in enumerate(pmap)}
         lifts += itertools.islice(h2_lift_search(H, tables, base_pt), 1)
     return kernel, lifts
 
@@ -1227,7 +1226,27 @@ def extra_move_roots_per_pair(q, least, coset_of, stab, orbit_of):
     return [find(k) for k in range(len(parent))]
 
 
-# -- collineations and elations --
+# -- collineations and elations of the plane of a difference vector --
+
+
+@lru_cache(maxsize=None)
+def plane_tables(plane):
+    """The engine's tables of the plane of a difference vector."""
+    return _incidence_tables(*incidence_lists(plane))
+
+
+def collineations(plane, point_seed=None, line_seed=None):
+    """The collineations extending the given partial point and line
+    maps, as (point map, line map) pairs sorted by point map, each one
+    checked by the engine's map check."""
+    tables = plane_tables(plane)
+    search = _Search(tables)
+    if not search.seed(point_seed or {}, line_seed or {}):
+        return []
+    found = sorted(search.run())
+    for g in found:
+        _check_map(tables, *g)
+    return found
 
 
 def all_collineations(plane):
@@ -1235,60 +1254,73 @@ def all_collineations(plane):
     if plane.q > FULL_GROUP_Q_CAP:
         raise CapExceeded(
             f"full group enumeration capped at q <= {FULL_GROUP_Q_CAP}, got {plane.q}")
-    return search_collineations(plane)
+    return collineations(plane)
 
 
-def collineations_fixing(plane, x0):
-    """All collineations fixing the point x0."""
-    return search_collineations(plane, point_seed={x0: x0})
+def elations_with(plane, center, axis):
+    """The group of elations with the given center and axis, including
+    the identity: the maps fixing every point of the axis and every line
+    through the center."""
+    line_pts, pt_lines = incidence_lists(plane)
+    if center not in line_pts[axis]:
+        raise InvalidInput(f"center {center} is not on axis {axis}")
+    return collineations(plane, {p: p for p in line_pts[axis]},
+                         {y: y for y in pt_lines[center]})
 
 
-def compose_collineations(a, b):
-    """a after b."""
-    if a.plane != b.plane:
-        raise InvalidInput("collineations of different planes")
-    return Collineation(a.plane, compose(a.point_map, b.point_map),
-                        compose(a.line_map, b.line_map))
+def is_desarguesian(plane):
+    """True iff every incident (center, axis) pair carries a full group of
+    q elations, which is the Moufang condition for a plane."""
+    return all(len(elations_with(plane, center, axis)) == plane.q
+               for axis, points in enumerate(incidence_lists(plane)[0])
+               for center in points)
 
 
-def invert_collineation(c):
-    return Collineation(c.plane, inverse(c.point_map), inverse(c.line_map))
+def verify_plane_axioms(line_pts):
+    """True iff the lines, given as the lists of their points 0..n-1,
+    make a projective plane: two distinct points lie on exactly one
+    common line, two distinct lines meet in exactly one point, and some
+    four points have no three of them collinear."""
+    lines = [frozenset(pts) for pts in line_pts]
+    pencils = [frozenset(x for x, pts in enumerate(lines) if p in pts)
+               for p in range(len(lines))]
+    if any(len(a & b) != 1 for blocks in (lines, pencils)
+           for a, b in itertools.combinations(blocks, 2)):
+        return False
+    return any(not any(pencils[a] & pencils[b] & pencils[c]
+                       for a, b, c in itertools.combinations(quad, 3))
+               for quad in itertools.combinations(range(len(lines)), 4))
 
 
-def is_identity(c):
-    ident = tuple(range(c.plane.modulus))
-    return c.point_map == ident and c.line_map == ident
+def preserves_labels(plane, c):
+    """True iff the collineation c keeps the label of every flag."""
+    m = plane.modulus
+    pmap, lmap = c
+    return all(pmap[(x + d) % m] == (lmap[x] + d) % m
+               for x in range(m) for d in plane.entries)
 
 
-def preserves_labels(c):
-    """True iff every flag keeps its label."""
-    m = c.plane.modulus
-    return all(c.point_map[(x + d) % m] == (c.line_map[x] + d) % m
-               for x in range(m) for d in c.plane.entries)
-
-
-def elation_cycle_profile(e, line):
-    """Cycle structure (k, c) of a nontrivial elation on the q points of a
-    center line other than the axis: k disjoint cycles of equal length c,
-    k * c = q."""
-    coll = e.collineation
-    plane = coll.plane
-    if is_identity(coll):
+def elation_cycle_profile(plane, point_map, center, axis, line):
+    """Cycle structure (k, c) of a nontrivial elation with the given
+    center and axis on the q points of a center line other than the
+    axis: k disjoint cycles of equal length c, k * c = q."""
+    line_pts = incidence_lists(plane)[0]
+    if point_map == tuple(range(plane.modulus)):
         raise InvalidInput("cycle profile of the trivial elation is undefined")
-    if line == e.axis:
+    if line == axis:
         raise InvalidInput("profile line must differ from the axis")
-    if not plane.incident(line, e.center):
+    if center not in line_pts[line]:
         raise InvalidInput(f"line {line} does not pass through the center")
     lengths = []
     seen = set()
-    for start in plane.line_points(line):
-        if start == e.center or start in seen:
+    for start in line_pts[line]:
+        if start == center or start in seen:
             continue
         n = 0
         x = start
         while x not in seen:
             seen.add(x)
-            x = coll.point_map[x]
+            x = point_map[x]
             n += 1
         lengths.append(n)
     if sum(lengths) != plane.q:
@@ -1299,3 +1331,10 @@ def elation_cycle_profile(e, line):
     if any(length != c for length in lengths):
         raise AssertionError(f"cycles of unequal lengths {lengths}")
     return (k, c)
+
+
+def conjugate_by(group, s):
+    """The group s^-1 * G * s, by permgrp.conjugator."""
+    conj = conjugator(s)
+    return PermGroup(group.degree, map(conj, group.generators),
+                     map(conj, group.elements))

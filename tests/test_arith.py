@@ -8,7 +8,9 @@ from oracles import (
     Field, _is_irreducible, _poly_from_int, _poly_mod, is_prime, make_field,
     prime_factors, prime_power_by_scan,
 )
-from singerlat.arith import prime_power, primitive_powers, zmod_units
+from singerlat.arith import (
+    PRIME_TEST_BOUND, prime_power, primitive_powers, zmod_units,
+)
 from singerlat.errors import CapExceeded, InvalidInput
 
 
@@ -120,10 +122,25 @@ def test_prime_power_decomposition():
 
 
 def test_prime_power_matches_the_full_scan():
-    # trial division stops at sqrt(q); the scan of every candidate up to
-    # q finds the same least prime factor
+    # the largest root and the prime test find what the scan of every
+    # candidate up to q finds
     for q in range(-2, 10 ** 4):
         assert prime_power(q) == prime_power_by_scan(q), q
+
+
+def test_prime_power_of_large_values():
+    # no trial division: each answer costs a few dozen integer roots
+    assert prime_power(10 ** 18 + 3) == (10 ** 18 + 3, 1)
+    assert prime_power((10 ** 9 + 7) ** 2) == (10 ** 9 + 7, 2)
+    assert prime_power(3 ** 40) == (3, 40)
+    assert prime_power(10 ** 18) is None
+    # strong pseudoprimes to the leading bases, and the Carmichael 561
+    assert prime_power(3_215_031_751) is None
+    assert prime_power(3_825_123_056_546_413_051) is None
+    assert prime_power(561) is None
+    assert prime_power(2 ** 81) == (2, 81)
+    with pytest.raises(CapExceeded):
+        prime_power(PRIME_TEST_BOUND)
 
 
 # the fields GF(q^3) = GF(p^n) of the Singer sets at q = 2, 3, 4, 5, 7, 8, 9

@@ -23,7 +23,7 @@ from singerlat.errors import CapExceeded, GluingError, InvalidInput
 from singerlat.exotic import NormalizedMatrix, classify, enumerate_normalized
 from singerlat.permgrp import compose, inverse
 from singerlat.plane import (
-    LabelledPlane, _chain_orbits, _check_map, _Search, canonical_plane,
+    _chain_orbits, _check_map, _Search, canonical_plane, incidence_lists,
 )
 
 
@@ -222,11 +222,11 @@ def test_level_one_is_the_center_residue(q2_ball_r2):
     H1 = extract_hjelmslev(q2_ball_r2, 1)
     assert len(H1.points) == 7
     assert len(H1.lines) == 7
-    plane = LabelledPlane(2, 7, (0, 1, 3))
+    line_pts = incidence_lists(DifferenceVector.make(2, (0, 1, 3)))[0]
     m = 7
     for (pv,), (lv,) in itertools.product(H1.points, H1.lines):
         p, l = pv - 1, lv - 1 - m
-        assert (((pv,), (lv,)) in H1.incidence) == plane.incident(l, p)
+        assert (((pv,), (lv,)) in H1.incidence) == (p in line_pts[l])
 
 
 def test_level_two_counts_and_fibers(q2_ball_r2):
@@ -380,10 +380,10 @@ def test_lifts_are_kernel_cosets(q2_ball_r2):
     kernel = list(oracles.h2_lift_search(H, tables, fixed))
     assert len(kernel) == 256
     bases = oracles.all_collineations(canonical_plane(2))
-    assert oracles.is_identity(bases[0])
-    for c in (bases[0], bases[1], bases[-1]):
-        base_pt = {1 + p: 1 + c.point_map[p] for p in range(7)}
-        base_ln = {8 + l: 8 + c.line_map[l] for l in range(7)}
+    assert bases[0] == (tuple(range(7)), tuple(range(7)))
+    for pmap, lmap in (bases[0], bases[1], bases[-1]):
+        base_pt = {1 + p: 1 + v for p, v in enumerate(pmap)}
+        base_ln = {8 + l: 8 + y for l, y in enumerate(lmap)}
         lp, ll = next(oracles.h2_lift_search(H, tables, base_pt))
         cosets = sorted((compose(lp, kp), compose(ll, kl)) for kp, kl in kernel)
         assert oracles.h2_lifts(H, base_pt, base_ln, oracle_tables) == cosets
@@ -395,13 +395,12 @@ def test_level_two_quadrangle_lies_over_a_quadrangle(q2_ball_r2, q3_ball_r2):
     for ball in (q2_ball_r2, q3_ball_r2):
         H = extract_hjelmslev(ball, 2)
         quad = ball_module._h2_tables(H).engine[5]
-        plane = canonical_plane(ball.q)
+        pt_lines = incidence_lists(canonical_plane(ball.q))[1]
         # residue points sit at vertex id 1 + plane point
         below = [H.points[i][0] - 1 for i in quad]
         assert len(set(below)) == 4
         for trio in itertools.combinations(below, 3):
-            assert not set.intersection(
-                *(set(plane.point_lines(p)) for p in trio))
+            assert not set.intersection(*(set(pt_lines[p]) for p in trio))
 
 
 def test_full_group_on_every_q2_class():
@@ -432,9 +431,21 @@ def test_stabilizer_chain_orders_past_the_cap(q3_ball_r2):
     # does not reach while H2_GROUP_Q_CAP is 2
     H = extract_hjelmslev(q3_ball_r2, 2)
     tables = ball_module._h2_tables(H)
-    order = math.prod(_chain_orbits(tables.engine))
-    kernel = math.prod(_chain_orbits(tables.engine, _fiber_domains(H, tables)))
-    assert (order, kernel) == (73693152, 13122)
+    orbits = _chain_orbits(tables.engine)
+    kernel = _chain_orbits(tables.engine, _fiber_domains(H, tables))
+    assert (orbits, kernel) == ([117, 8, 81, 54, 18], [9, 2, 9, 9, 9])
+    assert (math.prod(orbits), math.prod(kernel)) == (73693152, 13122)
+
+
+def test_stabilizer_chain_orbits_q2(q2_ball_r2):
+    # a map fixing the earlier base points keeps their unique joins to
+    # the base point, so skipping the images that differ there must
+    # leave every orbit of the full search
+    H = extract_hjelmslev(q2_ball_r2, 2)
+    tables = ball_module._h2_tables(H)
+    assert _chain_orbits(tables.engine) == [28, 24, 16, 4]
+    assert _chain_orbits(tables.engine,
+                         _fiber_domains(H, tables)) == [4, 4, 4, 4]
 
 
 def test_fiber_kernel_of_a_non_classical_class():
@@ -770,7 +781,7 @@ def _flag_mutations(plane, rng):
         rng.shuffle(sigma)
         out.append(("labels permuted", [(l, p, sigma[k]) for l, p, k in flags]))
         a = rng.choice([u for u in range(1, m) if math.gcd(u, m) == 1])
-        out.append(("multiplied", _plane_flags(LabelledPlane(
+        out.append(("multiplied", _plane_flags(DifferenceVector(
             q, m, tuple(a * d % m for d in plane.entries)))))
         i, j = rng.sample(range(len(flags)), 2)
         swapped = list(flags)
@@ -798,8 +809,7 @@ def test_residue_test_matches_every_anchor_reference():
     outcomes = set()
     for q in (2, 3, 4, 5):
         M = _disguised(identity_matrix(q), rng)
-        for col in M.columns:
-            plane = LabelledPlane(q, col.modulus, col.entries)
+        for plane in M.columns:
             for what, flags in _flag_mutations(plane, rng):
                 got = _labelled_plane_isomorphic(flags, plane)
                 assert got == oracles.labelled_plane_isomorphic(flags, plane), (

@@ -188,6 +188,16 @@ def test_build_plane_rejects_non_prime_power(capsys):
     assert run(capsys, "build-plane", 10)[0] == 2
 
 
+def test_gen_singer_refuses_a_huge_prime_at_once(capsys):
+    # 10^18 + 3 is prime: the cap refuses it, and finding that it is a
+    # prime power takes no scan up to its square root
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen-singer", 10 ** 18 + 3)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "exceeds cap" in err
+
+
 def test_certify_inconclusive(q2_file, capsys):
     code, out, _ = run(capsys, "certify", q2_file)
     assert code == 0

@@ -1,44 +1,53 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import pytest
 
 from singerlat.diffsets import DifferenceVector
 from singerlat.errors import CapExceeded, InvalidInput
+from singerlat.permgrp import compose, inverse
 from oracles import (
-    all_collineations, collineations_fixing, compose_collineations,
-    elation_cycle_profile, invert_collineation, is_conjugate_in_sym,
-    is_identity, line_pencil_action, pencil_action, pgammal2_model,
-    preserves_labels, symmetric_group,
+    all_collineations, collineations, elation_cycle_profile, elations_with,
+    is_conjugate_in_sym, is_desarguesian, line_pencil_action, pencil_action,
+    pgammal2_model, plane_tables, preserves_labels, symmetric_group,
+    verify_plane_axioms,
 )
 from singerlat.plane import (
-    Collineation, LabelledPlane, _chain_orbits, _plane_tables,
-    canonical_plane, elations_with, is_desarguesian, plane_from_text,
-    plane_to_text, search_collineations, verify_plane_axioms,
+    _chain_orbits, _check_map, canonical_plane, incidence_lists,
+    plane_from_text, plane_to_text,
 )
 
-# entries without the difference property, on the seven residues mod 7
-NOT_A_PLANE = LabelledPlane(2, 7, (0, 1, 2))
+# the lines x + {0, 1, 2} on the seven residues mod 7: the entries lack
+# the difference property
+NOT_A_PLANE = [tuple((x + d) % 7 for d in (0, 1, 2)) for x in range(7)]
 
 
 def count_flags(plane):
-    return sum(
-        plane.incident(x, p)
-        for x in range(plane.modulus) for p in range(plane.modulus))
+    return sum(len(set(points)) for points in incidence_lists(plane)[0])
+
+
+def identity_pair(plane):
+    ident = tuple(range(plane.modulus))
+    return ident, ident
+
+
+def compose_pair(a, b):
+    """The collineation a after b."""
+    return compose(a[0], b[0]), compose(a[1], b[1])
 
 
 def test_fano_from_vector():
     v = DifferenceVector.make(2, (1, 2, 4))
-    plane = LabelledPlane(v.q, v.modulus, v.entries)
-    assert count_flags(plane) == 21
-    assert plane.point_lines(0) == tuple((-d) % 7 for d in (1, 2, 4))
-    assert plane.line_points(3) == (4, 5, 0)
+    line_pts, pt_lines = incidence_lists(v)
+    assert count_flags(v) == 21
+    assert pt_lines[0] == tuple((-d) % 7 for d in (1, 2, 4))
+    assert line_pts[3] == (4, 5, 0)
 
 
 def test_order_three_plane_flag_count():
     v = DifferenceVector.make(3, (0, 1, 3, 9))
-    plane = LabelledPlane(v.q, v.modulus, v.entries)
-    assert count_flags(plane) == 52
+    assert count_flags(v) == 52
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -49,16 +58,19 @@ def test_flag_count_formula(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_axioms_hold_for_difference_set_planes(q):
-    assert verify_plane_axioms(canonical_plane(q))
+    assert verify_plane_axioms(incidence_lists(canonical_plane(q))[0])
 
 
 def test_axioms_fail_without_difference_property():
     assert not verify_plane_axioms(NOT_A_PLANE)
+    # and a vector with those entries is refused before any search
+    with pytest.raises(InvalidInput):
+        DifferenceVector.make(2, (0, 1, 2))
 
 
 def brute_force_point_maps(plane):
     m = plane.modulus
-    family = {frozenset(plane.line_points(x)) for x in range(m)}
+    family = {frozenset(points) for points in incidence_lists(plane)[0]}
     good = set()
     for perm in permutations(range(m)):
         if all(frozenset(perm[p] for p in s) in family for s in family):
@@ -71,7 +83,7 @@ def test_fano_group_matches_brute_force():
     brute = brute_force_point_maps(plane)
     assert len(brute) == 168
     found = all_collineations(plane)
-    assert {c.point_map for c in found} == brute
+    assert {pmap for pmap, _ in found} == brute
     assert len(found) == 168
 
 
@@ -79,13 +91,12 @@ def test_order_three_group_order_and_closure():
     plane = canonical_plane(3)
     found = all_collineations(plane)
     assert len(found) == 5616
-    index = {(c.point_map, c.line_map) for c in found}
+    index = set(found)
     a, b = found[17], found[4000]
-    c = compose_collineations(a, b)
-    assert (c.point_map, c.line_map) in index
-    inv = invert_collineation(a)
-    assert (inv.point_map, inv.line_map) in index
-    assert is_identity(compose_collineations(a, inv))
+    assert compose_pair(a, b) in index
+    inv = (inverse(a[0]), inverse(a[1]))
+    assert inv in index
+    assert compose_pair(a, inv) == identity_pair(plane)
 
 
 def test_full_group_cap():
@@ -97,7 +108,7 @@ def test_full_group_cap():
                                      (5, 372000)])
 def test_stabilizer_chain_gives_the_collineation_group_order(q, order):
     # |PGammaL(3, q)|, past the cap of the full enumeration
-    orbits = _chain_orbits(_plane_tables(canonical_plane(q)))
+    orbits = _chain_orbits(plane_tables(canonical_plane(q)))
     assert math.prod(orbits) == order
     if q <= 3:
         assert len(all_collineations(canonical_plane(q))) == order
@@ -105,32 +116,26 @@ def test_stabilizer_chain_gives_the_collineation_group_order(q, order):
 
 @pytest.mark.parametrize("q,order", [(2, 24), (3, 432)])
 def test_point_stabilizer_orders(q, order):
-    found = collineations_fixing(canonical_plane(q), 0)
+    plane = canonical_plane(q)
+    found = collineations(plane, {0: 0})
     assert len(found) == order
-    assert any(is_identity(c) for c in found)
-    assert all(c.point_map[0] == 0 for c in found)
+    assert identity_pair(plane) in found
+    assert all(pmap[0] == 0 for pmap, _ in found)
 
 
 def test_label_preserving_stabilizer_is_trivial():
     for q in (2, 3):
-        found = [c for c in collineations_fixing(canonical_plane(q), 0)
-                 if preserves_labels(c)]
-        assert len(found) == 1 and is_identity(found[0])
-
-
-def test_search_caps_and_bad_inputs():
-    with pytest.raises(CapExceeded):
-        collineations_fixing(canonical_plane(7), 0)
-    with pytest.raises(InvalidInput):
-        search_collineations(NOT_A_PLANE)
+        plane = canonical_plane(q)
+        found = [c for c in collineations(plane, {0: 0})
+                 if preserves_labels(plane, c)]
+        assert found == [identity_pair(plane)]
 
 
 def test_collineation_rejects_non_incidence_map():
-    plane = canonical_plane(2)
     swap = (1, 0, 2, 3, 4, 5, 6)
     ident = tuple(range(7))
-    with pytest.raises(InvalidInput):
-        Collineation(plane, swap, ident)
+    with pytest.raises(AssertionError, match="lines through point 0"):
+        _check_map(plane_tables(canonical_plane(2)), swap, ident)
 
 
 def test_pencil_action_small_orders():
@@ -158,87 +163,79 @@ def test_pencil_action_q4_is_all_of_sym5():
 
 def test_stabilizer_induces_nontrivial_label_moves():
     plane = canonical_plane(2)
-    found = collineations_fixing(plane, 0)
-    assert sum(not preserves_labels(c) for c in found) == 23
+    found = collineations(plane, {0: 0})
+    assert sum(not preserves_labels(plane, c) for c in found) == 23
 
 
 @pytest.mark.parametrize("q,order", [(2, 2), (3, 3), (4, 4)])
 def test_elation_group_orders(q, order):
     plane = canonical_plane(q)
-    axis = plane.point_lines(0)[0]
+    axis = incidence_lists(plane)[1][0][0]
     els = elations_with(plane, 0, axis)
     assert len(els) == order
-    assert any(is_identity(e.collineation) for e in els)
-    index = {(e.collineation.point_map, e.collineation.line_map) for e in els}
+    assert identity_pair(plane) in els
+    index = set(els)
     for e in els:
         for f in els:
-            g = compose_collineations(e.collineation, f.collineation)
-            assert (g.point_map, g.line_map) in index
+            assert compose_pair(e, f) in index
 
 
 def test_elations_need_center_on_axis():
     plane = canonical_plane(2)
-    axis = plane.point_lines(0)[0]
-    off = next(p for p in range(7) if not plane.incident(axis, p))
+    line_pts, pt_lines = incidence_lists(plane)
+    axis = pt_lines[0][0]
+    off = next(p for p in range(7) if p not in line_pts[axis])
     with pytest.raises(InvalidInput):
         elations_with(plane, off, axis)
 
 
-def test_nontrivial_elation_moves_everything_off_axis():
-    plane = canonical_plane(3)
-    axis = plane.point_lines(0)[0]
-    e = next(x for x in elations_with(plane, 0, axis)
-             if not is_identity(x.collineation))
-    axis_pts = set(plane.line_points(axis))
-    center_lines = set(plane.point_lines(0))
-    for p in range(plane.modulus):
-        assert (e.collineation.point_map[p] == p) == (p in axis_pts)
-    for y in range(plane.modulus):
-        assert (e.collineation.line_map[y] == y) == (y in center_lines)
-
-
 def nontrivial_elation(q):
+    """The plane, an axis through point 0, and a nontrivial elation with
+    center 0 and that axis."""
     plane = canonical_plane(q)
-    axis = plane.point_lines(0)[0]
-    return next(e for e in elations_with(plane, 0, axis)
-                if not is_identity(e.collineation))
+    axis = incidence_lists(plane)[1][0][0]
+    e = next(x for x in elations_with(plane, 0, axis)
+             if x != identity_pair(plane))
+    return plane, axis, e
+
+
+def test_nontrivial_elation_moves_everything_off_axis():
+    plane, axis, (pmap, lmap) = nontrivial_elation(3)
+    line_pts, pt_lines = incidence_lists(plane)
+    axis_pts = set(line_pts[axis])
+    center_lines = set(pt_lines[0])
+    for p in range(plane.modulus):
+        assert (pmap[p] == p) == (p in axis_pts)
+    for y in range(plane.modulus):
+        assert (lmap[y] == y) == (y in center_lines)
 
 
 @pytest.mark.parametrize("q,profile", [(2, (1, 2)), (3, (1, 3)), (4, (2, 2))])
 def test_elation_cycle_profiles(q, profile):
-    e = nontrivial_elation(q)
-    plane = e.collineation.plane
-    for line in plane.point_lines(e.center):
-        if line != e.axis:
-            assert elation_cycle_profile(e, line) == profile
+    plane, axis, (pmap, _) = nontrivial_elation(q)
+    for line in incidence_lists(plane)[1][0]:
+        if line != axis:
+            assert elation_cycle_profile(plane, pmap, 0, axis, line) == profile
 
 
 def test_cycle_profile_rejections():
-    e = nontrivial_elation(2)
-    plane = e.collineation.plane
-    trivial = next(x for x in elations_with(plane, e.center, e.axis)
-                   if is_identity(x.collineation))
-    other = e.collineation.plane.point_lines(e.center)[1]
+    plane, axis, (pmap, _) = nontrivial_elation(2)
+    line_pts, pt_lines = incidence_lists(plane)
+    trivial = next(x for x in elations_with(plane, 0, axis)
+                   if x == identity_pair(plane))
+    other = pt_lines[0][1]
     with pytest.raises(InvalidInput):
-        elation_cycle_profile(trivial, other)
+        elation_cycle_profile(plane, trivial[0], 0, axis, other)
     with pytest.raises(InvalidInput):
-        elation_cycle_profile(e, e.axis)
-    off = next(y for y in range(plane.modulus)
-               if not plane.incident(y, e.center))
+        elation_cycle_profile(plane, pmap, 0, axis, axis)
+    off = next(y for y in range(plane.modulus) if 0 not in line_pts[y])
     with pytest.raises(InvalidInput):
-        elation_cycle_profile(e, off)
+        elation_cycle_profile(plane, pmap, 0, axis, off)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_difference_set_planes_are_desarguesian(q):
     assert is_desarguesian(canonical_plane(q))
-
-
-def test_desarguesian_rejects_broken_and_big_inputs():
-    with pytest.raises(InvalidInput):
-        is_desarguesian(NOT_A_PLANE)
-    with pytest.raises(CapExceeded):
-        is_desarguesian(canonical_plane(7))
 
 
 FANO_TEXT = """\
@@ -271,3 +268,18 @@ def test_plane_parser_rejects_inconsistent_export():
                                "line 6: (0,1) (2,2) (5,0)")
     with pytest.raises(InvalidInput):
         plane_from_text(broken)
+
+
+def test_plane_parser_checks_the_modulus_before_the_differences():
+    # 2,000 pairs claim q = 1999 and a difference count over 3,998,001
+    # residues; a one-row export has the wrong modulus, which is checked
+    # before any table of that size is allocated
+    row = "line 0: " + " ".join(f"({p},{p})" for p in range(2000)) + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput, match="modulus is not q"):
+            plane_from_text(row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

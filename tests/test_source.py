@@ -97,7 +97,11 @@ TEST_ONLY_NAMES = {
     "agl_orbit_of_set", "extra_move_roots_per_pair", "Field", "make_field",
     "_poly_trim", "_poly_mod", "_poly_from_int", "_is_irreducible",
     "is_prime", "prime_factors", "FIELD_DEGREE_CAP", "FIELD_ORDER_CAP",
-    "field_model_singer_set",
+    "field_model_singer_set", "LabelledPlane", "Collineation", "Elation",
+    "search_collineations", "elations_with", "is_desarguesian",
+    "verify_plane_axioms", "SEARCH_Q_CAP", "_plane_tables",
+    "PermGroup.conjugate_by", "collineations", "plane_tables",
+    "conjugate_by", "preserves_labels",
 }
 
 
