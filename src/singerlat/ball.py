@@ -570,47 +570,60 @@ def _rows(template, rows):
 # keeps backtracking state for every row, 144 MB for a q = 9 ball.
 _REPEAT = "*+" if sys.version_info >= (3, 11) else "*"
 _LAYOUT_RE = re.compile(
-    r"((?:vertex \d+ type=\d+ dist=\d+\n)" + _REPEAT + ")"
-    r"((?:edge \d+ \d+\n)" + _REPEAT + ")"
-    r"((?:chamber \d+ \d+ \d+ label=\d+\n)" + _REPEAT + ")")
+    r"((?:vertex [0-9]+ type=[0-9]+ dist=[0-9]+\n)" + _REPEAT + ")"
+    r"((?:edge [0-9]+ [0-9]+\n)" + _REPEAT + ")"
+    r"((?:chamber [0-9]+ [0-9]+ [0-9]+ label=[0-9]+\n)" + _REPEAT + ")")
 # every character of the row keywords; the rest of a row is digits and spaces
 _KEYWORDS = str.maketrans("", "", "abcdeghilmprstvxy=")
+_TYPES = {"0": 0, "1": 1, "2": 2}
 
 
 def complex_from_text(text: str) -> BallComplex:
     """Inverse of complex_to_text up to what the export carries: the
     source matrix and the vertex names are not exported and come back as
-    None.  Vertex types lie in 0..2, and every edge and chamber must
-    name listed vertices.  Rows may come in any order; the layout that
-    complex_to_text writes is read in bulk."""
-    # any line ending reads as "\n", and the final one is optional
-    layout = _LAYOUT_RE.fullmatch("\n".join(text.splitlines()) + "\n")
-    ball = _complex_from_layout(*layout.groups()) if layout else None
-    return _complex_from_rows(text) if ball is None else ball
+    None.
 
-
-def _complex_from_layout(vertex_rows, edge_rows, chamber_rows):
-    """The ball of the three row blocks of an export in complex_to_text's
-    layout, or None when a value needs the per-row scan, which accepts
-    or rejects it with its own message."""
+    The one layout read is the one complex_to_text writes: vertex rows
+    with ids 0, 1, ... in order, then edge rows, then chamber rows, with
+    every number in ASCII digits and no leading zero.  Any line ending
+    reads as a newline, and the final one is optional.  Types lie in
+    0..2, and dists, edge and chamber vertices and labels in 0..n-1 for
+    n vertex rows.  Any other text raises InvalidInput naming the line
+    at fault, save an export with no chambers or without exactly one
+    center (dist 0)."""
+    body = "\n".join(text.splitlines() + [""])
+    layout = _LAYOUT_RE.match(body)
+    vertex_rows, edge_rows, chamber_rows = layout.groups()
     fields = vertex_rows.translate(_KEYWORDS).split()
     n = len(fields) // 3
     keys = list(map(str, range(n)))
-    if fields[::3] != keys:
-        return None
-    # ids, types, dists and labels all lie in 0..n-1; a token outside
-    # the table (an id >= n, a leading zero, a non-ASCII digit, a large
-    # label or dist) leaves the text to the per-row scan
-    value = dict(zip(keys, range(n))).__getitem__
-    try:
-        types = tuple(map(value, fields[1::3]))
-        dists = tuple(map(value, fields[2::3]))
-        ends = list(map(value, edge_rows.translate(_KEYWORDS).split()))
-        corners = list(map(value, chamber_rows.translate(_KEYWORDS).split()))
-    except KeyError:
-        return None
-    if not corners or dists.count(0) != 1 or max(types) > 2:
-        return None
+    ids = fields[::3]
+    if ids != keys:
+        k = next(k for k in range(n) if ids[k] != keys[k])
+        raise InvalidInput(f"line {k + 1}: vertex id {ids[k]} out of order")
+    # every vertex row precedes the first row out of the layout, so its
+    # faults come first; edges and chambers wait for the whole vertex list
+    value = dict(zip(keys, range(n)))
+    types = _values(fields[1::3], _TYPES, 1, ("vertex type",))
+    dists = _values(fields[2::3], value, 1, ("vertex dist",))
+    end = layout.end()
+    if end < len(body):
+        line = body.count("\n", 0, end) + 1
+        row = body[end:body.index("\n", end)]
+        if _LAYOUT_RE.fullmatch(row + "\n"):
+            raise InvalidInput(
+                f"line {line}: row {row!r} out of the vertex, edge, "
+                f"chamber order")
+        raise InvalidInput(f"line {line}: unrecognized row {row!r}")
+    if not chamber_rows:
+        raise InvalidInput("complex export has no chambers")
+    if dists.count(0) != 1:
+        raise InvalidInput("complex export must have exactly one center")
+    ends = _values(edge_rows.translate(_KEYWORDS).split(), value, n + 1,
+                   ("edge endpoint",) * 2)
+    corners = _values(chamber_rows.translate(_KEYWORDS).split(), value,
+                      n + len(ends) // 2 + 1,
+                      ("chamber vertex",) * 3 + ("chamber label",))
     center = dists.index(0)
     return BallComplex(
         q=max(corners[3::4]), radius=max(dists), matrix=None,
@@ -620,52 +633,15 @@ def _complex_from_layout(vertex_rows, edge_rows, chamber_rows):
                            corners[3::4])))
 
 
-# one pattern for the three row kinds; its last group takes any other
-# row whole, so that every line gives exactly one match
-_ROW_RE = re.compile(
-    r"^(?:vertex (\d+) type=(\d+) dist=(\d+)|edge (\d+) (\d+)"
-    r"|chamber (\d+) (\d+) (\d+) label=(\d+)|(.*))$", re.MULTILINE)
-
-
-def _complex_from_rows(text):
-    """The per-row scan: rows in any order, and every error message."""
-    types, dists, edges, chambers = [], [], [], []
-    edge_rows, chamber_rows = [], []  # line numbers, for the range checks
-    # rejoined by "\n" alone, each line is one match of the anchored
-    # pattern; the join of no lines (text "") would still match once
-    rows = _ROW_RE.findall("\n".join(text.splitlines())) if text else []
-    for i, (v, t, d, e0, e1, a, b, c, label, other) in enumerate(
-            rows, start=1):
-        if e0:
-            edges.append((int(e0), int(e1)))
-            edge_rows.append(i)
-        elif label:
-            chambers.append((int(a), int(b), int(c), int(label)))
-            chamber_rows.append(i)
-        elif v:
-            v, t = int(v), int(t)
-            if v != len(types):
-                raise InvalidInput(f"line {i}: vertex id {v} out of order")
-            if t > 2:  # the row pattern admits no negative type
-                raise InvalidInput(f"line {i}: vertex type {t} outside 0..2")
-            types.append(t)
-            dists.append(int(d))
-        else:
-            raise InvalidInput(f"line {i}: unrecognized row {other!r}")
-    if not chambers:
-        raise InvalidInput("complex export has no chambers")
-    n = len(types)
-    for i, (a, b) in zip(edge_rows, edges):
-        if not (0 <= a < n and 0 <= b < n):
-            raise InvalidInput(f"line {i}: edge endpoint out of range")
-    for i, (a, b, c, _) in zip(chamber_rows, chambers):
-        if max(a, b, c) >= n:  # the row pattern admits no negative id
-            raise InvalidInput(f"line {i}: chamber vertex out of range")
-    centers = [v for v in range(n) if dists[v] == 0]
-    if len(centers) != 1:
-        raise InvalidInput("complex export must have exactly one center")
-    return BallComplex(
-        q=max(c[3] for c in chambers), radius=max(dists),
-        matrix=None, center=centers[0], center_type=types[centers[0]],
-        names=None, types=tuple(types), dists=tuple(dists),
-        edges=tuple(edges), chambers=tuple(chambers))
+def _values(tokens, table, first_line, names):
+    """The table values of tokens, which fill rows of one token per
+    field name from line first_line on; a token outside the table is
+    refused at its row."""
+    try:
+        return tuple(map(table.__getitem__, tokens))
+    except KeyError:
+        k = next(k for k, token in enumerate(tokens) if token not in table)
+        width = len(names)
+        raise InvalidInput(
+            f"line {first_line + k // width}: {names[k % width]} "
+            f"{tokens[k]} outside 0..{len(table) - 1}") from None

@@ -40,20 +40,25 @@ def is_difference_set(elements, q: int) -> bool:
     """True iff every nonzero residue mod q^2+q+1 occurs exactly once as a
     difference of two elements.  Malformed input (repeats, out of range)
     is an error, not a False.  A perfect difference set has exactly q+1
-    elements, so any other size is False before the count table of size
-    q^2+q+1 is allocated."""
+    elements, so any other size is False at once, and the differences
+    are taken only until the first repeated one."""
     if q < 2:
         raise InvalidInput(f"order must be at least 2, got {q}")
     m = q * q + q + 1
     elems = _check_residues(elements, m)
     if len(elems) != q + 1:
         return False
-    counts = [0] * m
+    # q+1 elements have (q+1)q = m-1 differences, so they cover every
+    # nonzero residue exactly when no two of them agree
+    seen = set()
     for d in elems:
         for d2 in elems:
             if d != d2:
-                counts[(d - d2) % m] += 1
-    return all(c == 1 for c in counts[1:])
+                diff = (d - d2) % m
+                if diff in seen:
+                    return False
+                seen.add(diff)
+    return True
 
 
 @dataclass(frozen=True)
@@ -136,13 +141,6 @@ class AffineMap:
         return (self.a * x + self.b) % self.modulus
 
 
-def agl_maps(m: int) -> Iterator[AffineMap]:
-    """All affine maps mod m, ascending in (a, b)."""
-    for a in zmod_units(m):
-        for b in range(m):
-            yield AffineMap(a, b, m)
-
-
 def singer_difference_set(q: int) -> DifferenceSet:
     """Singer's difference set: the exponents i, taken mod q^2+q+1, for
     which x^i lies in the plane GF(q) + GF(q)*x, where x generates the
@@ -186,35 +184,37 @@ def canonical_difference_set(q: int) -> DifferenceSet:
     return DifferenceSet(q, m, best)
 
 
-def find_agl_map(src: tuple[int, ...], dst: tuple[int, ...], m: int) -> Optional[AffineMap]:
-    """First affine map (ascending in (a, b)) carrying set src onto set dst.
+def agl_maps_onto(src: tuple[int, ...], dst: tuple[int, ...],
+                  m: int) -> Iterator[AffineMap]:
+    """Every affine map carrying set src onto set dst, ascending in (a, b).
 
     A map x -> a*x + b onto dst sends min(src) into dst, so for each unit
-    a only the offsets b = d - a*min(src), d in dst, can work; the least
-    one that does is the answer for that a.
+    a only the offsets b = d - a*min(src), d in dst, can work.  Every map
+    carries the empty set onto itself.
     """
     src_sorted = tuple(sorted(x % m for x in src))
     dst_sorted = tuple(sorted(x % m for x in dst))
     if len(src_sorted) != len(dst_sorted):
-        return None
-    if not src_sorted:
-        return AffineMap(1, 0, m)
+        return
     dst_set = set(dst_sorted)
-    x0 = src_sorted[0]
     for a in zmod_units(m):
-        for b in sorted({(d - a * x0) % m for d in dst_set}):
+        offsets = ({(d - a * src_sorted[0]) % m for d in dst_set}
+                   if src_sorted else range(m))
+        for b in sorted(offsets):
             if all((a * x + b) % m in dst_set for x in src_sorted):
                 image = tuple(sorted((a * x + b) % m for x in src_sorted))
                 if image == dst_sorted:  # differs only on repeated entries
-                    return AffineMap(a, b, m)
-    return None
+                    yield AffineMap(a, b, m)
+
+
+def find_agl_map(src: tuple[int, ...], dst: tuple[int, ...], m: int) -> Optional[AffineMap]:
+    """First affine map (ascending in (a, b)) carrying set src onto set dst."""
+    return next(agl_maps_onto(src, dst, m), None)
 
 
 def set_stabilizer_in_agl(D: DifferenceSet) -> list[AffineMap]:
     """All affine maps fixing D as a set, ascending in (a, b)."""
-    target = set(D.elements)
-    return [g for g in agl_maps(D.modulus)
-            if {g(x) for x in D.elements} == target]
+    return list(agl_maps_onto(D.elements, D.elements, D.modulus))
 
 
 def stabilizer_index_perms(D: DifferenceSet) -> list[tuple[int, ...]]:

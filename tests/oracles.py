@@ -211,8 +211,9 @@ _CHAMBER_RE = re.compile(r"chamber (\d+) (\d+) (\d+) label=(\d+)$")
 
 def complex_from_text(text):
     """The ball-export parser as it was before the one-pattern scan: three
-    patterns tried per line.  It accepts any vertex type, which the
-    library now rejects."""
+    patterns tried per line, rows in any order.  It accepts any Unicode
+    digits, leading zeros, any vertex type and dists and labels past the
+    vertex count, all of which the library rejects."""
     types, dists, edges, chambers = [], [], [], []
     edge_rows, chamber_rows = [], []  # line numbers, for the range checks
     for i, line in enumerate(text.splitlines(), start=1):
@@ -1142,6 +1143,14 @@ def agl_orbit_of_set(D):
         tuple(sorted((a * d + b) % m for d in D.elements))
         for a in zmod_units(m) for b in range(m)
     }
+
+
+def agl_maps(m):
+    """All affine maps mod m, ascending in (a, b): the full scan that
+    diffsets.agl_maps_onto narrows to the offsets that can work."""
+    for a in zmod_units(m):
+        for b in range(m):
+            yield AffineMap(a, b, m)
 
 
 def compose_affine(g, h):

@@ -21,9 +21,8 @@ from singerlat.diffsets import (
     stabilizer_index_perms,
 )
 from singerlat.exotic import (
-    CERTIFIED_EXOTIC, INCONCLUSIVE, NormalizedMatrix, bound_B,
-    candidate_count, census_to_text, classify, enumerate_normalized,
-    lower_A, pencil_group, ratio_table,
+    INCONCLUSIVE, NormalizedMatrix, bound_B, candidate_count, census_to_text,
+    classify, enumerate_normalized, lower_A, pencil_group, ratio_table,
 )
 from singerlat.permgrp import compose, inverse
 from singerlat.plane import canonical_plane, incidence_lists

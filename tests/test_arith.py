@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import (
-    Field, _is_irreducible, _poly_from_int, _poly_mod, is_prime, make_field,
+    _is_irreducible, _poly_from_int, _poly_mod, is_prime, make_field,
     prime_factors, prime_power_by_scan,
 )
 from singerlat.arith import (

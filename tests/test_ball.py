@@ -538,7 +538,8 @@ def test_complex_parser_rejects_chamber_outside_vertex_list():
     row = lines.index("chamber 0 1 8 label=0")
     lines[row] = "chamber 0 999 8 label=0"
     with pytest.raises(InvalidInput,
-                       match=f"line {row + 1}: chamber vertex out of range"):
+                       match=f"line {row + 1}: chamber vertex 999 "
+                             f"outside 0..14"):
         complex_from_text("\n".join(lines) + "\n")
 
 
@@ -637,18 +638,6 @@ def test_complex_parser_matches_per_line_reference_on_exports(q2_ball_r2):
         assert complex_to_text(got) == text
 
 
-def test_complex_parser_reads_exports_without_the_row_scan(monkeypatch,
-                                                           q2_ball_r2):
-    texts = _exports(q2_ball_r2)
-
-    def row_scan(text):
-        raise AssertionError("per-row scan on an export")
-
-    monkeypatch.setattr(ball_module, "_complex_from_rows", row_scan)
-    for text in texts:
-        assert complex_to_text(complex_from_text(text)) == text
-
-
 def _mutations(lines):
     """(what, text) pairs made from the lines of a valid export."""
     first_edge = next(i for i, l in enumerate(lines) if l.startswith("edge"))
@@ -660,6 +649,11 @@ def _mutations(lines):
 
     def insert(i, row):
         return "\n".join(lines[:i] + [row] + lines[i:]) + "\n"
+
+    def swapped(i):
+        # rows i and i + 1 trade places
+        return "\n".join(lines[:i] + lines[i + 1:i + 2] + lines[i:i + 1]
+                         + lines[i + 2:]) + "\n"
 
     return [
         ("keyword", at(0, "vortex 0 type=0 dist=0")),
@@ -694,6 +688,8 @@ def _mutations(lines):
         ("vertex row moved last", "\n".join(lines[1:] + lines[:1]) + "\n"),
         ("last vertex moved to the end",
          "\n".join(lines[:14] + lines[15:] + lines[14:15]) + "\n"),
+        ("vertex row after an edge row", swapped(first_edge - 1)),
+        ("edge row after a chamber row", swapped(first_chamber - 1)),
         ("two centers", at(1, "vertex 1 type=1 dist=0")),
         ("no center", at(0, "vertex 0 type=0 dist=1")),
         ("no chambers", "\n".join(lines[:first_chamber]) + "\n"),
@@ -714,44 +710,62 @@ def _mutations(lines):
     ]
 
 
-# mutations that leave a valid export in the layout complex_to_text
-# writes, read in bulk; every other mutation needs the per-row scan,
-# including those that keep the layout but hold a value out of range
-_READ_IN_BULK = {"crlf endings", "lone cr endings", "unicode line separator",
-                 "no final newline", "duplicate chamber"}
+# the mutations on which the library and the per-line reference part,
+# with the library's outcome.  The library reads only the layout that
+# complex_to_text writes, with every value in range; the reference reads
+# rows in any order, any Unicode digits and any value, and names no value
+# in its range errors.  Lines 1..15 of that export are its vertex rows,
+# 16..50 its edge rows and 51..71 its chamber rows
+_INTENDED = {
+    "edge out of range":
+        ("raises", "line 16: edge endpoint 99 outside 0..14"),
+    "chamber out of range":
+        ("raises", "line 51: chamber vertex 999 outside 0..14"),
+    "arabic-indic digit":
+        ("raises", "line 51: unrecognized row 'chamber 0 1 \u0668 label=0'"),
+    "fullwidth digits":
+        ("raises", "line 3: unrecognized row 'vertex \uff12 type=1 dist=1'"),
+    "leading zeros": ("raises", "line 51: chamber vertex 00 outside 0..14"),
+    "last vertex moved to the end":
+        ("raises", "line 71: row 'vertex 14 type=2 dist=1' out of the "
+                   "vertex, edge, chamber order"),
+    "vertex row after an edge row":
+        ("raises", "line 16: row 'vertex 14 type=2 dist=1' out of the "
+                   "vertex, edge, chamber order"),
+    "edge row after a chamber row":
+        ("raises", "line 51: row 'edge 7 14' out of the vertex, edge, "
+                   "chamber order"),
+    "no vertex rows":
+        ("raises", "complex export must have exactly one center"),
+    "edge endpoint equal to the vertex count":
+        ("raises", "line 16: edge endpoint 15 outside 0..14"),
+    "label past the vertex count":
+        ("raises", "line 51: chamber label 500 outside 0..14"),
+    "vertex id with a leading zero":
+        ("raises", "line 2: vertex id 01 out of order"),
+    "unicode digit in a type":
+        ("raises", "line 3: unrecognized row 'vertex 2 type=\u0661 dist=1'"),
+    "unicode digit in a dist":
+        ("raises", "line 3: unrecognized row 'vertex 2 type=1 dist=\u0661'"),
+    "dist past the vertex count":
+        ("raises", "line 3: vertex dist 500 outside 0..14"),
+    "type 3": ("raises", "line 3: vertex type 3 outside 0..2"),
+}
 
 
-def _reference(text):
-    """The outcome of the per-line reference, which accepts any vertex
-    type; the library refuses a type outside 0..2 at its row, the one
-    intended difference."""
-    kind, got = _parsed(oracles.complex_from_text, text)
-    if kind == "ball" and max(got.types) > 2:
-        v, t = next((v, t) for v, t in enumerate(got.types) if t > 2)
-        i = next(i for i, line in enumerate(text.splitlines(), start=1)
-                 if line.startswith(f"vertex {v} "))
-        return "raises", f"line {i}: vertex type {t} outside 0..2"
-    return kind, got
-
-
-def test_complex_parser_matches_per_line_reference_on_mutated_rows(
-        monkeypatch):
+def test_complex_parser_matches_per_line_reference_on_mutated_rows():
     lines = complex_to_text(build_ball(identity_matrix(2), 1)).splitlines()
-    scanned = []
-    row_scan = ball_module._complex_from_rows
-
-    def counted(text):
-        scanned.append(text)
-        return row_scan(text)
-
-    monkeypatch.setattr(ball_module, "_complex_from_rows", counted)
-    outcomes = set()
+    outcomes, differ = set(), set()
     for what, text in _mutations(lines):
-        scanned.clear()
         got = _parsed(complex_from_text, text)
-        assert got == _reference(text), what
-        assert scanned == ([] if what in _READ_IN_BULK else [text]), what
+        reference = _parsed(oracles.complex_from_text, text)
+        if what in _INTENDED:
+            assert got == _INTENDED[what] != reference, what
+            differ.add(what)
+        else:
+            assert got == reference, what
         outcomes.add(got[0])
+    assert differ == set(_INTENDED)
     assert outcomes == {"ball", "raises"}
 
 
@@ -759,7 +773,7 @@ def test_complex_parser_rejects_vertex_type_outside_0_to_2():
     text = "vertex 0 type=0 dist=0\nvertex 1 type=7 dist=1\nchamber 0 0 0 label=0\n"
     with pytest.raises(InvalidInput, match="line 2: vertex type 7 outside 0..2"):
         complex_from_text(text)
-    # the per-line reference accepts the row: the one intended difference
+    # the per-line reference accepts the row
     assert oracles.complex_from_text(text).types == (0, 7)
 
 

@@ -1,15 +1,15 @@
 import json
 import random
-from itertools import combinations
+import tracemalloc
 
 import pytest
 
 from oracles import (
-    agl_orbit_of_set, all_difference_sets, compose_affine,
+    agl_maps, agl_orbit_of_set, all_difference_sets, compose_affine,
     field_model_singer_set, invert_affine, normalize_matrix,
 )
 from singerlat.diffsets import (
-    AffineMap, DifferenceMatrix, DifferenceSet, agl_maps,
+    AffineMap, DifferenceMatrix, DifferenceSet, agl_maps_onto,
     canonical_difference_set, find_agl_map, is_difference_set,
     matrix_from_text, matrix_to_text, set_from_text, set_stabilizer_in_agl,
     singer_difference_set, stabilizer_index_perms,
@@ -54,6 +54,23 @@ def test_wrong_size_is_false_before_the_count_table():
     text = json.dumps({"q": q, "modulus": q * q + q + 1, "elements": [0, 1]})
     with pytest.raises(InvalidInput):
         set_from_text(text)
+
+
+def test_matrix_parser_stops_at_the_first_repeated_difference():
+    # the residues 0..1500 claim q = 1500 and 2,251,500 differences over
+    # as many nonzero residues; 1 - 2 repeats 0 - 1, and the check ends
+    # there, with no table of that size
+    q = 1500
+    text = json.dumps({"q": q, "modulus": q * q + q + 1,
+                       "columns": [list(range(q + 1))] * 3})
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput, match="do not form a difference set"):
+            matrix_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -123,7 +140,6 @@ def test_agl_apply_preserves_difference_property_exhaustively():
     for q in (2, 3):
         D = singer_difference_set(q)
         m = D.modulus
-        from singerlat.diffsets import agl_maps
         for g in agl_maps(m):
             img = [g(x) for x in D.elements]
             assert is_difference_set(img, q)
@@ -242,14 +258,12 @@ def test_find_agl_map_deterministic_and_complete():
 
 
 def ascending_agl_scan(src, dst, m):
-    """The first affine map in ascending (a, b) carrying src onto dst,
-    found by trying every map: the reference for find_agl_map."""
+    """Every affine map carrying src onto dst, ascending in (a, b), found
+    by trying every map: the reference for agl_maps_onto."""
     src_sorted = tuple(sorted(x % m for x in src))
     dst_sorted = tuple(sorted(x % m for x in dst))
-    for g in agl_maps(m):
-        if tuple(sorted(g(x) for x in src_sorted)) == dst_sorted:
-            return g
-    return None
+    return [g for g in agl_maps(m)
+            if tuple(sorted(g(x) for x in src_sorted)) == dst_sorted]
 
 
 def agl_map_cases(q, rng):
@@ -287,8 +301,10 @@ def test_find_agl_map_matches_ascending_scan(q):
     found = 0
     for src, dst in cases:
         expected = ascending_agl_scan(src, dst, m)
-        assert find_agl_map(src, dst, m) == expected, (src, dst)
-        found += expected is not None
+        assert list(agl_maps_onto(src, dst, m)) == expected, (src, dst)
+        first = expected[0] if expected else None
+        assert find_agl_map(src, dst, m) == first, (src, dst)
+        found += first is not None
     assert 0 < found < len(cases)
 
 

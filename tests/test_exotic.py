@@ -22,7 +22,7 @@ from singerlat.diffsets import (
 )
 from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.exotic import (
-    CERTIFIED_EXOTIC, INCONCLUSIVE, EquivClass, ExoticityVerdict,
+    CERTIFIED_EXOTIC, INCONCLUSIVE, ExoticityVerdict,
     ExoticWitness, NormalizedMatrix, bound_B, candidate_count,
     census_from_text, census_summary, census_to_text, certify_exotic,
     classify, enumerate_normalized, lower_A, pencil_group, ratio_table,

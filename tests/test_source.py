@@ -7,7 +7,8 @@ from pathlib import Path
 
 from conftest import checkout_env
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "singerlat"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "singerlat"
 
 
 def test_no_assert_statements_in_src():
@@ -101,7 +102,8 @@ TEST_ONLY_NAMES = {
     "search_collineations", "elations_with", "is_desarguesian",
     "verify_plane_axioms", "SEARCH_Q_CAP", "_plane_tables",
     "PermGroup.conjugate_by", "collineations", "plane_tables",
-    "conjugate_by", "preserves_labels",
+    "conjugate_by", "preserves_labels", "agl_maps", "_complex_from_rows",
+    "_ROW_RE",
 }
 
 
@@ -128,4 +130,28 @@ def test_test_only_api_stays_out_of_src():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}: {name}" for name in
                   sorted(_defined_names(tree) & TEST_ONLY_NAMES)]
+    assert found == []
+
+
+def test_every_import_is_used():
+    # a module-level import binds a name; one that nothing reads is dead
+    # code.  Package __init__ files import to re-export, and __future__
+    # imports switch on a behaviour
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in bound
+                      if name not in read]
     assert found == []
