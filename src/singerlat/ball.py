@@ -39,6 +39,8 @@ class ChamberIndex(NamedTuple):
     by_vertex: list
 
 
+# the one record without slots: cached_property keeps the chamber index
+# in the instance dict
 @dataclass(frozen=True)
 class BallComplex:
     q: int
@@ -84,14 +86,14 @@ def _chamber_index(chambers, vertex_count: int) -> ChamberIndex:
     return ChamberIndex(panel_labels, by_vertex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallReport:
     ok: bool
     failures: tuple[str, ...]
     residue_status: tuple[tuple[int, bool], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HjelmslevPlane:
     level: int
     points: tuple[tuple, ...]
@@ -99,7 +101,7 @@ class HjelmslevPlane:
     incidence: frozenset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class H2GroupSummary:
     order: int
     base_image_order: int

@@ -61,7 +61,7 @@ def is_difference_set(elements, q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DifferenceSet:
     q: int
     modulus: int
@@ -73,14 +73,15 @@ class DifferenceSet:
         object.__setattr__(self, "elements", tuple(sorted(self.elements)))
         if not is_difference_set(self.elements, self.q):
             raise InvalidInput(
-                f"{self.elements} is not a perfect difference set of order {self.q}")
+                f"a set of {len(self.elements)} elements is not a perfect "
+                f"difference set of order {self.q}")
 
     @classmethod
     def make(cls, q: int, elements) -> "DifferenceSet":
         return cls(q, q * q + q + 1, tuple(elements))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DifferenceVector:
     q: int
     modulus: int
@@ -92,14 +93,15 @@ class DifferenceVector:
         object.__setattr__(self, "entries", tuple(self.entries))
         if not is_difference_set(self.entries, self.q):
             raise InvalidInput(
-                f"entries {self.entries} do not form a difference set of order {self.q}")
+                f"{len(self.entries)} entries do not form a difference set "
+                f"of order {self.q}")
 
     @classmethod
     def make(cls, q: int, entries) -> "DifferenceVector":
         return cls(q, q * q + q + 1, tuple(entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DifferenceMatrix:
     q: int
     columns: tuple[DifferenceVector, DifferenceVector, DifferenceVector]
@@ -120,7 +122,7 @@ class DifferenceMatrix:
         return cls(q, tuple(DifferenceVector.make(q, c) for c in cols))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineMap:
     """x -> a*x + b on Z/mZ, with a a unit."""
 

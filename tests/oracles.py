@@ -20,11 +20,13 @@ image of the anchor line for the one that tries line 0 alone, the
 fiber-wise permutation search for the level-2 lifts for their kernel
 cosets found on the plane engine, and the union-find over the rotation
 and duality images of every coset pair (extra_move_roots_per_pair) for
-the census's walk over one pair per coarse class.  The sorted listing
-of the whole q = 2 level-2 group (h2_group_listing), whose bytes the
-tests pin, and the walk over every listed map (h2_summary_of_listing)
-are the reference for the library's group summary, which reads the
-fiber kernel, the lifts and one elation search per flag instead.
+the census's walk over one pair per coarse class, and the per-row
+census text (census_to_text_per_row) for the text built from shared
+pieces.  The sorted listing of the whole q = 2 level-2 group
+(h2_group_listing), whose bytes the tests pin, and the walk over every
+listed map (h2_summary_of_listing) are the reference for the library's
+group summary, which reads the fiber kernel, the lifts and one elation
+search per flag instead.
 
 The library decides every verdict by membership in G_0, which is
 PGammaL(2, q) and so its own normalizer in Sym(q+1).  The normalizer
@@ -95,7 +97,7 @@ from singerlat.exotic import (
 from singerlat.exotic import pencil_group as model_pencil_group
 from singerlat.permgrp import (
     CLOSURE_ORDER_CAP, PermGroup, closure, compose, conjugator, identity,
-    inverse,
+    inverse, perm_to_str,
 )
 from singerlat.plane import (
     _check_map, _incidence_tables, _Search, canonical_plane, incidence_lists,
@@ -1233,6 +1235,20 @@ def extra_move_roots_per_pair(q, least, coset_of, stab, orbit_of):
         for c2, k in enumerate(row):
             join(k, orbit_of[dual[c2] * n + dual[c1]])
     return [find(k) for k in range(len(parent))]
+
+
+def census_to_text_per_row(classes):
+    """One formatted string per class, joined: the reference for the
+    library's census text, which formats each distinct piece once."""
+    lines = []
+    for c in classes:
+        w = c.verdict.witness
+        lines.append(
+            f"alpha1={perm_to_str(c.representative.alpha1)} "
+            f"alpha2={perm_to_str(c.representative.alpha2)} "
+            f"orbit={c.orbit_size} verdict={c.verdict.outcome} "
+            f"witness={w.summary() if w is not None else '-'}")
+    return "\n".join(lines) + "\n"
 
 
 # -- collineations and elations of the plane of a difference vector --

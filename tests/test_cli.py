@@ -1,4 +1,5 @@
 import hashlib
+import json
 import subprocess
 import sys
 import time
@@ -265,6 +266,24 @@ def test_certify_rejects_non_matrix_json(tmp_path, capsys):
     code, _, err = run(capsys, "certify", bad)
     assert code == 2
     assert "JSON object" in err
+
+
+@pytest.mark.parametrize("command, data", [
+    ("certify", {"q": 1500, "modulus": 1500 ** 2 + 1501,
+                 "columns": [list(range(1501))] * 3}),
+    ("verify-ds", {"q": 1500, "modulus": 1500 ** 2 + 1501,
+                   "elements": list(range(1501))}),
+])
+def test_refusal_of_a_large_input_is_one_short_line(tmp_path, capsys,
+                                                      command, data):
+    # the residues 0..1500 are no difference set; the message names
+    # their count and order, not all 1,501 of them
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, bad)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) < 200, err
 
 
 def test_classify_writes_parseable_census(tmp_path, capsys):

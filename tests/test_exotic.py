@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,7 @@ from singerlat.diffsets import (
 )
 from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.exotic import (
-    CERTIFIED_EXOTIC, INCONCLUSIVE, ExoticityVerdict,
+    CERTIFIED_EXOTIC, INCONCLUSIVE, EquivClass, ExoticityVerdict,
     ExoticWitness, NormalizedMatrix, bound_B, candidate_count,
     census_from_text, census_summary, census_to_text, certify_exotic,
     classify, enumerate_normalized, lower_A, pencil_group, ratio_table,
@@ -564,7 +565,8 @@ def test_classify_checks_duality_normalizes_stabilizer(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def coarse_census(q):
-    """(S, least, coset_of, orbit_of, orbits) as classify builds them."""
+    """(S, least, coset_of, orbit_of, first, lengths) as classify builds
+    them."""
     stab = exotic._census_stabilizer(q, pencil_group(q))
     least, coset_of = exotic._right_cosets(
         itertools.permutations(range(q + 1)), stab)
@@ -574,9 +576,9 @@ def coarse_census(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_extra_move_roots_match_every_pair_oracle(q):
-    stab, least, coset_of, orbit_of, orbits = coarse_census(q)
+    stab, least, coset_of, orbit_of, first, _ = coarse_census(q)
     assert exotic._extra_move_roots(
-        q, least, coset_of, stab, orbit_of, orbits) \
+        q, least, coset_of, stab, orbit_of, first) \
         == oracles.extra_move_roots_per_pair(
             q, least, coset_of, stab, orbit_of)
 
@@ -586,12 +588,12 @@ def test_extra_move_roots_from_any_member_of_each_class(q):
     # the |S| rotation images and the duality image of any one member of
     # a coarse class, not only of its least pair, reach every class that
     # the class joins
-    stab, least, coset_of, orbit_of, orbits = coarse_census(q)
+    stab, least, coset_of, orbit_of, first, _ = coarse_census(q)
     n = len(least)
     nu = exotic._duality_perm(q)
     nu_inv = inverse(nu)
     rng = random.Random(19 + q)
-    parent = list(range(len(orbits)))
+    parent = list(range(len(first)))
 
     def find(k):
         while parent[k] != k:
@@ -599,7 +601,8 @@ def test_extra_move_roots_from_any_member_of_each_class(q):
             k = parent[k]
         return k
 
-    for k, ((c1, c2), _) in enumerate(orbits):
+    for k, code in enumerate(first):
+        c1, c2 = divmod(code, n)
         p0, p1, p2 = (rng.choice(stab) for _ in range(3))
         a1 = compose(p1, compose(least[c1], inverse(p0)))
         a2 = compose(p2, compose(least[c2], inverse(p0)))
@@ -610,8 +613,8 @@ def test_extra_move_roots_from_any_member_of_each_class(q):
         for x, y in images:
             r1, r2 = find(k), find(orbit_of[coset_of[x] * n + coset_of[y]])
             parent[max(r1, r2)] = min(r1, r2)
-    assert [find(k) for k in range(len(orbits))] == exotic._extra_move_roots(
-        q, least, coset_of, stab, orbit_of, orbits)
+    assert [find(k) for k in range(len(first))] == exotic._extra_move_roots(
+        q, least, coset_of, stab, orbit_of, first)
 
 
 def test_classify_checks_extra_moves_keep_verdicts(monkeypatch):
@@ -619,10 +622,10 @@ def test_classify_checks_extra_moves_keep_verdicts(monkeypatch):
     # identity pair must stop the census, also under python -O
     g0 = pencil_group(5).elements
 
-    def joined(q, least, coset_of, stab, orbit_of, orbits):
-        roots = list(range(len(orbits)))
-        roots[next(k for k, ((c1, _), _) in enumerate(orbits)
-                   if least[c1] not in g0)] = 0
+    def joined(q, least, coset_of, stab, orbit_of, first):
+        roots = list(range(len(first)))
+        roots[next(k for k, code in enumerate(first)
+                   if least[code // len(least)] not in g0)] = 0
         return roots
 
     monkeypatch.setattr("singerlat.exotic._extra_move_roots", joined)
@@ -632,10 +635,10 @@ def test_classify_checks_extra_moves_keep_verdicts(monkeypatch):
         import singerlat.exotic as exotic
         g0 = exotic.pencil_group(5).elements
 
-        def joined(q, least, coset_of, stab, orbit_of, orbits):
-            roots = list(range(len(orbits)))
-            roots[next(k for k, ((c1, _), _) in enumerate(orbits)
-                       if least[c1] not in g0)] = 0
+        def joined(q, least, coset_of, stab, orbit_of, first):
+            roots = list(range(len(first)))
+            roots[next(k for k, code in enumerate(first)
+                       if least[code // len(least)] not in g0)] = 0
             return roots
 
         exotic._extra_move_roots = joined
@@ -778,6 +781,53 @@ def test_census_text_round_trips():
     parsed = census_from_text(text)
     assert census_to_text(parsed) == text
     assert sum(c.orbit_size for c in parsed) == 518400
+
+
+def test_census_text_matches_the_per_row_reference():
+    # lists that the census pins do not cover: equal alphas and witnesses
+    # that are distinct objects, one alpha under both verdicts, one
+    # verdict under two orbit sizes, a single row and no rows
+    e = identity(6)
+    a = (0, 1, 2, 3, 5, 4)
+    perm = (0, 2, 1, 5, 4, 3)
+    certified = ExoticityVerdict(
+        CERTIFIED_EXOTIC, ExoticWitness((1, 2), perm))
+    certified_copy = ExoticityVerdict(
+        CERTIFIED_EXOTIC, ExoticWitness((1, 2), tuple(list(perm))))
+    assert certified_copy == certified and certified_copy is not certified
+    unknown = ExoticityVerdict(INCONCLUSIVE)
+    rows = [
+        EquivClass(normalized(5, e, (0, 1, 3, 2, 5, 4)), 135, unknown),
+        EquivClass(normalized(5, e, a), 405, certified),
+        EquivClass(normalized(5, tuple(list(e)), tuple(list(a))), 405,
+                   certified_copy),
+        EquivClass(normalized(5, a, e), 135, certified_copy),
+        EquivClass(normalized(5, e, e), 405, ExoticityVerdict(INCONCLUSIVE)),
+        EquivClass(normalized(5, a, a), 27, ExoticityVerdict(
+            CERTIFIED_EXOTIC, ExoticWitness((0, 1), perm))),
+    ]
+    sample = random.Random(24).sample(classes_of(5, True), 50)
+    for classes in (rows, rows[1:2], [], sample, classes_of(4)):
+        assert census_to_text(classes) \
+            == oracles.census_to_text_per_row(classes)
+
+
+def test_census_text_memory():
+    # the traced peak of the q = 5 census and its text, held at once, is
+    # 5.4 MB with slotted records, array-backed coset tables and a text
+    # joined from shared pieces, and 11.9 MB with a dict per record, a
+    # boxed orbit number per coset pair and a string per line; the bound
+    # sits between the two
+    assert census_to_text([]) == "\n"
+    pencil_group(5)
+    tracemalloc.start()
+    try:
+        text = census_to_text(classify(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_000_000
+    assert peak < 8_000_000
 
 
 def test_census_parser_rejects_garbage():

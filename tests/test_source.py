@@ -103,7 +103,7 @@ TEST_ONLY_NAMES = {
     "verify_plane_axioms", "SEARCH_Q_CAP", "_plane_tables",
     "PermGroup.conjugate_by", "collineations", "plane_tables",
     "conjugate_by", "preserves_labels", "agl_maps", "_complex_from_rows",
-    "_ROW_RE",
+    "_ROW_RE", "census_to_text_per_row",
 }
 
 
@@ -155,3 +155,29 @@ def test_every_import_is_used():
             found += [f"{path.name}:{node.lineno} {name}" for name in bound
                       if name not in read]
     assert found == []
+
+
+def _dataclass_slots(tree):
+    """(class name, whether slots=True) for each @dataclass class."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+                yield node.name, call is not None and any(
+                    k.arg == "slots" and getattr(k.value, "value", None) is True
+                    for k in call.keywords)
+
+
+def test_every_dataclass_has_slots():
+    # the census holds tens of thousands of records, and a slotted record
+    # has no per-instance dict.  BallComplex is the one exception: its
+    # cached_property keeps the chamber index in the instance dict, where
+    # build_ball also puts it
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name, slots in _dataclass_slots(
+                 ast.parse(path.read_text(), filename=str(path)))
+             if not slots]
+    assert found == ["ball.py: BallComplex"]
