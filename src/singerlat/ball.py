@@ -26,8 +26,7 @@ from .diffsets import DifferenceMatrix, DifferenceVector
 from .errors import CapExceeded, GluingError, InvalidInput
 from .plane import _chain_orbits, _check_map, _incidence_tables, _Search
 
-BALL_R1_Q_CAP = 9
-BALL_R2_Q_CAP = 9
+BALL_Q_CAP = 9
 H2_GROUP_Q_CAP = 2
 
 
@@ -144,9 +143,9 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
     q, m = M.q, M.columns[0].modulus
     if radius not in (1, 2):
         raise InvalidInput(f"radius must be 1 or 2, got {radius}")
-    cap = BALL_R1_Q_CAP if radius == 1 else BALL_R2_Q_CAP
-    if q > cap:
-        raise CapExceeded(f"radius {radius} ball capped at q <= {cap}, got {q}")
+    if q > BALL_Q_CAP:
+        raise CapExceeded(
+            f"radius {radius} ball capped at q <= {BALL_Q_CAP}, got {q}")
     v0, v1, v2 = (c.entries for c in M.columns)
 
     names = [("O",), *(("pt", p) for p in range(m)),
@@ -230,18 +229,16 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
 
 def _labelled_plane_isomorphic(flags, plane: DifferenceVector) -> bool:
     """Whether the flag list is a labelled plane isomorphic to plane,
-    by sending one line to line 0 and propagating the forced
-    label-matching."""
+    by sending the least line to line 0 and following the forced
+    label-matching: to its points, to the lines through them, and from
+    those lines to every other point."""
     m, q = plane.modulus, plane.q
-    line_flags, point_flags = {}, {}
-    for l, p, k in flags:
-        line_flags.setdefault(l, []).append((p, k))
-        point_flags.setdefault(p, []).append((l, k))
     # m lines and m points, each on one flag of every label 0..q: with
     # m(q+1) flags in all, that is distinct (line, point), (line, label)
     # and (point, label) pairs with every label in 0..q
     n = len(flags)
-    if len(line_flags) != m or len(point_flags) != m or n != m * (q + 1):
+    if (len({l for l, _, _ in flags}) != m
+            or len({p for _, p, _ in flags}) != m or n != m * (q + 1)):
         return False
     if (len({(l, p) for l, p, _ in flags}) != n
             or len({(l, k) for l, _, k in flags}) != n
@@ -251,38 +248,26 @@ def _labelled_plane_isomorphic(flags, plane: DifferenceVector) -> bool:
 
     # one image of the anchor suffices: x -> x + t keeps every label of
     # the difference-set plane, so an isomorphism sending the anchor to
-    # t shifts to one sending it to 0; and the images propagated from
-    # the anchor are forced, so they rebuild that shifted isomorphism
-    # whenever one exists
-    anchor = min(line_flags)
-    line_img = {anchor: 0}
-    point_img = {}
-    pending_lines = [anchor]
-    pending_points = []
-    seen_lines = {anchor}
-    seen_points = set()
-    while pending_lines or pending_points:
-        while pending_lines:
-            l = pending_lines.pop()
-            y = line_img[l]
-            for p, k in line_flags[l]:
-                target = (y + plane.entries[k]) % m
-                if point_img.setdefault(p, target) != target:
-                    return False
-                if p not in seen_points:
-                    seen_points.add(p)
-                    pending_points.append(p)
-        while pending_points:
-            p = pending_points.pop()
-            pp = point_img[p]
-            for l, k in point_flags[p]:
-                target = (pp - plane.entries[k]) % m
-                if line_img.setdefault(l, target) != target:
-                    return False
-                if l not in seen_lines:
-                    seen_lines.add(l)
-                    pending_lines.append(l)
-    # m distinct images among at most m lines (points): each one reached
+    # t shifts to one sending it to 0; and every image below is forced,
+    # so they rebuild that shifted isomorphism whenever one exists.  In
+    # a projective plane every line meets the anchor, so a line missed
+    # by the second step refutes the isomorphism
+    entries = plane.entries
+    anchor = min(l for l, _, _ in flags)
+    point_img = {p: entries[k] for l, p, k in flags if l == anchor}
+    line_img = {}
+    for l, p, k in flags:
+        if p in point_img:
+            target = (point_img[p] - entries[k]) % m
+            if line_img.setdefault(l, target) != target:
+                return False
+    if len(line_img) != m:
+        return False
+    for l, p, k in flags:
+        target = (line_img[l] + entries[k]) % m
+        if point_img.setdefault(p, target) != target:
+            return False
+    # m distinct images among m lines (points): a bijection
     return (len(set(line_img.values())) == m
             and len(set(point_img.values())) == m)
 
@@ -304,18 +289,19 @@ def verify_ball(ball: BallComplex) -> BallReport:
             failures.append(f"chamber {ch} label out of range")
 
     panel_labels, by_vertex = ball._index
-    for e in ball.edges:
-        if e not in panel_labels:
-            failures.append(f"panel {e} lies in no chamber")
+    bare, thin = [], []
     every_label = list(range(q + 1))
     for e in ball.edges:
-        if dists[e[0]] >= radius and dists[e[1]] >= radius:
-            continue
-        labels = sorted(panel_labels.get(e, ()))
-        if labels != every_label:
-            failures.append(
-                f"interior panel {e} carries labels {labels} "
-                f"instead of one chamber per label")
+        labels = panel_labels.get(e, ())
+        if not labels:
+            bare.append(f"panel {e} lies in no chamber")
+        if dists[e[0]] < radius or dists[e[1]] < radius:
+            labels = sorted(labels)
+            if labels != every_label:
+                thin.append(
+                    f"interior panel {e} carries labels {labels} "
+                    f"instead of one chamber per label")
+    failures += bare + thin
 
     residue_status = []
     for x in range(ball.vertex_count):
@@ -342,7 +328,8 @@ def verify_ball(ball: BallComplex) -> BallReport:
 def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
     """Level-1 geometry: the residue of the center.  Level-2: points are
     (p1, p2) with p2 a residue-of-p1 point off the line of the center,
-    lines dual, incidence by the existence of the connecting chambers."""
+    lines dual; (p1, p2) lies on (l1, l2) when the line z joining p2
+    and l1 in the residue of p1 carries a chamber (z, l2, l1)."""
     if n not in (1, 2):
         raise InvalidInput(f"level must be 1 or 2, got {n}")
     if ball.radius < n:
@@ -350,69 +337,58 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
     O = ball.center
     by_vertex = ball._index.by_vertex
     types, dists = ball.types, ball.dists
-    sphere1_pts = [v for v in range(ball.vertex_count)
-                   if dists[v] == 1 and types[v] == 1]
-    sphere1_lns = [v for v in range(ball.vertex_count)
-                   if dists[v] == 1 and types[v] == 2]
-    # the lines l through each point p of the center's residue, by the
-    # chambers (O, p, l)
-    pt_set, ln_set = set(sphere1_pts), set(sphere1_lns)
-    center_lines = {p: [] for p in sphere1_pts}
-    for o, p, l, _ in by_vertex[O]:
-        if o == O and p in pt_set and l in ln_set:
-            center_lines[p].append(l)
     if n == 1:
+        sphere1_pts = [v for v in range(ball.vertex_count)
+                       if dists[v] == 1 and types[v] == 1]
+        sphere1_lns = [v for v in range(ball.vertex_count)
+                       if dists[v] == 1 and types[v] == 2]
+        # the lines l through each point p of the center's residue, by
+        # the chambers (O, p, l)
+        pt_set, ln_set = set(sphere1_pts), set(sphere1_lns)
+        center_lines = {p: [] for p in sphere1_pts}
+        for o, p, l, _ in by_vertex[O]:
+            if o == O and p in pt_set and l in ln_set:
+                center_lines[p].append(l)
         points = tuple((p,) for p in sphere1_pts)
         lines = tuple((l,) for l in sphere1_lns)
         incidence = frozenset(
             ((p,), (l,)) for p in sphere1_pts for l in center_lines[p])
         return HjelmslevPlane(1, points, lines, incidence)
 
-    def neighbors(v):
-        return sorted({u for ch in by_vertex[v] for u in ch[:3]})
-
-    points = [(p1, p2) for p1 in sphere1_pts for p2 in neighbors(p1)
-              if types[p2] == 2 and dists[p2] == 2]
-    lines = [(l1, l2) for l1 in sphere1_lns for l2 in neighbors(l1)
-             if types[l2] == 1 and dists[l2] == 2]
-
-    # in the residue of p1, type-0 neighbors are lines; any two points
-    # of that plane span a unique such line
-    join = {}
-    for p1 in sphere1_pts:
-        res_lines = {}
-        for z, p, u, _ in by_vertex[p1]:
-            if p == p1 and z != O and types[z] == 0:
-                res_lines.setdefault(z, set()).add(u)
-        for z, res_pts in res_lines.items():
-            for u, v in itertools.combinations(sorted(res_pts), 2):
-                if (p1, u, v) in join:
+    # one pass over the type-0 vertices z other than the center: the
+    # lines of the sphere-1 points' residues.  On z, a chamber (z, p1, u)
+    # with p1 on sphere 1 puts the residue point u of p1 on z: a point
+    # (p1, u) when u is on sphere 2, a line l1 of the center when not.
+    # A chamber (z, l2, l1) with l1 on sphere 1 puts the line (l1, l2)
+    # on z
+    points, lines, incidence, joined = set(), set(), set(), set()
+    for z, t in enumerate(types):
+        if t != 0 or z == O:
+            continue
+        res_pts, z_lines = {}, {}
+        for a, b, c, _ in by_vertex[z]:
+            if a != z:
+                continue
+            if dists[b] == 1:
+                res_pts.setdefault(b, set()).add(c)
+            elif dists[c] == 1:
+                lines.add((c, b))
+                z_lines.setdefault(c, []).append((c, b))
+        for p1, us in res_pts.items():
+            # any two points of the residue of p1 span one line
+            for u, v in itertools.combinations(sorted(us), 2):
+                if (p1, u, v) in joined:
                     raise AssertionError(
                         f"points {u}, {v} of the residue of {p1} span "
                         f"two lines")
-                join[(p1, u, v)] = z
-
-    # the lines (l1, l2) on each line z of the residue of l1, by the
-    # chambers (z, l2, l1)
-    line_set = set(lines)
-    on_line = {}
-    for l1 in sphere1_lns:
-        for z, l2, l, _ in by_vertex[l1]:
-            if l == l1 and (l1, l2) in line_set:
-                on_line.setdefault((z, l1), set()).add((l1, l2))
-
-    # (p1, p2) lies on (l1, l2) when l1 passes through p1, and the line
-    # z joining p2 and l1 in the residue of p1 carries a chamber
-    # (z, l2, l1)
-    incidence = set()
-    for P in points:
-        p1, p2 = P
-        for l1 in center_lines[p1]:
-            z = join.get((p1, p2, l1) if p2 < l1 else (p1, l1, p2))
-            if z is not None:
-                for L in on_line.get((z, l1), ()):
-                    incidence.add((P, L))
-    return HjelmslevPlane(2, tuple(points), tuple(lines),
+                joined.add((p1, u, v))
+            z_points = [(p1, u) for u in us if dists[u] == 2]
+            points.update(z_points)
+            for l1 in us:
+                if dists[l1] == 1:
+                    incidence.update(itertools.product(
+                        z_points, z_lines.get(l1, ())))
+    return HjelmslevPlane(2, tuple(sorted(points)), tuple(sorted(lines)),
                           frozenset(incidence))
 
 

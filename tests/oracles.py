@@ -17,6 +17,8 @@ The per-line ball-export parser is the reference for the library's
 one-pattern parser, the name-and-union-find ball build for its
 closed-form vertex numbering, the residue test that tries every
 image of the anchor line for the one that tries line 0 alone, the
+three-pass level-2 extraction (hjelmslev_level2) for the one walk over
+the type-0 vertices other than the center, the
 fiber-wise permutation search for the level-2 lifts for their kernel
 cosets found on the plane engine, and the union-find over the rotation
 and duality images of every coset pair (extra_move_roots_per_pair) for
@@ -82,8 +84,8 @@ from typing import Iterator
 
 from singerlat.arith import prime_power, zmod_units
 from singerlat.ball import (
-    BALL_R1_Q_CAP, BALL_R2_Q_CAP, BallComplex, H2GroupSummary,
-    HjelmslevPlane, extract_hjelmslev,
+    BALL_Q_CAP, BallComplex, H2GroupSummary, HjelmslevPlane,
+    extract_hjelmslev,
 )
 from singerlat.diffsets import (
     AffineMap, DifferenceMatrix, DifferenceSet, DifferenceVector,
@@ -260,9 +262,9 @@ def build_ball(M, radius):
     q, m = M.q, M.columns[0].modulus
     if radius not in (1, 2):
         raise InvalidInput(f"radius must be 1 or 2, got {radius}")
-    cap = BALL_R1_Q_CAP if radius == 1 else BALL_R2_Q_CAP
-    if q > cap:
-        raise CapExceeded(f"radius {radius} ball capped at q <= {cap}, got {q}")
+    if q > BALL_Q_CAP:
+        raise CapExceeded(
+            f"radius {radius} ball capped at q <= {BALL_Q_CAP}, got {q}")
     v0 = M.columns[0].entries
     v1 = M.columns[1].entries
     v2 = M.columns[2].entries
@@ -449,6 +451,73 @@ def labelled_plane_isomorphic(flags, plane):
         if len(line_img) == m and len(point_img) == m:
             return True
     return False
+
+
+def hjelmslev_level2(ball: BallComplex) -> HjelmslevPlane:
+    """The level-2 extraction as it was before the one walk over the
+    type-0 vertices: the level-2 points and lines from the sorted
+    neighbors of each sphere-1 vertex, the join of every two points of
+    each sphere-1 point's residue, the lines on each residue line, and
+    one lookup per point and line of the center through it."""
+    O = ball.center
+    by_vertex = ball._index.by_vertex
+    types, dists = ball.types, ball.dists
+    sphere1_pts = [v for v in range(ball.vertex_count)
+                   if dists[v] == 1 and types[v] == 1]
+    sphere1_lns = [v for v in range(ball.vertex_count)
+                   if dists[v] == 1 and types[v] == 2]
+    pt_set, ln_set = set(sphere1_pts), set(sphere1_lns)
+    center_lines = {p: [] for p in sphere1_pts}
+    for o, p, l, _ in by_vertex[O]:
+        if o == O and p in pt_set and l in ln_set:
+            center_lines[p].append(l)
+
+    def neighbors(v):
+        return sorted({u for ch in by_vertex[v] for u in ch[:3]})
+
+    points = [(p1, p2) for p1 in sphere1_pts for p2 in neighbors(p1)
+              if types[p2] == 2 and dists[p2] == 2]
+    lines = [(l1, l2) for l1 in sphere1_lns for l2 in neighbors(l1)
+             if types[l2] == 1 and dists[l2] == 2]
+
+    # in the residue of p1, type-0 neighbors are lines; any two points
+    # of that plane span a unique such line
+    join = {}
+    for p1 in sphere1_pts:
+        res_lines = {}
+        for z, p, u, _ in by_vertex[p1]:
+            if p == p1 and z != O and types[z] == 0:
+                res_lines.setdefault(z, set()).add(u)
+        for z, res_pts in res_lines.items():
+            for u, v in itertools.combinations(sorted(res_pts), 2):
+                if (p1, u, v) in join:
+                    raise AssertionError(
+                        f"points {u}, {v} of the residue of {p1} span "
+                        f"two lines")
+                join[(p1, u, v)] = z
+
+    # the lines (l1, l2) on each line z of the residue of l1, by the
+    # chambers (z, l2, l1)
+    line_set = set(lines)
+    on_line = {}
+    for l1 in sphere1_lns:
+        for z, l2, l, _ in by_vertex[l1]:
+            if l == l1 and (l1, l2) in line_set:
+                on_line.setdefault((z, l1), set()).add((l1, l2))
+
+    # (p1, p2) lies on (l1, l2) when l1 passes through p1, and the line
+    # z joining p2 and l1 in the residue of p1 carries a chamber
+    # (z, l2, l1)
+    incidence = set()
+    for P in points:
+        p1, p2 = P
+        for l1 in center_lines[p1]:
+            z = join.get((p1, p2, l1) if p2 < l1 else (p1, l1, p2))
+            if z is not None:
+                for L in on_line.get((z, l1), ()):
+                    incidence.add((P, L))
+    return HjelmslevPlane(2, tuple(points), tuple(lines),
+                          frozenset(incidence))
 
 
 def h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):

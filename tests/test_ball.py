@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -81,6 +82,7 @@ def test_radius_two_past_q3(q, vertices, chambers):
     # m q^2 points and lines, each point on q(q+1) lines
     assert len(H.points) == len(H.lines) == {4: 336, 5: 775}[q] == m * q * q
     assert len(H.incidence) == {4: 6720, 5: 23250}[q] == m * q ** 3 * (q + 1)
+    assert H == oracles.hjelmslev_level2(ball)
 
 
 def _disguised(M, rng):
@@ -260,6 +262,35 @@ def test_level_two_common_line_counts(q2_ball_r2):
             assert common == 2
         else:
             assert common == 1
+
+
+def test_level_two_matches_the_three_pass_reference():
+    rng = random.Random(1989)
+    for Mn in rng.sample(list(enumerate_normalized(3)), 12):
+        ball = build_ball(Mn.decode(), 2)
+        back = complex_from_text(complex_to_text(ball))
+        for b in (ball, back):
+            assert extract_hjelmslev(b, 2) == oracles.hjelmslev_level2(b)
+
+
+def test_two_residue_lines_through_two_points_raise(q2_ball_r2):
+    # two lines z1, z2 of the residue of the sphere-1 point p1 meet in
+    # one point; one more chamber (z2, p1, u) with u on z1 alone gives
+    # them a second one
+    ball = q2_ball_r2
+    p1 = next(v for v in range(ball.vertex_count)
+              if ball.dists[v] == 1 and ball.types[v] == 1)
+    on = {}
+    for z, p, u, _ in ball.chambers:
+        if p == p1 and z != ball.center:
+            on.setdefault(z, set()).add(u)
+    z1, z2 = sorted(on)[:2]
+    u = min(on[z1] - on[z2])
+    bad = dataclasses.replace(ball, chambers=ball.chambers + ((z2, p1, u, 0),))
+    for extract in (lambda b: extract_hjelmslev(b, 2),
+                    oracles.hjelmslev_level2):
+        with pytest.raises(AssertionError, match="span two lines"):
+            extract(bad)
 
 
 def test_extraction_needs_radius():
@@ -769,6 +800,23 @@ def test_complex_parser_matches_per_line_reference_on_mutated_rows():
     assert outcomes == {"ball", "raises"}
 
 
+def test_greedy_layout_pattern_matches_the_possessive_one():
+    # Python 3.10 has no possessive repeats and compiles the layout with
+    # greedy ones; both must read an export, and stop at a row out of
+    # order, alike
+    greedy = re.compile(ball_module._LAYOUT_RE.pattern.replace("*+", "*"))
+    lines = complex_to_text(build_ball(identity_matrix(3), 2)).splitlines()
+    first_edge = next(i for i, l in enumerate(lines) if l.startswith("edge"))
+    moved = lines[:first_edge - 1] + lines[first_edge:first_edge + 1] \
+        + lines[first_edge - 1:first_edge] + lines[first_edge + 1:]
+    for rows in (lines, moved):
+        body = "\n".join(rows) + "\n"
+        want = ball_module._LAYOUT_RE.match(body)
+        got = greedy.match(body)
+        assert (got.groups(), got.end()) == (want.groups(), want.end())
+    assert want.end() < len(body)
+
+
 def test_complex_parser_rejects_vertex_type_outside_0_to_2():
     text = "vertex 0 type=0 dist=0\nvertex 1 type=7 dist=1\nchamber 0 0 0 label=0\n"
     with pytest.raises(InvalidInput, match="line 2: vertex type 7 outside 0..2"):
@@ -815,6 +863,17 @@ def _flag_mutations(plane, rng):
         dropped = list(flags)
         del dropped[i]
         out.append(("dropped flag", dropped))
+        # the count holds in each of the three below, and a distinctness
+        # check decides
+        duplicated = list(flags)
+        duplicated[j] = flags[i]
+        out.append(("duplicated flag", duplicated))
+        relabelled = list(flags)
+        relabelled[i] = (l, p, (k + 1) % (q + 1))
+        out.append(("repeated line label", relabelled))
+        to_line = list(flags)
+        to_line[i] = ((l + rng.randrange(1, m)) % m, p, k)
+        out.append(("flag moved to another line", to_line))
     return out
 
 
@@ -831,4 +890,6 @@ def test_residue_test_matches_every_anchor_reference():
                 outcomes.add((what, got))
     assert {("labels permuted", True), ("labels permuted", False),
             ("multiplied", True), ("two points renamed", True),
-            ("dropped flag", False)} <= outcomes
+            ("dropped flag", False), ("duplicated flag", False),
+            ("repeated line label", False),
+            ("flag moved to another line", False)} <= outcomes

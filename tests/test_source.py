@@ -103,7 +103,7 @@ TEST_ONLY_NAMES = {
     "verify_plane_axioms", "SEARCH_Q_CAP", "_plane_tables",
     "PermGroup.conjugate_by", "collineations", "plane_tables",
     "conjugate_by", "preserves_labels", "agl_maps", "_complex_from_rows",
-    "_ROW_RE", "census_to_text_per_row",
+    "_ROW_RE", "census_to_text_per_row", "hjelmslev_level2",
 }
 
 
