@@ -265,24 +265,33 @@ def _least_outside(q, s, t) -> tuple[int, ...]:
     side by side in sorted G_0 and found by one bisection.  Triples in
     ascending order, and the eta conjugates sorted within each, walk
     G_s in ascending order; h lies in G_t when t h t^-1 lies in G_0.
+
+    Before h is returned, both memberships are tested again by plain
+    conjugation, apart from the walk's products and its sorted copy of
+    G_0, so every certificate passes that check once.
     """
     g0 = pencil_group(q).elements
     members = _sorted_pencil_group(q)
-    eta = prime_power(q)[1]
+    eta = len(members) // (q * (q * q - 1))  # |G_0| = q(q^2-1) eta
+    s_inv, t_inv = inverse(s), inverse(t)
     y_inv = inverse(members[bisect_left(members, s[:3])])
     into_s = itemgetter(*compose(y_inv, s))  # x -> x y^-1 s
-    into_t = itemgetter(*compose(y_inv, compose(s, inverse(t))))
-    from_s = inverse(s).__getitem__  # h = s^-1 (x y^-1 s)
-    to_t = compose(t, inverse(s)).__getitem__  # t h t^-1
+    into_t = itemgetter(*compose(y_inv, compose(s, t_inv)))
+    from_s = s_inv.__getitem__  # h = s^-1 (x y^-1 s)
+    to_t = compose(t, s_inv).__getitem__  # t h t^-1
     for v in itertools.permutations(range(q + 1), 3):
         i = bisect_left(members, (s[v[0]], s[v[1]], s[v[2]]))
         for h, g in sorted((tuple(map(from_s, into_s(x))),
                             tuple(map(to_t, into_t(x))))
                            for x in members[i:i + eta]):
             if g not in g0:
+                if (conjugator(s_inv)(h) not in g0
+                        or conjugator(t_inv)(h) in g0):
+                    raise AssertionError(
+                        f"witness {perm_to_str(h)} is not in G_s outside G_t")
                 return h
     raise AssertionError(
-        f"{perm_to_str(compose(t, inverse(s)))} normalizes the pencil group")
+        f"{perm_to_str(compose(t, s_inv))} normalizes the pencil group")
 
 
 def _pencil_witness(q, twists) -> Optional[ExoticWitness]:
@@ -315,6 +324,47 @@ def certify_exotic(M: DifferenceMatrix) -> ExoticityVerdict:
     is built.
     """
     return _verdict(_pencil_witness(M.q, _label_twists(M)))
+
+
+def _normalized_verdict(q, alpha1, alpha2, shared) -> ExoticityVerdict:
+    """The verdict of the normalized matrix (alpha1, alpha2), the one
+    certify_exotic gives its decoded matrix.
+
+    The witness is for the first mismatched edge.  With alpha1 outside
+    G_0 that is edge (0, 1), and its witness, the least member of G_0
+    outside alpha1^-1 G_0 alpha1, depends on alpha1 alone.  Otherwise
+    G_1 = G_0, so edge (1, 2) mismatches exactly when alpha2 lies
+    outside G_0, with the same witness for alpha2, and edge (2, 0)
+    never comes first.  So each witness is the ordered walk of
+    _least_outside with s the identity.  shared is a dict that the
+    caller keeps for one call: it holds each walk's witness under its
+    alpha and one frozen verdict per (edge, alpha), for every matrix of
+    that call.
+    """
+    g0 = pencil_group(q).elements
+    if alpha1 not in g0:
+        key = ((0, 1), alpha1)
+    elif alpha2 not in g0:
+        key = ((1, 2), alpha2)
+    else:
+        key = None
+    verdict = shared.get(key)
+    if verdict is None:
+        witness = None
+        if key is not None:
+            edge, alpha = key
+            if alpha not in shared:
+                shared[alpha] = _least_outside(q, identity(q + 1), alpha)
+            witness = ExoticWitness(edge, shared[alpha])
+        verdict = shared[key] = _verdict(witness)
+    return verdict
+
+
+def _verdict_text(verdict) -> str:
+    """A verdict as the census writes it after the orbit size."""
+    w = verdict.witness
+    return (f"verdict={verdict.outcome} "
+            f"witness={w.summary() if w is not None else '-'}")
 
 
 def enumerate_normalized(q) -> Iterator[NormalizedMatrix]:
@@ -468,22 +518,13 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     The coarse classes are the p0-orbits on pairs of S-cosets.  Extra
     moves merge them by a union-find over |S| + 1 images of each coarse
     class's least pair (_extra_move_roots), and a merge that joins an
-    exotic class to an inconclusive one raises.
-
-    The witness is for the first mismatched edge.  With alpha1 outside
-    G_0 that is edge (0, 1), and its witness, the least member of G_0
-    outside alpha1^-1 G_0 alpha1, depends on alpha1 alone.  Otherwise
-    G_1 = G_0, so edge (1, 2) mismatches exactly when alpha2 lies
-    outside G_0, with the same witness for alpha2, and edge (2, 0)
-    never comes first.  So each witness is the ordered walk of
-    _least_outside with s the identity, run once per coset, not once
-    per class, and classes share one frozen verdict per (edge, coset).
+    exotic class to an inconclusive one raises.  Each class's verdict
+    is the one _normalized_verdict gives its least pair.
     """
     if q > CLASSIFY_Q_CAP:
         raise CapExceeded(
             f"classification capped at q <= {CLASSIFY_Q_CAP}, got {q}")
-    g0 = pencil_group(q)
-    stab = _census_stabilizer(q, g0)
+    stab = _census_stabilizer(q, pencil_group(q))
     least, coset_of = _right_cosets(
         itertools.permutations(range(q + 1)), stab)
     n = len(least)
@@ -493,43 +534,26 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
         raise AssertionError("coarse orbit sizes do not add up to all pairs")
     if any(len(stab) ** 3 % size for size in sizes):
         raise AssertionError("a coarse orbit size does not divide |S|^3")
-    fixes = [b in g0.elements for b in least]
-    inconclusive = [fixes[c1] and fixes[c2]
-                    for c1, c2 in (divmod(code, n) for code in first)]
+    shared = {}
+    verdicts = [_normalized_verdict(q, least[code // n], least[code % n],
+                                    shared) for code in first]
     kept = range(len(first))
     if extra_moves:
         roots = _extra_move_roots(q, least, coset_of, stab, orbit_of, first)
         merged = [0] * len(first)
         for k, root in enumerate(roots):
-            if inconclusive[k] != inconclusive[root]:
+            if verdicts[k].outcome != verdicts[root].outcome:
                 raise AssertionError("rotation or duality changed a verdict")
             merged[root] += sizes[k]
         kept = [k for k, root in enumerate(roots) if root == k]
         sizes = merged
 
     D = canonical_difference_set(q)
-    e = identity(q + 1)
-    witness_perm = {}  # coset -> witness of its least element
-    # verdicts are frozen, so classes share them: one for all the
-    # inconclusive classes and one per (edge, coset) witness
-    unknown = ExoticityVerdict(INCONCLUSIVE)
-    verdicts = {}
     out = []
     for k in kept:
         c1, c2 = divmod(first[k], n)
-        if inconclusive[k]:
-            verdict = unknown
-        else:
-            key = ((1, 2), c2) if fixes[c1] else ((0, 1), c1)
-            verdict = verdicts.get(key)
-            if verdict is None:
-                edge, c = key
-                if c not in witness_perm:
-                    witness_perm[c] = _least_outside(q, e, least[c])
-                verdict = verdicts[key] = ExoticityVerdict(
-                    CERTIFIED_EXOTIC, ExoticWitness(edge, witness_perm[c]))
         out.append(EquivClass(NormalizedMatrix(q, D, least[c1], least[c2]),
-                              sizes[k], verdict))
+                              sizes[k], verdicts[k]))
     return out
 
 
@@ -612,10 +636,8 @@ def census_to_text(classes) -> str:
         key = (c.orbit_size, c.verdict)
         tail = tails.get(key)
         if tail is None:
-            w = c.verdict.witness
             tail = tails[key] = (
-                f"orbit={c.orbit_size} verdict={c.verdict.outcome} "
-                f"witness={w.summary() if w is not None else '-'}\n")
+                f"orbit={c.orbit_size} {_verdict_text(c.verdict)}\n")
         pieces += (first, second, tail)
     # no classes still make one empty line
     return "".join(pieces) or "\n"
@@ -631,60 +653,23 @@ def census_summary(q, classes) -> str:
 
 
 _CENSUS_RE = re.compile(
-    r"alpha1=(\[[0-9 ]*\]) alpha2=(\[[0-9 ]*\]) orbit=(\d+) "
-    r"verdict=(\w+) witness=(.+)$")
-_EDGE_WITNESS_RE = re.compile(r"edge\((\d+), (\d+)\) perm=(\[[0-9 ]*\])$")
-
-
-def _witness_from_summary(text, parse_perm):
-    if text == "-":
-        return None
-    if m := _EDGE_WITNESS_RE.match(text):
-        edge = (int(m.group(1)), int(m.group(2)))
-        if edge not in EDGES:
-            raise InvalidInput(f"no edge {edge} among {EDGES}")
-        return ExoticWitness(edge, parse_perm(m.group(3)))
-    raise InvalidInput(f"unrecognized witness {text!r}")
+    r"alpha1=(\[[0-9 ]*\]) alpha2=(\[[0-9 ]*\]) orbit=(\d+) (.*)$")
 
 
 def census_from_text(text: str) -> tuple:
-    """Inverse of census_to_text.  Each distinct permutation or witness
-    text is parsed and validated once per call: the q = 5 census repeats
-    a few hundred of them over 19,296 lines.  A record with orbit 0, an
-    Inconclusive verdict with a witness, a witness that is not an edge
-    and a perm, an edge that does not exist or a witness perm of another
-    degree is refused, and so is a verdict that its alphas contradict:
-    Inconclusive needs alpha1 and alpha2 in G_0, and a witness edge
-    (s, t) with perm h needs h in G_s but not in G_t."""
+    """Inverse of census_to_text.  Each distinct permutation text is
+    parsed and validated once per call.  A record with orbit 0 or with
+    alphas of two degrees is refused, and so is any verdict text other
+    than the one that _normalized_verdict gives its alphas."""
     perms = {}
-    verdicts = {}
-    members = {}
+    shared = {}
+    texts = {}
 
-    def in_group(alpha_token, h, h_token):
-        # h lies in G = a^-1 G_0 a, a the perm of alpha_token (G_0 itself
-        # for None), when a h a^-1 lies in G_0; once per pair of texts
-        key = (alpha_token, h_token)
-        found = members.get(key)
-        if found is None:
-            if alpha_token is not None:
-                h = conjugator(inverse(perm(alpha_token)))(h)
-            found = members[key] = h in pencil_group(len(h) - 1).elements
-        return found
-
-    def perm(token, degree=None):
+    def perm(token):
         p = perms.get(token)
         if p is None:
             p = perms[token] = perm_from_str(token)
-        if degree is not None and len(p) != degree:
-            raise InvalidInput(f"expected degree {degree}, got {len(p)}")
         return p
-
-    def verdict(outcome, summary, degree):
-        key = (outcome, summary, degree)
-        if key not in verdicts:
-            verdicts[key] = ExoticityVerdict(outcome, _witness_from_summary(
-                summary, lambda token: perm(token, degree)))
-        return verdicts[key]
 
     classes = []
     for i, line in enumerate(text.splitlines(), start=1):
@@ -692,26 +677,21 @@ def census_from_text(text: str) -> tuple:
         if m is None:
             raise InvalidInput(f"census line {i}: unrecognized record")
         try:
-            a1 = perm(m.group(1))
-            a2 = perm(m.group(2), degree=len(a1))
+            a1, a2 = perm(m.group(1)), perm(m.group(2))
+            if len(a2) != len(a1):
+                raise InvalidInput(
+                    f"expected degree {len(a1)}, got {len(a2)}")
             q = len(a1) - 1
             rep = NormalizedMatrix(q, canonical_difference_set(q), a1, a2)
             orbit = int(m.group(3))
             if orbit == 0:
                 raise InvalidInput("orbit size 0")
-            v = verdict(m.group(4), m.group(5), len(a1))
-            w = v.witness
-            if w is None:
-                holds = (in_group(None, a1, m.group(1))
-                         and in_group(None, a2, m.group(2)))
-            else:
-                tokens = (None, m.group(1), m.group(2))
-                s, t = w.edge
-                holds = (in_group(tokens[s], w.perm, m.group(5))
-                         and not in_group(tokens[t], w.perm, m.group(5)))
-            if not holds:
-                raise InvalidInput(
-                    f"verdict {v.outcome} contradicts alpha1 and alpha2")
+            v = _normalized_verdict(q, a1, a2, shared)
+            expected = texts.get(v)
+            if expected is None:
+                expected = texts[v] = _verdict_text(v)
+            if m.group(4) != expected:
+                raise InvalidInput(f"the alphas give {expected}")
         except (InvalidInput, CapExceeded) as e:
             raise type(e)(f"census line {i}: {e}") from None
         classes.append(EquivClass(rep, orbit, v))

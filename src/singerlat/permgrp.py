@@ -55,7 +55,7 @@ def perm_to_str(p):
     return "[" + " ".join(str(i) for i in p) + "]"
 
 
-def perm_from_str(text, degree=None):
+def perm_from_str(text):
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise InvalidInput(f"permutation text must look like [0 2 1]: {text!r}")
@@ -63,7 +63,7 @@ def perm_from_str(text, degree=None):
         p = tuple(int(tok) for tok in text[1:-1].split())
     except ValueError:
         raise InvalidInput(f"non-integer entry in permutation text: {text!r}")
-    validate_perm(p, degree)
+    validate_perm(p)
     return p
 
 

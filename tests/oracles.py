@@ -38,7 +38,9 @@ with the conjugacy search is_conjugate_in_sym and their inputs: the
 PGL(2, q) and PGammaL(2, q) models on the projective line, Sym(n),
 cycle types and orders.  So do certify_normalized and
 fast_necessary_condition, the normalized-encoding certifier and the
-membership test that the census is checked against.
+membership test that the census is checked against, and verdict_holds,
+the conjugation test of a census record's verdict against its alphas
+that does not go through the witness walk.
 
 The PGL(2, q) model computes in GF(q) through the field model Field
 (make_field): reduction by the first irreducible polynomial, found by
@@ -198,6 +200,23 @@ def certify_normalized(Mn: NormalizedMatrix):
     twists are e, alpha1 and alpha2, no re-normalization needed."""
     return _verdict(_pencil_witness(
         Mn.q, (identity(Mn.q + 1), Mn.alpha1, Mn.alpha2)))
+
+
+def verdict_holds(Mn: NormalizedMatrix, verdict) -> bool:
+    """Whether a census record's verdict holds for its alphas, by
+    conjugation alone, not through the witness walk.  Inconclusive needs
+    alpha1 and alpha2 in G_0, and a witness edge (s, t) with perm h
+    needs h in G_s and not in G_t, with G_k = alpha_k^-1 G_0 alpha_k and
+    alpha_0 the identity: h lies in G_k when alpha_k h alpha_k^-1 lies
+    in G_0."""
+    g0 = model_pencil_group(Mn.q).elements
+    w = verdict.witness
+    if w is None:
+        return Mn.alpha1 in g0 and Mn.alpha2 in g0
+    alphas = (identity(Mn.q + 1), Mn.alpha1, Mn.alpha2)
+    s, t = w.edge
+    return (conjugator(inverse(alphas[s]))(w.perm) in g0
+            and conjugator(inverse(alphas[t]))(w.perm) not in g0)
 
 
 def fast_necessary_condition(Mn: NormalizedMatrix, g0=None) -> bool:

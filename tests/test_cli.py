@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import checkout_env, identity_matrix, q11_matrix
 from singerlat import exotic
+from singerlat.arith import zmod_units
 from singerlat.ball import complex_from_text
 from singerlat.cli import main
 from singerlat.diffsets import canonical_difference_set, find_agl_map, \
@@ -236,6 +238,54 @@ def test_certify_finds_each_column_map_once(twisted_q5_file, capsys,
 
 def test_certify_inconclusive_moufang_candidate_ok(q2_file, capsys):
     assert run(capsys, "certify", q2_file, "--moufang-candidate")[0] == 0
+
+
+# sha256 over the exit code and stdout of certify --moufang-candidate on
+# each file of certify_pin_files, in order, pinned before the witness
+# walk re-checked its own witnesses
+CERTIFY_SHA256 = (
+    "62ea171c299115870c55e4da96ac2ed9a9f904dccef3dcda858674c20c468b12")
+
+
+def certify_pin_files(tmp_path):
+    """8 disguised matrix files per q = 2..5, 7..9, half of them with
+    alpha1 and alpha2 drawn from G_0 and half from Sym(q+1): one random
+    affine map per column and one row order shared by all columns."""
+    rng = random.Random(28)
+    paths = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        D = canonical_difference_set(q)
+        m = D.modulus
+        g0 = sorted(exotic.pencil_group(q).elements)
+        labels = list(range(q + 1))
+        for i in range(8):
+            if i % 2 == 0:
+                alphas = (rng.choice(g0), rng.choice(g0))
+            else:
+                alphas = [rng.sample(labels, q + 1) for _ in range(2)]
+            rows = rng.sample(labels, q + 1)
+            columns = []
+            for alpha in (labels, *alphas):
+                a, b = rng.choice(zmod_units(m)), rng.randrange(m)
+                columns.append(
+                    [(a * D.elements[alpha[r]] + b) % m for r in rows])
+            path = tmp_path / f"q{q}_{i}.dm"
+            path.write_text(json.dumps(
+                {"q": q, "modulus": m, "columns": columns}))
+            paths.append(path)
+    return paths
+
+
+def test_certify_stdout_and_exit_codes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    codes = []
+    for path in certify_pin_files(tmp_path):
+        code, out, err = run(capsys, "certify", path, "--moufang-candidate")
+        assert err == ""
+        codes.append(code)
+        digest.update(f"exit={code}\n{out}".encode())
+    assert (codes.count(0), codes.count(1)) == (40, 16)
+    assert digest.hexdigest() == CERTIFY_SHA256
 
 
 def test_certify_rejects_json_booleans(q2_file, tmp_path, capsys):

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -303,7 +304,26 @@ def test_certify_normalized_agrees_with_full_certifier():
         ((1, 0, 2, 3, 4, 5), (2, 1, 0, 3, 4, 5)),
     ]:
         m = normalized(5, a1, a2)
-        assert certify_normalized(m).outcome == certify_exotic(m.decode()).outcome
+        assert certify_normalized(m) == certify_exotic(m.decode())
+
+
+def test_classify_and_certify_agree_exactly():
+    # outcome, edge and perm, for every class at q <= 4 and a seeded
+    # sample at q = 5: the census rule against the decoded matrix's
+    # label twists
+    rng = random.Random(28)
+    samples = [classes_of(q, extra) for q in (2, 3, 4)
+               for extra in (False, True)]
+    samples += [rng.sample(classes_of(5), 300),
+                rng.sample(classes_of(5, True), 50)]
+    kinds = set()
+    for classes in samples:
+        for c in classes:
+            verdict = certify_exotic(c.representative.decode())
+            assert c.verdict == verdict
+            kinds.add(None if verdict.witness is None
+                      else verdict.witness.edge)
+    assert kinds == {None, (0, 1), (1, 2)}
 
 
 def three_group_witness(M):
@@ -830,6 +850,17 @@ def test_census_text_memory():
     assert peak < 8_000_000
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_every_census_record_passes_the_membership_reference(q):
+    # the parser re-derives each verdict through the witness walk; the
+    # reference checks each parsed record by conjugation alone
+    for extra_moves in (False, True):
+        parsed = census_from_text(census_to_text(classes_of(q, extra_moves)))
+        assert len(parsed) == len(classes_of(q, extra_moves))
+        assert all(oracles.verdict_holds(c.representative, c.verdict)
+                   for c in parsed)
+
+
 def test_census_parser_rejects_garbage():
     with pytest.raises(InvalidInput):
         census_from_text("alpha1=[0 1 2] alpha2=[0 1 2]\n")
@@ -844,18 +875,22 @@ def test_census_parser_rejects_garbage():
         "alpha1=[0 1 2 3 4 5] alpha2=[0 1 2 3 5 4] orbit=405 "
         "verdict=CertifiedExotic witness=edge(1, 2) perm=[0 2 1 5 4 3]\n")
     census_from_text(certified)
+    # each verdict text is compared with the one the alphas give
+    unknown = re.escape("the alphas give verdict=Inconclusive witness=-")
+    exotic_12 = re.escape(
+        "the alphas give verdict=CertifiedExotic witness=edge(1, 2) "
+        "perm=[0 2 1 5 4 3]")
     for bad, message in [
         (good.replace("orbit=9", "orbit=0"), "orbit size 0"),
         (good.replace("witness=-", "witness=edge(0, 1) perm=[1 0 2]"),
-         "an inconclusive verdict has no witness"),
-        (good.replace("witness=-", "witness=column(0)"),
-         r"unrecognized witness 'column\(0\)'"),
-        (certified.replace("edge(1, 2)", "edge(7, 9)"), r"no edge \(7, 9\)"),
-        (certified.replace("edge(1, 2)", "edge(2, 1)"), r"no edge \(2, 1\)"),
+         unknown),
+        (good.replace("witness=-", "witness=column(0)"), unknown),
+        (certified.replace("edge(1, 2)", "edge(7, 9)"), exotic_12),
+        (certified.replace("edge(1, 2)", "edge(2, 1)"), exotic_12),
         (certified.replace("edge(1, 2) perm=[0 2 1 5 4 3]", "column(7)"),
-         r"unrecognized witness 'column\(7\)'"),
+         exotic_12),
         (certified.replace("perm=[0 2 1 5 4 3]", "perm=[0 2 1 5 4 3 6]"),
-         "expected degree 6, got 7"),
+         exotic_12),
     ]:
         with pytest.raises(InvalidInput, match="census line 2: " + message):
             census_from_text(good + bad)
@@ -876,41 +911,64 @@ def test_census_parser_checks_degree_of_repeated_text():
         census_from_text(text)
     with pytest.raises(InvalidInput, match="census line 2: not a perm"):
         census_from_text(text.replace("[0 1 2 3]", "[0 1 1 3]"))
-    # so must a witness perm whose verdict text was met at degree 6
+    # a verdict text met at degree 6 is no verdict at degree 8, whose
+    # identity alphas give Inconclusive
     witness = "verdict=CertifiedExotic witness=edge(1, 2) perm=[0 2 1 5 4 3]\n"
     text = (
         "alpha1=[0 1 2 3 4 5] alpha2=[0 1 2 3 5 4] orbit=405 " + witness
         + "alpha1=[0 1 2 3 4 5 6 7] alpha2=[0 1 2 3 4 5 6 7] orbit=9 "
         + witness)
-    with pytest.raises(InvalidInput, match="census line 2: expected degree 8"):
+    with pytest.raises(InvalidInput, match=re.escape(
+            "census line 2: the alphas give verdict=Inconclusive witness=-")):
         census_from_text(text)
 
 
 def test_census_parser_refuses_verdicts_that_the_alphas_contradict():
-    # Inconclusive exactly when alpha1 and alpha2 lie in G_0; a witness
-    # edge (s, t) with perm h needs h in G_s = alpha_s^-1 G_0 alpha_s and
-    # not in G_t
+    # Inconclusive exactly when alpha1 and alpha2 lie in G_0; otherwise
+    # the least witness on the first edge whose groups differ, which is
+    # the one verdict the parser accepts
     inconclusive = ("alpha1=[0 1 2 3 4 5] alpha2=[0 1 3 2 5 4] orbit=135 "
                     "verdict=Inconclusive witness=-\n")
     certified = ("alpha1=[0 1 2 3 4 5] alpha2=[0 1 2 3 5 4] orbit=405 "
                  "verdict=CertifiedExotic witness=edge(1, 2) "
                  "perm=[0 2 1 5 4 3]\n")
     census_from_text(inconclusive + certified)
-    for bad in [
-        "alpha1=[0 1 2 3 5 4] alpha2=[0 1 2 3 4 5] orbit=7 "
-        "verdict=Inconclusive witness=-\n",
-        "alpha1=[0 1 2] alpha2=[0 1 2] orbit=1 verdict=CertifiedExotic "
-        "witness=edge(0, 1) perm=[0 2 1]\n",
-        certified.split(" verdict=")[0] + " verdict=Inconclusive witness=-\n",
+    exotic_12 = ("verdict=CertifiedExotic witness=edge(1, 2) "
+                 "perm=[0 2 1 5 4 3]")
+    # valid certificates, each perm in G_s and outside G_t, that are not
+    # the verdict classify writes: a witness that is not the least, and
+    # one on a later edge
+    rep = normalized(5, identity(6), (0, 1, 2, 3, 5, 4))
+    not_least = certified.replace("perm=[0 2 1 5 4 3]", "perm=[0 2 3 4 1 5]")
+    later_edge = certified.replace("edge(1, 2) perm=[0 2 1 5 4 3]",
+                                   "edge(2, 0) perm=[0 2 1 4 3 5]")
+    for valid, edge, perm in ((not_least, (1, 2), (0, 2, 3, 4, 1, 5)),
+                              (later_edge, (2, 0), (0, 2, 1, 4, 3, 5))):
+        assert valid.endswith(
+            f"witness={ExoticWitness(edge, perm).summary()}\n")
+        assert oracles.verdict_holds(rep, ExoticityVerdict(
+            CERTIFIED_EXOTIC, ExoticWitness(edge, perm)))
+    for bad, expected in [
+        ("alpha1=[0 1 2 3 5 4] alpha2=[0 1 2 3 4 5] orbit=7 "
+         "verdict=Inconclusive witness=-\n",
+         "verdict=CertifiedExotic witness=edge(0, 1) perm=[0 2 1 5 4 3]"),
+        ("alpha1=[0 1 2] alpha2=[0 1 2] orbit=1 verdict=CertifiedExotic "
+         "witness=edge(0, 1) perm=[0 2 1]\n",
+         "verdict=Inconclusive witness=-"),
+        (certified.split(" verdict=")[0] + " verdict=Inconclusive witness=-\n",
+         exotic_12),
         # G_0 = G_1 here, so no perm tells them apart
-        certified.replace("edge(1, 2)", "edge(0, 1)"),
+        (certified.replace("edge(1, 2)", "edge(0, 1)"), exotic_12),
         # the witness lies in G_1 and G_2 both
-        certified.replace("perm=[0 2 1 5 4 3]", "perm=[0 1 2 3 4 5]"),
+        (certified.replace("perm=[0 2 1 5 4 3]", "perm=[0 1 2 3 4 5]"),
+         exotic_12),
         # the witness lies outside G_2
-        certified.replace("edge(1, 2)", "edge(2, 0)"),
+        (certified.replace("edge(1, 2)", "edge(2, 0)"), exotic_12),
+        (not_least, exotic_12),
+        (later_edge, exotic_12),
     ]:
-        with pytest.raises(InvalidInput,
-                           match="census line 2: verdict .* contradicts"):
+        with pytest.raises(InvalidInput, match=re.escape(
+                "census line 2: the alphas give " + expected)):
             census_from_text(inconclusive + bad)
 
 
@@ -961,6 +1019,33 @@ def test_witness_walk_check_survives_python_O():
             print("raised:", e)
         """)
     assert out == f"raised: {perm_to_str(g)} normalizes the pencil group\n"
+
+
+def test_witness_walk_rechecks_its_witness(monkeypatch):
+    # a sorted G_0 with one perm outside G_0 in the place of the member
+    # that gives the least witness: the walk returns nothing that plain
+    # conjugation does not put in G_s and outside G_t, also under -O
+    members = list(exotic._sorted_pencil_group(5))
+    i = members.index((0, 2, 1, 5, 4, 3))
+    members[i] = (0, 2, 1, 5, 3, 4)
+    assert members == sorted(members)
+    assert members[i] not in pencil_group(5)
+    a = (0, 1, 2, 3, 5, 4)
+    assert exotic._least_outside(5, identity(6), a) == (0, 2, 1, 5, 4, 3)
+    monkeypatch.setattr(exotic, "_sorted_pencil_group",
+                        lambda q: tuple(members))
+    message = "witness [0 2 1 5 3 4] is not in G_s outside G_t"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        exotic._least_outside(5, identity(6), a)
+    out = run_python_O(f"""
+        import singerlat.exotic as exotic
+        exotic._sorted_pencil_group = lambda q: {tuple(members)!r}
+        try:
+            exotic._least_outside(5, tuple(range(6)), {a!r})
+        except AssertionError as e:
+            print("raised:", e)
+        """)
+    assert out == f"raised: {message}\n"
 
 
 def test_ball_and_plane_checks_survive_python_O():

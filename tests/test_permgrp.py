@@ -59,8 +59,6 @@ def test_perm_text_round_trip():
         perm_from_str("[0 0 1]")
     with pytest.raises(InvalidInput):
         perm_from_str("[0 x 1]")
-    with pytest.raises(InvalidInput):
-        perm_from_str("[0 2 1]", degree=4)
 
 
 def test_validate_perm_rejects_junk():
