@@ -331,15 +331,16 @@ def _normalized_verdict(q, alpha1, alpha2, shared) -> ExoticityVerdict:
     certify_exotic gives its decoded matrix.
 
     The witness is for the first mismatched edge.  With alpha1 outside
-    G_0 that is edge (0, 1), and its witness, the least member of G_0
-    outside alpha1^-1 G_0 alpha1, depends on alpha1 alone.  Otherwise
-    G_1 = G_0, so edge (1, 2) mismatches exactly when alpha2 lies
-    outside G_0, with the same witness for alpha2, and edge (2, 0)
-    never comes first.  So each witness is the ordered walk of
-    _least_outside with s the identity.  shared is a dict that the
-    caller keeps for one call: it holds each walk's witness under its
-    alpha and one frozen verdict per (edge, alpha), for every matrix of
-    that call.
+    G_0 that is edge (0, 1), and its witness is the least member of G_0
+    outside alpha1^-1 G_0 alpha1.  Otherwise G_1 = G_0, so edge (1, 2)
+    mismatches exactly when alpha2 lies outside G_0, with the same
+    witness for alpha2, and edge (2, 0) never comes first.  The witness
+    is the ordered walk of _least_outside with s the identity, and it
+    depends only on the right coset G_0 alpha, as g alpha has the same
+    conjugate of G_0 for g in G_0.  shared is a dict that the caller
+    keeps for one call: it holds each walk's witness under the least
+    member of its coset and one frozen verdict per (edge, alpha), for
+    every matrix of that call.
     """
     g0 = pencil_group(q).elements
     if alpha1 not in g0:
@@ -353,9 +354,15 @@ def _normalized_verdict(q, alpha1, alpha2, shared) -> ExoticityVerdict:
         witness = None
         if key is not None:
             edge, alpha = key
-            if alpha not in shared:
-                shared[alpha] = _least_outside(q, identity(q + 1), alpha)
-            witness = ExoticWitness(edge, shared[alpha])
+            # the least of G_0 alpha fixes labels 0, 1, 2: it is y^-1 alpha
+            # for one of the eta members y of G_0 that agree with alpha there
+            members = _sorted_pencil_group(q)
+            i = bisect_left(members, alpha[:3])
+            coset = min(compose(inverse(y), alpha) for y in
+                        members[i:i + len(members) // (q * (q * q - 1))])
+            if coset not in shared:
+                shared[coset] = _least_outside(q, identity(q + 1), coset)
+            witness = ExoticWitness(edge, shared[coset])
         verdict = shared[key] = _verdict(witness)
     return verdict
 
@@ -387,6 +394,12 @@ def enumerate_normalized(q) -> Iterator[NormalizedMatrix]:
 # of coset pairs (S.alpha1, S.alpha2): its size is |S|^2 times the orbit
 # length, and its least member pairs the least elements of the orbit's
 # least coset pair.
+#
+# The walk takes one row c1 of pairs (c1, c2) at a time.  The move of a
+# p0 that sends c1 to r, the least coset of the p0-orbit of c1, sends
+# row c1 onto the earlier row r, so row c1 reads row r through it.  A row
+# least in its p0-orbit opens the orbits of the p0 fixing it, each
+# |S| / |fixing| rows long: one orbit per coset when only p0 = e fixes it.
 
 
 def _census_stabilizer(q, g0) -> list[tuple[int, ...]]:
@@ -429,20 +442,33 @@ def _coset_pair_orbits(least, coset_of, stab):
     """The p0-orbits on coset pairs, pair (c1, c2) coded as
     c1 * len(least) + c2.  Returns three arrays: the orbit number of
     every code, and per orbit in ascending order its least code and its
-    length (the number of coset pairs in it)."""
+    length (the number of coset pairs in it), by the row walk above."""
     n = len(least)
-    moved = [_right_table(least, coset_of, inverse(p0)) for p0 in stab]
+    moves = [_right_table(least, coset_of, inverse(p0)) for p0 in stab]
     orbit_of = array("i", [-1]) * (n * n)
     first = array("i")
     lengths = array("i")
-    for code in range(n * n):
-        if orbit_of[code] < 0:
-            c1, c2 = divmod(code, n)
-            orbit = {m[c1] * n + m[c2] for m in moved}
-            for other in orbit:
-                orbit_of[other] = len(first)
-            first.append(code)
-            lengths.append(len(orbit))
+    for c1 in range(n):
+        row, k = c1 * n, len(first)
+        m = min(moves, key=itemgetter(c1))
+        fixing = [f for f in moves if f[c1] == c1]
+        rows = len(moves) // len(fixing)
+        if m[c1] < c1:
+            r = m[c1] * n
+            orbit_of[row:row + n] = array(
+                "i", itemgetter(*m)(orbit_of[r:r + n]))
+        elif len(fixing) == 1:
+            orbit_of[row:row + n] = array("i", range(k, k + n))
+            first.extend(range(row, row + n))
+            lengths.extend([rows] * n)
+        else:
+            for c2 in range(n):
+                if orbit_of[row + c2] < 0:
+                    orbit = {f[c2] for f in fixing}
+                    for other in orbit:
+                        orbit_of[row + other] = len(first)
+                    first.append(row + c2)
+                    lengths.append(rows * len(orbit))
     return orbit_of, first, lengths
 
 
@@ -462,48 +488,51 @@ def _duality_perm(q) -> tuple[int, ...]:
 def _extra_move_roots(q, least, coset_of, stab, orbit_of,
                       first) -> list[int]:
     """For each coarse class, the least coarse class that rotation and
-    duality join it to, by union-find over one pair per class.
+    duality join it to, by union-find over the pairs of the rows that
+    hold a least pair.
 
     Rotation rho(alpha1, alpha2) = (alpha2 alpha1, alpha1^-1) does not
     normalize the coarse moves, but the |S| images rho(s b1, b2), s in
-    S, of a class's least pair (b1, b2) reach every class that the class
-    rotates into.  With u = p0^-1 p1 in S, the member
-    (p1 b1 p0^-1, p2 b2 p0^-1) rotates to (p2 b2 u b1 p0^-1,
-    p0 b1^-1 u^-1 p0^-1), the coarse move (p0, p2, p0) of rho(u b1, b2).
-    Duality maps classes onto classes once nu S nu^-1 = S, so one image
-    per class suffices.  In cosets, b2 s b1 lies in right(b1)[right(s)[c2]]
-    and b1^-1 s^-1 in right(s^-1)[c], with c the coset of b1^-1.
+    S, of any one pair (b1, b2) of coset leasts in a class reach every
+    class that the class rotates into.  With u = p0^-1 p1 in S, the
+    member (p1 b1 p0^-1, p2 b2 p0^-1) rotates to (p2 b2 u b1 p0^-1,
+    p0 b1^-1 u^-1 p0^-1), the coarse move (p0, p2, p0) of
+    rho(u b1, b2).  Duality maps classes onto classes once
+    nu S nu^-1 = S, so one image per pair suffices.  In cosets, b2 s b1
+    lies in right(b1)[right(s)[c2]] and b1^-1 s^-1 in right(s^-1)[c],
+    with c the coset of b1^-1, so the images of a whole row are one
+    column of orbit_of (orbit_of[c::n]) read through two tables.
     """
     nu = _duality_perm(q)
     nu_inv = inverse(nu)
     if {compose(nu, compose(s, nu_inv)) for s in stab} != set(stab):
         raise AssertionError("duality does not normalize the stabilizer")
     n = len(least)
-    parent = list(range(len(first)))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    def join(k1, k2):
-        r1, r2 = find(k1), find(k2)
-        if r1 != r2:  # the root stays the least class of its component
-            parent[max(r1, r2)] = min(r1, r2)
-
-    right = [_right_table(least, coset_of, b) for b in least]
-    by_s = [(_right_table(least, coset_of, s),
+    by_s = [(itemgetter(*_right_table(least, coset_of, s)),
              _right_table(least, coset_of, inverse(s))) for s in stab]
-    inv = [coset_of[inverse(b)] for b in least]
     dual = [coset_of[compose(nu, compose(b, nu_inv))] for b in least]
-    for k, code in enumerate(first):
-        c1, c2 = divmod(code, n)
-        after_b1, c = right[c1], inv[c1]
-        for after_s, after_s_inv in by_s:
-            join(k, orbit_of[after_b1[after_s[c2]] * n + after_s_inv[c]])
-        join(k, orbit_of[dual[c2] * n + dual[c1]])
-    return [find(k) for k in range(len(parent))]
+    parent = list(range(len(first)))
+    for c1 in sorted({code // n for code in first}):
+        after_b1 = itemgetter(*_right_table(least, coset_of, least[c1]))
+        c = coset_of[inverse(least[c1])]
+        row = orbit_of[c1 * n:(c1 + 1) * n]
+        targets = [after_s(after_b1(orbit_of[after_s_inv[c]::n]))
+                   for after_s, after_s_inv in by_s]
+        targets.append(itemgetter(*dual)(orbit_of[dual[c1]::n]))
+        for images in targets:
+            for k1, k2 in zip(row, images):
+                while k1 != parent[k1]:  # path halving
+                    parent[k1] = k1 = parent[parent[k1]]
+                while k2 != parent[k2]:
+                    parent[k2] = k2 = parent[parent[k2]]
+                if k1 < k2:  # a root stays the least of its component
+                    parent[k2] = k1
+                elif k2 < k1:
+                    parent[k1] = k2
+    # parent[k] <= k, so one ascending pass leaves every root in place
+    for k, up in enumerate(parent):
+        parent[k] = parent[up]
+    return parent
 
 
 def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
@@ -515,16 +544,16 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     size and a verdict.  The census runs in one thread; threads is kept
     for compatibility and never changes the output.
 
-    The coarse classes are the p0-orbits on pairs of S-cosets.  Extra
-    moves merge them by a union-find over |S| + 1 images of each coarse
-    class's least pair (_extra_move_roots), and a merge that joins an
+    The coarse classes are the p0-orbits on pairs of S-cosets, and
+    extra moves merge them (_extra_move_roots); a merge that joins an
     exotic class to an inconclusive one raises.  Each class's verdict
     is the one _normalized_verdict gives its least pair.
     """
     if q > CLASSIFY_Q_CAP:
         raise CapExceeded(
             f"classification capped at q <= {CLASSIFY_Q_CAP}, got {q}")
-    stab = _census_stabilizer(q, pencil_group(q))
+    g0 = pencil_group(q)
+    stab = _census_stabilizer(q, g0)
     least, coset_of = _right_cosets(
         itertools.permutations(range(q + 1)), stab)
     n = len(least)
@@ -532,11 +561,15 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     sizes = [len(stab) ** 2 * pairs for pairs in lengths]
     if sum(sizes) != math.factorial(q + 1) ** 2:
         raise AssertionError("coarse orbit sizes do not add up to all pairs")
-    if any(len(stab) ** 3 % size for size in sizes):
+    if any(len(stab) ** 3 % size for size in set(sizes)):
         raise AssertionError("a coarse orbit size does not divide |S|^3")
-    shared = {}
-    verdicts = [_normalized_verdict(q, least[code // n], least[code % n],
-                                    shared) for code in first]
+    # per coset the verdicts of (b, e) and (e, b): by _normalized_verdict,
+    # a pair has the first when b1 lies outside G_0, else the second
+    e, shared = identity(q + 1), {}
+    by_b1 = [b not in g0.elements and _normalized_verdict(q, b, e, shared)
+             for b in least]
+    by_b2 = [_normalized_verdict(q, e, b, shared) for b in least]
+    verdicts = [by_b1[code // n] or by_b2[code % n] for code in first]
     kept = range(len(first))
     if extra_moves:
         roots = _extra_move_roots(q, least, coset_of, stab, orbit_of, first)
@@ -653,17 +686,19 @@ def census_summary(q, classes) -> str:
 
 
 _CENSUS_RE = re.compile(
-    r"alpha1=(\[[0-9 ]*\]) alpha2=(\[[0-9 ]*\]) orbit=(\d+) (.*)$")
+    r"alpha1=(\[[0-9 ]*\]) alpha2=(\[[0-9 ]*\]) orbit=([0-9]+) (.*)$")
 
 
 def census_from_text(text: str) -> tuple:
     """Inverse of census_to_text.  Each distinct permutation text is
-    parsed and validated once per call.  A record with orbit 0 or with
+    parsed and validated once per call.  A record with orbit 0, with an
+    orbit of more digits than (q+1)!^2, the number of all pairs, or with
     alphas of two degrees is refused, and so is any verdict text other
     than the one that _normalized_verdict gives its alphas."""
     perms = {}
     shared = {}
     texts = {}
+    digits = {}  # q -> the number of digits of (q+1)!^2
 
     def perm(token):
         p = perms.get(token)
@@ -677,20 +712,25 @@ def census_from_text(text: str) -> tuple:
         if m is None:
             raise InvalidInput(f"census line {i}: unrecognized record")
         try:
-            a1, a2 = perm(m.group(1)), perm(m.group(2))
+            text1, text2, orbit, tail = m.groups()
+            a1, a2 = perm(text1), perm(text2)
             if len(a2) != len(a1):
                 raise InvalidInput(
                     f"expected degree {len(a1)}, got {len(a2)}")
             q = len(a1) - 1
             rep = NormalizedMatrix(q, canonical_difference_set(q), a1, a2)
-            orbit = int(m.group(3))
+            most = digits.get(q) or digits.setdefault(
+                q, len(str(math.factorial(q + 1) ** 2)))
+            if len(orbit) > most:
+                raise InvalidInput(f"orbit size of more than {most} digits")
+            orbit = int(orbit)
             if orbit == 0:
                 raise InvalidInput("orbit size 0")
             v = _normalized_verdict(q, a1, a2, shared)
             expected = texts.get(v)
             if expected is None:
                 expected = texts[v] = _verdict_text(v)
-            if m.group(4) != expected:
+            if tail != expected:
                 raise InvalidInput(f"the alphas give {expected}")
         except (InvalidInput, CapExceeded) as e:
             raise type(e)(f"census line {i}: {e}") from None

@@ -20,9 +20,11 @@ image of the anchor line for the one that tries line 0 alone, the
 three-pass level-2 extraction (hjelmslev_level2) for the one walk over
 the type-0 vertices other than the center, the
 fiber-wise permutation search for the level-2 lifts for their kernel
-cosets found on the plane engine, and the union-find over the rotation
-and duality images of every coset pair (extra_move_roots_per_pair) for
-the census's walk over one pair per coarse class, and the per-row
+cosets found on the plane engine, the walk over every coset pair code
+(coset_pair_orbits_per_code) for the census's walk by stabilizer rows,
+the union-find over the rotation and duality images of every coset pair
+(extra_move_roots_per_pair) for the census's walk over the rows that
+hold a least pair, and the per-row
 census text (census_to_text_per_row) for the text built from shared
 pieces.  The sorted listing of the whole q = 2 level-2 group
 (h2_group_listing), whose bytes the tests pin, and the walk over every
@@ -80,6 +82,7 @@ fails if a library module imports it.
 import itertools
 import math
 import re
+from array import array
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator
@@ -96,7 +99,7 @@ from singerlat.diffsets import (
 from singerlat.errors import CapExceeded, GluingError, InvalidInput
 from singerlat.exotic import (
     EDGES, ExoticWitness, NormalizedMatrix, _duality_perm, _label_twists,
-    _pencil_witness, _verdict,
+    _pencil_witness, _right_table, _verdict,
 )
 from singerlat.exotic import pencil_group as model_pencil_group
 from singerlat.permgrp import (
@@ -1279,6 +1282,27 @@ def normalize_matrix(M, D):
 
 
 # -- the census --
+
+
+def coset_pair_orbits_per_code(least, coset_of, stab):
+    """(orbit_of, first, lengths) as the library's _coset_pair_orbits
+    returns them, by a walk over every coset pair code: each code not
+    yet numbered opens an orbit, the set of its images under every
+    move.  The reference for the library's walk by stabilizer rows."""
+    n = len(least)
+    moved = [_right_table(least, coset_of, inverse(p0)) for p0 in stab]
+    orbit_of = array("i", [-1]) * (n * n)
+    first = array("i")
+    lengths = array("i")
+    for code in range(n * n):
+        if orbit_of[code] < 0:
+            c1, c2 = divmod(code, n)
+            orbit = {m[c1] * n + m[c2] for m in moved}
+            for other in orbit:
+                orbit_of[other] = len(first)
+            first.append(code)
+            lengths.append(len(orbit))
+    return orbit_of, first, lengths
 
 
 def extra_move_roots_per_pair(q, least, coset_of, stab, orbit_of):

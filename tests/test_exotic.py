@@ -594,6 +594,26 @@ def coarse_census(q):
             *exotic._coset_pair_orbits(least, coset_of, stab))
 
 
+@pytest.mark.parametrize("q,least_rows,fixed_rows", [
+    (2, 2, 2), (3, 4, 2), (4, 5, 2), (5, 88, 12),
+    (7, 40, 4), (8, 22, 4), (9, 44, 6)])
+def test_coset_pair_orbits_match_every_code_oracle(q, least_rows, fixed_rows):
+    # all perms at q <= 5, the G_0 cosets that candidate_count walks at
+    # q = 7, 8, 9; at every q some rows least in their p0-orbit are fixed
+    # by a p0 other than e, so the walk meets both kinds of row
+    g0 = pencil_group(q)
+    stab = exotic._census_stabilizer(q, g0)
+    least, coset_of = exotic._right_cosets(
+        itertools.permutations(range(q + 1)) if q <= exotic.CLASSIFY_Q_CAP
+        else sorted(g0.elements), stab)
+    moves = [exotic._right_table(least, coset_of, inverse(p0)) for p0 in stab]
+    rows = [c for c in range(len(least)) if min(m[c] for m in moves) == c]
+    assert len(rows) == least_rows
+    assert sum(sum(m[c] == c for m in moves) > 1 for c in rows) == fixed_rows
+    assert exotic._coset_pair_orbits(least, coset_of, stab) \
+        == oracles.coset_pair_orbits_per_code(least, coset_of, stab)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_extra_move_roots_match_every_pair_oracle(q):
     stab, least, coset_of, orbit_of, first, _ = coarse_census(q)
@@ -900,6 +920,24 @@ def test_census_parser_rejects_garbage():
         census_from_text(good.replace("[0 1 2]", q11))
 
 
+def test_census_parser_refuses_orbits_that_are_not_ascii_or_too_long():
+    # a non-ASCII digit is no digit of a census, and an orbit of more
+    # digits than (q+1)!^2 is refused before it is turned into a number
+    good = "alpha1=[0 1 2] alpha2=[0 1 2] orbit=9 verdict=Inconclusive witness=-\n"
+    with pytest.raises(InvalidInput, match="census line 2: unrecognized"):
+        census_from_text(good + good.replace("orbit=9", "orbit=\u0669"))
+    with pytest.raises(InvalidInput, match="census line 2: orbit size "
+                       "of more than 2 digits"):
+        census_from_text(good + good.replace("orbit=9", "orbit=" + "9" * 5000))
+    certified = (
+        "alpha1=[0 1 2 3 4 5] alpha2=[0 1 2 3 5 4] orbit=405 "
+        "verdict=CertifiedExotic witness=edge(1, 2) perm=[0 2 1 5 4 3]\n")
+    census_from_text(certified.replace("orbit=405", "orbit=518400"))
+    with pytest.raises(InvalidInput, match="census line 1: orbit size "
+                       "of more than 6 digits"):
+        census_from_text(certified.replace("orbit=405", "orbit=1000000"))
+
+
 def test_census_parser_checks_degree_of_repeated_text():
     # "[0 1 2]" is parsed on line 1; on line 2 it must still be refused
     # as alpha2 of a degree-4 record
@@ -970,6 +1008,49 @@ def test_census_parser_refuses_verdicts_that_the_alphas_contradict():
         with pytest.raises(InvalidInput, match=re.escape(
                 "census line 2: the alphas give " + expected)):
             census_from_text(inconclusive + bad)
+
+
+def test_census_walks_the_witness_once_per_coset_of_g0(monkeypatch):
+    # the witness for alpha depends only on the right coset G_0 alpha:
+    # one walk for each of the 720 / 120 - 1 = 5 cosets of G_0 in Sym(6)
+    # other than G_0, and none at q <= 4, where G_0 = Sym(q+1)
+    texts = {(q, extra): census_to_text(classes_of(q, extra))
+             for q in (2, 3, 4, 5) for extra in (False, True)}
+    walk = exotic._least_outside
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(exotic, "_least_outside", counted)
+    for q, walks in ((2, 0), (3, 0), (4, 0), (5, 5)):
+        for run in (lambda: classify(q),
+                    lambda: classify(q, extra_moves=True),
+                    lambda: census_from_text(texts[(q, False)]),
+                    lambda: census_from_text(texts[(q, True)])):
+            calls.clear()
+            run()
+            assert len(calls) == walks
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_witness_depends_only_on_the_coset_of_g0(q):
+    # g alpha for g in G_0 has the conjugate group of alpha, so the same
+    # witness; the census keys each walk by the least member of G_0 alpha
+    rng = random.Random(290 + q)
+    members = sorted(pencil_group(q).elements)
+    e = identity(q + 1)
+    for _ in range(4):
+        alpha = e
+        while alpha in pencil_group(q):
+            alpha = tuple(rng.sample(range(q + 1), q + 1))
+        g = rng.choice(members)
+        witness = exotic._least_outside(q, e, alpha)
+        assert exotic._least_outside(q, e, compose(g, alpha)) == witness
+        shared = {}
+        exotic._normalized_verdict(q, compose(g, alpha), e, shared)
+        assert shared[min(compose(h, alpha) for h in members)] == witness
 
 
 def run_python_O(body):
