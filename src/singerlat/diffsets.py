@@ -227,6 +227,15 @@ def stabilizer_index_perms(D: DifferenceSet) -> list[tuple[int, ...]]:
             for g in set_stabilizer_in_agl(D)]
 
 
+def _json_from_text(text: str):
+    # json raises ValueError, not only JSONDecodeError, for an integer
+    # of more than 4,300 digits, and RecursionError for deep nesting
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise InvalidInput(f"not valid JSON: {e}") from None
+
+
 def _is_json_int(x) -> bool:
     # JSON true and false parse to bools, which are ints to isinstance
     return type(x) is int
@@ -244,10 +253,7 @@ def matrix_to_text(M: DifferenceMatrix) -> str:
 
 
 def matrix_from_text(text: str) -> DifferenceMatrix:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidInput(f"not valid JSON: {e}") from None
+    doc = _json_from_text(text)
     if not isinstance(doc, dict):
         raise InvalidInput("matrix file must hold a JSON object")
     for key in ("q", "modulus", "columns"):
@@ -276,10 +282,7 @@ def set_to_text(D: DifferenceSet) -> str:
 
 
 def set_from_text(text: str) -> DifferenceSet:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidInput(f"not valid JSON: {e}") from None
+    doc = _json_from_text(text)
     if not isinstance(doc, dict):
         raise InvalidInput("set file must hold a JSON object")
     for key in ("q", "modulus", "elements"):

@@ -25,7 +25,9 @@ Normalized matrices have all columns equal to the canonical difference
 set D, the first in ascending order, so columns 1 and 2 are encoded by
 permutations alpha1, alpha2 of the labels with column t reading
 D[alpha_t[i]].  In that shape G_0 is the pencil group of the canonical
-plane and G_t = alpha_t^-1 G_0 alpha_t.
+plane and G_t = alpha_t^-1 G_0 alpha_t.  One rule decides the verdicts
+of both the census and certify, which reads a matrix's alphas in the
+label frame of its column 0.
 
 The census groups all (alpha1, alpha2) pairs into orbits of the coarse
 moves (per-column set-stabilizer maps followed by the row re-sort) and
@@ -62,9 +64,6 @@ LOWER_A_Q_CAP = 857
 
 CERTIFIED_EXOTIC = "CertifiedExotic"
 INCONCLUSIVE = "Inconclusive"
-
-# adjacency pairs of the three vertex types, in check order
-EDGES = ((0, 1), (1, 2), (2, 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,18 +251,26 @@ def _sorted_pencil_group(q) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(pencil_group(q).elements))
 
 
+def _members_sending(q, triple) -> tuple[tuple[int, ...], ...]:
+    """The members of G_0 that send labels 0, 1, 2 to triple, in
+    ascending order.  G_0 is PGammaL(2, q): 3-transitive, with the eta
+    field automorphisms fixing any three labels, so there are exactly
+    eta = |G_0| / q(q^2-1) of them, side by side in sorted G_0 and
+    found by one bisection."""
+    members = _sorted_pencil_group(q)
+    i = bisect_left(members, triple)
+    return members[i:i + len(members) // (q * (q * q - 1))]
+
+
 def _least_outside(q, s, t) -> tuple[int, ...]:
     """The least member of G_s = s^-1 G_0 s outside G_t = t^-1 G_0 t,
     found by an ordered walk that never lists G_s; raises when G_s has
     no member outside G_t.
 
     The members of G_s that send labels 0, 1, 2 to v are s^-1 x y^-1 s,
-    with x running over the members of G_0 that send 0, 1, 2 to s(v)
-    and y one member that sends them to s(0), s(1), s(2).  G_0 is
-    PGammaL(2, q): 3-transitive, with the eta field automorphisms
-    fixing any three labels, so each triple has exactly eta such x,
-    side by side in sorted G_0 and found by one bisection.  Triples in
-    ascending order, and the eta conjugates sorted within each, walk
+    with x running over the eta members of G_0 that send 0, 1, 2 to
+    s(v) and y one member that sends them to s(0), s(1), s(2).  Triples
+    in ascending order, and the eta conjugates sorted within each, walk
     G_s in ascending order; h lies in G_t when t h t^-1 lies in G_0.
 
     Before h is returned, both memberships are tested again by plain
@@ -271,19 +278,17 @@ def _least_outside(q, s, t) -> tuple[int, ...]:
     G_0, so every certificate passes that check once.
     """
     g0 = pencil_group(q).elements
-    members = _sorted_pencil_group(q)
-    eta = len(members) // (q * (q * q - 1))  # |G_0| = q(q^2-1) eta
     s_inv, t_inv = inverse(s), inverse(t)
-    y_inv = inverse(members[bisect_left(members, s[:3])])
+    y_inv = inverse(_members_sending(q, s[:3])[0])
     into_s = itemgetter(*compose(y_inv, s))  # x -> x y^-1 s
     into_t = itemgetter(*compose(y_inv, compose(s, t_inv)))
     from_s = s_inv.__getitem__  # h = s^-1 (x y^-1 s)
     to_t = compose(t, s_inv).__getitem__  # t h t^-1
     for v in itertools.permutations(range(q + 1), 3):
-        i = bisect_left(members, (s[v[0]], s[v[1]], s[v[2]]))
         for h, g in sorted((tuple(map(from_s, into_s(x))),
                             tuple(map(to_t, into_t(x))))
-                           for x in members[i:i + eta]):
+                           for x in _members_sending(
+                               q, (s[v[0]], s[v[1]], s[v[2]]))):
             if g not in g0:
                 if (conjugator(s_inv)(h) not in g0
                         or conjugator(t_inv)(h) in g0):
@@ -294,53 +299,38 @@ def _least_outside(q, s, t) -> tuple[int, ...]:
         f"{perm_to_str(compose(t, s_inv))} normalizes the pencil group")
 
 
-def _pencil_witness(q, twists) -> Optional[ExoticWitness]:
-    """The witness for the first edge whose pencil groups differ, when
-    G_t = twists[t]^-1 G_0 twists[t]; None when all three agree.
-
-    G_s = G_t exactly when twists[s] twists[t]^-1 normalizes G_0, that
-    is when it lies in G_0.  The witness is the least element of G_s
-    outside G_t, from the ordered walk of _least_outside, which raises
-    rather than certify an edge whose groups agree.
-    """
-    g0 = pencil_group(q).elements
-    for s, t in EDGES:
-        if compose(twists[s], inverse(twists[t])) not in g0:
-            return ExoticWitness(
-                (s, t), _least_outside(q, twists[s], twists[t]))
-    return None
-
-
-def _verdict(witness) -> ExoticityVerdict:
-    if witness is None:
-        return ExoticityVerdict(INCONCLUSIVE)
-    return ExoticityVerdict(CERTIFIED_EXOTIC, witness)
-
-
 def certify_exotic(M: DifferenceMatrix) -> ExoticityVerdict:
     """CertifiedExotic when two adjacent pencil groups differ; otherwise
-    Inconclusive.  Never claims the structure is classical.  Membership
-    tests in G_0 through the columns' label twists decide it; no group
-    is built.
+    Inconclusive.  Never claims the structure is classical.
+
+    It is _normalized_verdict read in the label frame of column 0: with
+    the column twists tau_t and alpha_t = tau_t tau_0^-1, the alphas of
+    from_matrix, G_t = tau_0^-1 (alpha_t^-1 G_0 alpha_t) tau_0.
+    Membership tests in G_0 decide it; no group is built.
     """
-    return _verdict(_pencil_witness(M.q, _label_twists(M)))
+    t0, t1, t2 = _label_twists(M)
+    back = inverse(t0)
+    return _normalized_verdict(
+        M.q, t0, compose(t1, back), compose(t2, back), {})
 
 
-def _normalized_verdict(q, alpha1, alpha2, shared) -> ExoticityVerdict:
-    """The verdict of the normalized matrix (alpha1, alpha2), the one
-    certify_exotic gives its decoded matrix.
+def _normalized_verdict(q, frame, alpha1, alpha2, shared) -> ExoticityVerdict:
+    """The verdict for the pencil groups
+    G_t = frame^-1 (alpha_t^-1 G_0 alpha_t) frame, alpha_0 the identity:
+    the one rule behind certify_exotic, which passes a matrix's column 0
+    twist as the frame, and the census, which passes the identity.
 
-    The witness is for the first mismatched edge.  With alpha1 outside
-    G_0 that is edge (0, 1), and its witness is the least member of G_0
-    outside alpha1^-1 G_0 alpha1.  Otherwise G_1 = G_0, so edge (1, 2)
-    mismatches exactly when alpha2 lies outside G_0, with the same
-    witness for alpha2, and edge (2, 0) never comes first.  The witness
-    is the ordered walk of _least_outside with s the identity, and it
-    depends only on the right coset G_0 alpha, as g alpha has the same
-    conjugate of G_0 for g in G_0.  shared is a dict that the caller
-    keeps for one call: it holds each walk's witness under the least
-    member of its coset and one frozen verdict per (edge, alpha), for
-    every matrix of that call.
+    The witness is the least member of G_s outside G_t for the first
+    mismatched edge (s, t).  With alpha1 outside G_0 that is edge
+    (0, 1).  Otherwise G_1 = G_0, so edge (1, 2) mismatches exactly when
+    alpha2 lies outside G_0, with the same witness for alpha2, and edge
+    (2, 0) never comes first.  The witness is the ordered walk of
+    _least_outside from frame to alpha frame, and it depends only on
+    the right coset G_0 alpha, as g alpha has the same conjugate of G_0
+    for g in G_0.  shared is a dict that the caller keeps for one call
+    and one frame: it holds each walk's witness under the least member
+    of its coset and one frozen verdict per (edge, alpha), for every
+    matrix of that call.
     """
     g0 = pencil_group(q).elements
     if alpha1 not in g0:
@@ -351,19 +341,20 @@ def _normalized_verdict(q, alpha1, alpha2, shared) -> ExoticityVerdict:
         key = None
     verdict = shared.get(key)
     if verdict is None:
-        witness = None
-        if key is not None:
+        if key is None:
+            verdict = ExoticityVerdict(INCONCLUSIVE)
+        else:
             edge, alpha = key
             # the least of G_0 alpha fixes labels 0, 1, 2: it is y^-1 alpha
             # for one of the eta members y of G_0 that agree with alpha there
-            members = _sorted_pencil_group(q)
-            i = bisect_left(members, alpha[:3])
-            coset = min(compose(inverse(y), alpha) for y in
-                        members[i:i + len(members) // (q * (q * q - 1))])
+            coset = min(compose(inverse(y), alpha)
+                        for y in _members_sending(q, alpha[:3]))
             if coset not in shared:
-                shared[coset] = _least_outside(q, identity(q + 1), coset)
-            witness = ExoticWitness(edge, shared[coset])
-        verdict = shared[key] = _verdict(witness)
+                shared[coset] = _least_outside(
+                    q, frame, compose(coset, frame))
+            verdict = ExoticityVerdict(
+                CERTIFIED_EXOTIC, ExoticWitness(edge, shared[coset]))
+        shared[key] = verdict
     return verdict
 
 
@@ -566,9 +557,9 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     # per coset the verdicts of (b, e) and (e, b): by _normalized_verdict,
     # a pair has the first when b1 lies outside G_0, else the second
     e, shared = identity(q + 1), {}
-    by_b1 = [b not in g0.elements and _normalized_verdict(q, b, e, shared)
+    by_b1 = [b not in g0.elements and _normalized_verdict(q, e, b, e, shared)
              for b in least]
-    by_b2 = [_normalized_verdict(q, e, b, shared) for b in least]
+    by_b2 = [_normalized_verdict(q, e, e, b, shared) for b in least]
     verdicts = [by_b1[code // n] or by_b2[code % n] for code in first]
     kept = range(len(first))
     if extra_moves:
@@ -694,11 +685,12 @@ def census_from_text(text: str) -> tuple:
     parsed and validated once per call.  A record with orbit 0, with an
     orbit of more digits than (q+1)!^2, the number of all pairs, or with
     alphas of two degrees is refused, and so is any verdict text other
-    than the one that _normalized_verdict gives its alphas."""
+    than the one that _normalized_verdict gives its alphas in the
+    identity frame."""
     perms = {}
     shared = {}
     texts = {}
-    digits = {}  # q -> the number of digits of (q+1)!^2
+    per_q = {}  # q -> (the number of digits of (q+1)!^2, the identity)
 
     def perm(token):
         p = perms.get(token)
@@ -719,14 +711,14 @@ def census_from_text(text: str) -> tuple:
                     f"expected degree {len(a1)}, got {len(a2)}")
             q = len(a1) - 1
             rep = NormalizedMatrix(q, canonical_difference_set(q), a1, a2)
-            most = digits.get(q) or digits.setdefault(
-                q, len(str(math.factorial(q + 1) ** 2)))
+            most, e = per_q.get(q) or per_q.setdefault(
+                q, (len(str(math.factorial(q + 1) ** 2)), identity(q + 1)))
             if len(orbit) > most:
                 raise InvalidInput(f"orbit size of more than {most} digits")
             orbit = int(orbit)
             if orbit == 0:
                 raise InvalidInput("orbit size 0")
-            v = _normalized_verdict(q, a1, a2, shared)
+            v = _normalized_verdict(q, e, a1, a2, shared)
             expected = texts.get(v)
             if expected is None:
                 expected = texts[v] = _verdict_text(v)

@@ -314,13 +314,19 @@ def plane_from_text(text):
     """Inverse of plane_to_text.  The whole export must be consistent
     with one cyclic plane; anything else is rejected.  q is read from
     the pairs of the first row and the modulus from the row count, which
-    the vector checks before its q^2-sized difference count."""
+    the vector checks before its q^2-sized difference count.  A point
+    is less than the row count and a label less than the pair count, so
+    a number with more digits than both is refused before int() reads
+    it."""
     rows = text.splitlines()
     if not rows:
         raise InvalidInput("empty plane export")
-    pairs = re.findall(r"\((\d+),(\d+)\)", rows[0])
+    pairs = re.findall(r"\(([0-9]+),([0-9]+)\)", rows[0])
     if not rows[0].startswith("line 0: ") or not pairs:
         raise InvalidInput("line 1: expected 'line 0: (p,j) ...'")
+    most = len(str(max(len(rows), len(pairs))))
+    if any(len(p) > most or len(j) > most for p, j in pairs):
+        raise InvalidInput(f"line 1: a number of more than {most} digits")
     q = len(pairs) - 1
     entries = [None] * (q + 1)
     for p, j in pairs:

@@ -38,9 +38,12 @@ search that checks this (normalizer_in_sym, by a full scan of Sym(n) up
 to degree 8 and by full-cycle cosets at degrees 9 and 10) lives here,
 with the conjugacy search is_conjugate_in_sym and their inputs: the
 PGL(2, q) and PGammaL(2, q) models on the projective line, Sym(n),
-cycle types and orders.  So do certify_normalized and
-fast_necessary_condition, the normalized-encoding certifier and the
-membership test that the census is checked against, and verdict_holds,
+cycle types and orders.  So do the edge walk pencil_witness, which
+tests the three adjacent pairs of label twists in turn and is the
+reference for the library's one verdict rule, certify_normalized, the
+normalized-encoding certifier built on it, fast_necessary_condition,
+the membership test that the census is checked against, and
+verdict_holds,
 the conjugation test of a census record's verdict against its alphas
 that does not go through the witness walk.
 
@@ -98,8 +101,9 @@ from singerlat.diffsets import (
 )
 from singerlat.errors import CapExceeded, GluingError, InvalidInput
 from singerlat.exotic import (
-    EDGES, ExoticWitness, NormalizedMatrix, _duality_perm, _label_twists,
-    _pencil_witness, _right_table, _verdict,
+    CERTIFIED_EXOTIC, INCONCLUSIVE, ExoticityVerdict, ExoticWitness,
+    NormalizedMatrix, _duality_perm, _label_twists, _least_outside,
+    _right_table,
 )
 from singerlat.exotic import pencil_group as model_pencil_group
 from singerlat.permgrp import (
@@ -187,6 +191,10 @@ def local_pencil_groups(M, route="auto"):
     return tuple(conjugate_by(g0, s) for s in _label_twists(M))
 
 
+# adjacency pairs of the three vertex types, in check order
+EDGES = ((0, 1), (1, 2), (2, 0))
+
+
 def mismatch_witness(groups):
     """The witness certify_exotic must give, from three groups built
     independently: the least element of G_s outside G_t on the first
@@ -198,11 +206,27 @@ def mismatch_witness(groups):
     return None
 
 
+def pencil_witness(q, twists):
+    """The witness for the first edge whose pencil groups differ, when
+    G_t = twists[t]^-1 G_0 twists[t]; None when all three agree.  Each
+    edge (s, t) is tested on its own: G_s = G_t exactly when
+    twists[s] twists[t]^-1 lies in G_0, and the witness is the walk of
+    _least_outside from twists[s] to twists[t]."""
+    g0 = model_pencil_group(q).elements
+    for s, t in EDGES:
+        if compose(twists[s], inverse(twists[t])) not in g0:
+            return ExoticWitness(
+                (s, t), _least_outside(q, twists[s], twists[t]))
+    return None
+
+
 def certify_normalized(Mn: NormalizedMatrix):
-    """certify_exotic specialized to the normalized encoding: the label
-    twists are e, alpha1 and alpha2, no re-normalization needed."""
-    return _verdict(_pencil_witness(
-        Mn.q, (identity(Mn.q + 1), Mn.alpha1, Mn.alpha2)))
+    """The verdict of the edge walk on the label twists e, alpha1 and
+    alpha2 of the normalized encoding."""
+    w = pencil_witness(Mn.q, (identity(Mn.q + 1), Mn.alpha1, Mn.alpha2))
+    if w is None:
+        return ExoticityVerdict(INCONCLUSIVE)
+    return ExoticityVerdict(CERTIFIED_EXOTIC, w)
 
 
 def verdict_holds(Mn: NormalizedMatrix, verdict) -> bool:

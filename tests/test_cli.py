@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -247,15 +248,28 @@ CERTIFY_SHA256 = (
     "62ea171c299115870c55e4da96ac2ed9a9f904dccef3dcda858674c20c468b12")
 
 
+def write_scrambled(path, q, alphas, rng):
+    """The normalized matrix (alpha1, alpha2) as a matrix file, disguised
+    by one row order shared by all columns and one random affine map
+    (unit multiplier and translation) per column."""
+    D = canonical_difference_set(q)
+    m = D.modulus
+    labels = list(range(q + 1))
+    rows = rng.sample(labels, q + 1)
+    columns = []
+    for alpha in (labels, *alphas):
+        a, b = rng.choice(zmod_units(m)), rng.randrange(m)
+        columns.append([(a * D.elements[alpha[r]] + b) % m for r in rows])
+    path.write_text(json.dumps({"q": q, "modulus": m, "columns": columns}))
+    return path
+
+
 def certify_pin_files(tmp_path):
     """8 disguised matrix files per q = 2..5, 7..9, half of them with
-    alpha1 and alpha2 drawn from G_0 and half from Sym(q+1): one random
-    affine map per column and one row order shared by all columns."""
+    alpha1 and alpha2 drawn from G_0 and half from Sym(q+1)."""
     rng = random.Random(28)
     paths = []
     for q in (2, 3, 4, 5, 7, 8, 9):
-        D = canonical_difference_set(q)
-        m = D.modulus
         g0 = sorted(exotic.pencil_group(q).elements)
         labels = list(range(q + 1))
         for i in range(8):
@@ -263,16 +277,8 @@ def certify_pin_files(tmp_path):
                 alphas = (rng.choice(g0), rng.choice(g0))
             else:
                 alphas = [rng.sample(labels, q + 1) for _ in range(2)]
-            rows = rng.sample(labels, q + 1)
-            columns = []
-            for alpha in (labels, *alphas):
-                a, b = rng.choice(zmod_units(m)), rng.randrange(m)
-                columns.append(
-                    [(a * D.elements[alpha[r]] + b) % m for r in rows])
-            path = tmp_path / f"q{q}_{i}.dm"
-            path.write_text(json.dumps(
-                {"q": q, "modulus": m, "columns": columns}))
-            paths.append(path)
+            paths.append(
+                write_scrambled(tmp_path / f"q{q}_{i}.dm", q, alphas, rng))
     return paths
 
 
@@ -286,6 +292,51 @@ def test_certify_stdout_and_exit_codes_are_pinned(tmp_path, capsys):
         digest.update(f"exit={code}\n{out}".encode())
     assert (codes.count(0), codes.count(1)) == (40, 16)
     assert digest.hexdigest() == CERTIFY_SHA256
+
+
+# sha256 over the exit code and stdout of certify --moufang-candidate on
+# each file of frame_pin_files, in order, pinned while certify still
+# walked its witnesses from each column's own label twist
+CERTIFY_FRAME_SHA256 = (
+    "420499cefa4245f7405898235401775ae65e7ef2697206300c243051f342c283")
+
+
+def frame_pin_files(tmp_path):
+    """12 disguised matrix files per q = 2..5, 7..9, three of each kind:
+    both alphas drawn from G_0, alpha1 from Sym(q+1), both from
+    Sym(q+1), and alpha2 alone from Sym(q+1).  At q >= 5 the last kind
+    mismatches edge (1, 2), whose witness certify reads in the frame of
+    column 0, not of column 1."""
+    rng = random.Random(30)
+    paths = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        g0 = sorted(exotic.pencil_group(q).elements)
+        labels = list(range(q + 1))
+
+        def draw(inside):
+            return rng.choice(g0) if inside else rng.sample(labels, q + 1)
+
+        for i in range(12):
+            alphas = [draw(inside) for inside in
+                      ((True, True), (False, True), (False, False),
+                       (True, False))[i % 4]]
+            paths.append(write_scrambled(
+                tmp_path / f"q{q}_{i}.dm", q, alphas, rng))
+    return paths
+
+
+def test_certify_witnesses_on_both_edges_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    codes, edges = [], set()
+    for path in frame_pin_files(tmp_path):
+        code, out, err = run(capsys, "certify", path, "--moufang-candidate")
+        assert err == ""
+        codes.append(code)
+        edges.update(re.findall(r"^witness=(edge\(\d, \d\))", out, re.M))
+        digest.update(f"exit={code}\n{out}".encode())
+    assert edges == {"edge(0, 1)", "edge(1, 2)"}
+    assert (codes.count(0), codes.count(1)) == (49, 35)
+    assert digest.hexdigest() == CERTIFY_FRAME_SHA256
 
 
 def test_certify_rejects_json_booleans(q2_file, tmp_path, capsys):
@@ -334,6 +385,33 @@ def test_refusal_of_a_large_input_is_one_short_line(tmp_path, capsys,
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert len(err.encode()) < 200, err
+
+
+# json reads no integer of more than 4,300 digits (a plain ValueError)
+# and no nesting deeper than the recursion limit (RecursionError)
+HUGE = "9" * 4400
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("args, text", [
+    (["certify", "--moufang-candidate"],
+     f'{{"q": 2, "modulus": 7, "columns": [[0, 1, {HUGE}], [0, 1, 3], '
+     f'[0, 1, 3]]}}'),
+    (["ball", "1"],
+     f'{{"q": 2, "modulus": 7, "columns": [[0, 1, 3], [0, 1, 3], '
+     f'[0, 1, {HUGE}]]}}'),
+    (["verify-ds"], f'{{"q": 2, "modulus": 7, "elements": [0, 1, {HUGE}]}}'),
+    (["certify", "--moufang-candidate"], DEEP),
+    (["verify-ds"], DEEP),
+], ids=["certify-huge", "ball-huge", "verify-ds-huge", "certify-deep",
+        "verify-ds-deep"])
+def test_unreadable_json_is_invalid_input(tmp_path, capsys, args, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    command, *rest = args
+    code, out, err = run(capsys, command, bad, *rest)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not valid JSON") and err.count("\n") == 1
 
 
 def test_classify_writes_parseable_census(tmp_path, capsys):

@@ -381,11 +381,12 @@ def test_certify_exotic_matches_three_group_comparison(q):
 
 
 def test_witness_walk_matches_three_listed_groups():
-    # the ordered walk over G_s against the least element of G_s - G_t
-    # from three listed groups, on random twist triples; G_1 = G_0 in
-    # half of them, so that edge (1, 2) is reached.  At q = 8, 9 (eta >
-    # 1) a witness that fixes labels 0, 1, 2 checks the order of the eta
-    # members of G_s that send 0, 1, 2 to the same triple
+    # the verdict rule, read in the frame t0 with alpha_t = t_t t0^-1,
+    # against the least element of G_s - G_t from three listed groups,
+    # on random twist triples; G_1 = G_0 in half of them, so that edge
+    # (1, 2) is reached.  At q = 8, 9 (eta > 1) a witness that fixes
+    # labels 0, 1, 2 checks the order of the eta members of G_s that
+    # send 0, 1, 2 to the same triple
     rng = random.Random(18)
     kinds = set()
     for q in (5, 7, 8, 9):
@@ -398,7 +399,11 @@ def test_witness_walk_matches_three_listed_groups():
                 twists[1] = compose(rng.choice(members), twists[0])
             expected = mismatch_witness(
                 tuple(oracles.conjugate_by(g0, s) for s in twists))
-            assert exotic._pencil_witness(q, twists) == expected
+            back = inverse(twists[0])
+            verdict = exotic._normalized_verdict(
+                q, twists[0], compose(twists[1], back),
+                compose(twists[2], back), {})
+            assert verdict.witness == expected
             if expected is not None:
                 h = expected.perm
                 fixed = 3 if h[:3] == (0, 1, 2) else 2 if h[:2] == (0, 1) \
@@ -1049,7 +1054,7 @@ def test_witness_depends_only_on_the_coset_of_g0(q):
         witness = exotic._least_outside(q, e, alpha)
         assert exotic._least_outside(q, e, compose(g, alpha)) == witness
         shared = {}
-        exotic._normalized_verdict(q, compose(g, alpha), e, shared)
+        exotic._normalized_verdict(q, e, compose(g, alpha), e, shared)
         assert shared[min(compose(h, alpha) for h in members)] == witness
 
 

@@ -268,6 +268,13 @@ def test_plane_parser_rejects_inconsistent_export():
                                "line 6: (0,1) (2,2) (5,0)")
     with pytest.raises(InvalidInput):
         plane_from_text(broken)
+    # int() raises a plain ValueError past 4,300 digits, and it reads
+    # Arabic-Indic digits too; the parser takes ASCII digits only and
+    # refuses an over-long number before int() sees it
+    for digit in ("9", "\u0663"):
+        with pytest.raises(InvalidInput):
+            plane_from_text(
+                FANO_TEXT.replace("(3,2)", f"({digit * 4400},2)", 1))
 
 
 def test_plane_parser_checks_the_modulus_before_the_differences():
