@@ -8,12 +8,16 @@ deterministic; identical invocations produce byte-identical bytes.
 Exit codes: 0 success, 1 a certified-exotic verdict from certify with
 --moufang-candidate (the flag keeps its old name: certify runs no
 Moufang test, and exit 1 means two adjacent pencil groups differ), 2
-invalid input or a file that cannot be read or written, 3 cap exceeded.
+invalid input or a file that cannot be read or written, 3 cap exceeded,
+4 an internal fault (a failed soundness check, any other uncaught
+error, or a ball that fails its verification).  Exit 1 comes from
+nothing but certify's verdict.
 """
 
 import argparse
 import os
 import sys
+import traceback
 from functools import lru_cache
 from pathlib import Path
 
@@ -148,7 +152,7 @@ def cmd_ball(args):
     else:
         for failure in report.failures:
             print(f"verification failed: {failure}", file=status)
-    return 0
+    return 0 if report.ok else 4
 
 
 _DISPATCH = {
@@ -230,6 +234,11 @@ def main(argv=None):
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        # never exit 1, the code of a certified verdict
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

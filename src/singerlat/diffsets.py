@@ -26,11 +26,29 @@ from .errors import CapExceeded, InvalidInput
 SINGER_Q_CAP = 9
 
 
+def _brief(n: int) -> str:
+    """n as a refusal quotes it: in full up to 20 digits, else by its
+    first and last three digits and its digit count, so that the message
+    stays one short line.  It never calls str() on n, which Python
+    refuses past 4,300 digits."""
+    if -10 ** 20 < n < 10 ** 20:
+        return str(n)
+    a = abs(n)
+    # below the digit count, float rounding included
+    count = int((a.bit_length() - 1) * math.log10(2)) - 1
+    while a >= 10 ** count:
+        count += 1
+    return (f"{'-' if n < 0 else ''}{a // 10 ** (count - 3)}..."
+            f"{a % 1000:03d} ({count} digits)")
+
+
 def _check_residues(elements, m: int) -> tuple[int, ...]:
     elems = tuple(elements)
     for e in elems:
         if not isinstance(e, int) or not 0 <= e < m:
-            raise InvalidInput(f"element {e!r} is not a residue mod {m}")
+            shown = _brief(e) if isinstance(e, int) else repr(e)
+            raise InvalidInput(
+                f"element {shown} is not a residue mod {_brief(m)}")
     if len(set(elems)) != len(elems):
         raise InvalidInput("repeated elements")
     return elems
@@ -43,7 +61,7 @@ def is_difference_set(elements, q: int) -> bool:
     elements, so any other size is False at once, and the differences
     are taken only until the first repeated one."""
     if q < 2:
-        raise InvalidInput(f"order must be at least 2, got {q}")
+        raise InvalidInput(f"order must be at least 2, got {_brief(q)}")
     m = q * q + q + 1
     elems = _check_residues(elements, m)
     if len(elems) != q + 1:
@@ -74,7 +92,7 @@ class DifferenceSet:
         if not is_difference_set(self.elements, self.q):
             raise InvalidInput(
                 f"a set of {len(self.elements)} elements is not a perfect "
-                f"difference set of order {self.q}")
+                f"difference set of order {_brief(self.q)}")
 
     @classmethod
     def make(cls, q: int, elements) -> "DifferenceSet":
@@ -94,7 +112,7 @@ class DifferenceVector:
         if not is_difference_set(self.entries, self.q):
             raise InvalidInput(
                 f"{len(self.entries)} entries do not form a difference set "
-                f"of order {self.q}")
+                f"of order {_brief(self.q)}")
 
     @classmethod
     def make(cls, q: int, entries) -> "DifferenceVector":
@@ -137,7 +155,8 @@ class AffineMap:
         object.__setattr__(self, "a", self.a % m)
         object.__setattr__(self, "b", self.b % m)
         if math.gcd(self.a, m) != 1:
-            raise InvalidInput(f"multiplier {self.a} is not a unit mod {m}")
+            raise InvalidInput(f"multiplier {_brief(self.a)} is not a unit "
+                               f"mod {_brief(m)}")
 
     def __call__(self, x: int) -> int:
         return (self.a * x + self.b) % self.modulus
@@ -150,9 +169,9 @@ def singer_difference_set(q: int) -> DifferenceSet:
     the group of (q^2+q+1)-th powers of x."""
     pk = prime_power(q)
     if pk is None:
-        raise InvalidInput(f"{q} is not a prime power")
+        raise InvalidInput(f"{_brief(q)} is not a prime power")
     if q > SINGER_Q_CAP:
-        raise CapExceeded(f"order {q} exceeds cap {SINGER_Q_CAP}")
+        raise CapExceeded(f"order {_brief(q)} exceeds cap {SINGER_Q_CAP}")
     p, eta = pk
     powers = primitive_powers(p, 3 * eta)
     m = q * q + q + 1
@@ -263,14 +282,15 @@ def matrix_from_text(text: str) -> DifferenceMatrix:
     if not _is_json_int(q) or not _is_json_int(m):
         raise InvalidInput("q and modulus must be integers")
     if m != q * q + q + 1:
-        raise InvalidInput(f"modulus {m} is not q^2+q+1 for q={q}")
+        raise InvalidInput(
+            f"modulus {_brief(m)} is not q^2+q+1 for q={_brief(q)}")
     if not isinstance(cols, list) or len(cols) != 3:
         raise InvalidInput("columns must be a list of three integer arrays")
     for c in cols:
         if not isinstance(c, list) or len(c) != q + 1 \
                 or not all(map(_is_json_int, c)):
             raise InvalidInput(
-                f"each column must be a list of {q + 1} integers")
+                f"each column must be a list of {_brief(q + 1)} integers")
     return DifferenceMatrix.make(q, cols)
 
 

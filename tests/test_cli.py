@@ -9,9 +9,9 @@ import time
 import pytest
 
 from conftest import checkout_env, identity_matrix, q11_matrix
-from singerlat import exotic
+from singerlat import cli, exotic
 from singerlat.arith import zmod_units
-from singerlat.ball import complex_from_text
+from singerlat.ball import BallReport, complex_from_text
 from singerlat.cli import main
 from singerlat.diffsets import canonical_difference_set, find_agl_map, \
     matrix_to_text, set_from_text
@@ -221,6 +221,29 @@ def test_certify_moufang_candidate_exit_code(twisted_q5_file, capsys):
     assert "witness=edge" in out
 
 
+@pytest.mark.parametrize("args", [["certify", "--moufang-candidate"],
+                                  ["classify", 5]],
+                         ids=["certify", "classify"])
+def test_internal_fault_exits_4(twisted_q5_file, tmp_path, capsys,
+                                monkeypatch, args):
+    # a failed soundness check must not exit 1, the code of a certified
+    # verdict; the q = 5 witness walk is one such check
+    def broken(*_):
+        raise AssertionError("witness check failed")
+
+    monkeypatch.setattr(exotic, "_least_outside", broken)
+    command, *rest = args
+    if command == "certify":
+        rest = [twisted_q5_file, *rest]
+    else:
+        rest += ["--outdir", tmp_path]
+    code, out, err = run(capsys, command, *rest)
+    assert (code, out) == (4, "")
+    assert err.startswith(
+        "error: internal: AssertionError: witness check failed\n")
+    assert "Traceback" in err
+
+
 def test_certify_finds_each_column_map_once(twisted_q5_file, capsys,
                                             monkeypatch):
     # normalization and verdict share the three column twists
@@ -369,19 +392,32 @@ def test_certify_rejects_non_matrix_json(tmp_path, capsys):
     assert "JSON object" in err
 
 
+# a q of 2,000 digits, under the 4,300 that json reads, with its modulus
+# of 4,000 digits, and one-entry columns and sets
+BIG_Q = 10 ** 2000 - 1
+
+
 @pytest.mark.parametrize("command, data", [
     ("certify", {"q": 1500, "modulus": 1500 ** 2 + 1501,
                  "columns": [list(range(1501))] * 3}),
     ("verify-ds", {"q": 1500, "modulus": 1500 ** 2 + 1501,
                    "elements": list(range(1501))}),
+    ("certify", {"q": BIG_Q, "modulus": BIG_Q ** 2 + BIG_Q + 1,
+                 "columns": [[0]] * 3}),
+    ("ball", {"q": BIG_Q, "modulus": BIG_Q ** 2 + BIG_Q + 1,
+              "columns": [[0]] * 3}),
+    ("verify-ds", {"q": BIG_Q, "modulus": BIG_Q ** 2 + BIG_Q + 1,
+                   "elements": [0]}),
 ])
 def test_refusal_of_a_large_input_is_one_short_line(tmp_path, capsys,
                                                       command, data):
     # the residues 0..1500 are no difference set; the message names
-    # their count and order, not all 1,501 of them
+    # their count and order, not all 1,501 of them.  A number of more
+    # than 20 digits is shown by its ends and its digit count
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    code, out, err = run(capsys, command, bad)
+    extra = [1] if command == "ball" else []
+    code, out, err = run(capsys, command, bad, *extra)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert len(err.encode()) < 200, err
@@ -513,6 +549,18 @@ def test_ball_stdout_parses(q2_file, capsys):
     ball = complex_from_text(out)
     assert ball.vertex_count == 15
     assert "verification ok" in err
+
+
+def test_ball_that_fails_verification_exits_4(q2_file, capsys,
+                                              monkeypatch):
+    # the export and the failure lines stay; only the exit code says so
+    monkeypatch.setattr(cli, "verify_ball", lambda ball: BallReport(
+        ok=False, failures=("chamber (0, 1, 2) is thin",),
+        residue_status=()))
+    code, out, err = run(capsys, "ball", q2_file, 1)
+    assert code == 4
+    assert complex_from_text(out).vertex_count == 15
+    assert err == "verification failed: chamber (0, 1, 2) is thin\n"
 
 
 def test_ball_to_file(q2_file, tmp_path, capsys):

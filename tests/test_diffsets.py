@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -312,3 +313,20 @@ def test_difference_set_count_q2():
     # hand count: the affine orbit has size 42 / |stabilizer| = 14
     assert len(all_difference_sets(2)) == 14
     assert len(all_difference_sets(3)) == 52
+
+
+def test_refusals_quote_long_numbers_by_their_ends():
+    # in full up to 20 digits; past that the first and last three digits
+    # and the count, also for a number that str() refuses (4,300 digits)
+    q = 10 ** 8600 + 123
+    with pytest.raises(ValueError):
+        str(q)
+    with pytest.raises(InvalidInput, match=r"got -100\.\.\.123 "
+                       r"\(8601 digits\)$"):
+        is_difference_set([0], -q)
+    for elements, shown in [([10 ** 20 - 1], "99999999999999999999"),
+                            ([10 ** 20], "100...000 (21 digits)"),
+                            ([-3 * 10 ** 4400], "-300...000 (4401 digits)")]:
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"element {shown} is not a residue mod 7")):
+            is_difference_set(elements, 2)

@@ -1039,6 +1039,27 @@ def test_census_walks_the_witness_once_per_coset_of_g0(monkeypatch):
             assert len(calls) == walks
 
 
+def test_census_parser_derives_verdicts_once_per_alpha(monkeypatch):
+    # the parser runs the verdict rule at most twice per distinct alpha
+    # text, once for each place it can take in a pair: 440 calls for the
+    # 240 alphas of the 19,296 records at q = 5 (200 outside G_0), not
+    # one per record
+    text = census_to_text(classes_of(5))
+    alphas = {token for line in text.splitlines()
+              for token in re.findall(r"\[[0-9 ]*\]", line)[:2]}
+    rule = exotic._normalized_verdict
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(exotic, "_normalized_verdict", counted)
+    assert len(census_from_text(text)) == 19_296
+    assert len(alphas) == 240
+    assert len(calls) == 440 <= 2 * len(alphas)
+
+
 @pytest.mark.parametrize("q", [5, 7, 8, 9])
 def test_witness_depends_only_on_the_coset_of_g0(q):
     # g alpha for g in G_0 has the conjugate group of alpha, so the same
