@@ -21,25 +21,9 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .arith import prime_power, primitive_powers, zmod_units
-from .errors import CapExceeded, InvalidInput
+from .errors import CapExceeded, InvalidInput, _brief
 
 SINGER_Q_CAP = 9
-
-
-def _brief(n: int) -> str:
-    """n as a refusal quotes it: in full up to 20 digits, else by its
-    first and last three digits and its digit count, so that the message
-    stays one short line.  It never calls str() on n, which Python
-    refuses past 4,300 digits."""
-    if -10 ** 20 < n < 10 ** 20:
-        return str(n)
-    a = abs(n)
-    # below the digit count, float rounding included
-    count = int((a.bit_length() - 1) * math.log10(2)) - 1
-    while a >= 10 ** count:
-        count += 1
-    return (f"{'-' if n < 0 else ''}{a // 10 ** (count - 3)}..."
-            f"{a % 1000:03d} ({count} digits)")
 
 
 def _check_residues(elements, m: int) -> tuple[int, ...]:

@@ -1,10 +1,14 @@
-"""Shared exception types.
+"""Shared exception types, and how a refusal quotes a long number.
 
 The command line maps these onto exit codes: InvalidInput -> 2,
 CapExceeded -> 3.  GluingError signals an internal inconsistency while
 assembling a ball complex and is always a bug or corrupted input, never
-a normal outcome.
+a normal outcome; it exits 4, as does any failed soundness check, any
+other uncaught error, and a ball that fails its verification.  Exit 1
+comes only from certify's verdict, and 0 is success.
 """
+
+import math
 
 
 class InvalidInput(ValueError):
@@ -17,3 +21,19 @@ class CapExceeded(RuntimeError):
 
 class GluingError(RuntimeError):
     pass
+
+
+def _brief(n: int) -> str:
+    """n as a refusal quotes it: in full up to 20 digits, else by its
+    first and last three digits and its digit count, so that the message
+    stays one short line.  It never calls str() on n, which Python
+    refuses past 4,300 digits."""
+    if -10 ** 20 < n < 10 ** 20:
+        return str(n)
+    a = abs(n)
+    # below the digit count, float rounding included
+    count = int((a.bit_length() - 1) * math.log10(2)) - 1
+    while a >= 10 ** count:
+        count += 1
+    return (f"{'-' if n < 0 else ''}{a // 10 ** (count - 3)}..."
+            f"{a % 1000:03d} ({count} digits)")

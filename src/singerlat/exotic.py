@@ -140,6 +140,39 @@ class EquivClass:
     verdict: ExoticityVerdict
 
 
+# Census records are built through the slots of these frozen classes, past
+# their __setattr__ guard and NormalizedMatrix's check: classify and the
+# census parser make 19,296 of them at q = 5.
+_set_q, _set_D, _set_alpha1, _set_alpha2 = (
+    getattr(NormalizedMatrix, f).__set__ for f in ("q", "D", "alpha1", "alpha2"))
+_set_representative, _set_orbit_size, _set_verdict = (
+    getattr(EquivClass, f).__set__
+    for f in ("representative", "orbit_size", "verdict"))
+
+
+def _unchecked_matrix(q, D, alpha1, alpha2) -> NormalizedMatrix:
+    """NormalizedMatrix(q, D, alpha1, alpha2) without its check.  The
+    caller guarantees what __post_init__ tests: D is
+    canonical_difference_set(q), and alpha1 and alpha2 are tuples that
+    permute range(q + 1)."""
+    m = object.__new__(NormalizedMatrix)
+    _set_q(m, q)
+    _set_D(m, D)
+    _set_alpha1(m, alpha1)
+    _set_alpha2(m, alpha2)
+    return m
+
+
+def _census_record(q, D, alpha1, alpha2, orbit_size, verdict) -> EquivClass:
+    """EquivClass(NormalizedMatrix(q, D, alpha1, alpha2), orbit_size,
+    verdict), on the precondition of _unchecked_matrix."""
+    c = object.__new__(EquivClass)
+    _set_representative(c, _unchecked_matrix(q, D, alpha1, alpha2))
+    _set_orbit_size(c, orbit_size)
+    _set_verdict(c, verdict)
+    return c
+
+
 # -- pencil group of the canonical plane --
 
 
@@ -375,7 +408,7 @@ def enumerate_normalized(q) -> Iterator[NormalizedMatrix]:
     D = canonical_difference_set(q)
     for a1 in itertools.permutations(range(q + 1)):
         for a2 in itertools.permutations(range(q + 1)):
-            yield NormalizedMatrix(q, D, a1, a2)
+            yield _unchecked_matrix(q, D, a1, a2)
 
 
 # -- the census --
@@ -571,10 +604,10 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
 
     D = canonical_difference_set(q)
     out = []
-    for k in kept:
+    for k in kept:  # the coset leasts are permutations of the labels
         c1, c2 = divmod(first[k], n)
-        out.append(EquivClass(NormalizedMatrix(q, D, least[c1], least[c2]),
-                              sizes[k], verdicts[k]))
+        out.append(_census_record(q, D, least[c1], least[c2],
+                                  sizes[k], verdicts[k]))
     return out
 
 
@@ -641,9 +674,11 @@ def ratio_table(q_list) -> list[tuple[int, int, "Fraction", float]]:
 
 def census_to_text(classes) -> str:
     """One line per class: alpha1, alpha2, orbit size, verdict and
-    witness.  Each distinct alpha and (orbit size, verdict) is formatted
-    once, and the text is one join over those shared pieces: 240 alpha
-    texts serve the 19,296 lines of the q = 5 census."""
+    witness.  Each distinct alpha and (orbit size, verdict object) is
+    formatted once, and the text is one join over those shared pieces:
+    240 alpha texts serve the 19,296 lines of the q = 5 census.  A tail
+    is keyed by the verdict's identity, not by hashing the frozen
+    verdict, and holds the verdict so that its id is not reused."""
     firsts, seconds, tails = {}, {}, {}
     pieces = []
     for c in classes:
@@ -654,12 +689,13 @@ def census_to_text(classes) -> str:
         second = seconds.get(a2)
         if second is None:
             second = seconds[a2] = f"alpha2={perm_to_str(a2)} "
-        key = (c.orbit_size, c.verdict)
+        v = c.verdict
+        key = (c.orbit_size, id(v))
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = (
-                f"orbit={c.orbit_size} {_verdict_text(c.verdict)}\n")
-        pieces += (first, second, tail)
+                f"orbit={c.orbit_size} {_verdict_text(v)}\n", v)
+        pieces += (first, second, tail[0])
     # no classes still make one empty line
     return "".join(pieces) or "\n"
 
@@ -678,16 +714,18 @@ _CENSUS_RE = re.compile(
 
 
 def census_from_text(text: str) -> tuple:
-    """Inverse of census_to_text.  Its one memo, keyed by permutation
-    text, holds each distinct alpha's permutation, parsed and validated
-    once per call, and from the verdict check of its first record on,
-    its two _census_verdicts with their texts: at q = 5, 440 rule calls
-    for 19,296 records.  A record with orbit 0, with an orbit of more
-    digits than (q+1)!^2, the number of all pairs, or with alphas of two
-    degrees is refused, and so is any verdict text other than the one
-    that _normalized_verdict gives its alphas in the identity frame."""
+    """Inverse of census_to_text.  Line 1 fixes the degree q+1 of the
+    file, and with it the canonical set and the most digits an orbit may
+    have, those of (q+1)!^2, the number of all pairs; a record of any
+    other degree is refused.  The one memo, keyed by permutation text,
+    holds each distinct alpha's permutation, parsed and validated once
+    per call, and from the verdict check of its first record on, its two
+    _census_verdicts with their texts: at q = 5, 440 rule calls for
+    19,296 records.  A record with orbit 0 or an orbit of too many digits
+    is refused, and so is any verdict text other than the one that
+    _normalized_verdict gives its alphas in the identity frame."""
     memo, walks = {}, {}  # memo: text -> [perm, verdicts with texts]
-    digits = {}  # q -> the number of digits of (q+1)!^2
+    degree = None  # that of line 1, which also sets q, D and most
 
     def read(token):
         entry = memo.get(token)
@@ -707,10 +745,12 @@ def census_from_text(text: str) -> tuple:
             if len(a2) != len(a1):
                 raise InvalidInput(
                     f"expected degree {len(a1)}, got {len(a2)}")
-            q = len(a1) - 1
-            rep = NormalizedMatrix(q, canonical_difference_set(q), a1, a2)
-            most = digits.get(q) or digits.setdefault(
-                q, len(str(math.factorial(q + 1) ** 2)))
+            if degree is None:
+                degree, q = len(a1), len(a1) - 1
+                D = canonical_difference_set(q)
+                most = len(str(math.factorial(degree) ** 2))
+            elif len(a1) != degree:
+                raise InvalidInput(f"expected degree {degree}, got {len(a1)}")
             if len(orbit) > most:
                 raise InvalidInput(f"orbit size of more than {most} digits")
             orbit = int(orbit)
@@ -725,7 +765,8 @@ def census_from_text(text: str) -> tuple:
                 raise InvalidInput(f"the alphas give {expected}")
         except (InvalidInput, CapExceeded) as e:
             raise type(e)(f"census line {i}: {e}") from None
-        classes.append(EquivClass(rep, orbit, v))
+        # perm_from_str validated both alphas, of the degree of D
+        classes.append(_census_record(q, D, a1, a2, orbit, v))
     if not classes:
         raise InvalidInput("empty census")
     return tuple(classes)

@@ -11,10 +11,27 @@ for the point sets of whole planes.
 
 from operator import itemgetter
 
-from .errors import CapExceeded, InvalidInput
+from .errors import CapExceeded, InvalidInput, _brief
 
 CLOSURE_DEGREE_CAP = 12
 CLOSURE_ORDER_CAP = 10 ** 6
+
+
+def _brief_perm(p) -> str:
+    """p as a refusal quotes it: whole up to 8 entries, else its first 8
+    and its degree, and a long number by its ends (errors._brief), so
+    that the message stays one short line."""
+    shown = " ".join(_brief(e) if isinstance(e, int) else repr(e)
+                     for e in p[:8])
+    return f"[{shown}]" if len(p) <= 8 else f"[{shown} ...] of degree {len(p)}"
+
+
+def _brief_text(text) -> str:
+    """Permutation text as a refusal quotes it: whole up to 40
+    characters, else its first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... of {len(text)} characters"
 
 
 def validate_perm(p, degree=None):
@@ -23,7 +40,8 @@ def validate_perm(p, degree=None):
     if degree is not None and len(p) != degree:
         raise InvalidInput(f"expected degree {degree}, got {len(p)}")
     if sorted(p) != list(range(len(p))):
-        raise InvalidInput(f"not a permutation of 0..{len(p) - 1}: {p}")
+        raise InvalidInput(
+            f"not a permutation of 0..{len(p) - 1}: {_brief_perm(p)}")
 
 
 def identity(n):
@@ -58,11 +76,13 @@ def perm_to_str(p):
 def perm_from_str(text):
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise InvalidInput(f"permutation text must look like [0 2 1]: {text!r}")
+        raise InvalidInput(
+            f"permutation text must look like [0 2 1]: {_brief_text(text)}")
     try:
         p = tuple(int(tok) for tok in text[1:-1].split())
     except ValueError:
-        raise InvalidInput(f"non-integer entry in permutation text: {text!r}")
+        raise InvalidInput(
+            f"non-integer entry in permutation text: {_brief_text(text)}")
     validate_perm(p)
     return p
 

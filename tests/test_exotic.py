@@ -168,6 +168,41 @@ def test_normalized_matrix_requires_canonical_set():
         NormalizedMatrix(2, shifted, (0, 1, 2), (0, 1, 2))
 
 
+def test_census_records_skip_the_constructor_check(monkeypatch):
+    # the census builds its records without __post_init__: classify's
+    # alphas are coset leasts, the parser's were validated once per text,
+    # and enumerate_normalized's come from itertools.permutations
+    text = census_to_text(classes_of(4))
+    check = NormalizedMatrix.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(NormalizedMatrix, "__post_init__", counted)
+    normalized(2, (0, 1, 2), (0, 1, 2))
+    assert len(calls) == 1  # the public constructor still checks
+    calls.clear()
+    assert len(classify(4)) == 70
+    assert len(census_from_text(text)) == 70
+    assert sum(1 for _ in enumerate_normalized(3)) == 576
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_census_records_equal_checked_ones(q):
+    # a record built without the check equals, and hashes like, the one
+    # the public constructor builds from the same alphas
+    for extra_moves in (False, True):
+        classes = classes_of(q, extra_moves)
+        parsed = census_from_text(census_to_text(classes))
+        for c in classes + parsed:
+            rep = c.representative
+            checked = normalized(q, rep.alpha1, rep.alpha2)
+            assert rep == checked and hash(rep) == hash(checked)
+
+
 def test_simultaneous_row_shuffle_normalizes_away():
     # reordering the rows of all three columns together is undone by the
     # re-sort, so the normalized encoding is unchanged
@@ -905,6 +940,7 @@ def test_census_parser_rejects_garbage():
     exotic_12 = re.escape(
         "the alphas give verdict=CertifiedExotic witness=edge(1, 2) "
         "perm=[0 2 1 5 4 3]")
+    # each bad record follows a good one of its own degree
     for bad, message in [
         (good.replace("orbit=9", "orbit=0"), "orbit size 0"),
         (good.replace("witness=-", "witness=edge(0, 1) perm=[1 0 2]"),
@@ -917,8 +953,9 @@ def test_census_parser_rejects_garbage():
         (certified.replace("perm=[0 2 1 5 4 3]", "perm=[0 2 1 5 4 3 6]"),
          exotic_12),
     ]:
+        first = good if bad.startswith("alpha1=[0 1 2] ") else certified
         with pytest.raises(InvalidInput, match="census line 2: " + message):
-            census_from_text(good + bad)
+            census_from_text(first + bad)
     # a degree past every cap keeps its error type and gains the line
     q11 = "[" + " ".join(map(str, range(12))) + "]"
     with pytest.raises(CapExceeded, match="census line 1: "):
@@ -954,16 +991,61 @@ def test_census_parser_checks_degree_of_repeated_text():
         census_from_text(text)
     with pytest.raises(InvalidInput, match="census line 2: not a perm"):
         census_from_text(text.replace("[0 1 2 3]", "[0 1 1 3]"))
-    # a verdict text met at degree 6 is no verdict at degree 8, whose
-    # identity alphas give Inconclusive
+    # a verdict text met at degree 6 is no verdict at degree 8: line 1
+    # fixes the degree of the file, so the record is refused before its
+    # verdict is read
     witness = "verdict=CertifiedExotic witness=edge(1, 2) perm=[0 2 1 5 4 3]\n"
     text = (
         "alpha1=[0 1 2 3 4 5] alpha2=[0 1 2 3 5 4] orbit=405 " + witness
         + "alpha1=[0 1 2 3 4 5 6 7] alpha2=[0 1 2 3 4 5 6 7] orbit=9 "
         + witness)
     with pytest.raises(InvalidInput, match=re.escape(
-            "census line 2: the alphas give verdict=Inconclusive witness=-")):
+            "census line 2: expected degree 6, got 8")):
         census_from_text(text)
+
+
+def test_census_parser_refuses_a_second_degree():
+    # line 1 fixes the degree of the file: the q = 2 census has 4 lines,
+    # so the q = 3 census that follows it is refused on line 5
+    q2, q3 = census_to_text(classes_of(2)), census_to_text(classes_of(3))
+    for text, message in ((q2 + q3, "census line 5: expected degree 3, "
+                           "got 4"),
+                          (q3 + q2, "census line 25: expected degree 4, "
+                           "got 3")):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            census_from_text(text)
+
+
+def test_census_parser_refusals_quote_long_permutations_briefly():
+    # a permutation of 100,000 entries, or one with an entry of 5,000
+    # digits, is quoted by its start and its size, on one short line
+    tail = " alpha2=[0 1 2] orbit=9 verdict=Inconclusive witness=-\n"
+    good = "alpha1=[0 1 2]" + tail
+    for alpha1, message in (
+            ("[" + " ".join(["0"] * 100_000) + "]",
+             "census line 2: not a permutation of 0..99999: "
+             "[0 0 0 0 0 0 0 0 ...] of degree 100000"),
+            ("[0 1 " + "9" * 5000 + "]",
+             "census line 2: non-integer entry in permutation text: "),
+            ("[0 1 " + "9" * 4000 + "]",
+             "census line 2: not a permutation of 0..2: "
+             "[0 1 999...999 (4000 digits)]")):
+        with pytest.raises(InvalidInput) as refused:
+            census_from_text(good + "alpha1=" + alpha1 + tail)
+        assert str(refused.value).startswith(message)
+        assert len(str(refused.value).encode()) < 200
+
+
+def test_census_text_keeps_its_bytes_for_distinct_equal_verdicts():
+    # census_to_text keys each tail by the verdict object: equal verdicts
+    # that are distinct objects, even ones freed after their line, give
+    # the same text
+    classes = classes_of(5)
+    copies = (EquivClass(c.representative, c.orbit_size,
+                         ExoticityVerdict(c.verdict.outcome, c.verdict.witness))
+              for c in classes)
+    digest = hashlib.sha256(census_to_text(copies).encode()).hexdigest()
+    assert digest == CENSUS_SHA256[(5, False)]
 
 
 def test_census_parser_refuses_verdicts_that_the_alphas_contradict():
@@ -1010,9 +1092,13 @@ def test_census_parser_refuses_verdicts_that_the_alphas_contradict():
         (not_least, exotic_12),
         (later_edge, exotic_12),
     ]:
+        # each bad record follows a good one of its own degree
+        first = inconclusive if bad.startswith("alpha1=[0 1 2 3") else (
+            "alpha1=[0 1 2] alpha2=[0 1 2] orbit=9 "
+            "verdict=Inconclusive witness=-\n")
         with pytest.raises(InvalidInput, match=re.escape(
                 "census line 2: the alphas give " + expected)):
-            census_from_text(inconclusive + bad)
+            census_from_text(first + bad)
 
 
 def test_census_walks_the_witness_once_per_coset_of_g0(monkeypatch):

@@ -61,6 +61,21 @@ def test_perm_text_round_trip():
         perm_from_str("[0 x 1]")
 
 
+def test_perm_refusals_quote_long_text_briefly():
+    # each refusal stays one short line, whatever the size of the text
+    for text, message in (
+            ("0 " * 50_000, "permutation text must look like [0 2 1]: "
+             "'0 0 0 0"),
+            ("[0 1 " + "9" * 5000 + "]", "non-integer entry in permutation "
+             "text: '[0 1 999"),
+            ("[" + " ".join(["0"] * 100_000) + "]", "not a permutation of "
+             "0..99999: [0 0 0 0 0 0 0 0 ...] of degree 100000")):
+        with pytest.raises(InvalidInput) as refused:
+            perm_from_str(text)
+        assert str(refused.value).startswith(message)
+        assert len(str(refused.value).encode()) < 200
+
+
 def test_validate_perm_rejects_junk():
     with pytest.raises(InvalidInput):
         validate_perm([0, 1, 2])
