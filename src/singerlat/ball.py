@@ -5,8 +5,8 @@ The ball is a simplicial complex with typed vertices: every triangle
 (chamber) has one vertex of each type 0, 1, 2, and the link of a type-t
 vertex is the incidence graph of the labelled plane of column t.  The
 radius-1 ball is the cone over the center's plane; the radius-2 ball
-completes the residue of every sphere-1 vertex to a full plane and
-glues overlapping chambers by matching labels.
+completes the residue of every sphere-1 vertex to a full plane, each
+chamber written once, by the residue of its least vertex.
 
 The level-2 geometry at the center O has points (p1, p2) where p1 is a
 point of the residue of O and p2 a point of the residue of p1 away from
@@ -138,6 +138,16 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
         t2 + q^2 p + r       ("ptres", p, "P", u): the r-th point off line
                              0 of the residue of point p
 
+    Each chamber is written once, by the residue of its least vertex:
+    the center its m(q+1) chambers, point p its flags off line 0, line
+    l its flags on lines off point 0.  The copies left out agree by
+    construction: on the panel (point p, line l = p - v0[j]) both
+    residues give the label-k chamber the vertex ("lnres", l, "P",
+    v2[k] - v2[j]) once by_diff is a bijection onto the nonzero residues,
+    the one check kept, and a center chamber keeps its label j in every
+    residue, as the entries v0[.] are distinct.  verify_ball checks the
+    complex against the matrix columns on its own.
+
     The chamber index is built with the ball.
     """
     q, m = M.q, M.columns[0].modulus
@@ -162,7 +172,7 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
         # the residue of point p is the column-1 plane: its line 0 is the
         # center, its point v1[j] the label-j line p - v0[j] of the
         # center's plane.  On the panel of that flag the label-k chamber
-        # comes from both sides, so its line v1[j] - v1[k] there is the
+        # lies in both residues, so its line v1[j] - v1[k] there is the
         # point v2[k] - v2[j] of the residue of line p - v0[j]
         by_diff = {(v1[j] - v1[k]) % m: (v0[j], (v2[k] - v2[j]) % m - 1)
                    for j in range(q + 1) for k in range(q + 1) if j != k}
@@ -171,34 +181,29 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
                 f"column 1 differences {v1} miss a nonzero residue mod {m}")
         glue = [by_diff[w] for w in range(1, m)]
         # the residue of line l is the column-2 plane: its point 0 is the
-        # center, its line -v2[j] the label-j point l + v0[j]
+        # center, its lines through point 0 the sphere-1 points
         line0 = {d: j for j, d in enumerate(v1)}
-        through0 = {(-d) % m: j for j, d in enumerate(v2)}
+        through0 = {(-d) % m for d in v2}
         off_line0 = [u for u in range(m) if u not in line0]
         off_point0 = [w for w in range(m) if w not in through0]
-        pt_rows = [[(w + d) % m for d in v1] for w in range(m)]
-        ln_rows = [[(w + d) % m for d in v2] for w in range(m)]
+        pt_rows = [[(w + d) % m for d in v1] for w in range(1, m)]
+        ln_rows = [[(w + d) % m for d in v2] for w in off_point0]
 
         for p in range(m):
-            res_lines = [0] + [t0 + (m - 1) * ((p - a) % m) + b
-                               for a, b in glue]
+            res_lines = [t0 + (m - 1) * ((p - a) % m) + b for a, b in glue]
             res_points = [None] * m
             for u, j in line0.items():
                 res_points[u] = 1 + m + (p - v0[j]) % m
             for r, u in enumerate(off_line0, start=t2 + qq * p):
                 res_points[u] = r
-            raw += [(res_lines[w], 1 + p, res_points[u], k)
-                    for w, row in enumerate(pt_rows)
+            raw += [(x, 1 + p, res_points[u], k)
+                    for x, row in zip(res_lines, pt_rows)
                     for k, u in enumerate(row)]
         for l in range(m):
-            res_points = [0, *range(t0 + (m - 1) * l, t0 + (m - 1) * (l + 1))]
-            res_lines = [None] * m
-            for w, j in through0.items():
-                res_lines[w] = 1 + (l + v0[j]) % m
-            for r, w in enumerate(off_point0, start=t1 + qq * l):
-                res_lines[w] = r
-            raw += [(res_points[z], res_lines[w], 1 + m + l, k)
-                    for w, row in enumerate(ln_rows)
+            # ("lnres", l, "P", z) is base + z; z != 0 off point 0
+            base = t0 + (m - 1) * l - 1
+            raw += [(base + z, r, 1 + m + l, k)
+                    for r, row in enumerate(ln_rows, start=t1 + qq * l)
                     for k, z in enumerate(row)]
 
         names += [("lnres", l, "P", z) for l in range(m) for z in range(1, m)]
@@ -207,16 +212,7 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
         types += [0] * (m * (m - 1)) + [1] * (m * qq) + [2] * (m * qq)
         dists += [2] * (m * (m - 1) + 2 * m * qq)
 
-    # each chamber comes once from every residue it lies in
-    resolved = {}
-    for a, b, c, label in raw:
-        old = resolved.setdefault((a, b, c), label)
-        if old != label:
-            raise GluingError(
-                f"panel {b}|{c} forces labels {old} and {label} on one "
-                f"chamber")
-    chambers = sorted(
-        (a, b, c, label) for (a, b, c), label in resolved.items())
+    chambers = sorted(raw)
     index = _chamber_index(chambers, len(types))
     ball = BallComplex(
         q=q, radius=radius, matrix=M, center=0, center_type=0,

@@ -1,11 +1,11 @@
 """Shared exception types, and how a refusal quotes a long number.
 
 The command line maps these onto exit codes: InvalidInput -> 2,
-CapExceeded -> 3.  GluingError signals an internal inconsistency while
-assembling a ball complex and is always a bug or corrupted input, never
-a normal outcome; it exits 4, as does any failed soundness check, any
-other uncaught error, and a ball that fails its verification.  Exit 1
-comes only from certify's verdict, and 0 is success.
+CapExceeded -> 3.  GluingError, raised only by build_ball on a column 1
+whose differences miss a nonzero residue, is always a bug or corrupted
+input, never a normal outcome; it exits 4, as does any failed soundness
+check, any other uncaught error, and a ball that fails its
+verification.  Exit 1 comes only from certify's verdict, and 0 is success.
 """
 
 import math

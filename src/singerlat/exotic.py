@@ -74,9 +74,9 @@ class NormalizedMatrix:
     alpha2: tuple[int, ...]
 
     def __post_init__(self):
-        # enumerate_normalized(5) makes 518,400 of these: test identity
-        # with the cached canonical set before equality, and list the
-        # labels once
+        # the check of records made from outside input; the census builds
+        # its own past it (_unchecked_matrix).  Identity with the cached
+        # canonical set is tested before equality
         D = canonical_difference_set(self.q)
         if self.D is not D and self.D != D:
             raise InvalidInput("normalized matrices use the canonical set")

@@ -17,7 +17,8 @@ or give the expected digest, and it exits 1 when the digest differs:
         249ae7ae2cd91027eadbbdb51dab093de42757dfe1d2a583d25e86833fc660e1
 
 That is the digest of the current outputs (617 balls).  It takes about
-25 s on a 2-core Xeon, so it is not part of the test suite.
+25 s on a 2-core Xeon, so the test suite pins digest_of on a 62-ball
+slice instead (test_ball.py::test_ball_digest_slice).
 """
 
 import hashlib
@@ -51,18 +52,24 @@ def _ball_parts(ball):
                     back.edges, back.chambers))
 
 
-def ball_digest():
+def digest_of(balls):
+    """The sha256 of the outputs of the balls, given as (matrix, radius)
+    pairs, in order."""
     digest = hashlib.sha256()
+    for M, radius in balls:
+        for part in _ball_parts(build_ball(M, radius)):
+            digest.update(part.encode())
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def ball_digest():
     balls = [(Mn.decode(), 2) for q in (2, 3) for Mn in enumerate_normalized(q)]
     for q in (4, 5, 7, 8, 9):
         e = tuple(range(q + 1))
         balls.append((NormalizedMatrix(
             q, canonical_difference_set(q), e, e).decode(), 1))
-    for M, radius in balls:
-        for part in _ball_parts(build_ball(M, radius)):
-            digest.update(part.encode())
-            digest.update(b"\n")
-    return len(balls), digest.hexdigest()
+    return len(balls), digest_of(balls)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+import ball_digest
 import oracles
 from conftest import identity_matrix, q11_matrix
 import singerlat.ball as ball_module
@@ -69,19 +70,25 @@ def test_caps_and_bad_radius():
             build_ball(q11_matrix(), radius)
 
 
-@pytest.mark.parametrize("q, vertices, chambers",
-                         [(4, 1135, 3885), (5, 2543, 10416)])
+@pytest.mark.parametrize("q, vertices, chambers", [
+    (4, 1135, 3885), (5, 2543, 10416), (7, 8893, 48336), (8, 14747, 90009)])
 def test_radius_two_past_q3(q, vertices, chambers):
     # counts pinned from the earlier build code, run with its q <= 3 cap
-    # lifted
+    # lifted (q = 4, 5), and from the closed forms below (q = 7, 8)
     ball = build_ball(identity_matrix(q), 2)
     assert (ball.vertex_count, len(ball.chambers)) == (vertices, chambers)
+    m = q * q + q + 1
+    # the center, 2m sphere-1 vertices, m(m-1) glued type-0 vertices and
+    # q^2 more in each sphere-1 residue; m(q+1) chambers through the
+    # center, (m-1)(q+1) more in each point residue and q^2(q+1) more in
+    # each line residue
+    assert vertices == 1 + 2 * m + m * (m - 1) + 2 * m * q * q
+    assert chambers == m * (q + 1) * (1 + q + 2 * q * q)
     assert verify_ball(ball).ok
     H = extract_hjelmslev(ball, 2)
-    m = q * q + q + 1
     # m q^2 points and lines, each point on q(q+1) lines
-    assert len(H.points) == len(H.lines) == {4: 336, 5: 775}[q] == m * q * q
-    assert len(H.incidence) == {4: 6720, 5: 23250}[q] == m * q ** 3 * (q + 1)
+    assert len(H.points) == len(H.lines) == m * q * q
+    assert len(H.incidence) == m * q ** 3 * (q + 1)
     assert H == oracles.hjelmslev_level2(ball)
 
 
@@ -183,6 +190,24 @@ def test_corrupted_chamber_is_reported(q2_ball_r2):
     report = verify_ball(broken)
     assert not report.ok
     assert any("carries labels" in f for f in report.failures)
+
+
+def test_corrupted_glued_chamber_is_reported(q2_ball_r2):
+    # a chamber (glued type-0 vertex, sphere-1 point, sphere-1 line) lies
+    # in the residues of both sphere-1 vertices: a wrong label there shows
+    # on its three panels and in both residues
+    ball = q2_ball_r2
+    chambers = list(ball.chambers)
+    i = next(i for i, (a, b, c, _) in enumerate(chambers)
+             if (ball.dists[a], ball.dists[b], ball.dists[c]) == (2, 1, 1))
+    a, b, c, k = chambers[i]
+    chambers[i] = (a, b, c, (k + 1) % 3)
+    report = verify_ball(dataclasses.replace(ball, chambers=tuple(chambers)))
+    thin = [f for f in report.failures if "carries labels" in f]
+    assert len(thin) == 3
+    for e in ((b, a), (c, a), (b, c)):
+        assert any(f.startswith(f"interior panel {e} ") for f in thin)
+    assert {x for x, good in report.residue_status if not good} == {b, c}
 
 
 def test_singer_shift_extends_to_radius_one_ball():
@@ -643,6 +668,20 @@ def test_radius_two_outputs_are_pinned(key):
     got = (_sha256(complex_to_text(ball)), _sha256(repr(verify_ball(ball))),
            _sha256(repr((H.points, H.lines, sorted(H.incidence)))))
     assert got == BALL_R2_SHA256[key]
+
+
+def test_ball_digest_slice():
+    # 62 of the 617 balls of tests/ball_digest.py, whose full run takes
+    # about 25 s: names, export, report, chamber index, level-1 and
+    # level-2 planes and the parsed export, at radius 2 for every q = 2
+    # matrix and the first 24 at q = 3, and at radius 1 for q = 4, 5
+    balls = [(Mn.decode(), 2) for Mn in enumerate_normalized(2)]
+    balls += [(Mn.decode(), 2)
+              for Mn in itertools.islice(enumerate_normalized(3), 24)]
+    balls += [(identity_matrix(q), 1) for q in (4, 5)]
+    assert len(balls) == 62
+    assert ball_digest.digest_of(balls) == (
+        "48fe97fdc69027bdab947963414f88e37111f8f1dc5c02b66020a741b5b56b0c")
 
 
 def _parsed(parse, text):
