@@ -16,6 +16,7 @@ ball by a short gallery of chambers.
 
 import itertools
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -39,28 +40,40 @@ class ChamberIndex(NamedTuple):
 
 
 # the one record without slots: cached_property keeps the chamber index
-# in the instance dict
+# and the edges in the instance dict
 @dataclass(frozen=True)
 class BallComplex:
+    """A ball stored as its chambers and vertex data; the radius, the
+    center and the edges are read off them, so none can disagree."""
     q: int
-    radius: int
     matrix: DifferenceMatrix
-    center: int
-    center_type: int
     names: tuple[tuple, ...]
     types: tuple[int, ...]
     dists: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
     chambers: tuple[tuple[int, int, int, int], ...]
 
     @property
     def vertex_count(self) -> int:
         return len(self.types)
 
+    @property
+    def radius(self) -> int:
+        return max(self.dists)
+
+    @property
+    def center(self) -> int:
+        # the one vertex at dist 0
+        return self.dists.index(0)
+
     @cached_property
     def _index(self) -> ChamberIndex:
         # built on first use; it lives and dies with the ball
         return _chamber_index(self.chambers, self.vertex_count)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        # the panels of the chambers, sorted
+        return tuple(sorted(self._index.panel_labels))
 
 
 def _chamber_index(chambers, vertex_count: int) -> ChamberIndex:
@@ -213,13 +226,11 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
         dists += [2] * (m * (m - 1) + 2 * m * qq)
 
     chambers = sorted(raw)
-    index = _chamber_index(chambers, len(types))
     ball = BallComplex(
-        q=q, radius=radius, matrix=M, center=0, center_type=0,
-        names=tuple(names), types=tuple(types), dists=tuple(dists),
-        edges=tuple(sorted(index.panel_labels)), chambers=tuple(chambers))
+        q=q, matrix=M, names=tuple(names), types=tuple(types),
+        dists=tuple(dists), chambers=tuple(chambers))
     # the index fills the slot of the cached property, as a first use would
-    ball.__dict__["_index"] = index
+    ball.__dict__["_index"] = _chamber_index(chambers, len(types))
     return ball
 
 
@@ -270,10 +281,10 @@ def _labelled_plane_isomorphic(flags, plane: DifferenceVector) -> bool:
 
 def verify_ball(ball: BallComplex) -> BallReport:
     """Check every structural invariant and collect failures instead of
-    raising: chamber typing, panel membership, interior panel thickness
-    with per-panel label bijections, and labelled residue isomorphism
-    at every interior vertex.  The residues are compared with the
-    source matrix, so a parsed export, which has none, is refused."""
+    raising: chamber typing, interior panel thickness with per-panel
+    label bijections, and labelled residue isomorphism at every interior
+    vertex.  The residues are compared with the source matrix, so a
+    parsed export, which has none, is refused."""
     _check_source(ball, "the residue check")
     failures = []
     q, radius, types, dists = ball.q, ball.radius, ball.types, ball.dists
@@ -285,19 +296,14 @@ def verify_ball(ball: BallComplex) -> BallReport:
             failures.append(f"chamber {ch} label out of range")
 
     panel_labels, by_vertex = ball._index
-    bare, thin = [], []
     every_label = list(range(q + 1))
     for e in ball.edges:
-        labels = panel_labels.get(e, ())
-        if not labels:
-            bare.append(f"panel {e} lies in no chamber")
         if dists[e[0]] < radius or dists[e[1]] < radius:
-            labels = sorted(labels)
+            labels = sorted(panel_labels[e])
             if labels != every_label:
-                thin.append(
+                failures.append(
                     f"interior panel {e} carries labels {labels} "
                     f"instead of one chamber per label")
-    failures += bare + thin
 
     residue_status = []
     for x in range(ball.vertex_count):
@@ -562,9 +568,10 @@ def complex_from_text(text: str) -> BallComplex:
     every number in ASCII digits and no leading zero.  Any line ending
     reads as a newline, and the final one is optional.  Types lie in
     0..2, and dists, edge and chamber vertices and labels in 0..n-1 for
-    n vertex rows.  Any other text raises InvalidInput naming the line
-    at fault, save an export with no chambers or without exactly one
-    center (dist 0)."""
+    n vertex rows.  The edge rows are the sorted panels of the chambers,
+    each once, as complex_to_text writes them.  Any other text raises
+    InvalidInput naming the line at fault, save an export with no
+    chambers or without exactly one center (dist 0)."""
     body = "\n".join(text.splitlines() + [""])
     layout = _LAYOUT_RE.match(body)
     vertex_rows, edge_rows, chamber_rows = layout.groups()
@@ -598,13 +605,36 @@ def complex_from_text(text: str) -> BallComplex:
     corners = _values(chamber_rows.translate(_KEYWORDS).split(), value,
                       n + len(ends) // 2 + 1,
                       ("chamber vertex",) * 3 + ("chamber label",))
-    center = dists.index(0)
-    return BallComplex(
-        q=max(corners[3::4]), radius=max(dists), matrix=None,
-        center=center, center_type=types[center], names=None,
-        types=types, dists=dists, edges=tuple(zip(ends[::2], ends[1::2])),
-        chambers=tuple(zip(corners[::4], corners[1::4], corners[2::4],
-                           corners[3::4])))
+    a, b, c = corners[::4], corners[1::4], corners[2::4]
+    edges = tuple(zip(ends[::2], ends[1::2]))
+    _check_edges(edges, {(x, y) if x < y else (y, x) for x, y in
+                         itertools.chain(zip(a, b), zip(a, c), zip(b, c))},
+                 n + 1)
+    ball = BallComplex(
+        q=max(corners[3::4]), matrix=None, names=None, types=types,
+        dists=dists, chambers=tuple(zip(a, b, c, corners[3::4])))
+    # the checked rows fill the slot of the cached property
+    ball.__dict__["edges"] = edges
+    return ball
+
+
+def _check_edges(edges, panels, first_line):
+    """Refuse the first of the edge rows, from line first_line on, that
+    is not the panel the sorted panels put there."""
+    # strictly increasing rows, as many as the panels, all among them
+    if (len(edges) == len(panels) and panels.issuperset(edges)
+            and all(map(operator.lt, edges, edges[1:]))):
+        return
+    want = sorted(panels)
+    k = next((k for k, (e, panel) in enumerate(zip(edges, want))
+              if e != panel), min(len(edges), len(want)))
+    line = first_line + k
+    got = "edge %d %d" % edges[k] if k < len(edges) else "no edge row"
+    if k == len(want):
+        raise InvalidInput(f"line {line}: {got} past the last chamber panel")
+    x, y = want[k]
+    raise InvalidInput(
+        f"line {line}: {got} where the chamber panels give edge {x} {y}")
 
 
 def _values(tokens, table, first_line, names):

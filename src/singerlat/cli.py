@@ -25,8 +25,9 @@ from .ball import build_ball, complex_to_text, verify_ball
 from .diffsets import canonical_difference_set, matrix_from_text, \
     set_from_text, set_to_text
 from .errors import CapExceeded, InvalidInput
-from .exotic import CERTIFIED_EXOTIC, CLASSIFY_Q_CAP, NormalizedMatrix, \
-    census_summary, census_to_text, certify_exotic, classify, ratio_table
+from .exotic import CERTIFIED_EXOTIC, NormalizedMatrix, _census_counts, \
+    _check_census_q, census_summary, census_to_text, certify_exotic, \
+    classify, ratio_table
 from .permgrp import perm_to_str
 from .plane import canonical_plane, plane_to_text
 
@@ -50,6 +51,9 @@ def _check_writable(path):
     target = Path(path)
     if target.is_dir():
         raise InvalidInput(f"cannot write {path}: it is a directory")
+    if not target.exists() and not target.parent.is_dir():
+        raise InvalidInput(
+            f"cannot write {path}: no directory {target.parent}")
     if not os.access(target if target.exists() else target.parent, os.W_OK):
         raise InvalidInput(f"cannot write {path}: no write access")
 
@@ -105,9 +109,7 @@ def cmd_certify(args):
 def cmd_classify(args):
     # q and the outdir are checked before the census, which can take
     # seconds, and a refused q leaves no directory behind
-    if args.q > CLASSIFY_Q_CAP:
-        raise CapExceeded(
-            f"classification capped at q <= {CLASSIFY_Q_CAP}, got {args.q}")
+    _check_census_q(args.q)
     canonical_difference_set(args.q)  # refuses a q that is no prime power
     outdir = Path(args.outdir)
     try:
@@ -120,9 +122,7 @@ def cmd_classify(args):
     summary_path = outdir / f"summary_q{args.q}{suffix}.tsv"
     _write(census_path, census_to_text(classes))
     _write(summary_path, census_summary(args.q, classes))
-    total = sum(c.orbit_size for c in classes)
-    exotic = sum(1 for c in classes
-                 if c.verdict.outcome == CERTIFIED_EXOTIC)
+    total, exotic = _census_counts(classes)
     print(f"processed {total} matrices into {len(classes)} classes "
           f"(certified_exotic={exotic}, "
           f"inconclusive={len(classes) - exotic})")

@@ -560,6 +560,20 @@ def _extra_move_roots(q, least, coset_of, stab, orbit_of,
     return parent
 
 
+def _check_census_q(q) -> None:
+    # the census cap, for classify and for the command line before it
+    # makes its output directory
+    if q > CLASSIFY_Q_CAP:
+        raise CapExceeded(
+            f"classification capped at q <= {CLASSIFY_Q_CAP}, got {q}")
+
+
+def _census_counts(classes) -> tuple[int, int]:
+    """(matrices, certified-exotic classes) of a census."""
+    return (sum(c.orbit_size for c in classes),
+            sum(1 for c in classes if c.verdict.outcome == CERTIFIED_EXOTIC))
+
+
 def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     """Equivalence classes of normalized matrices under the coarse moves
     (plus rotation and duality when extra_moves is set), sorted by
@@ -574,9 +588,7 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     exotic class to an inconclusive one raises.  Each class's verdict
     is the one _normalized_verdict gives its least pair.
     """
-    if q > CLASSIFY_Q_CAP:
-        raise CapExceeded(
-            f"classification capped at q <= {CLASSIFY_Q_CAP}, got {q}")
+    _check_census_q(q)
     g0 = pencil_group(q)
     stab = _census_stabilizer(q, g0)
     least, coset_of = _right_cosets(
@@ -701,8 +713,7 @@ def census_to_text(classes) -> str:
 
 
 def census_summary(q, classes) -> str:
-    total = sum(c.orbit_size for c in classes)
-    exotic = sum(1 for c in classes if c.verdict.outcome == CERTIFIED_EXOTIC)
+    total, exotic = _census_counts(classes)
     inconclusive = len(classes) - exotic
     header = "q\ttotal\tclasses\tcertified_exotic\tinconclusive\tbound_B"
     row = f"{q}\t{total}\t{len(classes)}\t{exotic}\t{inconclusive}\t{bound_B(q)}"

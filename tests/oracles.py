@@ -88,7 +88,7 @@ import re
 from array import array
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from singerlat.arith import prime_power, zmod_units
 from singerlat.ball import (
@@ -263,7 +263,8 @@ def complex_from_text(text):
     """The ball-export parser as it was before the one-pattern scan: three
     patterns tried per line, rows in any order.  It accepts any Unicode
     digits, leading zeros, any vertex type and dists and labels past the
-    vertex count, all of which the library rejects."""
+    vertex count, all of which the library rejects.  Its edge rows must
+    be the sorted panels of the chambers, compared row by row."""
     types, dists, edges, chambers = [], [], [], []
     edge_rows, chamber_rows = [], []  # line numbers, for the range checks
     for i, line in enumerate(text.splitlines(), start=1):
@@ -293,11 +294,32 @@ def complex_from_text(text):
     centers = [v for v in range(n) if dists[v] == 0]
     if len(centers) != 1:
         raise InvalidInput("complex export must have exactly one center")
+    panels = sorted({tuple(sorted(pair)) for c in chambers
+                     for pair in itertools.combinations(c[:3], 2)})
+    # a missing row is named at the line after the last edge row
+    rows = edge_rows + [(edge_rows[-1] if edge_rows else n) + 1]
+    for k in range(max(len(edges), len(panels))):
+        got = f"edge {edges[k][0]} {edges[k][1]}" if k < len(edges) \
+            else "no edge row"
+        if k == len(panels):
+            raise InvalidInput(
+                f"line {rows[k]}: {got} past the last chamber panel")
+        want = f"edge {panels[k][0]} {panels[k][1]}"
+        if got != want:
+            raise InvalidInput(
+                f"line {rows[k]}: {got} where the chamber panels give {want}")
     return BallComplex(
-        q=max(c[3] for c in chambers), radius=max(dists),
-        matrix=None, center=centers[0], center_type=types[centers[0]],
-        names=None, types=tuple(types), dists=tuple(dists),
-        edges=tuple(edges), chambers=tuple(chambers))
+        q=max(c[3] for c in chambers), matrix=None, names=None,
+        types=tuple(types), dists=tuple(dists), chambers=tuple(chambers))
+
+
+class ReferenceBall(NamedTuple):
+    """The reference build: the ball, and the edges, center and radius it
+    computes by its own rules, which the library reads off the ball."""
+    ball: BallComplex
+    edges: tuple
+    center: int
+    radius: int
 
 
 def build_ball(M, radius):
@@ -430,9 +452,10 @@ def build_ball(M, radius):
         for pair in ((a, b) if a < b else (b, a),
                      (a, c) if a < c else (c, a),
                      (b, c) if b < c else (c, b))}))
-    return BallComplex(
-        q=q, radius=radius, matrix=M, center=vid[center], center_type=0,
-        names=roots, types=types, dists=dists, edges=edges, chambers=chambers)
+    return ReferenceBall(
+        BallComplex(q=q, matrix=M, names=roots, types=types, dists=dists,
+                    chambers=chambers),
+        edges, vid[center], radius)
 
 
 def labelled_plane_isomorphic(flags, plane):
@@ -671,7 +694,7 @@ def h2_kernel_and_lifts(ball: BallComplex, H: HjelmslevPlane, tables):
     lift of each collineation of the center's plane that lifts: the
     lists the pinned q = 2 listing is built from.  The library counts
     both by stabilizer chains instead."""
-    plane = ball.matrix.columns[ball.center_type]
+    plane = ball.matrix.columns[ball.types[ball.center]]
     kernel = list(h2_lift_search(H, tables, {f: f for f in tables.pt_fibers}))
     lifts = []
     for pmap, _ in all_collineations(plane):

@@ -14,7 +14,7 @@ import oracles
 from conftest import identity_matrix, q11_matrix
 import singerlat.ball as ball_module
 from singerlat.ball import (
-    H2GroupSummary, _labelled_plane_isomorphic, build_ball,
+    BallComplex, H2GroupSummary, _labelled_plane_isomorphic, build_ball,
     complex_from_text, complex_to_text, extract_hjelmslev,
     h2_collineations_fixing_center, verify_ball,
 )
@@ -108,10 +108,14 @@ def _disguised(M, rng):
 
 def _same_as_reference(M, radius):
     got, want = build_ball(M, radius), oracles.build_ball(M, radius)
-    # names, types, dists, edges and chambers, and the chamber index the
-    # build hands over against the one a first use of the reference makes
-    assert got == want
-    assert got.__dict__["_index"] == want._index
+    # names, types, dists and chambers, and the chamber index the build
+    # hands over against the one a first use of the reference makes
+    assert got == want.ball
+    assert got.__dict__["_index"] == want.ball._index
+    # what the library reads off the ball, against the reference's own
+    assert got.edges == want.edges
+    assert got.center == want.center
+    assert got.radius == want.radius == radius
 
 
 def test_build_matches_name_union_find_reference():
@@ -133,6 +137,34 @@ def test_fresh_ball_holds_its_index(monkeypatch):
 
     monkeypatch.setattr(ball_module, "_chamber_index", rebuilt)
     assert verify_ball(ball).ok
+
+
+def test_ball_record_stores_six_fields():
+    assert [f.name for f in dataclasses.fields(BallComplex)] == [
+        "q", "matrix", "names", "types", "dists", "chambers"]
+    ball = build_ball(identity_matrix(2), 1)
+    stored = {f.name: getattr(ball, f.name)
+              for f in dataclasses.fields(BallComplex)}
+    for derived in ({"edges": ball.edges}, {"center": 0},
+                    {"center_type": 0}, {"radius": 1}):
+        with pytest.raises(TypeError):
+            BallComplex(**stored, **derived)
+
+
+def test_replaced_fields_rederive_edges_center_and_radius():
+    ball = build_ball(identity_matrix(2), 1)
+    assert (len(ball.edges), ball.center, ball.radius) == (35, 0, 1)
+    # the chambers off point vertex 1, and vertex 1 made the center
+    chambers = tuple(ch for ch in ball.chambers if 1 not in ch[:3])
+    dists = (1, 0) + ball.dists[2:]
+    moved = dataclasses.replace(ball, chambers=chambers, dists=dists)
+    assert moved.edges == tuple(sorted(
+        {tuple(sorted(pair)) for ch in chambers
+         for pair in itertools.combinations(ch[:3], 2)}))
+    # less the panel (0, 1) and the panels of 1 with its three lines
+    assert len(moved.edges) == 35 - 1 - 3
+    assert (moved.center, moved.radius) == (1, 1)
+    assert ball.edges != moved.edges and ball.center == 0
 
 
 def test_column_one_differences_must_cover_the_residues():
@@ -693,7 +725,7 @@ def _parsed(parse, text):
 
 def _exports(q2_ball_r2):
     texts = [complex_to_text(build_ball(identity_matrix(q), 1))
-             for q in (2, 3, 4)]
+             for q in (2, 3, 4, 5, 7, 8, 9)]
     texts.append(complex_to_text(q2_ball_r2))
     M = NormalizedMatrix(3, canonical_difference_set(3),
                          (1, 3, 0, 2), (0, 3, 1, 2)).decode()
@@ -775,6 +807,15 @@ def _mutations(lines):
         ("dist past the vertex count", at(2, "vertex 2 type=1 dist=500")),
         ("type 3", at(2, "vertex 2 type=3 dist=1")),
         ("duplicate chamber", insert(first_chamber, lines[first_chamber])),
+        # edge rows that are not the sorted panels of the chambers
+        ("edge row dropped", "\n".join(lines[:20] + lines[21:]) + "\n"),
+        ("last edge row dropped", "\n".join(lines[:first_chamber - 1]
+                                            + lines[first_chamber:]) + "\n"),
+        ("edge 0 0 inserted", insert(first_edge, "edge 0 0")),
+        ("edge rows swapped", swapped(20)),
+        ("edge row repeated", insert(20, lines[20])),
+        ("last edge row repeated",
+         insert(first_chamber, lines[first_chamber - 1])),
         ("empty text", ""),
         ("one newline", "\n"),
     ]
@@ -839,6 +880,31 @@ def test_complex_parser_matches_per_line_reference_on_mutated_rows():
     assert outcomes == {"ball", "raises"}
 
 
+# the mutations whose edge rows are not the sorted panels of their
+# chambers: lines 16..50 of the export are its edge rows
+_EDGE_ROW_FAULTS = {
+    "edge row dropped":
+        "line 21: edge 0 7 where the chamber panels give edge 0 6",
+    "last edge row dropped":
+        "line 50: no edge row where the chamber panels give edge 7 14",
+    "edge 0 0 inserted":
+        "line 16: edge 0 0 where the chamber panels give edge 0 1",
+    "edge rows swapped":
+        "line 21: edge 0 7 where the chamber panels give edge 0 6",
+    "edge row repeated":
+        "line 22: edge 0 6 where the chamber panels give edge 0 7",
+    "last edge row repeated": "line 51: edge 7 14 past the last chamber panel",
+}
+
+
+def test_complex_parser_refuses_edge_rows_off_the_chamber_panels():
+    lines = complex_to_text(build_ball(identity_matrix(2), 1)).splitlines()
+    mutations = dict(_mutations(lines))
+    for what, message in _EDGE_ROW_FAULTS.items():
+        assert _parsed(complex_from_text, mutations[what]) == (
+            "raises", message), what
+
+
 def test_greedy_layout_pattern_matches_the_possessive_one():
     # Python 3.10 has no possessive repeats and compiles the layout with
     # greedy ones; both must read an export, and stop at a row out of
@@ -857,7 +923,8 @@ def test_greedy_layout_pattern_matches_the_possessive_one():
 
 
 def test_complex_parser_rejects_vertex_type_outside_0_to_2():
-    text = "vertex 0 type=0 dist=0\nvertex 1 type=7 dist=1\nchamber 0 0 0 label=0\n"
+    text = ("vertex 0 type=0 dist=0\nvertex 1 type=7 dist=1\nedge 0 0\n"
+            "chamber 0 0 0 label=0\n")
     with pytest.raises(InvalidInput, match="line 2: vertex type 7 outside 0..2"):
         complex_from_text(text)
     # the per-line reference accepts the row
