@@ -607,9 +607,7 @@ def complex_from_text(text: str) -> BallComplex:
                       ("chamber vertex",) * 3 + ("chamber label",))
     a, b, c = corners[::4], corners[1::4], corners[2::4]
     edges = tuple(zip(ends[::2], ends[1::2]))
-    _check_edges(edges, {(x, y) if x < y else (y, x) for x, y in
-                         itertools.chain(zip(a, b), zip(a, c), zip(b, c))},
-                 n + 1)
+    _check_edges(edges, ends, (a, b, c), n + 1)
     ball = BallComplex(
         q=max(corners[3::4]), matrix=None, names=None, types=types,
         dists=dists, chambers=tuple(zip(a, b, c, corners[3::4])))
@@ -618,10 +616,29 @@ def complex_from_text(text: str) -> BallComplex:
     return ball
 
 
-def _check_edges(edges, panels, first_line):
+def _check_edges(edges, ends, corners, first_line):
     """Refuse the first of the edge rows, from line first_line on, that
-    is not the panel the sorted panels put there."""
-    # strictly increasing rows, as many as the panels, all among them
+    is not the panel the sorted panels of the chambers put there; ends
+    are the edge rows flat, corners the chambers' three vertex columns."""
+    pairs = ((corners[0], corners[1]), (corners[0], corners[2]),
+             (corners[1], corners[2]))
+    # the common case makes no pair per panel: rows x < y, strictly
+    # increasing, each hit by a chamber pair in one order or the other,
+    # and no pair missed.  A new pair per panel set off about three
+    # gen-0 collections per q = 3 export, and the latency tail moved
+    # with where the full collections fell
+    if (all(map(operator.lt, ends[::2], ends[1::2]))
+            and all(map(operator.lt, edges, edges[1:]))):
+        row_of = dict(zip(edges, range(len(edges))))
+        hit = set()
+        for u, v in pairs:
+            hit.update(map(row_of.get, zip(u, v),
+                           map(row_of.get, zip(v, u))))
+        if None not in hit and len(hit) == len(edges):
+            return
+    # a chamber with a repeated vertex, or an export to refuse
+    panels = {(x, y) if x < y else (y, x) for x, y in
+              itertools.chain.from_iterable(itertools.starmap(zip, pairs))}
     if (len(edges) == len(panels) and panels.issuperset(edges)
             and all(map(operator.lt, edges, edges[1:]))):
         return

@@ -814,6 +814,8 @@ def _mutations(lines):
         ("edge 0 0 inserted", insert(first_edge, "edge 0 0")),
         ("edge rows swapped", swapped(20)),
         ("edge row repeated", insert(20, lines[20])),
+        # the last edge row, edge 7 14, still sorts last reversed
+        ("last edge row reversed", at(first_chamber - 1, "edge 14 7")),
         ("last edge row repeated",
          insert(first_chamber, lines[first_chamber - 1])),
         ("empty text", ""),
@@ -894,6 +896,8 @@ _EDGE_ROW_FAULTS = {
     "edge row repeated":
         "line 22: edge 0 6 where the chamber panels give edge 0 7",
     "last edge row repeated": "line 51: edge 7 14 past the last chamber panel",
+    "last edge row reversed":
+        "line 50: edge 14 7 where the chamber panels give edge 7 14",
 }
 
 
