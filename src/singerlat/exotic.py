@@ -57,7 +57,6 @@ from .permgrp import (
 )
 
 CLASSIFY_Q_CAP = 5
-MODEL_ROUTE_Q_CAP = 9
 # past q = 857 the numerator of lower_A has more than 4,300 digits, the
 # most that Python turns into text by default
 LOWER_A_Q_CAP = 857
@@ -233,16 +232,15 @@ def _canonical_pencil_group(q) -> PermGroup:
 def pencil_group(q, route="model") -> PermGroup:
     """The pencil group G_0 of the canonical plane on its q+1 labels,
     generated by collineations fixing point 0 that the plane's
-    difference table gives directly (prime powers q <= 9).
+    difference table gives directly.  canonical_difference_set bounds q:
+    a q that is no prime power raises InvalidInput, and one past
+    SINGER_Q_CAP (9) CapExceeded.
 
     "model" is the only route; any other raises InvalidInput.  The
     plane search that checks it lives with the tests.
     """
     if route != "model":
         raise InvalidInput(f"unknown route {route!r}")
-    if q > MODEL_ROUTE_Q_CAP:
-        raise CapExceeded(
-            f"model route capped at q <= {MODEL_ROUTE_Q_CAP}, got {q}")
     return _canonical_pencil_group(q)
 
 
@@ -627,9 +625,6 @@ def candidate_count(q) -> int:
     """Number of inconclusive census classes, counted without the
     census: both alphas lie in G_0, so these are the p0-orbits on pairs
     of S-cosets inside it.  Never exceeds the counting bound."""
-    if q > MODEL_ROUTE_Q_CAP:
-        raise CapExceeded(
-            f"candidate count capped at q <= {MODEL_ROUTE_Q_CAP}, got {q}")
     g0 = pencil_group(q)
     stab = _census_stabilizer(q, g0)
     least, coset_of = _right_cosets(sorted(g0.elements), stab)

@@ -814,6 +814,7 @@ def _mutations(lines):
         ("edge 0 0 inserted", insert(first_edge, "edge 0 0")),
         ("edge rows swapped", swapped(20)),
         ("edge row repeated", insert(20, lines[20])),
+        ("edge row reversed", at(20, "edge 6 0")),
         # the last edge row, edge 7 14, still sorts last reversed
         ("last edge row reversed", at(first_chamber - 1, "edge 14 7")),
         ("last edge row repeated",
@@ -895,6 +896,8 @@ _EDGE_ROW_FAULTS = {
         "line 21: edge 0 7 where the chamber panels give edge 0 6",
     "edge row repeated":
         "line 22: edge 0 6 where the chamber panels give edge 0 7",
+    "edge row reversed":
+        "line 21: edge 6 0 where the chamber panels give edge 0 6",
     "last edge row repeated": "line 51: edge 7 14 past the last chamber panel",
     "last edge row reversed":
         "line 50: edge 14 7 where the chamber panels give edge 7 14",
@@ -907,6 +910,16 @@ def test_complex_parser_refuses_edge_rows_off_the_chamber_panels():
     for what, message in _EDGE_ROW_FAULTS.items():
         assert _parsed(complex_from_text, mutations[what]) == (
             "raises", message), what
+
+
+def test_complex_parser_reads_panels_of_a_chamber_with_a_repeated_vertex():
+    # chamber 0 0 1 has panels (0, 0) and (0, 1), the second twice
+    text = ("vertex 0 type=0 dist=0\nvertex 1 type=1 dist=1\nedge 0 0\n"
+            "edge 0 1\nchamber 0 0 1 label=0\n")
+    got = complex_from_text(text)
+    assert got == oracles.complex_from_text(text)
+    assert got.edges == ((0, 0), (0, 1))
+    assert complex_to_text(got) == text
 
 
 def test_greedy_layout_pattern_matches_the_possessive_one():

@@ -19,8 +19,9 @@ from oracles import (
 from singerlat import exotic
 from singerlat.arith import prime_power, zmod_units
 from singerlat.diffsets import (
-    DifferenceMatrix, DifferenceVector, canonical_difference_set,
-    find_agl_map, matrix_to_text, stabilizer_index_perms,
+    SINGER_Q_CAP, DifferenceMatrix, DifferenceVector,
+    canonical_difference_set, find_agl_map, matrix_to_text,
+    stabilizer_index_perms,
 )
 from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.exotic import (
@@ -45,7 +46,7 @@ def normalized(q, a1, a2):
 
 
 # every q that pencil_group accepts
-MODEL_QS = [q for q in range(2, exotic.MODEL_ROUTE_Q_CAP + 1)
+MODEL_QS = [q for q in range(2, SINGER_Q_CAP + 1)
             if prime_power(q) is not None]
 
 

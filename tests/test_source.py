@@ -87,6 +87,7 @@ TEST_ONLY_NAMES = {
     "Collineation.inverse", "Collineation.is_identity",
     "Collineation.preserves_labels", "LabelledPlane.flag_label",
     "normalize_matrix", "all_difference_sets", "ENUMERATION_Q_CAP",
+    "MODEL_ROUTE_Q_CAP",
     "AffineMap.compose", "AffineMap.inverse", "AffineMap.apply_vector",
     "reduce_generators", "PermGroup.from_generators",
     "PermGroup.from_elements", "Field.sub", "Field.neg", "Field.index",
