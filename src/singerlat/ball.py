@@ -19,7 +19,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .diffsets import DifferenceMatrix, DifferenceVector
@@ -30,17 +29,7 @@ BALL_Q_CAP = 9
 H2_GROUP_Q_CAP = 2
 
 
-class ChamberIndex(NamedTuple):
-    """The chambers of a ball keyed two ways, each list in chamber order:
-    panel (u, v) with u <= v -> labels of the chambers on it, and vertex
-    -> the chambers through it."""
-    panel_labels: dict
-    by_vertex: list
-
-
-# the one record without slots: cached_property keeps the chamber index
-# and the edges in the instance dict
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallComplex:
     """A ball stored as its chambers and vertex data; the radius, the
     center and the edges are read off them, so none can disagree."""
@@ -64,37 +53,22 @@ class BallComplex:
         # the one vertex at dist 0
         return self.dists.index(0)
 
-    @cached_property
-    def _index(self) -> ChamberIndex:
-        # built on first use; it lives and dies with the ball
-        return _chamber_index(self.chambers, self.vertex_count)
-
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         # the panels of the chambers, sorted
-        return tuple(sorted(self._index.panel_labels))
+        n = self.vertex_count
+        # one list per slot: zip(*chambers) would track an iterator each
+        corners = [[ch[k] for ch in self.chambers] for k in range(3)]
+        codes = _panel_codes(corners, n)
+        return tuple(map(divmod, codes, itertools.repeat(n)))
 
 
-def _chamber_index(chambers, vertex_count: int) -> ChamberIndex:
-    # one pass over the chambers, so every list keeps chamber order
-    panel_labels = {}
-    by_vertex = [[] for _ in range(vertex_count)]
-    for ch in chambers:
-        a, b, c, label = ch
-        for pair in ((a, b) if a < b else (b, a),
-                     (a, c) if a < c else (c, a),
-                     (b, c) if b < c else (c, b)):
-            labels = panel_labels.get(pair)
-            if labels is None:
-                panel_labels[pair] = [label]
-            else:
-                labels.append(label)
-        by_vertex[a].append(ch)
-        if b != a:
-            by_vertex[b].append(ch)
-        if c != a and c != b:
-            by_vertex[c].append(ch)
-    return ChamberIndex(panel_labels, by_vertex)
+def _panel_codes(corners, n: int) -> list[int]:
+    """The sorted codes x * n + y, x <= y, of the panels of the chambers
+    whose vertex columns are corners, each panel once."""
+    return sorted({x * n + y if x <= y else y * n + x
+                   for u, v in itertools.combinations(corners, 2)
+                   for x, y in zip(u, v)})
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,8 +133,6 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
     the one check kept, and a center chamber keeps its label j in every
     residue, as the entries v0[.] are distinct.  verify_ball checks the
     complex against the matrix columns on its own.
-
-    The chamber index is built with the ball.
     """
     q, m = M.q, M.columns[0].modulus
     if radius not in (1, 2):
@@ -224,17 +196,9 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
         types += [0] * (m * (m - 1)) + [1] * (m * qq) + [2] * (m * qq)
         dists += [2] * (m * (m - 1) + 2 * m * qq)
 
-    chambers = sorted(raw)
-    ball = BallComplex(
+    return BallComplex(
         q=q, matrix=M, names=tuple(names), types=tuple(types),
-        dists=tuple(dists), chambers=tuple(chambers))
-    # the index fills the slot of the cached property here rather than at
-    # verify_ball's first read: on CPython 3.11 that cuts the collector
-    # passes of build, verify, both levels and the round trip over the
-    # 612 q <= 3 balls from 2,689/244/22 (gen 0/1/2) to 1,083/98/8, and
-    # the full passes move the latency tail
-    ball.__dict__["_index"] = _chamber_index(chambers, len(types))
-    return ball
+        dists=tuple(dists), chambers=tuple(sorted(raw)))
 
 
 def _labelled_plane_isomorphic(flags, plane: DifferenceVector) -> bool:
@@ -291,33 +255,50 @@ def verify_ball(ball: BallComplex) -> BallReport:
     _check_source(ball, "the residue check")
     failures = []
     q, radius, types, dists = ball.q, ball.radius, ball.types, ball.dists
+    n = ball.vertex_count
+    # one pass over the chambers, so every list keeps chamber order: the
+    # labels on each interior panel by its code x * n + y, x <= y, and
+    # the chambers holding each interior vertex x in slot types[x]
+    inner = [d < radius for d in dists]
+    panel_labels = {}
+    on_panel = panel_labels.setdefault
+    residues = {x: [] for x in range(n) if inner[x]}
     for ch in ball.chambers:
         a, b, c, label = ch
-        if (types[a], types[b], types[c]) != (0, 1, 2):
+        ta, tb, tc = types[a], types[b], types[c]
+        if (ta, tb, tc) != (0, 1, 2):
             failures.append(f"chamber {ch} lacks one vertex of each type")
         if not 0 <= label <= q:
             failures.append(f"chamber {ch} label out of range")
+        ia, ib, ic = inner[a], inner[b], inner[c]
+        if ia or ib:
+            on_panel(a * n + b if a <= b else b * n + a, []).append(label)
+        if ia or ic:
+            on_panel(a * n + c if a <= c else c * n + a, []).append(label)
+        if ib or ic:
+            on_panel(b * n + c if b <= c else c * n + b, []).append(label)
+        if ia and ta == 0:
+            residues[a].append(ch)
+        if ib and tb == 1:
+            residues[b].append(ch)
+        if ic and tc == 2:
+            residues[c].append(ch)
 
-    panel_labels, by_vertex = ball._index
     every_label = list(range(q + 1))
-    for e in ball.edges:
-        if dists[e[0]] < radius or dists[e[1]] < radius:
-            labels = sorted(panel_labels[e])
-            if labels != every_label:
-                failures.append(
-                    f"interior panel {e} carries labels {labels} "
-                    f"instead of one chamber per label")
+    for code in sorted(panel_labels):
+        labels = sorted(panel_labels[code])
+        if labels != every_label:
+            failures.append(
+                f"interior panel {divmod(code, n)} carries labels {labels} "
+                f"instead of one chamber per label")
 
     residue_status = []
-    for x in range(ball.vertex_count):
-        if dists[x] >= radius:
-            continue
+    for x, held in residues.items():
         # the flags (line, point, label) of the plane at x: its type t+1
         # neighbors are the points, its type t+2 neighbors the lines
         t = types[x]
         pt_slot, ln_slot = (t + 1) % 3, (t + 2) % 3
-        flags = [(ch[ln_slot], ch[pt_slot], ch[3])
-                 for ch in by_vertex[x] if ch[t] == x]
+        flags = [(ch[ln_slot], ch[pt_slot], ch[3]) for ch in held]
         good = _labelled_plane_isomorphic(flags, ball.matrix.columns[t])
         residue_status.append((x, good))
         if not good:
@@ -340,25 +321,19 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
     if ball.radius < n:
         raise InvalidInput(f"radius {ball.radius} ball has no level {n}")
     O = ball.center
-    by_vertex = ball._index.by_vertex
     types, dists = ball.types, ball.dists
     if n == 1:
         sphere1_pts = [v for v in range(ball.vertex_count)
                        if dists[v] == 1 and types[v] == 1]
         sphere1_lns = [v for v in range(ball.vertex_count)
                        if dists[v] == 1 and types[v] == 2]
-        # the lines l through each point p of the center's residue, by
-        # the chambers (O, p, l)
+        # the flags (p, l) of the center's residue, by the chambers (O, p, l)
         pt_set, ln_set = set(sphere1_pts), set(sphere1_lns)
-        center_lines = {p: [] for p in sphere1_pts}
-        for o, p, l, _ in by_vertex[O]:
-            if o == O and p in pt_set and l in ln_set:
-                center_lines[p].append(l)
-        points = tuple((p,) for p in sphere1_pts)
-        lines = tuple((l,) for l in sphere1_lns)
         incidence = frozenset(
-            ((p,), (l,)) for p in sphere1_pts for l in center_lines[p])
-        return HjelmslevPlane(1, points, lines, incidence)
+            ((p,), (l,)) for o, p, l, _ in ball.chambers
+            if o == O and p in pt_set and l in ln_set)
+        return HjelmslevPlane(1, tuple((p,) for p in sphere1_pts),
+                              tuple((l,) for l in sphere1_lns), incidence)
 
     # one pass over the type-0 vertices z other than the center: the
     # lines of the sphere-1 points' residues.  On z, a chamber (z, p1, u)
@@ -366,14 +341,18 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
     # (p1, u) when u is on sphere 2, a line l1 of the center when not.
     # A chamber (z, l2, l1) with l1 on sphere 1 puts the line (l1, l2)
     # on z
+    on_z = {}  # the chambers by their type-0 vertex
+    for ch in ball.chambers:
+        on_z.setdefault(ch[0], []).append(ch)
+    # joined codes each pair u < v of points of the residue of p1 that a
+    # line spans as (p1 * nv + u) * nv + v, with no tuple per pair
     points, lines, incidence, joined = set(), set(), set(), set()
+    nv = ball.vertex_count
     for z, t in enumerate(types):
         if t != 0 or z == O:
             continue
         res_pts, z_lines = {}, {}
-        for a, b, c, _ in by_vertex[z]:
-            if a != z:
-                continue
+        for _, b, c, _ in on_z.get(z, ()):
             if dists[b] == 1:
                 res_pts.setdefault(b, set()).add(c)
             elif dists[c] == 1:
@@ -382,11 +361,12 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
         for p1, us in res_pts.items():
             # any two points of the residue of p1 span one line
             for u, v in itertools.combinations(sorted(us), 2):
-                if (p1, u, v) in joined:
+                code = (p1 * nv + u) * nv + v
+                if code in joined:
                     raise AssertionError(
                         f"points {u}, {v} of the residue of {p1} span "
                         f"two lines")
-                joined.add((p1, u, v))
+                joined.add(code)
             z_points = [(p1, u) for u in us if dists[u] == 2]
             points.update(z_points)
             for l1 in us:
@@ -572,7 +552,11 @@ def complex_from_text(text: str) -> BallComplex:
     reads as a newline, and the final one is optional.  Types lie in
     0..2, and dists, edge and chamber vertices and labels in 0..n-1 for
     n vertex rows.  The edge rows are the sorted panels of the chambers,
-    each once, as complex_to_text writes them.  Any other text raises
+    each once, as complex_to_text writes them.  No edge joins dists more
+    than 1 apart, and each vertex at dist d > 0 has a neighbor at dist
+    d - 1, so with one center every dist is the graph distance from it:
+    dists rise by at most 1 a step along a shortest path, and d steps
+    down from dist d reach the center.  Any other text raises
     InvalidInput naming the line at fault, save an export with no
     chambers or without exactly one center (dist 0)."""
     body = "\n".join(text.splitlines() + [""])
@@ -610,25 +594,19 @@ def complex_from_text(text: str) -> BallComplex:
                       ("chamber vertex",) * 3 + ("chamber label",))
     a, b, c = corners[::4], corners[1::4], corners[2::4]
     edges = tuple(zip(ends[::2], ends[1::2]))
-    _check_edges(edges, (a, b, c), n)
-    ball = BallComplex(
+    _check_edges(edges, _panel_codes((a, b, c), n), n)
+    _check_dists(edges, dists, n)
+    return BallComplex(
         q=max(corners[3::4]), matrix=None, names=None, types=types,
         dists=dists, chambers=tuple(zip(a, b, c, corners[3::4])))
-    # the checked rows fill the slot of the cached property
-    ball.__dict__["edges"] = edges
-    return ball
 
 
-def _check_edges(edges, corners, n):
-    """Refuse the first edge row that is not the panel the sorted panels
-    of the chambers put there, by one comparison of panel codes: edge
-    (x, y) of n vertices is x * n + y, and a chamber panel is coded with
-    x <= y, so a reversed, repeated, dropped or extra row moves the
-    codes.  corners are the chambers' three vertex columns, and the edge
-    rows start on line n + 1."""
-    a, b, c = corners
-    want = sorted({x * n + y if x <= y else y * n + x
-                   for u, v in ((a, b), (a, c), (b, c)) for x, y in zip(u, v)})
+def _check_edges(edges, want, n):
+    """Refuse the first edge row that is not the panel put there by want,
+    the sorted panel codes of the chambers: edge (x, y) of n vertices is
+    x * n + y, and a chamber panel is coded with x <= y, so a reversed,
+    repeated, dropped or extra row moves the codes.  The edge rows start
+    on line n + 1."""
     rows = [x * n + y for x, y in edges]
     if rows == want:
         return
@@ -641,6 +619,26 @@ def _check_edges(edges, corners, n):
     x, y = divmod(want[k], n)
     raise InvalidInput(
         f"line {line}: {got} where the chamber panels give edge {x} {y}")
+
+
+def _check_dists(edges, dists, n):
+    """Refuse the first edge row whose ends' dists differ by more than 1,
+    then the vertex at dist d > 0 nearest the center, least id first,
+    with no neighbor at dist d - 1.  Edge rows start on line n + 1."""
+    nearer = set()  # the vertices with a neighbor one dist nearer
+    for k, (x, y) in enumerate(edges):
+        dx, dy = dists[x], dists[y]
+        if abs(dx - dy) > 1:
+            raise InvalidInput(
+                f"line {n + 1 + k}: edge {x} {y} joins dists {dx} and {dy}")
+        if dx != dy:
+            nearer.add(x if dx > dy else y)
+    stray = [(d, v) for v, d in enumerate(dists) if d and v not in nearer]
+    if stray:
+        d, v = min(stray)
+        raise InvalidInput(
+            f"line {v + 1}: vertex {v} at dist {d} has no neighbor at "
+            f"dist {d - 1}")
 
 
 def _values(tokens, table, first_line, names):

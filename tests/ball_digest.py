@@ -4,10 +4,10 @@ that a change to the module leaves them byte for byte as they were.
 It covers the radius-2 balls of all 612 normalized matrices at q = 2, 3,
 in enumeration order, and the radius-1 balls of the identity matrix at
 q = 4, 5, 7, 8, 9.  Per ball it hashes the vertex names, the export, the
-verify_ball report, the chamber index (panel labels and chambers by
-vertex, in their own order), the level-1 plane, and for radius 2 the
-level-2 plane and the ball parsed back from the export.  Run it on two
-checkouts and compare the lines it prints:
+verify_ball report, the chamber index (the labels on each panel and the
+chambers through each vertex, in chamber order), the level-1 plane, and
+for radius 2 the level-2 plane and the ball parsed back from the export.
+Run it on two checkouts and compare the lines it prints:
 
     PYTHONPATH=src python tests/ball_digest.py
 
@@ -22,6 +22,7 @@ slice instead (test_ball.py::test_ball_digest_slice).
 """
 
 import hashlib
+import itertools
 import sys
 
 from singerlat.ball import (
@@ -36,14 +37,27 @@ def _plane(H):
     return repr((H.points, H.lines, sorted(H.incidence)))
 
 
+def _chamber_index(ball):
+    """The labels on each panel (u, v), u <= v, and the chambers through
+    each vertex, every dict and list in chamber order."""
+    panel_labels = {}
+    by_vertex = [[] for _ in range(ball.vertex_count)]
+    for ch in ball.chambers:
+        for pair in itertools.combinations(ch[:3], 2):
+            panel_labels.setdefault(tuple(sorted(pair)), []).append(ch[3])
+        for v in dict.fromkeys(ch[:3]):
+            by_vertex[v].append(ch)
+    return panel_labels, by_vertex
+
+
 def _ball_parts(ball):
     text = complex_to_text(ball)
-    index = ball._index
+    panel_labels, by_vertex = _chamber_index(ball)
     yield repr(ball.names)
     yield text
     yield repr(verify_ball(ball))
-    yield repr(tuple(index.panel_labels.items()))
-    yield repr(index.by_vertex)
+    yield repr(tuple(panel_labels.items()))
+    yield repr(by_vertex)
     yield _plane(extract_hjelmslev(ball, 1))
     if ball.radius == 2:
         yield _plane(extract_hjelmslev(ball, 2))

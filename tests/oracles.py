@@ -82,6 +82,7 @@ Nothing in the library depends on this module; tests/test_source.py
 fails if a library module imports it.
 """
 
+import collections
 import itertools
 import math
 import re
@@ -264,14 +265,18 @@ def complex_from_text(text):
     patterns tried per line, rows in any order.  It accepts any Unicode
     digits, leading zeros, any vertex type and dists and labels past the
     vertex count, all of which the library rejects.  Its edge rows must
-    be the sorted panels of the chambers, compared row by row."""
+    be the sorted panels of the chambers, compared row by row, and every
+    dist the graph distance from the center, found by a breadth-first
+    search."""
     types, dists, edges, chambers = [], [], [], []
-    edge_rows, chamber_rows = [], []  # line numbers, for the range checks
+    # line numbers, for the range and dist checks
+    vertex_rows, edge_rows, chamber_rows = [], [], []
     for i, line in enumerate(text.splitlines(), start=1):
         if m := _VERTEX_RE.match(line):
             v, t, d = map(int, m.groups())
             if v != len(types):
                 raise InvalidInput(f"line {i}: vertex id {v} out of order")
+            vertex_rows.append(i)
             types.append(t)
             dists.append(d)
         elif m := _EDGE_RE.match(line):
@@ -308,6 +313,30 @@ def complex_from_text(text):
         if got != want:
             raise InvalidInput(
                 f"line {rows[k]}: {got} where the chamber panels give {want}")
+    neighbors = [[] for _ in range(n)]
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    graph = {centers[0]: 0}  # vertex -> its graph distance
+    queue = collections.deque(graph)
+    while queue:
+        v = queue.popleft()
+        for u in neighbors[v]:
+            if u not in graph:
+                graph[u] = graph[v] + 1
+                queue.append(u)
+    off = [(dists[v], v) for v in range(n) if graph.get(v) != dists[v]]
+    if off:
+        # named as the library names it: the first edge row whose dists
+        # differ by more than 1, else the vertex off its graph distance
+        # nearest the center, which then has no neighbor one dist nearer
+        for i, (a, b) in zip(edge_rows, edges):
+            if abs(dists[a] - dists[b]) > 1:
+                raise InvalidInput(f"line {i}: edge {a} {b} joins dists "
+                                   f"{dists[a]} and {dists[b]}")
+        d, v = min(off)
+        raise InvalidInput(f"line {vertex_rows[v]}: vertex {v} at dist {d} "
+                           f"has no neighbor at dist {d - 1}")
     return BallComplex(
         q=max(c[3] for c in chambers), matrix=None, names=None,
         types=tuple(types), dists=tuple(dists), chambers=tuple(chambers))
@@ -529,8 +558,12 @@ def hjelmslev_level2(ball: BallComplex) -> HjelmslevPlane:
     each sphere-1 point's residue, the lines on each residue line, and
     one lookup per point and line of the center through it."""
     O = ball.center
-    by_vertex = ball._index.by_vertex
     types, dists = ball.types, ball.dists
+    # the chambers through each vertex, in chamber order
+    by_vertex = [[] for _ in range(ball.vertex_count)]
+    for ch in ball.chambers:
+        for v in dict.fromkeys(ch[:3]):
+            by_vertex[v].append(ch)
     sphere1_pts = [v for v in range(ball.vertex_count)
                    if dists[v] == 1 and types[v] == 1]
     sphere1_lns = [v for v in range(ball.vertex_count)

@@ -108,10 +108,8 @@ def _disguised(M, rng):
 
 def _same_as_reference(M, radius):
     got, want = build_ball(M, radius), oracles.build_ball(M, radius)
-    # names, types, dists and chambers, and the chamber index the build
-    # hands over against the one a first use of the reference makes
+    # names, types, dists and chambers
     assert got == want.ball
-    assert got.__dict__["_index"] == want.ball._index
     # what the library reads off the ball, against the reference's own
     assert got.edges == want.edges
     assert got.center == want.center
@@ -126,17 +124,6 @@ def test_build_matches_name_union_find_reference():
                 _same_as_reference(M, radius)
     for Mn in rng.sample(list(enumerate_normalized(3)), 40):
         _same_as_reference(Mn.decode(), 2)
-
-
-def test_fresh_ball_holds_its_index(monkeypatch):
-    ball = build_ball(identity_matrix(2), 2)
-    assert "_index" in ball.__dict__
-
-    def rebuilt(*args):
-        raise AssertionError("the chamber index was built a second time")
-
-    monkeypatch.setattr(ball_module, "_chamber_index", rebuilt)
-    assert verify_ball(ball).ok
 
 
 def test_ball_record_stores_six_fields():
@@ -233,13 +220,52 @@ def test_corrupted_glued_chamber_is_reported(q2_ball_r2):
     i = next(i for i, (a, b, c, _) in enumerate(chambers)
              if (ball.dists[a], ball.dists[b], ball.dists[c]) == (2, 1, 1))
     a, b, c, k = chambers[i]
+    assert (i, (a, b, c)) == (21, (15, 1, 8))
     chambers[i] = (a, b, c, (k + 1) % 3)
     report = verify_ball(dataclasses.replace(ball, chambers=tuple(chambers)))
-    thin = [f for f in report.failures if "carries labels" in f]
-    assert len(thin) == 3
-    for e in ((b, a), (c, a), (b, c)):
-        assert any(f.startswith(f"interior panel {e} ") for f in thin)
     assert {x for x, good in report.residue_status if not good} == {b, c}
+    assert report.failures == (
+        _thin((1, 8), [0, 2, 2]), _thin((1, 15), [0, 2, 2]),
+        _thin((8, 15), [0, 2, 2]), *_BAD_RESIDUES_1_8)
+
+
+def _thin(panel, labels):
+    return (f"interior panel {panel} carries labels {labels} instead of "
+            f"one chamber per label")
+
+
+_BAD_RESIDUES_1_8 = (
+    "residue of vertex 1 is not the labelled plane of column 1",
+    "residue of vertex 8 is not the labelled plane of column 2")
+
+
+def _glued_chamber_replaced(ball, *replacement):
+    # the chambers with chamber 21, (15, 1, 8, 1), the first glued one,
+    # replaced; the pinned failure lists fix the order in which
+    # verify_ball reports typing, panels and residues
+    chambers = list(ball.chambers)
+    assert chambers[21] == (15, 1, 8, 1)
+    chambers[21:22] = replacement
+    return verify_ball(dataclasses.replace(ball, chambers=tuple(chambers)))
+
+
+def test_dropped_chamber_is_reported(q2_ball_r2):
+    report = _glued_chamber_replaced(q2_ball_r2)
+    assert report.failures == (
+        _thin((1, 8), [0, 2]), _thin((1, 15), [0, 2]),
+        _thin((8, 15), [0, 2]), *_BAD_RESIDUES_1_8)
+
+
+def test_chamber_with_a_repeated_vertex_is_reported(q2_ball_r2):
+    # point 1 in slots 1 and 2: the chamber lies once in the residue of
+    # point 1 and not in that of line 8, and its panel (1, 15) carries
+    # its label twice
+    report = _glued_chamber_replaced(q2_ball_r2, (15, 1, 1, 1))
+    assert report.failures == (
+        "chamber (15, 1, 1, 1) lacks one vertex of each type",
+        _thin((1, 1), [1]), _thin((1, 8), [0, 2]),
+        _thin((1, 15), [0, 1, 1, 2]), _thin((8, 15), [0, 2]),
+        *_BAD_RESIDUES_1_8)
 
 
 def test_singer_shift_extends_to_radius_one_ball():
@@ -794,6 +820,11 @@ def _mutations(lines):
         ("edge row after a chamber row", swapped(first_chamber - 1)),
         ("two centers", at(1, "vertex 1 type=1 dist=0")),
         ("no center", at(0, "vertex 0 type=0 dist=1")),
+        # dists that are not the graph distance from the center
+        ("dist past the graph distance", at(1, "vertex 1 type=1 dist=2")),
+        ("center moved to a point",
+         "\n".join(["vertex 0 type=0 dist=1", "vertex 1 type=1 dist=0"]
+                   + lines[2:]) + "\n"),
         ("no chambers", "\n".join(lines[:first_chamber]) + "\n"),
         ("no vertex rows", "\n".join(lines[first_edge:]) + "\n"),
         # the vertex rows come first, so first_edge is their count
@@ -912,6 +943,25 @@ def test_complex_parser_refuses_edge_rows_off_the_chamber_panels():
             "raises", message), what
 
 
+# the mutations whose dists are not the graph distance from the center.
+# With vertex 1 at dist 2, the export would parse as a radius-2 ball with
+# an empty level-2 plane; with the center on point 1, points 2..7 are two
+# steps from it
+_DIST_FAULTS = {
+    "dist past the graph distance": "line 16: edge 0 1 joins dists 0 and 2",
+    "center moved to a point":
+        "line 3: vertex 2 at dist 1 has no neighbor at dist 0",
+}
+
+
+def test_complex_parser_refuses_dists_off_the_graph_distance():
+    lines = complex_to_text(build_ball(identity_matrix(2), 1)).splitlines()
+    mutations = dict(_mutations(lines))
+    for what, message in _DIST_FAULTS.items():
+        assert _parsed(complex_from_text, mutations[what]) == (
+            "raises", message), what
+
+
 def test_complex_parser_reads_panels_of_a_chamber_with_a_repeated_vertex():
     # chamber 0 0 1 has panels (0, 0) and (0, 1), the second twice
     text = ("vertex 0 type=0 dist=0\nvertex 1 type=1 dist=1\nedge 0 0\n"
@@ -941,7 +991,7 @@ def test_greedy_layout_pattern_matches_the_possessive_one():
 
 def test_complex_parser_rejects_vertex_type_outside_0_to_2():
     text = ("vertex 0 type=0 dist=0\nvertex 1 type=7 dist=1\nedge 0 0\n"
-            "chamber 0 0 0 label=0\n")
+            "edge 0 1\nchamber 0 0 1 label=0\n")
     with pytest.raises(InvalidInput, match="line 2: vertex type 7 outside 0..2"):
         complex_from_text(text)
     # the per-line reference accepts the row

@@ -175,12 +175,9 @@ def _dataclass_slots(tree):
 
 def test_every_dataclass_has_slots():
     # the census holds tens of thousands of records, and a slotted record
-    # has no per-instance dict.  BallComplex is the one exception: its
-    # cached properties keep the chamber index and the edges in the
-    # instance dict, where build_ball puts the index and complex_from_text
-    # the edge rows it has checked
+    # has no per-instance dict
     found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
              for name, slots in _dataclass_slots(
                  ast.parse(path.read_text(), filename=str(path)))
              if not slots]
-    assert found == ["ball.py: BallComplex"]
+    assert found == []
