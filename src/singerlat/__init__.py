@@ -11,7 +11,7 @@ from .diffsets import (
     canonical_difference_set, is_difference_set, matrix_from_text,
     matrix_to_text, set_from_text, set_to_text, singer_difference_set,
 )
-from .errors import CapExceeded, GluingError, InvalidInput
+from .errors import CapExceeded, GluingError, InternalError, InvalidInput
 from .exotic import (
     EquivClass, ExoticityVerdict, ExoticWitness, NormalizedMatrix, bound_B,
     candidate_count, census_from_text, census_summary, census_to_text,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .diffsets import DifferenceMatrix, DifferenceVector
-from .errors import CapExceeded, GluingError, InvalidInput
+from .errors import CapExceeded, GluingError, InternalError, InvalidInput
 from .plane import _chain_orbits, _check_map, _incidence_tables, _Search
 
 BALL_Q_CAP = 9
@@ -35,7 +35,6 @@ class BallComplex:
     center and the edges are read off them, so none can disagree."""
     q: int
     matrix: DifferenceMatrix
-    names: tuple[tuple, ...]
     types: tuple[int, ...]
     dists: tuple[int, ...]
     chambers: tuple[tuple[int, int, int, int], ...]
@@ -97,7 +96,8 @@ class H2GroupSummary:
 
 
 def _check_source(ball: BallComplex, what: str) -> None:
-    # a parsed export carries neither the matrix nor the vertex names
+    # a parsed export carries no matrix, and its ids need not follow
+    # build_ball's numbering, which the level-2 Singer shifts read
     if ball.matrix is None:
         raise InvalidInput(
             f"{what} needs the source matrix, which a parsed ball "
@@ -142,8 +142,6 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
             f"radius {radius} ball capped at q <= {BALL_Q_CAP}, got {q}")
     v0, v1, v2 = (c.entries for c in M.columns)
 
-    names = [("O",), *(("pt", p) for p in range(m)),
-             *(("ln", l) for l in range(m))]
     types = [0] + [1] * m + [2] * m
     dists = [0] + [1] * (2 * m)
     raw = [(0, 1 + (x + d) % m, 1 + m + x, j)
@@ -190,15 +188,11 @@ def build_ball(M: DifferenceMatrix, radius: int) -> BallComplex:
                     for r, row in enumerate(ln_rows, start=t1 + qq * l)
                     for k, z in enumerate(row)]
 
-        names += [("lnres", l, "P", z) for l in range(m) for z in range(1, m)]
-        names += [("lnres", l, "L", w) for l in range(m) for w in off_point0]
-        names += [("ptres", p, "P", u) for p in range(m) for u in off_line0]
         types += [0] * (m * (m - 1)) + [1] * (m * qq) + [2] * (m * qq)
         dists += [2] * (m * (m - 1) + 2 * m * qq)
 
-    return BallComplex(
-        q=q, matrix=M, names=tuple(names), types=tuple(types),
-        dists=tuple(dists), chambers=tuple(sorted(raw)))
+    return BallComplex(q=q, matrix=M, types=tuple(types), dists=tuple(dists),
+                       chambers=tuple(sorted(raw)))
 
 
 def _labelled_plane_isomorphic(flags, plane: DifferenceVector) -> bool:
@@ -363,7 +357,7 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
             for u, v in itertools.combinations(sorted(us), 2):
                 code = (p1 * nv + u) * nv + v
                 if code in joined:
-                    raise AssertionError(
+                    raise InternalError(
                         f"points {u}, {v} of the residue of {p1} span "
                         f"two lines")
                 joined.add(code)
@@ -379,8 +373,6 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
 
 class _H2Tables(NamedTuple):
     """The level-2 plane by index, for the engine and the summary."""
-    pt_index: dict  # point -> its number
-    ln_index: dict
     pt_lines: list  # the lines through each point, as a set
     pt_fibers: dict  # level-1 point -> the numbers of the points over it
     ln_fibers: dict
@@ -403,30 +395,29 @@ def _h2_tables(H: HjelmslevPlane) -> _H2Tables:
     for i, l in enumerate(H.lines):
         ln_fibers.setdefault(l[0], []).append(i)
     return _H2Tables(
-        pt_index, ln_index, [frozenset(s) for s in pt_lines], pt_fibers,
-        ln_fibers, _incidence_tables(ln_points, pt_lines))
+        [frozenset(s) for s in pt_lines], pt_fibers, ln_fibers,
+        _incidence_tables(ln_points, pt_lines))
 
 
 def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane, tables):
-    """Label-preserving collineations: the center's cyclic shift forces
-    the whole map through the vertex names, one map per shift."""
+    """Label-preserving collineations: the center's cyclic shift
+    x -> x + t forces the whole map, one map per shift.  build_ball
+    numbers each run of equal (dist, type) residue by residue, size // m
+    ids a residue (the center's run has one id), so shift t sends the
+    run's i-th id to its (i + t * (size // m)) mod size-th."""
     m = ball.matrix.columns[0].modulus
-    name_id = {n: i for i, n in enumerate(ball.names)}
-    pt_index, ln_index = tables.pt_index, tables.ln_index
-
-    def shift_name(n, t):
-        if n == ("O",):
-            return n
-        if n[0] in ("pt", "ln"):
-            return (n[0], (n[1] + t) % m)
-        return (n[0], (n[1] + t) % m, n[2], n[3])
-
+    sizes = [len(list(run)) for _, run in
+             itertools.groupby(zip(ball.dists, ball.types))]
+    pt_index = {p: i for i, p in enumerate(H.points)}
+    ln_index = {l: i for i, l in enumerate(H.lines)}
     maps = []
     for t in range(m):
-        vmap = {i: name_id[shift_name(n, t)]
-                for i, n in enumerate(ball.names)}
-        pmap = tuple(pt_index[(vmap[p[0]], vmap[p[1]])] for p in H.points)
-        lmap = tuple(ln_index[(vmap[l[0]], vmap[l[1]])] for l in H.lines)
+        vmap = []
+        for size in sizes:
+            start, step = len(vmap), t * (size // m)
+            vmap += [start + (i + step) % size for i in range(size)]
+        pmap = tuple(pt_index[vmap[a], vmap[b]] for a, b in H.points)
+        lmap = tuple(ln_index[vmap[a], vmap[b]] for a, b in H.lines)
         _check_map(tables.engine, pmap, lmap)
         maps.append((pmap, lmap))
     return maps
@@ -470,7 +461,7 @@ def h2_collineations_fixing_center(ball: BallComplex,
     if labels_only:
         shifts = _h2_singer_maps(ball, H, tables)
         if identity not in shifts:
-            raise AssertionError("the identity is not among the collineations")
+            raise InternalError("the identity is not among the collineations")
         order = len(shifts)
         kernel_order = sum(all(v in fiber for v, fiber in zip(pmap, fibers))
                            for pmap, _ in shifts)
@@ -478,7 +469,7 @@ def h2_collineations_fixing_center(ball: BallComplex,
         order = math.prod(_chain_orbits(tables.engine))
         kernel_order = math.prod(_chain_orbits(tables.engine, fibers))
     if order % kernel_order:
-        raise AssertionError(
+        raise InternalError(
             f"the fiber kernel order {kernel_order} does not divide the "
             f"group order {order}")
 
@@ -543,8 +534,7 @@ _TYPES = {"0": 0, "1": 1, "2": 2}
 
 def complex_from_text(text: str) -> BallComplex:
     """Inverse of complex_to_text up to what the export carries: the
-    source matrix and the vertex names are not exported and come back as
-    None.
+    source matrix is not exported and comes back as None.
 
     The one layout read is the one complex_to_text writes: vertex rows
     with ids 0, 1, ... in order, then edge rows, then chamber rows, with
@@ -597,8 +587,8 @@ def complex_from_text(text: str) -> BallComplex:
     _check_edges(edges, _panel_codes((a, b, c), n), n)
     _check_dists(edges, dists, n)
     return BallComplex(
-        q=max(corners[3::4]), matrix=None, names=None, types=types,
-        dists=dists, chambers=tuple(zip(a, b, c, corners[3::4])))
+        q=max(corners[3::4]), matrix=None, types=types, dists=dists,
+        chambers=tuple(zip(a, b, c, corners[3::4])))
 
 
 def _check_edges(edges, want, n):

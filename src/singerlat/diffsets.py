@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .arith import prime_power, primitive_powers, zmod_units
-from .errors import CapExceeded, InvalidInput, _brief
+from .errors import CapExceeded, InternalError, InvalidInput, _brief
 
 SINGER_Q_CAP = 9
 
@@ -166,10 +166,10 @@ def singer_difference_set(q: int) -> DifferenceSet:
             for u in subfield for v in times_x}
     span.discard(zero)
     if len(span) != q * q - 1:
-        raise AssertionError(f"span{{1, x}} has {len(span)} nonzero vectors")
+        raise InternalError(f"span{{1, x}} has {len(span)} nonzero vectors")
     exponents = {i % m for i, v in enumerate(powers) if v in span}
     if len(exponents) != q + 1:
-        raise AssertionError(
+        raise InternalError(
             f"Singer set of order {q} has {len(exponents)} elements")
     return DifferenceSet(q, m, tuple(sorted(exponents)))
 

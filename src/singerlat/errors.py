@@ -1,11 +1,13 @@
 """Shared exception types, and how a refusal quotes a long number.
 
 The command line maps these onto exit codes: InvalidInput -> 2,
-CapExceeded -> 3.  GluingError, raised only by build_ball on a column 1
-whose differences miss a nonzero residue, is always a bug or corrupted
-input, never a normal outcome; it exits 4, as does any failed soundness
-check, any other uncaught error, and a ball that fails its
-verification.  Exit 1 comes only from certify's verdict, and 0 is success.
+CapExceeded -> 3.  InternalError is a failed soundness check, always a
+bug or corrupted input, never a normal outcome: an AssertionError that
+the library raises explicitly, so python -O keeps it.  GluingError, the
+one raised by build_ball on a column 1 whose differences miss a nonzero
+residue, is one.  They exit 4, as do any other uncaught error and a ball
+that fails its verification.  Exit 1 comes only from certify's verdict,
+and 0 is success.
 """
 
 import math
@@ -19,7 +21,11 @@ class CapExceeded(RuntimeError):
     pass
 
 
-class GluingError(RuntimeError):
+class InternalError(AssertionError):
+    pass
+
+
+class GluingError(InternalError):
     pass
 
 

@@ -50,7 +50,7 @@ from .diffsets import (
     DifferenceMatrix, DifferenceSet, DifferenceVector,
     canonical_difference_set, find_agl_map, stabilizer_index_perms,
 )
-from .errors import CapExceeded, InvalidInput
+from .errors import CapExceeded, InternalError, InvalidInput
 from .permgrp import (
     PermGroup, closure, compose, conjugator, identity, inverse,
     perm_from_str, perm_to_str,
@@ -209,7 +209,7 @@ def _canonical_pencil_group(q) -> PermGroup:
     s = next((s for s in range(m)
               if {(p * dj - s) % m for dj in d} == members), None)
     if s is None:
-        raise AssertionError(f"{p} times the canonical set is no translate")
+        raise InternalError(f"{p} times the canonical set is no translate")
     gens = [tuple(label[(p * y + s) % m] for y in pencil)]
     elements = closure(gens, q + 1)
     for P in (1, 2):
@@ -224,7 +224,7 @@ def _canonical_pencil_group(q) -> PermGroup:
                 elements = closure(gens, q + 1)
     order = q * (q * q - 1) * eta
     if len(elements) != order:
-        raise AssertionError(
+        raise InternalError(
             f"pencil group of order {len(elements)}, expected {order}")
     return PermGroup(q + 1, tuple(gens), elements)
 
@@ -323,10 +323,10 @@ def _least_outside(q, s, t) -> tuple[int, ...]:
             if g not in g0:
                 if (conjugator(s_inv)(h) not in g0
                         or conjugator(t_inv)(h) in g0):
-                    raise AssertionError(
+                    raise InternalError(
                         f"witness {perm_to_str(h)} is not in G_s outside G_t")
                 return h
-    raise AssertionError(
+    raise InternalError(
         f"{perm_to_str(compose(t, s_inv))} normalizes the pencil group")
 
 
@@ -431,10 +431,10 @@ def _census_stabilizer(q, g0) -> list[tuple[int, ...]]:
     stab = stabilizer_index_perms(canonical_difference_set(q))
     eta = prime_power(q)[1]
     if len(stab) != 3 * eta:
-        raise AssertionError(
+        raise InternalError(
             f"stabilizer of order {len(stab)}, expected {3 * eta}")
     if not all(s in g0.elements for s in stab):
-        raise AssertionError("a stabilizer perm lies outside the pencil group")
+        raise InternalError("a stabilizer perm lies outside the pencil group")
     return stab
 
 
@@ -503,7 +503,7 @@ def _duality_perm(q) -> tuple[int, ...]:
     neg = tuple(sorted((-d) % D.modulus for d in D.elements))
     g = find_agl_map(neg, D.elements, D.modulus)
     if g is None:
-        raise AssertionError("the negated canonical set is not in its orbit")
+        raise InternalError("the negated canonical set is not in its orbit")
     pos = {d: i for i, d in enumerate(D.elements)}
     return tuple(pos[g((-d) % D.modulus)] for d in D.elements)
 
@@ -529,7 +529,7 @@ def _extra_move_roots(q, least, coset_of, stab, orbit_of,
     nu = _duality_perm(q)
     nu_inv = inverse(nu)
     if {compose(nu, compose(s, nu_inv)) for s in stab} != set(stab):
-        raise AssertionError("duality does not normalize the stabilizer")
+        raise InternalError("duality does not normalize the stabilizer")
     n = len(least)
     by_s = [(itemgetter(*_right_table(least, coset_of, s)),
              _right_table(least, coset_of, inverse(s))) for s in stab]
@@ -595,9 +595,9 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     orbit_of, first, lengths = _coset_pair_orbits(least, coset_of, stab)
     sizes = [len(stab) ** 2 * pairs for pairs in lengths]
     if sum(sizes) != math.factorial(q + 1) ** 2:
-        raise AssertionError("coarse orbit sizes do not add up to all pairs")
+        raise InternalError("coarse orbit sizes do not add up to all pairs")
     if any(len(stab) ** 3 % size for size in set(sizes)):
-        raise AssertionError("a coarse orbit size does not divide |S|^3")
+        raise InternalError("a coarse orbit size does not divide |S|^3")
     walks = {}
     as_alpha1, as_alpha2 = zip(*(_census_verdicts(q, b, walks) for b in least))
     verdicts = [as_alpha1[code // n] or as_alpha2[code % n] for code in first]
@@ -607,7 +607,7 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
         merged = [0] * len(first)
         for k, root in enumerate(roots):
             if verdicts[k].outcome != verdicts[root].outcome:
-                raise AssertionError("rotation or duality changed a verdict")
+                raise InternalError("rotation or duality changed a verdict")
             merged[root] += sizes[k]
         kept = [k for k, root in enumerate(roots) if root == k]
         sizes = merged
@@ -630,7 +630,7 @@ def candidate_count(q) -> int:
     least, coset_of = _right_cosets(sorted(g0.elements), stab)
     count = len(_coset_pair_orbits(least, coset_of, stab)[1])
     if count > bound_B(q):
-        raise AssertionError(f"{count} candidates exceed the bound B")
+        raise InternalError(f"{count} candidates exceed the bound B")
     return count
 
 
@@ -644,7 +644,7 @@ def bound_B(q) -> int:
         raise InvalidInput(f"order must be at least 2, got {q}")
     n = q * (q * q - 1)
     if n % 3:
-        raise AssertionError(f"q(q^2-1) = {n} is not divisible by 3")
+        raise InternalError(f"q(q^2-1) = {n} is not divisible by 3")
     return (n // 3) ** 2
 
 

@@ -21,7 +21,7 @@ import re
 from functools import lru_cache
 
 from .diffsets import DifferenceVector, canonical_difference_set
-from .errors import InvalidInput
+from .errors import InternalError, InvalidInput
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +243,7 @@ class _Search:
         (point map, line map) of tuples."""
         if self.n_mapped == self.npts:
             if -1 in self.limg:
-                raise AssertionError("every point is mapped but a line is not")
+                raise InternalError("every point is mapped but a line is not")
             yield tuple(self.pimg), tuple(self.limg)
             return
         p, cands = self._choose()
@@ -260,7 +260,7 @@ def _check_map(tables, pmap, lmap):
     pt_lines = tables[1]
     for p, lines in enumerate(pt_lines):
         if set(pt_lines[pmap[p]]) != {lmap[y] for y in lines}:
-            raise AssertionError(
+            raise InternalError(
                 f"the map sends the lines through point {p} elsewhere")
 
 
@@ -291,7 +291,7 @@ def _chain_orbits(tables, pt_domain=None):
                  if [join[a][v] != -1 for a in fixed] == joined
                  and next(maps({**fixed, b: v}), None)]
         if b not in orbit:
-            raise AssertionError("the identity is not among the collineations")
+            raise InternalError("the identity is not among the collineations")
         orbits.append(len(orbit))
         fixed[b] = b
         moved = next((g[0] for g in maps(fixed) if g[0] != identity), None)

@@ -15,7 +15,9 @@ every column it accepts is an affine image of the canonical set, whose
 plane is Singer's PG(2, q).
 The per-line ball-export parser is the reference for the library's
 one-pattern parser, the name-and-union-find ball build for its
-closed-form vertex numbering, the residue test that tries every
+closed-form vertex numbering, the cyclic shifts of its vertex names
+(singer_maps_by_name) for the level-2 shifts read off that numbering,
+the residue test that tries every
 image of the anchor line for the one that tries line 0 alone, the
 three-pass level-2 extraction (hjelmslev_level2) for the one walk over
 the type-0 vertices other than the center, the
@@ -338,17 +340,20 @@ def complex_from_text(text):
         raise InvalidInput(f"line {vertex_rows[v]}: vertex {v} at dist {d} "
                            f"has no neighbor at dist {d - 1}")
     return BallComplex(
-        q=max(c[3] for c in chambers), matrix=None, names=None,
-        types=tuple(types), dists=tuple(dists), chambers=tuple(chambers))
+        q=max(c[3] for c in chambers), matrix=None, types=tuple(types),
+        dists=tuple(dists), chambers=tuple(chambers))
 
 
 class ReferenceBall(NamedTuple):
     """The reference build: the ball, and the edges, center and radius it
-    computes by its own rules, which the library reads off the ball."""
+    computes by its own rules, which the library reads off the ball; and
+    the name of each vertex, the root of its union-find class, in id
+    order."""
     ball: BallComplex
     edges: tuple
     center: int
     radius: int
+    names: tuple
 
 
 def build_ball(M, radius):
@@ -482,9 +487,9 @@ def build_ball(M, radius):
                      (a, c) if a < c else (c, a),
                      (b, c) if b < c else (c, b))}))
     return ReferenceBall(
-        BallComplex(q=q, matrix=M, names=roots, types=types, dists=dists,
+        BallComplex(q=q, matrix=M, types=types, dists=dists,
                     chambers=chambers),
-        edges, vid[center], radius)
+        edges, vid[center], radius, roots)
 
 
 def labelled_plane_isomorphic(flags, plane):
@@ -626,8 +631,8 @@ def h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):
     """All collineations of the level-2 plane inducing the given
     residue collineation on the fibers, by fiber-wise backtracking: the
     reference for the library's kernel cosets, which it checks lift by
-    lift.  tables are the first six fields of the library's level-2
-    tables."""
+    lift.  tables are the point and line numbers of H by their pairs,
+    and four fields of the library's level-2 tables."""
     pt_index, ln_index, pt_lines, ln_points, pt_fibers, ln_fibers = tables
     npts, nlns = len(H.points), len(H.lines)
 
@@ -708,6 +713,34 @@ def h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):
 
     extend(0)
     return out
+
+
+def singer_maps_by_name(names, H: HjelmslevPlane, tables):
+    """The level-2 collineations of the cyclic shifts x -> x + t, by the
+    reference's vertex names: the shift moves the point, line or residue
+    index of every name by t and keeps the rest, and the map on ids goes
+    through a name -> id dict.  The reference for the library's shifts,
+    which it reads off build_ball's numbering; each map is checked."""
+    m = sum(n[0] == "pt" for n in names)
+    name_id = {n: i for i, n in enumerate(names)}
+    pt_index = {p: i for i, p in enumerate(H.points)}
+    ln_index = {l: i for i, l in enumerate(H.lines)}
+
+    def shift_name(n, t):
+        if n == ("O",):
+            return n
+        if n[0] in ("pt", "ln"):
+            return (n[0], (n[1] + t) % m)
+        return (n[0], (n[1] + t) % m, n[2], n[3])
+
+    maps = []
+    for t in range(m):
+        vmap = [name_id[shift_name(n, t)] for n in names]
+        pmap = tuple(pt_index[(vmap[p[0]], vmap[p[1]])] for p in H.points)
+        lmap = tuple(ln_index[(vmap[l[0]], vmap[l[1]])] for l in H.lines)
+        _check_map(tables.engine, pmap, lmap)
+        maps.append((pmap, lmap))
+    return maps
 
 
 def h2_lift_search(H: HjelmslevPlane, tables, base_pt):

@@ -108,7 +108,7 @@ def _disguised(M, rng):
 
 def _same_as_reference(M, radius):
     got, want = build_ball(M, radius), oracles.build_ball(M, radius)
-    # names, types, dists and chambers
+    # types, dists and chambers
     assert got == want.ball
     # what the library reads off the ball, against the reference's own
     assert got.edges == want.edges
@@ -126,9 +126,9 @@ def test_build_matches_name_union_find_reference():
         _same_as_reference(Mn.decode(), 2)
 
 
-def test_ball_record_stores_six_fields():
+def test_ball_record_stores_five_fields():
     assert [f.name for f in dataclasses.fields(BallComplex)] == [
-        "q", "matrix", "names", "types", "dists", "chambers"]
+        "q", "matrix", "types", "dists", "chambers"]
     ball = build_ball(identity_matrix(2), 1)
     stored = {f.name: getattr(ball, f.name)
               for f in dataclasses.fields(BallComplex)}
@@ -295,7 +295,6 @@ def test_row_permuted_matrix_rebuilds_same_complex():
         for col in M.columns))
     a = build_ball(M, 2)
     b = build_ball(permuted, 2)
-    assert a.names == b.names
     assert a.types == b.types
     assert a.dists == b.dists
     assert a.edges == b.edges
@@ -402,6 +401,23 @@ def test_label_preserving_maps_are_the_cyclic_shifts(q2_ball_r2):
         assert all(pmap[i] != i for i in range(npts))
 
 
+def test_singer_shifts_follow_the_vertex_names():
+    # the shifts read off build_ball's numbering are the ones its vertex
+    # names give, map for map, on every q = 2 class and 40 at q = 3
+    rng = random.Random(43)
+    matrices = [Mn.decode() for Mn in enumerate_normalized(2)]
+    matrices += [Mn.decode()
+                 for Mn in rng.sample(list(enumerate_normalized(3)), 40)]
+    assert len(matrices) == 76
+    for M in matrices:
+        ball = build_ball(M, 2)
+        H = extract_hjelmslev(ball, 2)
+        tables = ball_module._h2_tables(H)
+        names = oracles.build_ball(M, 2).names
+        assert ball_module._h2_singer_maps(ball, H, tables) == \
+            oracles.singer_maps_by_name(names, H, tables)
+
+
 def test_label_preserving_summary(q2_ball_r2):
     summary = h2_collineations_fixing_center(q2_ball_r2, labels_only=True)
     assert summary.order == 7
@@ -488,7 +504,8 @@ def test_lifts_are_kernel_cosets(q2_ball_r2):
     # every lift of a base collineation is one lift after the kernel
     H = extract_hjelmslev(q2_ball_r2, 2)
     tables = ball_module._h2_tables(H)
-    oracle_tables = (tables.pt_index, tables.ln_index, tables.pt_lines,
+    oracle_tables = ({p: i for i, p in enumerate(H.points)},
+                     {l: i for i, l in enumerate(H.lines)}, tables.pt_lines,
                      tables.engine[2], tables.pt_fibers, tables.ln_fibers)
     fixed = {f: f for f in tables.pt_fibers}
     kernel = list(oracles.h2_lift_search(H, tables, fixed))
@@ -730,7 +747,7 @@ def test_radius_two_outputs_are_pinned(key):
 
 def test_ball_digest_slice():
     # 62 of the 617 balls of tests/ball_digest.py, whose full run takes
-    # about 25 s: names, export, report, chamber index, level-1 and
+    # about 25 s: export, report, chamber index, level-1 and
     # level-2 planes and the parsed export, at radius 2 for every q = 2
     # matrix and the first 24 at q = 3, and at radius 1 for q = 4, 5
     balls = [(Mn.decode(), 2) for Mn in enumerate_normalized(2)]
@@ -739,7 +756,7 @@ def test_ball_digest_slice():
     balls += [(identity_matrix(q), 1) for q in (4, 5)]
     assert len(balls) == 62
     assert ball_digest.digest_of(balls) == (
-        "48fe97fdc69027bdab947963414f88e37111f8f1dc5c02b66020a741b5b56b0c")
+        "c4e1a1bc9b3dca3de79a8009b9f9ec2d66b312ae9db479387ad4f8ee6f68c2e0")
 
 
 def _parsed(parse, text):

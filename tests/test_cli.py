@@ -259,6 +259,18 @@ def test_internal_fault_exits_4(twisted_q5_file, tmp_path, capsys,
     assert "Traceback" in err
 
 
+def test_failed_library_check_exits_4(tmp_path, capsys, monkeypatch):
+    # the census's own check on the stabilizer, fed one of the wrong
+    # order, raises InternalError, and the run exits 4 and writes nothing
+    monkeypatch.setattr(exotic, "stabilizer_index_perms",
+                        lambda D: [identity(3)])
+    code, out, err = run(capsys, "classify", 2, "--outdir", tmp_path)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: InternalError: stabilizer of "
+                          "order 1, expected 3\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certify_finds_each_column_map_once(twisted_q5_file, capsys,
                                             monkeypatch):
     # normalization and verdict share the three column twists
@@ -635,3 +647,27 @@ def test_repeated_main_calls_match_fresh_processes(twisted_q5_file, tmp_path,
             [sys.executable, "-m", "singerlat.cli", *args],
             capture_output=True, text=True, env=checkout_env())
         assert (code, out) == (proc.returncode, proc.stdout), args
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # the census files and a ball export of a non-identity q = 3 matrix,
+    # written by fresh processes under two hash seeds, are the same bytes
+    M = NormalizedMatrix(3, canonical_difference_set(3),
+                         (1, 3, 0, 2), (0, 3, 1, 2)).decode()
+    matrix = tmp_path / "q3.dm"
+    matrix.write_text(matrix_to_text(M))
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        env = checkout_env()
+        env["PYTHONHASHSEED"] = seed
+        for args in (["classify", "3", "--extra-moves", "--outdir", out],
+                     ["ball", matrix, "2", "-o", out / "ball.txt"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "singerlat.cli", *map(str, args)],
+                capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]

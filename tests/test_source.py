@@ -24,6 +24,21 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_no_bare_assertion_errors_in_src():
+    # a failed soundness check raises errors.InternalError, which the
+    # command line reports by that name
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_import_loads_no_exact_arithmetic():
     # fractions (which loads decimal) serves only the counting bounds,
     # which import it when called; every run of the library pays for a
