@@ -546,7 +546,8 @@ def complex_from_text(text: str) -> BallComplex:
     than 1 apart, and each vertex at dist d > 0 has a neighbor at dist
     d - 1, so with one center every dist is the graph distance from it:
     dists rise by at most 1 a step along a shortest path, and d steps
-    down from dist d reach the center.  Any other text raises
+    down from dist d reach the center.  Each chamber row lists vertices
+    of types 0, 1 and 2, in that order.  Any other text raises
     InvalidInput naming the line at fault, save an export with no
     chambers or without exactly one center (dist 0)."""
     body = "\n".join(text.splitlines() + [""])
@@ -586,6 +587,7 @@ def complex_from_text(text: str) -> BallComplex:
     edges = tuple(zip(ends[::2], ends[1::2]))
     _check_edges(edges, _panel_codes((a, b, c), n), n)
     _check_dists(edges, dists, n)
+    _check_slot_types((a, b, c), types, n + len(edges) + 1)
     return BallComplex(
         q=max(corners[3::4]), matrix=None, types=types, dists=dists,
         chambers=tuple(zip(a, b, c, corners[3::4])))
@@ -629,6 +631,18 @@ def _check_dists(edges, dists, n):
         raise InvalidInput(
             f"line {v + 1}: vertex {v} at dist {d} has no neighbor at "
             f"dist {d - 1}")
+
+
+def _check_slot_types(corners, types, first_line):
+    """Refuse the first chamber row (rows start on line first_line) not
+    typed 0, 1, 2 in slot order; corners[t] holds slot t of each row."""
+    if all({types[v] for v in slot} == {t} for t, slot in enumerate(corners)):
+        return
+    k, abc = next((k, abc) for k, abc in enumerate(zip(*corners))
+                  if [types[v] for v in abc] != [0, 1, 2])
+    raise InvalidInput(
+        "line %d: chamber %d %d %d has vertex types %d %d %d, not 0 1 2"
+        % (first_line + k, *abc, *(types[v] for v in abc)))
 
 
 def _values(tokens, table, first_line, names):

@@ -8,17 +8,16 @@ vectors sharing q, one per vertex type of the complex they encode.
 
 The affine group AGL(1, Z/mZ) of maps x -> a*x + b (a a unit) acts on
 difference sets.  Singer's construction produces one difference set per
-prime power q; find_agl_map finds the first affine map between two
-sets, which is how a matrix column is matched to the canonical set.
+prime power q; label_perms matches a matrix column to the canonical set
+by the affine maps between them, each read as a permutation of labels.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .arith import prime_power, primitive_powers, zmod_units
 from .errors import CapExceeded, InternalError, InvalidInput, _brief
@@ -124,28 +123,6 @@ class DifferenceMatrix:
         return cls(q, tuple(DifferenceVector.make(q, c) for c in cols))
 
 
-@dataclass(frozen=True, slots=True)
-class AffineMap:
-    """x -> a*x + b on Z/mZ, with a a unit."""
-
-    a: int
-    b: int
-    modulus: int
-
-    def __post_init__(self):
-        m = self.modulus
-        if m < 2:
-            raise InvalidInput("modulus must be at least 2")
-        object.__setattr__(self, "a", self.a % m)
-        object.__setattr__(self, "b", self.b % m)
-        if math.gcd(self.a, m) != 1:
-            raise InvalidInput(f"multiplier {_brief(self.a)} is not a unit "
-                               f"mod {_brief(m)}")
-
-    def __call__(self, x: int) -> int:
-        return (self.a * x + self.b) % self.modulus
-
-
 def singer_difference_set(q: int) -> DifferenceSet:
     """Singer's difference set: the exponents i, taken mod q^2+q+1, for
     which x^i lies in the plane GF(q) + GF(q)*x, where x generates the
@@ -189,45 +166,30 @@ def canonical_difference_set(q: int) -> DifferenceSet:
     return DifferenceSet(q, m, best)
 
 
-def agl_maps_onto(src: tuple[int, ...], dst: tuple[int, ...],
-                  m: int) -> Iterator[AffineMap]:
-    """Every affine map carrying set src onto set dst, ascending in (a, b).
-
-    A map x -> a*x + b onto dst sends min(src) into dst, so for each unit
-    a only the offsets b = d - a*min(src), d in dst, can work.  Every map
-    carries the empty set onto itself.
-    """
-    src_sorted = tuple(sorted(x % m for x in src))
-    dst_sorted = tuple(sorted(x % m for x in dst))
-    if len(src_sorted) != len(dst_sorted):
+def label_perms(entries, D: DifferenceSet) -> Iterator[tuple[int, ...]]:
+    """The affine maps x -> a*x + b sending the entries, read mod m, into
+    D, ascending in (a, b), as the positions in D of the images; none
+    unless the entries are len(D) distinct residues.  Only offsets
+    b = d - a*min(entries), d in D, can work, and at most one for each
+    a, as no translation but 0 fixes a perfect difference set.  A map is
+    one to one, so one into D is onto D: no sorted image is compared."""
+    m = D.modulus
+    xs = [x % m for x in entries]
+    if len(xs) != len(D.elements) or len(set(xs)) != len(xs):
         return
-    dst_set = set(dst_sorted)
+    pos = {d: i for i, d in enumerate(D.elements)}
+    low = min(xs)
     for a in zmod_units(m):
-        offsets = ({(d - a * src_sorted[0]) % m for d in dst_set}
-                   if src_sorted else range(m))
-        for b in sorted(offsets):
-            if all((a * x + b) % m in dst_set for x in src_sorted):
-                image = tuple(sorted((a * x + b) % m for x in src_sorted))
-                if image == dst_sorted:  # differs only on repeated entries
-                    yield AffineMap(a, b, m)
-
-
-def find_agl_map(src: tuple[int, ...], dst: tuple[int, ...], m: int) -> Optional[AffineMap]:
-    """First affine map (ascending in (a, b)) carrying set src onto set dst."""
-    return next(agl_maps_onto(src, dst, m), None)
-
-
-def set_stabilizer_in_agl(D: DifferenceSet) -> list[AffineMap]:
-    """All affine maps fixing D as a set, ascending in (a, b)."""
-    return list(agl_maps_onto(D.elements, D.elements, D.modulus))
+        for b in [(d - a * low) % m for d in D.elements]:
+            image = [(a * x + b) % m for x in xs]
+            if all(y in pos for y in image):
+                yield tuple(map(pos.__getitem__, image))
 
 
 def stabilizer_index_perms(D: DifferenceSet) -> list[tuple[int, ...]]:
-    """Each stabilizer map permutes the sorted elements of D; return those
-    permutations of {0..q} in the order of set_stabilizer_in_agl."""
-    pos = {d: i for i, d in enumerate(D.elements)}
-    return [tuple(pos[g(d)] for d in D.elements)
-            for g in set_stabilizer_in_agl(D)]
+    """The affine maps fixing D as a set, ascending in (a, b), as the
+    permutations of {0..q} they make of D's sorted elements."""
+    return list(label_perms(D.elements, D))
 
 
 def _json_from_text(text: str):

@@ -48,7 +48,7 @@ from typing import Iterator, Optional
 from .arith import prime_power
 from .diffsets import (
     DifferenceMatrix, DifferenceSet, DifferenceVector,
-    canonical_difference_set, find_agl_map, stabilizer_index_perms,
+    canonical_difference_set, label_perms, stabilizer_index_perms,
 )
 from .errors import CapExceeded, InternalError, InvalidInput
 from .permgrp import (
@@ -258,21 +258,18 @@ def pencil_normalizer(q) -> PermGroup:
 def _label_twists(M: DifferenceMatrix) -> tuple[tuple[int, ...], ...]:
     """The label twists tau_t with G_t = tau_t^-1 G_0 tau_t on the labels
     of column t: tau_t[i] is the canonical position of entry i under the
-    affine map of column t onto the canonical set.
+    first affine map of column t onto the canonical set (label_perms).
 
     One cached matrix is enough for certify, which normalizes and then
     certifies the same matrix.
     """
     D = canonical_difference_set(M.q)
-    pos = {d: i for i, d in enumerate(D.elements)}
-    twists = []
-    for t, col in enumerate(M.columns):
-        g = find_agl_map(col.entries, D.elements, D.modulus)
-        if g is None:
-            raise InvalidInput(
-                f"column {t} is not AGL-equivalent to the canonical set")
-        twists.append(tuple(pos[g(e)] for e in col.entries))
-    return tuple(twists)
+    twists = tuple(next(label_perms(col.entries, D), None)
+                   for col in M.columns)
+    if None in twists:
+        raise InvalidInput(f"column {twists.index(None)} is not "
+                           f"AGL-equivalent to the canonical set")
+    return twists
 
 
 @lru_cache(maxsize=None)
@@ -500,12 +497,10 @@ def _duality_perm(q) -> tuple[int, ...]:
     affine map; duality sends (alpha1, alpha2) to
     (nu alpha2 nu^-1, nu alpha1 nu^-1)."""
     D = canonical_difference_set(q)
-    neg = tuple(sorted((-d) % D.modulus for d in D.elements))
-    g = find_agl_map(neg, D.elements, D.modulus)
-    if g is None:
+    nu = next(label_perms([(-d) % D.modulus for d in D.elements], D), None)
+    if nu is None:
         raise InternalError("the negated canonical set is not in its orbit")
-    pos = {d: i for i, d in enumerate(D.elements)}
-    return tuple(pos[g((-d) % D.modulus)] for d in D.elements)
+    return nu
 
 
 def _extra_move_roots(q, least, coset_of, stab, orbit_of,
@@ -627,7 +622,7 @@ def candidate_count(q) -> int:
     of S-cosets inside it.  Never exceeds the counting bound."""
     g0 = pencil_group(q)
     stab = _census_stabilizer(q, g0)
-    least, coset_of = _right_cosets(sorted(g0.elements), stab)
+    least, coset_of = _right_cosets(_sorted_pencil_group(q), stab)
     count = len(_coset_pair_orbits(least, coset_of, stab)[1])
     if count > bound_B(q):
         raise InternalError(f"{count} candidates exceed the bound B")

@@ -63,10 +63,13 @@ NormalizedMatrix.from_matrix; prime_power_by_scan, the reference for
 prime_power; all_difference_sets, the exhaustive scan up to
 ENUMERATION_Q_CAP that the Singer orbit is checked against;
 agl_orbit_of_set, the whole affine orbit of a set, whose least member
-canonical_difference_set must find; compose_affine and invert_affine;
-conjugate_by, the group s^-1 * G * s; and reduce_generators,
-group_from_generators and group_from_elements, which build a PermGroup
-from generators or from a closed element set.
+canonical_difference_set must find; AffineMap with compose_affine and
+invert_affine, and agl_maps_onto, the affine maps between any two sets
+(find_agl_map takes the first, set_stabilizer_in_agl those fixing a
+set), of which diffsets.label_perms reads the maps onto a difference
+set as label positions; conjugate_by, the group s^-1 * G * s; and
+reduce_generators, group_from_generators and group_from_elements,
+which build a PermGroup from generators or from a closed element set.
 
 The plane tools work on a difference vector, which is its own plane
 (singerlat.plane).  A collineation is a (point map, line map) pair:
@@ -89,6 +92,7 @@ import itertools
 import math
 import re
 from array import array
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -99,8 +103,7 @@ from singerlat.ball import (
     extract_hjelmslev,
 )
 from singerlat.diffsets import (
-    AffineMap, DifferenceMatrix, DifferenceSet, DifferenceVector,
-    find_agl_map, is_difference_set,
+    DifferenceMatrix, DifferenceSet, DifferenceVector, is_difference_set,
 )
 from singerlat.errors import CapExceeded, GluingError, InvalidInput
 from singerlat.exotic import (
@@ -265,13 +268,14 @@ _CHAMBER_RE = re.compile(r"chamber (\d+) (\d+) (\d+) label=(\d+)$")
 def complex_from_text(text):
     """The ball-export parser as it was before the one-pattern scan: three
     patterns tried per line, rows in any order.  It accepts any Unicode
-    digits, leading zeros, any vertex type and dists and labels past the
-    vertex count, all of which the library rejects.  Its edge rows must
-    be the sorted panels of the chambers, compared row by row, and every
+    digits, leading zeros, and dists and labels past the vertex count,
+    all of which the library rejects, and it refuses a vertex type
+    outside 0..2 only where a chamber holds the vertex.  Its edge rows must
+    be the sorted panels of the chambers, compared row by row, every
     dist the graph distance from the center, found by a breadth-first
-    search."""
+    search, and each chamber's vertices typed 0, 1, 2 in slot order."""
     types, dists, edges, chambers = [], [], [], []
-    # line numbers, for the range and dist checks
+    # line numbers, for the range, dist and slot-type checks
     vertex_rows, edge_rows, chamber_rows = [], [], []
     for i, line in enumerate(text.splitlines(), start=1):
         if m := _VERTEX_RE.match(line):
@@ -339,6 +343,12 @@ def complex_from_text(text):
         d, v = min(off)
         raise InvalidInput(f"line {vertex_rows[v]}: vertex {v} at dist {d} "
                            f"has no neighbor at dist {d - 1}")
+    for i, (a, b, c, _) in zip(chamber_rows, chambers):
+        got = tuple(types[v] for v in (a, b, c))
+        if got != (0, 1, 2):
+            raise InvalidInput(
+                f"line {i}: chamber {a} {b} {c} has vertex types "
+                f"{got[0]} {got[1]} {got[2]}, not 0 1 2")
     return BallComplex(
         q=max(c[3] for c in chambers), matrix=None, types=tuple(types),
         dists=tuple(dists), chambers=tuple(chambers))
@@ -1340,6 +1350,62 @@ def field_model_singer_set(q):
     return DifferenceSet(q, m, tuple(sorted(exponents)))
 
 
+@dataclass(frozen=True, slots=True)
+class AffineMap:
+    """x -> a*x + b on Z/mZ, with a a unit."""
+
+    a: int
+    b: int
+    modulus: int
+
+    def __post_init__(self):
+        m = self.modulus
+        if m < 2:
+            raise InvalidInput("modulus must be at least 2")
+        object.__setattr__(self, "a", self.a % m)
+        object.__setattr__(self, "b", self.b % m)
+        if math.gcd(self.a, m) != 1:
+            raise InvalidInput(f"multiplier {self.a} is not a unit mod {m}")
+
+    def __call__(self, x: int) -> int:
+        return (self.a * x + self.b) % self.modulus
+
+
+def agl_maps_onto(src, dst, m) -> Iterator[AffineMap]:
+    """Every affine map carrying set src onto set dst, ascending in (a, b),
+    for any sets: empty, with repeated entries or of unequal sizes.
+
+    A map x -> a*x + b onto dst sends min(src) into dst, so for each unit
+    a only the offsets b = d - a*min(src), d in dst, can work.  Every map
+    carries the empty set onto itself.  The general form of
+    diffsets.label_perms, which reads the same maps as label positions.
+    """
+    src_sorted = tuple(sorted(x % m for x in src))
+    dst_sorted = tuple(sorted(x % m for x in dst))
+    if len(src_sorted) != len(dst_sorted):
+        return
+    dst_set = set(dst_sorted)
+    for a in zmod_units(m):
+        offsets = ({(d - a * src_sorted[0]) % m for d in dst_set}
+                   if src_sorted else range(m))
+        for b in sorted(offsets):
+            if all((a * x + b) % m in dst_set for x in src_sorted):
+                image = tuple(sorted((a * x + b) % m for x in src_sorted))
+                if image == dst_sorted:  # differs only on repeated entries
+                    yield AffineMap(a, b, m)
+
+
+def find_agl_map(src, dst, m):
+    """First affine map (ascending in (a, b)) carrying set src onto set
+    dst, or None."""
+    return next(agl_maps_onto(src, dst, m), None)
+
+
+def set_stabilizer_in_agl(D):
+    """All affine maps fixing D as a set, ascending in (a, b)."""
+    return list(agl_maps_onto(D.elements, D.elements, D.modulus))
+
+
 def agl_orbit_of_set(D):
     """All images of D under the affine group, as sorted tuples: the
     reference for canonical_difference_set, which scans only the images
@@ -1353,7 +1419,7 @@ def agl_orbit_of_set(D):
 
 def agl_maps(m):
     """All affine maps mod m, ascending in (a, b): the full scan that
-    diffsets.agl_maps_onto narrows to the offsets that can work."""
+    agl_maps_onto narrows to the offsets that can work."""
     for a in zmod_units(m):
         for b in range(m):
             yield AffineMap(a, b, m)

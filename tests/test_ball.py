@@ -842,6 +842,8 @@ def _mutations(lines):
         ("center moved to a point",
          "\n".join(["vertex 0 type=0 dist=1", "vertex 1 type=1 dist=0"]
                    + lines[2:]) + "\n"),
+        # a point typed as a line: its chambers' slots do not read 0 1 2
+        ("vertex retyped", at(1, "vertex 1 type=2 dist=1")),
         ("no chambers", "\n".join(lines[:first_chamber]) + "\n"),
         ("no vertex rows", "\n".join(lines[first_edge:]) + "\n"),
         # the vertex rows come first, so first_edge is their count
@@ -979,14 +981,25 @@ def test_complex_parser_refuses_dists_off_the_graph_distance():
             "raises", message), what
 
 
-def test_complex_parser_reads_panels_of_a_chamber_with_a_repeated_vertex():
-    # chamber 0 0 1 has panels (0, 0) and (0, 1), the second twice
+def test_complex_parser_refuses_chambers_off_the_slot_types():
+    # vertex 1, a point, retyped as a line: chamber 0 1 8 on line 51, the
+    # first chamber row, then holds two lines.  A parsed export has no
+    # matrix for verify_ball to check, so without this refusal level 1
+    # would read 6 points, 8 lines and 18 flags
+    lines = complex_to_text(build_ball(identity_matrix(2), 1)).splitlines()
+    text = dict(_mutations(lines))["vertex retyped"]
+    assert _parsed(complex_from_text, text) == (
+        "raises", "line 51: chamber 0 1 8 has vertex types 0 2 2, not 0 1 2")
+
+
+def test_complex_parser_refuses_a_chamber_with_a_repeated_vertex():
+    # chamber 0 0 1 has panels (0, 0) and (0, 1), the second twice, which
+    # its edge rows list; its slots hold types 0 0 1, not 0 1 2
     text = ("vertex 0 type=0 dist=0\nvertex 1 type=1 dist=1\nedge 0 0\n"
             "edge 0 1\nchamber 0 0 1 label=0\n")
-    got = complex_from_text(text)
-    assert got == oracles.complex_from_text(text)
-    assert got.edges == ((0, 0), (0, 1))
-    assert complex_to_text(got) == text
+    message = "line 5: chamber 0 0 1 has vertex types 0 0 1, not 0 1 2"
+    for parse in (complex_from_text, oracles.complex_from_text):
+        assert _parsed(parse, text) == ("raises", message), parse
 
 
 def test_greedy_layout_pattern_matches_the_possessive_one():
@@ -1011,8 +1024,10 @@ def test_complex_parser_rejects_vertex_type_outside_0_to_2():
             "edge 0 1\nchamber 0 0 1 label=0\n")
     with pytest.raises(InvalidInput, match="line 2: vertex type 7 outside 0..2"):
         complex_from_text(text)
-    # the per-line reference accepts the row
-    assert oracles.complex_from_text(text).types == (0, 7)
+    # the per-line reference accepts the row, and refuses the chamber
+    # that holds the vertex
+    assert _parsed(oracles.complex_from_text, text) == (
+        "raises", "line 5: chamber 0 0 1 has vertex types 0 0 7, not 0 1 2")
 
 
 def _plane_flags(plane):

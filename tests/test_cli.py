@@ -13,7 +13,7 @@ from singerlat import cli, exotic
 from singerlat.arith import zmod_units
 from singerlat.ball import BallReport, complex_from_text
 from singerlat.cli import main
-from singerlat.diffsets import canonical_difference_set, find_agl_map, \
+from singerlat.diffsets import canonical_difference_set, label_perms, \
     matrix_to_text, set_from_text
 from singerlat.exotic import NormalizedMatrix, census_from_text
 from singerlat.permgrp import identity
@@ -278,11 +278,11 @@ def test_certify_finds_each_column_map_once(twisted_q5_file, capsys,
 
     def counted(*args):
         calls.append(args)
-        return find_agl_map(*args)
+        return label_perms(*args)
 
     exotic.pencil_group(5)  # built first: its own map search is not the command's
     exotic._label_twists.cache_clear()
-    monkeypatch.setattr(exotic, "find_agl_map", counted)
+    monkeypatch.setattr(exotic, "label_perms", counted)
     assert run(capsys, "certify", twisted_q5_file)[0] == 0
     assert len(calls) == 3
 

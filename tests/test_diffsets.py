@@ -6,17 +6,18 @@ import tracemalloc
 import pytest
 
 from oracles import (
-    agl_maps, agl_orbit_of_set, all_difference_sets, compose_affine,
-    field_model_singer_set, invert_affine, normalize_matrix,
+    AffineMap, agl_maps, agl_maps_onto, agl_orbit_of_set,
+    all_difference_sets, compose_affine, field_model_singer_set,
+    find_agl_map, invert_affine, normalize_matrix, set_stabilizer_in_agl,
 )
 from singerlat.diffsets import (
-    AffineMap, DifferenceMatrix, DifferenceSet, agl_maps_onto,
-    canonical_difference_set, find_agl_map, is_difference_set,
-    matrix_from_text, matrix_to_text, set_from_text, set_stabilizer_in_agl,
-    singer_difference_set, stabilizer_index_perms,
+    DifferenceMatrix, DifferenceSet, canonical_difference_set,
+    is_difference_set, label_perms, matrix_from_text, matrix_to_text,
+    set_from_text, singer_difference_set, stabilizer_index_perms,
 )
 from singerlat.arith import zmod_units
 from singerlat.errors import CapExceeded, InvalidInput
+from singerlat.permgrp import compose, inverse
 
 
 def oracle_difference_counts(elements, m):
@@ -162,6 +163,8 @@ def test_stabilizer_orders(q, size):
     D = canonical_difference_set(q)
     stab = set_stabilizer_in_agl(D)
     assert len(stab) == size
+    # the production path: the same maps as label permutations
+    assert len(set(stabilizer_index_perms(D))) == size
 
 
 def test_stabilizer_is_a_group():
@@ -174,6 +177,12 @@ def test_stabilizer_is_a_group():
         for h in stab:
             c = compose_affine(g, h)
             assert (c.a, c.b) in pairs
+    perms = set(stabilizer_index_perms(D))
+    assert len(perms) == len(stab)
+    for p in perms:
+        assert inverse(p) in perms
+        for r in perms:
+            assert compose(p, r) in perms
 
 
 def test_stabilizer_index_perms_are_permutations():
@@ -330,3 +339,37 @@ def test_refusals_quote_long_numbers_by_their_ends():
         with pytest.raises(InvalidInput, match=re.escape(
                 f"element {shown} is not a residue mod 7")):
             is_difference_set(elements, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_label_perms_match_ascending_scan(q):
+    # label_perms reads each map of the full scan onto D as the positions
+    # in D of the images of the entries, in the scan's (a, b) order
+    D = canonical_difference_set(q)
+    m, elems = D.modulus, list(D.elements)
+    pos = {d: i for i, d in enumerate(elems)}
+    rng = random.Random(q)
+
+    def column():
+        # D under a random affine map, its entries in a random order
+        a, b = rng.choice(zmod_units(m)), rng.randrange(m)
+        col = [(a * x + b) % m for x in elems]
+        rng.shuffle(col)
+        return col
+
+    def inequivalent():
+        while True:
+            src = rng.sample(range(m), q + 1)
+            if not ascending_agl_scan(src, elems, m):
+                return src
+
+    onto = [elems, [(-d) % m for d in elems], [x + m for x in elems]]
+    onto += [column() for _ in range(5)]
+    none = [inequivalent() for _ in range(3)]
+    # short, repeated, and one repeat past q + 1 distinct entries
+    none += [elems[:-1], elems[:1] + elems[:-1], elems + elems[:1], []]
+    for entries in onto + none:
+        expected = [tuple(pos[g(x)] for x in entries)
+                    for g in ascending_agl_scan(entries, elems, m)]
+        assert list(label_perms(entries, D)) == expected, entries
+        assert bool(expected) == (entries in onto), entries

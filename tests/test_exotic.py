@@ -14,14 +14,13 @@ import oracles
 from conftest import checkout_env
 from oracles import (
     NonDesarguesianColumn, certify_normalized, fast_necessary_condition,
-    local_pencil_groups, mismatch_witness, normalize_matrix,
+    find_agl_map, local_pencil_groups, mismatch_witness, normalize_matrix,
 )
 from singerlat import exotic
 from singerlat.arith import prime_power, zmod_units
 from singerlat.diffsets import (
     SINGER_Q_CAP, DifferenceMatrix, DifferenceVector,
-    canonical_difference_set, find_agl_map, matrix_to_text,
-    stabilizer_index_perms,
+    canonical_difference_set, matrix_to_text, stabilizer_index_perms,
 )
 from singerlat.errors import CapExceeded, InvalidInput
 from singerlat.exotic import (

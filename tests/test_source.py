@@ -120,7 +120,8 @@ TEST_ONLY_NAMES = {
     "PermGroup.conjugate_by", "collineations", "plane_tables",
     "conjugate_by", "preserves_labels", "agl_maps", "_complex_from_rows",
     "_ROW_RE", "census_to_text_per_row", "hjelmslev_level2",
-    "_pencil_witness", "EDGES",
+    "_pencil_witness", "EDGES", "AffineMap", "agl_maps_onto", "find_agl_map",
+    "set_stabilizer_in_agl",
 }
 
 
