@@ -19,7 +19,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .diffsets import DifferenceMatrix, DifferenceVector
 from .errors import CapExceeded, GluingError, InternalError, InvalidInput
@@ -315,6 +314,9 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
     if ball.radius < n:
         raise InvalidInput(f"radius {ball.radius} ball has no level {n}")
     O = ball.center
+    if ball.types[O] != 0:
+        raise InvalidInput(f"level {n} geometry needs a type-0 center, "
+                           f"got type {ball.types[O]}")
     types, dists = ball.types, ball.dists
     if n == 1:
         sphere1_pts = [v for v in range(ball.vertex_count)
@@ -371,15 +373,8 @@ def extract_hjelmslev(ball: BallComplex, n: int) -> HjelmslevPlane:
                           frozenset(incidence))
 
 
-class _H2Tables(NamedTuple):
-    """The level-2 plane by index, for the engine and the summary."""
-    pt_lines: list  # the lines through each point, as a set
-    pt_fibers: dict  # level-1 point -> the numbers of the points over it
-    ln_fibers: dict
-    engine: tuple  # plane._incidence_tables of the level-2 plane
-
-
-def _h2_tables(H: HjelmslevPlane) -> _H2Tables:
+def _h2_tables(H: HjelmslevPlane):
+    """The engine's tables of the level-2 plane, numbered as in H."""
     pt_index = {p: i for i, p in enumerate(H.points)}
     ln_index = {l: i for i, l in enumerate(H.lines)}
     pt_lines = [[] for _ in H.points]
@@ -388,15 +383,7 @@ def _h2_tables(H: HjelmslevPlane) -> _H2Tables:
         i, j = pt_index[p], ln_index[l]
         pt_lines[i].append(j)
         ln_points[j].append(i)
-    pt_fibers = {}
-    for i, p in enumerate(H.points):
-        pt_fibers.setdefault(p[0], []).append(i)
-    ln_fibers = {}
-    for i, l in enumerate(H.lines):
-        ln_fibers.setdefault(l[0], []).append(i)
-    return _H2Tables(
-        [frozenset(s) for s in pt_lines], pt_fibers, ln_fibers,
-        _incidence_tables(ln_points, pt_lines))
+    return _incidence_tables(ln_points, pt_lines)
 
 
 def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane, tables):
@@ -418,7 +405,7 @@ def _h2_singer_maps(ball: BallComplex, H: HjelmslevPlane, tables):
             vmap += [start + (i + step) % size for i in range(size)]
         pmap = tuple(pt_index[vmap[a], vmap[b]] for a, b in H.points)
         lmap = tuple(ln_index[vmap[a], vmap[b]] for a, b in H.lines)
-        _check_map(tables.engine, pmap, lmap)
+        _check_map(tables, pmap, lmap)
         maps.append((pmap, lmap))
     return maps
 
@@ -427,15 +414,16 @@ def _h2_elation_laws(H: HjelmslevPlane, tables, h1_flags, center, axis,
                      pmap, lmap):
     """(neighbor_ok, free_ok) for a map fixing every point of the axis
     and every line through the center; h1_flags are the level-1 flags."""
-    af, ln_points = H.lines[axis][0], tables.engine[2]
+    af = H.lines[axis][0]
     neighbor_ok = (
-        all(pmap[i] == i for i in tables.pt_fibers[H.points[center][0]])
-        and all(lmap[j] == j for j in tables.ln_fibers[af]))
+        all(pmap[a] == a for a, y in enumerate(tables.join[center]) if y == -1)
+        and all(lmap[x] == x for x, p in enumerate(tables.meet[axis])
+                if p == -1))
     # free action off the axis: a point whose fiber meets the axis's
     # level-1 line is near it, and may be fixed
     free_ok = not any(
-        pmap[p] == p for y in tables.pt_lines[center] for p in ln_points[y]
-        if (H.points[p][0], af) not in h1_flags)
+        pmap[p] == p for y in tables.pt_lines[center]
+        for p in tables.line_pts[y] if (H.points[p][0], af) not in h1_flags)
     return neighbor_ok, free_ok
 
 
@@ -457,7 +445,8 @@ def h2_collineations_fixing_center(ball: BallComplex,
     # the orders of the group and of its fiber kernel K, the maps that
     # keep every point in its fiber: by stabilizer chains, K's with the
     # fibers as domains; with labels_only the group is the shifts
-    fibers = [frozenset(tables.pt_fibers[p[0]]) for p in H.points]
+    fibers = [frozenset(a for a, y in enumerate(row) if y == -1)
+              for row in tables.join]
     if labels_only:
         shifts = _h2_singer_maps(ball, H, tables)
         if identity not in shifts:
@@ -466,8 +455,8 @@ def h2_collineations_fixing_center(ball: BallComplex,
         kernel_order = sum(all(v in fiber for v, fiber in zip(pmap, fibers))
                            for pmap, _ in shifts)
     else:
-        order = math.prod(_chain_orbits(tables.engine))
-        kernel_order = math.prod(_chain_orbits(tables.engine, fibers))
+        order = math.prod(_chain_orbits(tables))
+        kernel_order = math.prod(_chain_orbits(tables, fibers))
     if order % kernel_order:
         raise InternalError(
             f"the fiber kernel order {kernel_order} does not divide the "
@@ -481,21 +470,21 @@ def h2_collineations_fixing_center(ball: BallComplex,
                 for i, lines in enumerate(tables.pt_lines) for j in lines}
     elations, laws = set(), set()
     for ci, center_lines in enumerate(tables.pt_lines):
-        for ax in sorted(center_lines):
-            axis_pts = tables.engine[2][ax]  # the points of ax, as a set
+        for ax in center_lines:
+            axis_pts = tables.on_line[ax]
             if labels_only:
                 found = [(pmap, lmap) for pmap, lmap in shifts
                          if all(pmap[p] == p for p in axis_pts)
                          and all(lmap[y] == y for y in center_lines)]
             else:
-                search = _Search(tables.engine)
+                search = _Search(tables)
                 found = search.run() if search.seed(
                     {p: p for p in axis_pts},
                     {y: y for y in center_lines}) else ()
             for pmap, lmap in found:
                 if (pmap, lmap) == identity:
                     continue
-                _check_map(tables.engine, pmap, lmap)
+                _check_map(tables, pmap, lmap)
                 elations.add((pmap, lmap))
                 laws.add(_h2_elation_laws(H, tables, h1_flags, ci, ax,
                                           pmap, lmap))

@@ -204,7 +204,8 @@ def _build_parser():
         help="census of normalized matrices up to coarse equivalence")
     p.add_argument("q", type=int, help="plane order (prime power)")
     p.add_argument("--extra-moves", action="store_true",
-                   help="also quotient by rotation and duality")
+                   help="also quotient by duality and by the rotation "
+                        "(a1, a2) -> (a2 a1, a1^-1), not the column one")
     p.add_argument("--outdir", default=".",
                    help="directory for census and summary files")
 

@@ -569,8 +569,9 @@ def _census_counts(classes) -> tuple[int, int]:
 
 def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     """Equivalence classes of normalized matrices under the coarse moves
-    (plus rotation and duality when extra_moves is set), sorted by
-    canonical representative.
+    (with extra_moves also duality and the rotation rho(alpha1, alpha2) =
+    (alpha2 alpha1, alpha1^-1), which is not the column rotation: see
+    ROADMAP.md, item 1), sorted by canonical representative.
 
     Each class records its lexicographically least (alpha1, alpha2), its
     size and a verdict.  The census runs in one thread; threads is kept

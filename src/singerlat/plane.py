@@ -19,6 +19,7 @@ neighbouring points have no unique join.
 import itertools
 import re
 from functools import lru_cache
+from typing import NamedTuple
 
 from .diffsets import DifferenceVector, canonical_difference_set
 from .errors import InternalError, InvalidInput
@@ -72,15 +73,23 @@ def _quadrangle(line_pts, join):
     return quad
 
 
-def _incidence_tables(line_pts, pt_lines):
-    """The engine's tables, points and lines numbered from 0 (in label
-    order in a labelled plane): line_pts, pt_lines, the points of each
-    line as a set, join[a][b] (meet[x][y]), the one line on points
-    a != b (point on lines x != y) or -1, and a quadrangle."""
+class IncidenceTables(NamedTuple):
+    """The engine's tables, numbered from 0 (in label order in a labelled
+    plane).  join[a][b] is the one line on points a != b and meet[x][y]
+    the one point on lines x != y, else -1, so row a's -1s are a's fiber."""
+    line_pts: list
+    pt_lines: list
+    on_line: list  # the points of each line, as a set
+    join: list
+    meet: list
+    quad: list
+
+
+def _incidence_tables(line_pts, pt_lines) -> IncidenceTables:
     join = _unique_common(line_pts, len(pt_lines))
-    return (line_pts, pt_lines, [frozenset(pts) for pts in line_pts], join,
-            _unique_common(pt_lines, len(line_pts)),
-            _quadrangle(line_pts, join))
+    return IncidenceTables(
+        line_pts, pt_lines, [frozenset(pts) for pts in line_pts], join,
+        _unique_common(pt_lines, len(line_pts)), _quadrangle(line_pts, join))
 
 
 class _Search:
@@ -257,7 +266,7 @@ class _Search:
 
 def _check_map(tables, pmap, lmap):
     # the lines through each point go onto the lines through its image
-    pt_lines = tables[1]
+    pt_lines = tables.pt_lines
     for p, lines in enumerate(pt_lines):
         if set(pt_lines[pmap[p]]) != {lmap[y] for y in lines}:
             raise InternalError(
@@ -274,7 +283,7 @@ def _chain_orbits(tables, pt_domain=None):
     fixed and the point sent to v finds a map.  A map fixing a point a
     keeps whether a has a unique join to the base point, so only the v
     that agree with it on that for every earlier a are searched."""
-    npts = len(tables[1])
+    npts = len(tables.pt_lines)
     identity = tuple(range(npts))
 
     def maps(seed):
@@ -283,8 +292,8 @@ def _chain_orbits(tables, pt_domain=None):
             _check_map(tables, *g)
             yield g
 
-    join = tables[3]
-    fixed, orbits, b = {}, [], tables[5][0]
+    join = tables.join
+    fixed, orbits, b = {}, [], tables.quad[0]
     while b is not None:
         joined = [join[a][b] != -1 for a in fixed]
         orbit = [v for v in range(npts)

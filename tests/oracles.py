@@ -637,13 +637,23 @@ def hjelmslev_level2(ball: BallComplex) -> HjelmslevPlane:
                           frozenset(incidence))
 
 
+def fibers_of(items):
+    """The numbers of the level-2 points (or lines) over each level-1
+    point (line): items grouped by the first vertex of each pair."""
+    fibers = {}
+    for i, item in enumerate(items):
+        fibers.setdefault(item[0], []).append(i)
+    return fibers
+
+
 def h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):
     """All collineations of the level-2 plane inducing the given
     residue collineation on the fibers, by fiber-wise backtracking: the
     reference for the library's kernel cosets, which it checks lift by
-    lift.  tables are the point and line numbers of H by their pairs,
-    and four fields of the library's level-2 tables."""
-    pt_index, ln_index, pt_lines, ln_points, pt_fibers, ln_fibers = tables
+    lift.  tables are the library's level-2 tables; the fibers are read
+    off the vertex pairs of H."""
+    pt_lines = [frozenset(lines) for lines in tables.pt_lines]
+    ln_points, pt_fibers = tables.on_line, fibers_of(H.points)
     npts, nlns = len(H.points), len(H.lines)
 
     # unique common line of two non-neighboring points
@@ -748,7 +758,7 @@ def singer_maps_by_name(names, H: HjelmslevPlane, tables):
         vmap = [name_id[shift_name(n, t)] for n in names]
         pmap = tuple(pt_index[(vmap[p[0]], vmap[p[1]])] for p in H.points)
         lmap = tuple(ln_index[(vmap[l[0]], vmap[l[1]])] for l in H.lines)
-        _check_map(tables.engine, pmap, lmap)
+        _check_map(tables, pmap, lmap)
         maps.append((pmap, lmap))
     return maps
 
@@ -757,11 +767,11 @@ def h2_lift_search(H: HjelmslevPlane, tables, base_pt):
     """The collineations of the level-2 plane that send the fiber over
     each level-1 point p into the fiber over base_pt[p], one at a time
     as the plane engine finds them, each checked."""
-    dom = {f: frozenset(tables.pt_fibers[base_pt[f]])
-           for f in tables.pt_fibers}
-    search = _Search(tables.engine, pt_domain=[dom[p[0]] for p in H.points])
+    fibers = fibers_of(H.points)
+    dom = {f: frozenset(fibers[base_pt[f]]) for f in fibers}
+    search = _Search(tables, pt_domain=[dom[p[0]] for p in H.points])
     for pmap, lmap in search.run():
-        _check_map(tables.engine, pmap, lmap)
+        _check_map(tables, pmap, lmap)
         yield pmap, lmap
 
 
@@ -771,7 +781,8 @@ def h2_kernel_and_lifts(ball: BallComplex, H: HjelmslevPlane, tables):
     lists the pinned q = 2 listing is built from.  The library counts
     both by stabilizer chains instead."""
     plane = ball.matrix.columns[ball.types[ball.center]]
-    kernel = list(h2_lift_search(H, tables, {f: f for f in tables.pt_fibers}))
+    kernel = list(h2_lift_search(H, tables,
+                                 {f: f for f in fibers_of(H.points)}))
     lifts = []
     for pmap, _ in all_collineations(plane):
         # residue points sit at vertex id 1 + plane point
@@ -796,9 +807,9 @@ def h2_summary_of_listing(ball: BallComplex, maps, H: HjelmslevPlane,
     which reads the kernel and the lifts and searches flag by flag."""
     h1 = extract_hjelmslev(ball, 1)
     h1_flags = {(p[0], l[0]) for p, l in h1.incidence}
-    pt_lines = tables.pt_lines
-    ln_points = tables.engine[2]  # the points of each line, as a set
-    pt_fibers, ln_fibers = tables.pt_fibers, tables.ln_fibers
+    pt_lines = [frozenset(lines) for lines in tables.pt_lines]
+    ln_points = tables.on_line
+    pt_fibers, ln_fibers = fibers_of(H.points), fibers_of(H.lines)
     npts, nlns = len(H.points), len(H.lines)
     identity_map = (tuple(range(npts)), tuple(range(nlns)))
     if identity_map not in maps:

@@ -383,6 +383,57 @@ def test_extraction_needs_radius():
         extract_hjelmslev(b1, 3)
 
 
+def _retyped_export(text):
+    # every type t becomes t + 1 mod 3, and each chamber row goes back
+    # into slot order: its old type-2 vertex, now type 0, comes first
+    def row(line):
+        word, *fields = line.split()
+        if word == "vertex":
+            v, t, d = fields  # t is "type=<t>"
+            return f"vertex {v} type={(int(t[5:]) + 1) % 3} {d}"
+        if word == "chamber":
+            a, b, c, label = fields
+            return f"chamber {c} {a} {b} {label}"
+        return line
+    return "".join(row(line) + "\n" for line in text.splitlines())
+
+
+def test_extraction_needs_a_type_0_center():
+    # the retyped export parses, center and all, but its center is a
+    # type-1 vertex: read as a type-0 one, it has no level-1 or level-2
+    # points at all
+    for radius in (1, 2):
+        text = complex_to_text(build_ball(identity_matrix(2), radius))
+        ball = complex_from_text(_retyped_export(text))
+        assert (ball.radius, ball.types[ball.center]) == (radius, 1)
+        for level in range(1, radius + 1):
+            with pytest.raises(InvalidInput, match=(
+                    f"level {level} geometry needs a type-0 center, "
+                    f"got type 1")):
+                extract_hjelmslev(ball, level)
+        parsed = complex_from_text(text)
+        assert len(extract_hjelmslev(parsed, radius).points) == (
+            7 if radius == 1 else 28)
+
+
+def test_neighbours_are_the_fibers():
+    # two level-2 points lie on several common lines (join -1) exactly
+    # when they lie over one level-1 point, and dually for lines: the
+    # library reads the fibers off join and meet alone
+    rng = random.Random(46)
+    matrices = [Mn.decode() for Mn in enumerate_normalized(2)]
+    matrices += [Mn.decode()
+                 for Mn in rng.sample(list(enumerate_normalized(3)), 20)]
+    assert len(matrices) == 56
+    for M in matrices:
+        H = extract_hjelmslev(build_ball(M, 2), 2)
+        tables = ball_module._h2_tables(H)
+        for items, rows in ((H.points, tables.join), (H.lines, tables.meet)):
+            for a, row in enumerate(rows):
+                assert [x == -1 for x in row] == [
+                    item[0] == items[a][0] for item in items]
+
+
 def test_label_preserving_maps_are_the_cyclic_shifts(q2_ball_r2):
     H = extract_hjelmslev(q2_ball_r2, 2)
     tables = ball_module._h2_tables(H)
@@ -504,10 +555,7 @@ def test_lifts_are_kernel_cosets(q2_ball_r2):
     # every lift of a base collineation is one lift after the kernel
     H = extract_hjelmslev(q2_ball_r2, 2)
     tables = ball_module._h2_tables(H)
-    oracle_tables = ({p: i for i, p in enumerate(H.points)},
-                     {l: i for i, l in enumerate(H.lines)}, tables.pt_lines,
-                     tables.engine[2], tables.pt_fibers, tables.ln_fibers)
-    fixed = {f: f for f in tables.pt_fibers}
+    fixed = {f: f for f in oracles.fibers_of(H.points)}
     kernel = list(oracles.h2_lift_search(H, tables, fixed))
     assert len(kernel) == 256
     bases = oracles.all_collineations(canonical_plane(2))
@@ -517,7 +565,7 @@ def test_lifts_are_kernel_cosets(q2_ball_r2):
         base_ln = {8 + l: 8 + y for l, y in enumerate(lmap)}
         lp, ll = next(oracles.h2_lift_search(H, tables, base_pt))
         cosets = sorted((compose(lp, kp), compose(ll, kl)) for kp, kl in kernel)
-        assert oracles.h2_lifts(H, base_pt, base_ln, oracle_tables) == cosets
+        assert oracles.h2_lifts(H, base_pt, base_ln, tables) == cosets
 
 
 def test_level_two_quadrangle_lies_over_a_quadrangle(q2_ball_r2, q3_ball_r2):
@@ -525,7 +573,7 @@ def test_level_two_quadrangle_lies_over_a_quadrangle(q2_ball_r2, q3_ball_r2):
     # plane that must be four points over a quadrangle of the plane below
     for ball in (q2_ball_r2, q3_ball_r2):
         H = extract_hjelmslev(ball, 2)
-        quad = ball_module._h2_tables(H).engine[5]
+        quad = ball_module._h2_tables(H).quad
         pt_lines = incidence_lists(canonical_plane(ball.q))[1]
         # residue points sit at vertex id 1 + plane point
         below = [H.points[i][0] - 1 for i in quad]
@@ -547,14 +595,15 @@ def test_level_two_maps_are_checked(q2_ball_r2):
     H = extract_hjelmslev(q2_ball_r2, 2)
     tables = ball_module._h2_tables(H)
     ident = tuple(range(28))
-    _check_map(tables.engine, ident, ident)
+    _check_map(tables, ident, ident)
     swapped = (1, 0, *ident[2:])
     with pytest.raises(AssertionError, match="lines through point 0"):
-        _check_map(tables.engine, swapped, ident)
+        _check_map(tables, swapped, ident)
 
 
-def _fiber_domains(H, tables):
-    return [frozenset(tables.pt_fibers[p[0]]) for p in H.points]
+def _fiber_domains(H):
+    fibers = oracles.fibers_of(H.points)
+    return [frozenset(fibers[p[0]]) for p in H.points]
 
 
 def test_stabilizer_chain_orders_past_the_cap(q3_ball_r2):
@@ -562,8 +611,8 @@ def test_stabilizer_chain_orders_past_the_cap(q3_ball_r2):
     # does not reach while H2_GROUP_Q_CAP is 2
     H = extract_hjelmslev(q3_ball_r2, 2)
     tables = ball_module._h2_tables(H)
-    orbits = _chain_orbits(tables.engine)
-    kernel = _chain_orbits(tables.engine, _fiber_domains(H, tables))
+    orbits = _chain_orbits(tables)
+    kernel = _chain_orbits(tables, _fiber_domains(H))
     assert (orbits, kernel) == ([117, 8, 81, 54, 18], [9, 2, 9, 9, 9])
     assert (math.prod(orbits), math.prod(kernel)) == (73693152, 13122)
 
@@ -574,9 +623,8 @@ def test_stabilizer_chain_orbits_q2(q2_ball_r2):
     # leave every orbit of the full search
     H = extract_hjelmslev(q2_ball_r2, 2)
     tables = ball_module._h2_tables(H)
-    assert _chain_orbits(tables.engine) == [28, 24, 16, 4]
-    assert _chain_orbits(tables.engine,
-                         _fiber_domains(H, tables)) == [4, 4, 4, 4]
+    assert _chain_orbits(tables) == [28, 24, 16, 4]
+    assert _chain_orbits(tables, _fiber_domains(H)) == [4, 4, 4, 4]
 
 
 def test_fiber_kernel_of_a_non_classical_class():
@@ -584,8 +632,7 @@ def test_fiber_kernel_of_a_non_classical_class():
     M = NormalizedMatrix(3, canonical_difference_set(3), e, (0, 1, 3, 2))
     H = extract_hjelmslev(build_ball(M.decode(), 2), 2)
     tables = ball_module._h2_tables(H)
-    assert math.prod(_chain_orbits(tables.engine,
-                                   _fiber_domains(H, tables))) == 3
+    assert math.prod(_chain_orbits(tables, _fiber_domains(H))) == 3
 
 
 def test_elation_laws_fail_on_maps_that_break_them(q2_ball_r2):
@@ -596,21 +643,21 @@ def test_elation_laws_fail_on_maps_that_break_them(q2_ball_r2):
     center = 0
     center_lines = tables.pt_lines[center]
     axis = min(center_lines)
-    axis_pts = tables.engine[2][axis]
+    axis_pts = tables.on_line[axis]
 
     def laws(pmap, lmap):
         return ball_module._h2_elation_laws(
             H, tables, h1_flags, center, axis, pmap, lmap)
 
     ident = tuple(range(28))
-    search = _Search(tables.engine)
+    search = _Search(tables)
     assert search.seed({p: p for p in axis_pts}, {y: y for y in center_lines})
     pmap, lmap = next(g for g in search.run() if g[0] != ident)
     assert laws(pmap, lmap) == (True, True)
 
     # fixes every point of the axis and every line through the center,
     # but swaps the two points of the center's fiber off the axis
-    a, b = [i for i in tables.pt_fibers[H.points[center][0]]
+    a, b = [i for i in oracles.fibers_of(H.points)[H.points[center][0]]
             if i not in axis_pts]
     swapped = list(ident)
     swapped[a], swapped[b] = b, a
@@ -620,7 +667,7 @@ def test_elation_laws_fail_on_maps_that_break_them(q2_ball_r2):
     # that is not near the axis
     af = H.lines[axis][0]
     far = next(p for y in sorted(center_lines)
-               for p in sorted(tables.engine[2][y])
+               for p in sorted(tables.on_line[y])
                if (H.points[p][0], af) not in h1_flags)
     broken = list(pmap)
     broken[pmap.index(far)], broken[far] = pmap[far], far

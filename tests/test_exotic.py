@@ -697,6 +697,31 @@ def test_extra_move_roots_from_any_member_of_each_class(q):
         q, least, coset_of, stab, orbit_of, first)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_column_rotation_and_duality_read_off_matrices(q):
+    # by from_matrix, not by the census's formulas: the columns
+    # (c1, c2, c0) give (alpha2 alpha1^-1, alpha1^-1), with which the
+    # census's rotation (alpha2 alpha1, alpha1^-1) agrees on some pairs
+    # only, and the negated columns (-c0, -c2, -c1) give its duality
+    D = canonical_difference_set(q)
+    m = D.modulus
+    nu = exotic._duality_perm(q)
+    nu_inv = inverse(nu)
+    rng = random.Random(46 + q)
+    for _ in range(50):
+        a1, a2 = (tuple(rng.sample(range(q + 1), q + 1)) for _ in range(2))
+        c0, c1, c2 = NormalizedMatrix(q, D, a1, a2).decode().columns
+        rotated = NormalizedMatrix.from_matrix(
+            DifferenceMatrix(q, (c1, c2, c0)))
+        assert (rotated.alpha1, rotated.alpha2) == (
+            compose(a2, inverse(a1)), inverse(a1))
+        negated = NormalizedMatrix.from_matrix(DifferenceMatrix(q, tuple(
+            DifferenceVector(q, m, tuple((-d) % m for d in c.entries))
+            for c in (c0, c2, c1))))
+        assert (negated.alpha1, negated.alpha2) == tuple(
+            compose(nu, compose(a, nu_inv)) for a in (a2, a1))
+
+
 def test_classify_checks_extra_moves_keep_verdicts(monkeypatch):
     # roots that join an exotic class to the inconclusive class of the
     # identity pair must stop the census, also under python -O

@@ -114,6 +114,16 @@ def test_stabilizer_chain_gives_the_collineation_group_order(q, order):
         assert len(all_collineations(canonical_plane(q))) == order
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_projective_plane_has_no_neighbours(q):
+    # any two points have one join and any two lines one meet, so each
+    # fiber, the -1 cells of a row, is the point or line itself
+    tables = plane_tables(canonical_plane(q))
+    for rows in (tables.join, tables.meet):
+        assert [[a for a, x in enumerate(row) if x == -1]
+                for row in rows] == [[a] for a in range(len(rows))]
+
+
 @pytest.mark.parametrize("q,order", [(2, 24), (3, 432)])
 def test_point_stabilizer_orders(q, order):
     plane = canonical_plane(q)
