@@ -77,10 +77,6 @@ class DifferenceSet:
                 f"a set of {len(self.elements)} elements is not a perfect "
                 f"difference set of order {_brief(self.q)}")
 
-    @classmethod
-    def make(cls, q: int, elements) -> "DifferenceSet":
-        return cls(q, q * q + q + 1, tuple(elements))
-
 
 @dataclass(frozen=True, slots=True)
 class DifferenceVector:
@@ -108,9 +104,13 @@ class DifferenceMatrix:
     columns: tuple[DifferenceVector, DifferenceVector, DifferenceVector]
 
     def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(self.columns))
         if len(self.columns) != 3:
             raise InvalidInput("a difference matrix has exactly three columns")
         for v in self.columns:
+            if not isinstance(v, DifferenceVector):
+                raise InvalidInput(f"a column must be a DifferenceVector, "
+                                   f"got {type(v).__name__}")
             if v.q != self.q:
                 raise InvalidInput("columns have mismatched order")
 

@@ -40,7 +40,7 @@ import math
 import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -53,7 +53,7 @@ from .diffsets import (
 from .errors import CapExceeded, InternalError, InvalidInput
 from .permgrp import (
     PermGroup, closure, compose, conjugator, identity, inverse,
-    perm_from_str, perm_to_str,
+    perm_from_str, perm_to_str, validate_perm,
 )
 
 CLASSIFY_Q_CAP = 5
@@ -79,10 +79,8 @@ class NormalizedMatrix:
         D = canonical_difference_set(self.q)
         if self.D is not D and self.D != D:
             raise InvalidInput("normalized matrices use the canonical set")
-        labels = list(range(self.q + 1))
-        for a in (self.alpha1, self.alpha2):
-            if sorted(a) != labels:
-                raise InvalidInput(f"{a} is not a permutation of the labels")
+        for a in (self.alpha1, self.alpha2):  # tuples, so the record hashes
+            validate_perm(a, self.q + 1)
 
     @classmethod
     def from_matrix(cls, M: DifferenceMatrix) -> "NormalizedMatrix":
@@ -90,10 +88,8 @@ class NormalizedMatrix:
         column label twists tau_t: the row sort that puts column 0 in
         ascending order is tau_0^-1, and tau_t then reads each row's
         canonical position."""
-        t0, t1, t2 = _label_twists(M)
-        back = inverse(t0)
-        return cls(M.q, canonical_difference_set(M.q),
-                   compose(t1, back), compose(t2, back))
+        _, alpha1, alpha2 = _frame(M)
+        return cls(M.q, canonical_difference_set(M.q), alpha1, alpha2)
 
     def decode(self) -> DifferenceMatrix:
         d = self.D.elements
@@ -120,16 +116,15 @@ class ExoticWitness:
 
 @dataclass(frozen=True, slots=True)
 class ExoticityVerdict:
-    outcome: str
-    witness: Optional[ExoticWitness] = None
+    """CertifiedExotic exactly when there is a witness; the outcome is
+    read off it once, so that the census loops read it from a slot."""
+
+    witness: Optional[ExoticWitness] = field(default=None, kw_only=True)
+    outcome: str = field(init=False)
 
     def __post_init__(self):
-        if self.outcome not in (CERTIFIED_EXOTIC, INCONCLUSIVE):
-            raise InvalidInput(f"unknown outcome {self.outcome!r}")
-        if self.outcome == CERTIFIED_EXOTIC and self.witness is None:
-            raise InvalidInput("a certificate needs a witness")
-        if self.outcome == INCONCLUSIVE and self.witness is not None:
-            raise InvalidInput("an inconclusive verdict has no witness")
+        object.__setattr__(self, "outcome", INCONCLUSIVE
+                           if self.witness is None else CERTIFIED_EXOTIC)
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,10 +250,11 @@ def pencil_normalizer(q) -> PermGroup:
 
 
 @lru_cache(maxsize=1)
-def _label_twists(M: DifferenceMatrix) -> tuple[tuple[int, ...], ...]:
-    """The label twists tau_t with G_t = tau_t^-1 G_0 tau_t on the labels
-    of column t: tau_t[i] is the canonical position of entry i under the
-    first affine map of column t onto the canonical set (label_perms).
+def _frame(M: DifferenceMatrix) -> tuple[tuple[int, ...], ...]:
+    """(tau_0, alpha1, alpha2) for the label twists tau_t, with
+    G_t = tau_t^-1 G_0 tau_t, and alpha_t = tau_t tau_0^-1: tau_t[i] is
+    the canonical position of entry i under the first affine map of
+    column t onto the canonical set (label_perms).
 
     One cached matrix is enough for certify, which normalizes and then
     certifies the same matrix.
@@ -269,7 +265,8 @@ def _label_twists(M: DifferenceMatrix) -> tuple[tuple[int, ...], ...]:
     if None in twists:
         raise InvalidInput(f"column {twists.index(None)} is not "
                            f"AGL-equivalent to the canonical set")
-    return twists
+    back = inverse(twists[0])
+    return twists[0], compose(twists[1], back), compose(twists[2], back)
 
 
 @lru_cache(maxsize=None)
@@ -336,10 +333,7 @@ def certify_exotic(M: DifferenceMatrix) -> ExoticityVerdict:
     from_matrix, G_t = tau_0^-1 (alpha_t^-1 G_0 alpha_t) tau_0.
     Membership tests in G_0 decide it; no group is built.
     """
-    t0, t1, t2 = _label_twists(M)
-    back = inverse(t0)
-    return _normalized_verdict(
-        M.q, t0, compose(t1, back), compose(t2, back), {})
+    return _normalized_verdict(M.q, *_frame(M), {})
 
 
 def _normalized_verdict(q, frame, alpha1, alpha2, walks) -> ExoticityVerdict:
@@ -365,14 +359,14 @@ def _normalized_verdict(q, frame, alpha1, alpha2, walks) -> ExoticityVerdict:
     elif alpha2 not in g0:
         edge, alpha = (1, 2), alpha2
     else:
-        return ExoticityVerdict(INCONCLUSIVE)
+        return ExoticityVerdict()
     # the least of G_0 alpha fixes labels 0, 1, 2: it is y^-1 alpha for
     # one of the eta members y of G_0 that agree with alpha there
     coset = min(compose(inverse(y), alpha)
                 for y in _members_sending(q, alpha[:3]))
     if coset not in walks:
         walks[coset] = _least_outside(q, frame, compose(coset, frame))
-    return ExoticityVerdict(CERTIFIED_EXOTIC, ExoticWitness(edge, walks[coset]))
+    return ExoticityVerdict(witness=ExoticWitness(edge, walks[coset]))
 
 
 def _census_verdicts(q, alpha, walks):
@@ -397,9 +391,7 @@ def _verdict_text(verdict) -> str:
 def enumerate_normalized(q) -> Iterator[NormalizedMatrix]:
     """All normalized matrices of order q, alpha pairs in lexicographic
     order."""
-    if q > CLASSIFY_Q_CAP:
-        raise CapExceeded(
-            f"enumeration capped at q <= {CLASSIFY_Q_CAP}, got {q}")
+    _check_census_q(q)
     D = canonical_difference_set(q)
     for a1 in itertools.permutations(range(q + 1)):
         for a2 in itertools.permutations(range(q + 1)):
@@ -422,9 +414,10 @@ def enumerate_normalized(q) -> Iterator[NormalizedMatrix]:
 # |S| / |fixing| rows long: one orbit per coset when only p0 = e fixes it.
 
 
-def _census_stabilizer(q, g0) -> list[tuple[int, ...]]:
+def _census_stabilizer(q) -> list[tuple[int, ...]]:
     """S, checked to have order 3*eta and to lie in G_0; the latter
     makes the verdict constant on every coarse class."""
+    g0 = pencil_group(q)
     stab = stabilizer_index_perms(canonical_difference_set(q))
     eta = prime_power(q)[1]
     if len(stab) != 3 * eta:
@@ -554,8 +547,8 @@ def _extra_move_roots(q, least, coset_of, stab, orbit_of,
 
 
 def _check_census_q(q) -> None:
-    # the census cap, for classify and for the command line before it
-    # makes its output directory
+    # the census cap, for classify, enumerate_normalized and the command
+    # line before it makes its output directory
     if q > CLASSIFY_Q_CAP:
         raise CapExceeded(
             f"classification capped at q <= {CLASSIFY_Q_CAP}, got {q}")
@@ -583,8 +576,7 @@ def classify(q, extra_moves=False, threads=1) -> list[EquivClass]:
     is the one _normalized_verdict gives its least pair.
     """
     _check_census_q(q)
-    g0 = pencil_group(q)
-    stab = _census_stabilizer(q, g0)
+    stab = _census_stabilizer(q)
     least, coset_of = _right_cosets(
         itertools.permutations(range(q + 1)), stab)
     n = len(least)
@@ -621,8 +613,7 @@ def candidate_count(q) -> int:
     """Number of inconclusive census classes, counted without the
     census: both alphas lie in G_0, so these are the p0-orbits on pairs
     of S-cosets inside it.  Never exceeds the counting bound."""
-    g0 = pencil_group(q)
-    stab = _census_stabilizer(q, g0)
+    stab = _census_stabilizer(q)
     least, coset_of = _right_cosets(_sorted_pencil_group(q), stab)
     count = len(_coset_pair_orbits(least, coset_of, stab)[1])
     if count > bound_B(q):

@@ -87,17 +87,13 @@ def perm_from_str(text):
     return p
 
 
-def closure(generators, degree=None):
+def closure(generators, degree):
     """All products of the generators, as a frozenset.
 
     Finite degree makes the generated semigroup a group, so inverses
     come for free.
     """
     gens = list(generators)
-    if degree is None:
-        if not gens:
-            raise InvalidInput("need a degree for an empty generating set")
-        degree = len(gens[0])
     for g in gens:
         validate_perm(g, degree)
     if degree > CLOSURE_DEGREE_CAP:

@@ -107,9 +107,8 @@ from singerlat.diffsets import (
 )
 from singerlat.errors import CapExceeded, GluingError, InvalidInput
 from singerlat.exotic import (
-    CERTIFIED_EXOTIC, INCONCLUSIVE, ExoticityVerdict, ExoticWitness,
-    NormalizedMatrix, _duality_perm, _label_twists, _least_outside,
-    _right_table,
+    ExoticityVerdict, ExoticWitness, NormalizedMatrix, _duality_perm,
+    _frame, _least_outside, _right_table,
 )
 from singerlat.exotic import pencil_group as model_pencil_group
 from singerlat.permgrp import (
@@ -194,7 +193,9 @@ def local_pencil_groups(M, route="auto"):
             out.append(pencil_action(col, 0))
         return tuple(out)
     g0 = pencil_group(M.q, route)
-    return tuple(conjugate_by(g0, s) for s in _label_twists(M))
+    t0, alpha1, alpha2 = _frame(M)
+    return tuple(conjugate_by(g0, s) for s in
+                 (t0, compose(alpha1, t0), compose(alpha2, t0)))
 
 
 # adjacency pairs of the three vertex types, in check order
@@ -230,9 +231,7 @@ def certify_normalized(Mn: NormalizedMatrix):
     """The verdict of the edge walk on the label twists e, alpha1 and
     alpha2 of the normalized encoding."""
     w = pencil_witness(Mn.q, (identity(Mn.q + 1), Mn.alpha1, Mn.alpha2))
-    if w is None:
-        return ExoticityVerdict(INCONCLUSIVE)
-    return ExoticityVerdict(CERTIFIED_EXOTIC, w)
+    return ExoticityVerdict(witness=w)
 
 
 def verdict_holds(Mn: NormalizedMatrix, verdict) -> bool:
@@ -646,7 +645,7 @@ def fibers_of(items):
     return fibers
 
 
-def h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):
+def h2_lifts(H: HjelmslevPlane, base_pt, tables):
     """All collineations of the level-2 plane inducing the given
     residue collineation on the fibers, by fiber-wise backtracking: the
     reference for the library's kernel cosets, which it checks lift by
@@ -669,10 +668,6 @@ def h2_lifts(H: HjelmslevPlane, base_pt, base_ln, tables):
     fiber_keys = sorted(pt_fibers)
     pmap = [-1] * npts
     lmap = [-1] * nlns
-    lines_of_fiber_pair = {}
-    for li in range(nlns):
-        fibs = frozenset(H.points[p][0] for p in ln_points[li])
-        lines_of_fiber_pair.setdefault(fibs, []).append(li)
 
     out = []
 
@@ -1290,10 +1285,9 @@ def reduce_generators(perms):
 
 def group_from_generators(generators, degree=None):
     gens = tuple(generators)
-    elements = closure(gens, degree)
     if degree is None:
         degree = len(gens[0])
-    return PermGroup(degree, gens, elements)
+    return PermGroup(degree, gens, closure(gens, degree))
 
 
 def group_from_elements(elements):

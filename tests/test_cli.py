@@ -281,7 +281,7 @@ def test_certify_finds_each_column_map_once(twisted_q5_file, capsys,
         return label_perms(*args)
 
     exotic.pencil_group(5)  # built first: its own map search is not the command's
-    exotic._label_twists.cache_clear()
+    exotic._frame.cache_clear()
     monkeypatch.setattr(exotic, "label_perms", counted)
     assert run(capsys, "certify", twisted_q5_file)[0] == 0
     assert len(calls) == 3

@@ -195,7 +195,7 @@ def test_stabilizer_index_perms_are_permutations():
 
 
 def test_normalize_matrix_identity_case():
-    D = DifferenceSet.make(2, (1, 2, 4))
+    D = DifferenceSet(2, 7, (1, 2, 4))
     M = DifferenceMatrix.make(2, [(1, 2, 4)] * 3)
     N = normalize_matrix(M, D)
     for col in N.columns:
@@ -203,7 +203,7 @@ def test_normalize_matrix_identity_case():
 
 
 def test_normalize_matrix_reorders_and_remaps():
-    D = DifferenceSet.make(2, (1, 2, 4))
+    D = DifferenceSet(2, 7, (1, 2, 4))
     M = DifferenceMatrix.make(2, [(1, 2, 4), (2, 4, 1), (4, 5, 0)])
     N = normalize_matrix(M, D)
     assert N.columns[0].entries == (1, 2, 4)

@@ -168,6 +168,33 @@ def test_normalized_matrix_requires_canonical_set():
         NormalizedMatrix(2, shifted, (0, 1, 2), (0, 1, 2))
 
 
+def test_normalized_matrix_refuses_list_alphas():
+    # a record with a list alpha would not hash, and census_to_text,
+    # which keys its pieces by alpha, would fail far from the constructor
+    D = canonical_difference_set(2)
+    for a1, a2 in (([0, 2, 1], (0, 1, 2)), ((0, 1, 2), [0, 2, 1])):
+        with pytest.raises(InvalidInput, match="must be a tuple"):
+            NormalizedMatrix(2, D, a1, a2)
+
+
+def test_difference_matrix_keeps_its_columns_in_a_tuple():
+    # a list of columns gives the matrix, hash and verdict of the tuple;
+    # certify's frame cache hashes the matrix
+    d = canonical_difference_set(3).elements
+    v = DifferenceVector(3, 13, d)
+    w = DifferenceVector(3, 13, (d[1], d[0], *d[2:]))
+    listed = DifferenceMatrix(3, [v, w, v])
+    tupled = DifferenceMatrix(3, (v, w, v))
+    assert listed.columns == (v, w, v)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    exotic._frame.cache_clear()
+    assert certify_exotic(listed) == certify_exotic(tupled)
+    assert NormalizedMatrix.from_matrix(listed) \
+        == NormalizedMatrix.from_matrix(tupled)
+    with pytest.raises(InvalidInput, match="must be a DifferenceVector"):
+        DifferenceMatrix(2, ((0, 1, 3),) * 3)
+
+
 def test_census_records_skip_the_constructor_check(monkeypatch):
     # the census builds its records without __post_init__: classify's
     # alphas are coset leasts, the parser's were validated once per text,
@@ -407,7 +434,7 @@ def test_certify_exotic_matches_three_group_comparison(q):
         verdict = certify_exotic(M)
         expected = three_group_witness(M)
         if expected is None:
-            assert verdict == ExoticityVerdict(INCONCLUSIVE)
+            assert verdict == ExoticityVerdict()
         else:
             assert verdict.outcome == CERTIFIED_EXOTIC
             assert (verdict.witness.edge, verdict.witness.perm) == expected
@@ -519,10 +546,11 @@ def test_enumerate_counts():
 
 
 def test_enumerate_cap():
-    with pytest.raises(CapExceeded):
-        next(enumerate_normalized(7))
-    with pytest.raises(CapExceeded):
-        classify(7)
+    # one census cap, with one refusal, for the enumeration and classify
+    for run in (lambda: next(enumerate_normalized(7)), lambda: classify(7)):
+        with pytest.raises(CapExceeded,
+                           match=r"^classification capped at q <= 5, got 7$"):
+            run()
 
 
 def test_classify_q2_against_burnside():
@@ -627,7 +655,7 @@ def test_classify_checks_duality_normalizes_stabilizer(monkeypatch):
 def coarse_census(q):
     """(S, least, coset_of, orbit_of, first, lengths) as classify builds
     them."""
-    stab = exotic._census_stabilizer(q, pencil_group(q))
+    stab = exotic._census_stabilizer(q)
     least, coset_of = exotic._right_cosets(
         itertools.permutations(range(q + 1)), stab)
     return (stab, least, coset_of,
@@ -642,7 +670,7 @@ def test_coset_pair_orbits_match_every_code_oracle(q, least_rows, fixed_rows):
     # q = 7, 8, 9; at every q some rows least in their p0-orbit are fixed
     # by a p0 other than e, so the walk meets both kinds of row
     g0 = pencil_group(q)
-    stab = exotic._census_stabilizer(q, g0)
+    stab = exotic._census_stabilizer(q)
     least, coset_of = exotic._right_cosets(
         itertools.permutations(range(q + 1)) if q <= exotic.CLASSIFY_Q_CAP
         else sorted(g0.elements), stab)
@@ -827,12 +855,18 @@ def test_extra_moves_preserve_verdict_split():
 
 
 def test_verdict_requires_witness():
-    with pytest.raises(InvalidInput):
-        ExoticityVerdict(CERTIFIED_EXOTIC, None)
-    with pytest.raises(InvalidInput):
-        ExoticityVerdict("Maybe", None)
-    with pytest.raises(InvalidInput, match="inconclusive verdict has no"):
-        ExoticityVerdict(INCONCLUSIVE, ExoticWitness((0, 1), (1, 0, 2)))
+    # a verdict is its witness: the outcome is read off it, and no
+    # outcome can be passed beside it
+    w = ExoticWitness((0, 1), (1, 0, 2))
+    assert ExoticityVerdict().outcome == INCONCLUSIVE
+    assert ExoticityVerdict(witness=None).outcome == INCONCLUSIVE
+    assert ExoticityVerdict(witness=w).outcome == CERTIFIED_EXOTIC
+    assert ExoticityVerdict(witness=w).witness is w
+    assert ExoticityVerdict(witness=w) != ExoticityVerdict()
+    with pytest.raises(TypeError):
+        ExoticityVerdict(w)
+    with pytest.raises(TypeError):
+        ExoticityVerdict(outcome=CERTIFIED_EXOTIC, witness=w)
 
 
 def test_bound_values():
@@ -902,21 +936,20 @@ def test_census_text_matches_the_per_row_reference():
     e = identity(6)
     a = (0, 1, 2, 3, 5, 4)
     perm = (0, 2, 1, 5, 4, 3)
-    certified = ExoticityVerdict(
-        CERTIFIED_EXOTIC, ExoticWitness((1, 2), perm))
+    certified = ExoticityVerdict(witness=ExoticWitness((1, 2), perm))
     certified_copy = ExoticityVerdict(
-        CERTIFIED_EXOTIC, ExoticWitness((1, 2), tuple(list(perm))))
+        witness=ExoticWitness((1, 2), tuple(list(perm))))
     assert certified_copy == certified and certified_copy is not certified
-    unknown = ExoticityVerdict(INCONCLUSIVE)
+    unknown = ExoticityVerdict()
     rows = [
         EquivClass(normalized(5, e, (0, 1, 3, 2, 5, 4)), 135, unknown),
         EquivClass(normalized(5, e, a), 405, certified),
         EquivClass(normalized(5, tuple(list(e)), tuple(list(a))), 405,
                    certified_copy),
         EquivClass(normalized(5, a, e), 135, certified_copy),
-        EquivClass(normalized(5, e, e), 405, ExoticityVerdict(INCONCLUSIVE)),
+        EquivClass(normalized(5, e, e), 405, ExoticityVerdict()),
         EquivClass(normalized(5, a, a), 27, ExoticityVerdict(
-            CERTIFIED_EXOTIC, ExoticWitness((0, 1), perm))),
+            witness=ExoticWitness((0, 1), perm))),
     ]
     sample = random.Random(24).sample(classes_of(5, True), 50)
     for classes in (rows, rows[1:2], [], sample, classes_of(4)):
@@ -1074,7 +1107,7 @@ def test_census_text_keeps_its_bytes_for_distinct_equal_verdicts():
     # the same text
     classes = classes_of(5)
     copies = (EquivClass(c.representative, c.orbit_size,
-                         ExoticityVerdict(c.verdict.outcome, c.verdict.witness))
+                         ExoticityVerdict(witness=c.verdict.witness))
               for c in classes)
     digest = hashlib.sha256(census_to_text(copies).encode()).hexdigest()
     assert digest == CENSUS_SHA256[(5, False)]
@@ -1104,7 +1137,7 @@ def test_census_parser_refuses_verdicts_that_the_alphas_contradict():
         assert valid.endswith(
             f"witness={ExoticWitness(edge, perm).summary()}\n")
         assert oracles.verdict_holds(rep, ExoticityVerdict(
-            CERTIFIED_EXOTIC, ExoticWitness(edge, perm)))
+            witness=ExoticWitness(edge, perm)))
     for bad, expected in [
         ("alpha1=[0 1 2 3 5 4] alpha2=[0 1 2 3 4 5] orbit=7 "
          "verdict=Inconclusive witness=-\n",

@@ -85,12 +85,12 @@ def test_validate_perm_rejects_junk():
 
 def test_closure_of_transposition_and_cycle_is_symmetric():
     gens = [(1, 0, 2), (1, 2, 0)]
-    assert closure(gens) == frozenset(itertools.permutations(range(3)))
+    assert closure(gens, 3) == frozenset(itertools.permutations(range(3)))
 
 
 def test_closure_degree_cap():
     with pytest.raises(CapExceeded):
-        closure([identity(13)])
+        closure([identity(13)], 13)
 
 
 def test_from_elements_requires_closed_set():

@@ -1,6 +1,9 @@
-"""Checks on the library's source text rather than on its behaviour."""
+"""Checks on the library's source text rather than on its behaviour,
+and on the README's library example."""
 
 import ast
+import doctest
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from conftest import checkout_env
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "singerlat"
+README = TESTS.parent / "README.md"
 
 
 def test_no_assert_statements_in_src():
@@ -121,7 +125,7 @@ TEST_ONLY_NAMES = {
     "conjugate_by", "preserves_labels", "agl_maps", "_complex_from_rows",
     "_ROW_RE", "census_to_text_per_row", "hjelmslev_level2",
     "_pencil_witness", "EDGES", "AffineMap", "agl_maps_onto", "find_agl_map",
-    "set_stabilizer_in_agl",
+    "set_stabilizer_in_agl", "DifferenceSet.make",
 }
 
 
@@ -197,3 +201,20 @@ def test_every_dataclass_has_slots():
                  ast.parse(path.read_text(), filename=str(path)))
              if not slots]
     assert found == []
+
+
+def test_readme_library_example_runs():
+    # each python block of the README that holds >>> prompts runs as a
+    # doctest; the block alone, so that its closing fence is not read as
+    # expected output
+    blocks = [b for b in re.findall(r"^```python\n(.*?)^```$",
+                                    README.read_text(), re.M | re.S)
+              if ">>>" in b]
+    assert blocks
+    runner = doctest.DocTestRunner(optionflags=doctest.NORMALIZE_WHITESPACE)
+    report = []
+    for i, block in enumerate(blocks):
+        runner.run(doctest.DocTestParser().get_doctest(
+            block, {}, f"README.md python block {i}", str(README), 0),
+            out=report.append)
+    assert runner.tries > 0 and runner.failures == 0, "".join(report)
